@@ -54,10 +54,6 @@ class UnknownExperiment(ValueError):
     pass
 
 
-class InvalidScales(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
@@ -89,6 +85,8 @@ def _get(cfg: dict, section: str, key: str, cast, default=None):
 
 
 def _scales(cfg: dict, default=None) -> tuple[float, ...]:
+    from modlab.estimates import InvalidScales
+
     raw = cfg.get("sweep", {}).get("scales")
     if raw is None:
         if default is None:
@@ -100,9 +98,6 @@ def _scales(cfg: dict, default=None) -> tuple[float, ...]:
         raise InvalidScales(f"cannot parse scales {raw!r}") from exc
     if not vals:
         raise InvalidScales("empty scale list")
-    for v in vals:
-        if v <= 0 or 2.0 ** round(math.log2(v)) != v:
-            raise InvalidScales(f"scales must be dyadic, got {v}")
     return vals
 
 
@@ -133,10 +128,7 @@ def _experiment_config(cfg: dict, seed_override: int | None):
         samples_per_unit=_get(cfg, "sweep", "samples_per_unit", float, 2.0),
         profile=_get(cfg, "sweep", "profile", str, "constant"),
     )
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise InvalidScales(str(exc)) from exc
+    return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +453,15 @@ def _run_datagen(cfg, xcfg, out_dir):
 
 
 def run(config_path: str, out: str, seed: int | None = None, threads: int | None = None) -> int:
+    from modlab.estimates import InvalidScales
+
+    out_dir = Path(out)
     try:
         cfg = _parse_config(Path(config_path))
         kind = cfg["experiment"]["kind"].strip()
         if kind not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment kind {kind!r}")
         xcfg = _experiment_config(cfg, seed)
-    except InvalidScales as exc:
-        print(f"error: invalid scales: {exc}", file=sys.stderr)
-        return EXIT_SCALES
-    except UnknownExperiment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except (ConfigError, configparser.Error) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if threads is None:
-        threads = int(os.environ.get("MODLAB_THREADS", "0")) or None
-
-    out_dir = Path(out)
-    try:
         if kind == "norms":
             rows, summary, passed = _run_norms(cfg, xcfg, out_dir)
         elif kind in ("smoothing", "strichartz", "bilinear", "v2bilinear", "decoupling"):
@@ -499,12 +479,21 @@ def run(config_path: str, out: str, seed: int | None = None, threads: int | None
     except InvalidScales as exc:
         print(f"error: invalid scales: {exc}", file=sys.stderr)
         return EXIT_SCALES
+    except UnknownExperiment as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except (ConfigError, configparser.Error) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALES if "scale" in str(exc).lower() else EXIT_CONFIG
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+
+    if threads is None:
+        threads = int(os.environ.get("MODLAB_THREADS", "0")) or None
 
     summary["config"] = {
         "experiment": kind,

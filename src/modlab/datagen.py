@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from modlab.grid import Field, Grid, SpectralField, from_spectrum, lp_norm, to_spectrum
-from modlab.modspace import ModNormSpec, Window, modulation_norm
+from modlab.modspace import ModNormSpec, Window, bump, modulation_norm
 from modlab.propagator import gradient_sq_integral
 
 __all__ = [
@@ -28,14 +28,6 @@ __all__ = [
     "save_field",
     "load_field",
 ]
-
-
-def _bump_values(grid: Grid) -> np.ndarray:
-    r_sq = reduce(np.add, [x**2 for x in grid.coords()])
-    out = np.zeros(grid.shape)
-    inside = r_sq < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
-    return out
 
 
 def mollified_indicator(
@@ -56,7 +48,7 @@ def mollified_indicator(
         )
     r_sq = reduce(np.add, [x**2 for x in grid.coords()])
     indicator = (r_sq <= n_radius**2).astype(np.complex128)
-    chi = _bump_values(grid)
+    chi = bump(r_sq)
     chi = chi / (grid.cell * chi.sum())
     # convolution via the transform pair: (f*g)^ = (2 pi)^{d/2} f^ g^
     F_chi = to_spectrum(Field(grid, chi.astype(np.complex128)))
@@ -82,7 +74,9 @@ def mollified_indicator(
 def random_phase_data(scale: float, seed: int, grid: Grid) -> Field:
     """Unit-modulus random-phase coefficients on all modes with |xi| <= scale."""
     if scale > grid.xi_max:
-        raise ValueError(f"scale {scale} outside the band (xi_max={grid.xi_max})")
+        from modlab.estimates import InvalidScales  # estimates imports this module
+
+        raise InvalidScales(f"scale {scale} outside the band (xi_max={grid.xi_max})")
     mask = grid.freq_sq() <= scale**2
     rng = np.random.default_rng([int(seed), int(round(scale * 16))])
     phases = rng.uniform(0.0, 2.0 * np.pi, size=int(mask.sum()))
@@ -98,7 +92,9 @@ def focusing_data(scale: float, grid: Grid) -> Field:
     dxi^d (2 pi)^{-d/2} * (number of coefficients).
     """
     if scale > grid.xi_max / 4:
-        raise ValueError(f"scale {scale} exceeds xi_max/4 = {grid.xi_max / 4}")
+        from modlab.estimates import InvalidScales
+
+        raise InvalidScales(f"scale {scale} exceeds xi_max/4 = {grid.xi_max / 4}")
     mask = reduce(np.logical_and, [np.abs(xi) <= scale for xi in grid.freqs()])
     coeffs = np.where(mask, 1.0 + 0.0j, 0.0)
     return from_spectrum(SpectralField(grid, coeffs))

@@ -5,9 +5,13 @@ slope of log(lhs/rhs) against log(scale), and compares with the predicted
 exponent plus a margin.  Margins default to 0.15 (0.2 for decoupling) to
 absorb epsilon losses, periodization, and finite-scale effects.
 
-Space-time norms of products are evaluated on a zero-padded grid so the
-quadrature of |u v|^2 is alias-free; this is what makes the Galilean
-invariance of measured bilinear ratios hold to near round-off.
+Every space-time norm of a free flow, or of a product of piecewise free
+flows, goes through the one kernel ``propagator.free_flow_lp_norm``.  The
+linear sweeps sample on the grid itself; products are sampled on the 2x
+zero-padded grid so the quadrature of |u v|^2 is alias-free, which is what
+makes the Galilean invariance of measured bilinear ratios hold to near
+round-off.  Decoupling cells and the extension norm share the streamed ball
+quadrature ``propagator.extension_ball_norms``.
 """
 
 from __future__ import annotations
@@ -27,19 +31,21 @@ from modlab.grid import (
     lp_norm,
     make_grid,
     to_spectrum,
-    trapezoid,
 )
 from modlab.modspace import (
     ModNormSpec,
     Window,
     ball_cover_centers,
+    bump,
     make_window,
     modulation_norm,
     _annulus_multiplier,
 )
+from modlab.propagator import extension_ball_norms, free_flow_lp_norm, unit_ball_mesh
 from modlab import datagen
 
 __all__ = [
+    "InvalidScales",
     "ExperimentConfig",
     "FitResult",
     "sdec",
@@ -55,6 +61,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Configuration and fit plumbing
 # ---------------------------------------------------------------------------
+
+
+class InvalidScales(ValueError):
+    """A scale sweep the grid or the fit cannot support."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for sc in self.scales:
             if sc <= 0 or 2.0 ** round(math.log2(sc)) != sc:
-                raise ValueError(f"scales must be dyadic, got {sc}")
+                raise InvalidScales(f"scales must be dyadic, got {sc}")
 
     def grid(self) -> Grid:
         return make_grid(self.d, self.n, self.length)
@@ -159,7 +169,7 @@ def fit_exponent(
     scales = np.asarray(scales, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
     if scales.size < 3:
-        raise ValueError(f"need at least 3 scales for a fit, got {scales.size}")
+        raise InvalidScales(f"need at least 3 scales for a fit, got {scales.size}")
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive for a log-log fit")
     x = np.log(scales)
@@ -202,10 +212,7 @@ def _bump_at(grid: Grid, center: Sequence[float], width: float) -> Field:
     arg = reduce(
         np.add, [((xi - c) / width) ** 2 for xi, c in zip(grid.freqs(), center)]
     )
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    inside = arg < 1.0
-    coeffs[inside] = np.exp(-1.0 / (1.0 - arg[inside]))
-    return from_spectrum(SpectralField(grid, coeffs))
+    return from_spectrum(SpectralField(grid, bump(arg)))
 
 
 def _band_noise(grid: Grid, band: float, seed: int) -> Field:
@@ -231,58 +238,6 @@ def scale_family(config: ExperimentConfig, scale: float, grid: Grid) -> Field:
     raise ValueError(f"unknown data family {config.family!r}")
 
 
-def _spacetime_lp_free(u0: Field, horizon: float, m: int, p: float) -> float:
-    """Space-time L^p of the free evolution via one ifft per time node."""
-    g = u0.grid
-    F = to_spectrum(u0).coefficients
-    w2 = g.freq_sq()
-    scale = g.dxi**g.d * (2.0 * np.pi) ** (-g.d / 2.0) * g.size
-    ts = np.linspace(0.0, horizon, m)
-    powers = np.empty(m)
-    for i, t in enumerate(ts):
-        a = np.abs(np.fft.ifftn(np.exp(-1j * t * w2) * F)) * scale
-        powers[i] = g.cell * np.sum(a**p)
-    return float(trapezoid(powers, ts) ** (1.0 / p))
-
-
-class _PaddedEvolver:
-    """Evaluates the free evolution of a field on a 2x zero-padded grid.
-
-    Padding makes the quadrature of |u v|^2 alias-free for band-limited
-    inputs, at the cost of one fine-grid ifft per time node.
-    """
-
-    def __init__(self, f: Field, pad: int = 2):
-        g = f.grid
-        self.grid = g
-        self.pad = pad
-        fn = pad * g.n
-        coeffs = to_spectrum(f).coefficients
-        embedded = np.zeros((fn,) * g.d, dtype=np.complex128)
-        modes = (np.fft.fftfreq(g.n) * g.n).astype(int)
-        idx = np.ix_(*([modes % fn] * g.d))
-        embedded[idx] = coeffs
-        self.coeffs = embedded
-        xi = 2.0 * np.pi * np.fft.fftfreq(fn, d=g.length / fn)
-        shape = lambda i: tuple(fn if j == i else 1 for j in range(g.d))
-        self.freq_sq = reduce(np.add, [xi.reshape(shape(i)) ** 2 for i in range(g.d)])
-        self.scale = g.dxi**g.d * (2.0 * np.pi) ** (-g.d / 2.0) * fn**g.d
-        self.cell = (g.length / fn) ** g.d
-
-    def values_at(self, t: float) -> np.ndarray:
-        return self.scale * np.fft.ifftn(np.exp(-1j * t * self.freq_sq) * self.coeffs)
-
-
-def _product_l2(ev1, ev2, horizon: float, m: int) -> float:
-    """|| u v ||_{L^2([0,horizon] x torus)} from two padded evolvers."""
-    ts = np.linspace(0.0, horizon, m)
-    powers = np.empty(m)
-    for i, t in enumerate(ts):
-        prod = ev1.values_at(t) * ev2.values_at(t)
-        powers[i] = ev1.cell * float(np.sum(np.abs(prod) ** 2))
-    return float(math.sqrt(trapezoid(powers, ts)))
-
-
 # ---------------------------------------------------------------------------
 # Linear smoothing / Strichartz sweeps
 # ---------------------------------------------------------------------------
@@ -297,7 +252,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
     grid = config.grid()
     window = config.window()
     if max(config.scales) > grid.xi_max / 4:
-        raise ValueError(
+        raise InvalidScales(
             f"largest scale {max(config.scales)} exceeds xi_max/4 = {grid.xi_max / 4}"
         )
     spec = ModNormSpec(0.0, config.p, 2.0)
@@ -306,7 +261,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
         u0 = scale_family(config, N, grid)
         if lp_norm(u0, 2) == 0.0:
             raise ValueError("degenerate data family: zero field")
-        lhs.append(_spacetime_lp_free(u0, config.horizon, config.time_nodes, config.p))
+        lhs.append(free_flow_lp_norm([[(0.0, u0)]], config.horizon, config.time_nodes, config.p))
         rhs.append(modulation_norm(u0, spec, window))
     predicted = 2.0 * sdec(config.p, config.d)
     meta = {"window": window.describe()}
@@ -344,8 +299,8 @@ def _bilinear_cell(
         raise ValueError("zero field in bilinear data")
     spec = ModNormSpec(0.0, 4.0, 2.0)
     rhs = modulation_norm(f1, spec, window) * modulation_norm(f2, spec, window)
-    lhs = _product_l2(
-        _PaddedEvolver(f1), _PaddedEvolver(f2), config.horizon, config.time_nodes
+    lhs = free_flow_lp_norm(
+        [[(0.0, f1)], [(0.0, f2)]], config.horizon, config.time_nodes, 2.0, pad=2
     )
     return lhs, rhs
 
@@ -364,7 +319,7 @@ def bilinear_ratio(
     grid = config.grid()
     window = config.window()
     if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
-        raise ValueError("bilinear scales exceed xi_max/2")
+        raise InvalidScales("bilinear scales exceed xi_max/2")
 
     def check_sep(n_high, n_low):
         if n_low * config.min_separation > n_high:
@@ -386,7 +341,7 @@ def bilinear_ratio(
     lhs_lo, rhs_lo = [], []
     low_scales = tuple(s for s in config.scales if s * config.min_separation <= n1_fixed)
     if len(low_scales) < 3:
-        raise ValueError("fewer than 3 admissible low scales in the sweep")
+        raise InvalidScales("fewer than 3 admissible low scales in the sweep")
     for n2 in low_scales:
         a, b = _bilinear_cell(config, grid, window, n1_fixed, n2)
         lhs_lo.append(a)
@@ -430,7 +385,7 @@ def bilinear_chain_log(
     f2 = _band_noise(grid, n_low, config.seed + 1)
     spec = ModNormSpec(0.0, 4.0, 2.0)
     m = max(33, config.time_nodes // 4 + 1)
-    lhs = _product_l2(_PaddedEvolver(f1), _PaddedEvolver(f2), config.horizon, m)
+    lhs = free_flow_lp_norm([[(0.0, f1)], [(0.0, f2)]], config.horizon, m, 2.0, pad=2)
 
     centers = ball_cover_centers(grid.d, n_high, n_low)
     F1 = to_spectrum(f1)
@@ -456,16 +411,16 @@ def bilinear_chain_log(
         occupied[i]
         for i in sorted(rng.choice(len(occupied), size=max_boxes, replace=False))
     ]
-    ev2 = _PaddedEvolver(f2)
-    l4_low = _spacetime_lp_free(f2, config.horizon, m, 4.0)
+    l4_low = free_flow_lp_norm([[(0.0, f2)]], config.horizon, m, 4.0)
     sum_products_sq = 0.0
     holder_ok = True
     m42_sq = 0.0
     for c, mask, _ in sample:
         piece = from_spectrum(SpectralField(grid, mask * F1.coefficients))
-        ev_piece = _PaddedEvolver(piece)
-        prod = _product_l2(ev_piece, ev2, config.horizon, m)
-        l4_piece = _spacetime_lp_free(piece, config.horizon, m, 4.0)
+        prod = free_flow_lp_norm(
+            [[(0.0, piece)], [(0.0, f2)]], config.horizon, m, 2.0, pad=2
+        )
+        l4_piece = free_flow_lp_norm([[(0.0, piece)]], config.horizon, m, 4.0)
         holder_ok = holder_ok and prod <= l4_piece * l4_low * (1.0 + 1e-9)
         sum_products_sq += prod**2
         m42_sq += modulation_norm(piece, spec, window) ** 2
@@ -491,9 +446,9 @@ def bilinear_chain_log(
 
 def _atomic_path(
     config: ExperimentConfig, grid: Grid, band: float, seed: int
-) -> list[tuple[float, float, Field]]:
-    """Atomic superposition data: pieces (t_start, t_end, field) tiling
-    [0, horizon] with ``config.atoms`` free-trajectory atoms."""
+) -> list[tuple[float, Field]]:
+    """Atomic superposition data: pieces (t_start, field) tiling [0, horizon]
+    with ``config.atoms`` free-trajectory atoms."""
     k = max(1, config.atoms)
     cuts = np.linspace(0.0, config.horizon, k + 1)
     pieces = []
@@ -501,23 +456,8 @@ def _atomic_path(
         f = _band_noise(grid, band, seed + 101 * j)
         if lp_norm(f, 2) == 0.0:
             raise ValueError("zero path piece in atomic data")
-        pieces.append((float(cuts[j]), float(cuts[j + 1]), f))
+        pieces.append((float(cuts[j]), f))
     return pieces
-
-
-class _AtomicEvolver:
-    """Padded evolution of a piecewise free trajectory u(t) = exp(itL) f_j
-    for t in [t_j, t_{j+1})."""
-
-    def __init__(self, pieces):
-        self.pieces = [(a, b, _PaddedEvolver(f)) for a, b, f in pieces]
-        self.cell = self.pieces[0][2].cell
-
-    def values_at(self, t: float) -> np.ndarray:
-        for a, b, ev in self.pieces:
-            if a <= t < b:
-                return ev.values_at(t)
-        return self.pieces[-1][2].values_at(t)
 
 
 def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
@@ -542,8 +482,8 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
         # undoing the flow turns each free segment back into its profile, so
         # the adapted path is the step path of the profiles themselves,
         # sampled at the cut times
-        times = tuple(a for a, _, _ in pieces) + (pieces[-1][1],)
-        fields = tuple(f for _, _, f in pieces) + (pieces[-1][2],)
+        times = tuple(a for a, _ in pieces) + (config.horizon,)
+        fields = tuple(f for _, f in pieces) + (pieces[-1][1],)
         path = SampledPath(times, fields, norm)
         return vp_norm(path, 2.0, terminal_zero=True)
 
@@ -556,11 +496,8 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
         hi_pieces = _atomic_path(config, grid, n_high, config.seed)
         lo_pieces = _atomic_path(config, grid, n_low, config.seed + 7)
         lhs.append(
-            _product_l2_paths(
-                _AtomicEvolver(hi_pieces),
-                _AtomicEvolver(lo_pieces),
-                config.horizon,
-                config.time_nodes,
+            free_flow_lp_norm(
+                [hi_pieces, lo_pieces], config.horizon, config.time_nodes, 2.0, pad=2
             )
         )
         rhs.append(adapted_v2(hi_pieces) * adapted_v2(lo_pieces))
@@ -570,15 +507,6 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     )
 
 
-def _product_l2_paths(ev1, ev2, horizon: float, m: int) -> float:
-    ts = np.linspace(0.0, horizon, m)
-    powers = np.empty(m)
-    for i, t in enumerate(ts):
-        prod = ev1.values_at(t) * ev2.values_at(t)
-        powers[i] = ev1.cell * float(np.sum(np.abs(prod) ** 2))
-    return float(math.sqrt(trapezoid(powers, ts)))
-
-
 # ---------------------------------------------------------------------------
 # Decoupling
 # ---------------------------------------------------------------------------
@@ -586,29 +514,14 @@ def _product_l2_paths(ev1, ev2, horizon: float, m: int) -> float:
 
 def _decoupling_profile(kind: str, points: np.ndarray, width: float) -> np.ndarray:
     if kind == "constant":
-        return np.ones(points.shape[0], dtype=np.complex128)
+        return np.ones(points.shape[0])
     if kind == "bump":
-        r_sq = np.sum(points**2, axis=1)
-        out = np.zeros(points.shape[0], dtype=np.complex128)
-        inside = r_sq < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
-        return out
+        return bump(np.sum(points**2, axis=1))
     if kind == "single_cap":
         # bump confined to the interior of the first cap
         center = -1.0 + 0.5 * width
-        r_sq = np.sum(((points - center) / (0.25 * width)) ** 2, axis=1)
-        out = np.zeros(points.shape[0], dtype=np.complex128)
-        inside = r_sq < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
-        return out
+        return bump(np.sum(((points - center) / (0.25 * width)) ** 2, axis=1))
     raise ValueError(f"unknown decoupling profile {kind!r}")
-
-
-def _cap_indices(points: np.ndarray, width: float) -> np.ndarray:
-    """Assign each frequency mesh point to its cap: disjoint cubes of the
-    given width partitioning [-1, 1]^d."""
-    idx = np.floor((points + 1.0) / width).astype(int)
-    return idx
 
 
 def decoupling_ratio(config: ExperimentConfig) -> FitResult:
@@ -638,70 +551,20 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
 
 
 def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
-    d = config.d
+    """(||Ef||_{L^p(B_R)}, sum over caps of ||Ef_cap||_{L^p(B_R)}^2).
+
+    Caps are the disjoint cubes of the given width partitioning [-1, 1]^d;
+    sorting the mesh by cap makes each cap a contiguous slice of it.
+    """
     mesh = config.mesh if config.mesh > 0 else int(math.ceil(2.6 * R))
-    from modlab.propagator import unit_ball_mesh
-
-    points, wq = unit_ball_mesh(d, mesh)
+    points, weight = unit_ball_mesh(config.d, mesh)
+    caps = np.floor((points + 1.0) / width).astype(int)
+    order = np.lexsort(caps.T[::-1])
+    points = points[order]
+    bounds = [*np.unique(caps[order], axis=0, return_index=True)[1], len(points)]
+    slices = [(0, len(points)), *zip(bounds[:-1], bounds[1:])]
     profile = _decoupling_profile(config.profile, points, width)
-    caps = _cap_indices(points, width)
-    spu = config.samples_per_unit
-    m = int(math.ceil(2.0 * R * spu))
-    step = 2.0 * R / m
-    axis = -R + step * (np.arange(m) + 0.5)
-
-    if d == 1:
-        phase_x = np.exp(1j * np.outer(axis, points[:, 0]))  # (nx, nmesh)
-        quad_sq = points[:, 0] ** 2
-        tt = axis[:, None]
-        xx = axis[None, :]
-        ball = tt**2 + xx**2 <= R**2
-        cell = step**2
-        total_p = 0.0
-        cap_ids = sorted({tuple(c) for c in caps})
-        cap_p = {c: 0.0 for c in cap_ids}
-        for i, t in enumerate(axis):
-            tp = profile * np.exp(1j * t * quad_sq)
-            row_mask = ball[i]
-            if not row_mask.any():
-                continue
-            px = phase_x[row_mask]
-            full = px @ tp
-            total_p += float(np.sum(np.abs(full) ** config.p))
-            for c in cap_ids:
-                sel = caps[:, 0] == c[0]
-                vals = px[:, sel] @ tp[sel]
-                cap_p[c] += float(np.sum(np.abs(vals) ** config.p))
-        value = (wq**config.p * cell * total_p) ** (1.0 / config.p)
-        cap_sq = sum(
-            ((wq**config.p * cell * v) ** (1.0 / config.p)) ** 2 for v in cap_p.values()
-        )
-        return value, cap_sq
-
-    # d == 2: loop time slices, mask to the ball
-    xg, yg = np.meshgrid(axis, axis, indexing="ij")
-    xy = np.stack([xg.ravel(), yg.ravel()], axis=-1)
-    r_xy = np.sum(xy**2, axis=1)
-    quad_sq = np.sum(points**2, axis=1)
-    cap_ids = sorted({tuple(c) for c in caps})
-    cap_sel = {c: (caps[:, 0] == c[0]) & (caps[:, 1] == c[1]) for c in cap_ids}
-    cell = step**3
-    total_p = 0.0
-    cap_p = {c: 0.0 for c in cap_ids}
-    for t in axis:
-        keep = t**2 + r_xy <= R**2
-        if not keep.any():
-            continue
-        px = np.exp(1j * (xy[keep] @ points.T))
-        tp = profile * np.exp(1j * t * quad_sq)
-        full = px @ tp
-        total_p += float(np.sum(np.abs(full) ** config.p))
-        for c in cap_ids:
-            sel = cap_sel[c]
-            vals = px[:, sel] @ tp[sel]
-            cap_p[c] += float(np.sum(np.abs(vals) ** config.p))
-    value = (wq**config.p * cell * total_p) ** (1.0 / config.p)
-    cap_sq = sum(
-        ((wq**config.p * cell * v) ** (1.0 / config.p)) ** 2 for v in cap_p.values()
+    norms = extension_ball_norms(
+        profile, points, weight, R, config.p, config.samples_per_unit, slices
     )
-    return value, cap_sq
+    return float(norms[0]), sum(float(v) ** 2 for v in norms[1:])

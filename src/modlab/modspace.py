@@ -31,6 +31,7 @@ from modlab.grid import Field, Grid, SpectralField, from_spectrum, to_spectrum
 
 __all__ = [
     "ModNormSpec",
+    "bump",
     "Window",
     "make_window",
     "iso_piece",
@@ -57,13 +58,12 @@ class ModNormSpec:
             raise ValueError(f"p and q must be >= 1, got p={self.p}, q={self.q}")
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    """C^inf bump on (-1, 1), exp(-1/(1-t^2)), zero outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+def bump(r_sq: np.ndarray) -> np.ndarray:
+    """C^inf bump exp(-1/(1-r^2)) as a function of r^2, zero for r >= 1."""
+    r_sq = np.asarray(r_sq, dtype=float)
+    out = np.zeros_like(r_sq)
+    inside = r_sq < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
     return out
 
 
@@ -155,7 +155,7 @@ class Window:
 def _axis_profiles(grid: Grid, cube: float, kmax: int) -> np.ndarray:
     xi = grid.axis_freqs()
     shifts = np.arange(-kmax, kmax + 1)
-    raw = _bump((xi[None, :] - cube * shifts[:, None]) / cube)
+    raw = bump(((xi[None, :] - cube * shifts[:, None]) / cube) ** 2)
     # separable normalization: per-axis sum over *all* integer shifts; shifts
     # beyond kmax never touch the representable band by choice of kmax
     denom = np.sqrt(np.sum(raw**2, axis=0))

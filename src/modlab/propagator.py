@@ -3,9 +3,11 @@
 Sign convention, fixed once: the flow solves i u_t + Laplace(u) = 0, so the
 spectral multiplier of ``free_evolve(f, t)`` is exp(-i t |xi|^2).  The
 Galilean twist multiplies by a plane wave and translates the spectrum; the
-Duhamel integral uses the composite trapezoid rule; the paraboloid extension
-operator is direct midpoint quadrature over a frequency mesh of the unit
-ball, restricted to d <= 2 since its cost grows like mesh^(2d+1).
+Duhamel integral uses the composite trapezoid rule; space-time L^p norms of
+products of free flows sample the flows node by node, on a zero-padded grid
+when the product must be alias-free; the paraboloid extension operator is
+direct midpoint quadrature over a frequency mesh of the unit ball, restricted
+to d <= 2 since its cost grows like mesh^(2d+1).
 """
 
 from __future__ import annotations
@@ -17,17 +19,20 @@ from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, SpectralField, from_spectrum, to_spectrum
+from modlab.grid import Field, Grid, SpectralField, from_spectrum, to_spectrum, trapezoid
 
 __all__ = [
     "TimeGrid",
+    "free_multiplier",
     "free_evolve",
+    "free_flow_lp_norm",
     "galilean_shift",
     "duhamel",
     "duhamel_path",
     "unit_ball_mesh",
     "extension_values",
     "extension_lp_norm",
+    "extension_ball_norms",
     "gradient_sq_integral",
     "energy",
     "mass",
@@ -57,13 +62,57 @@ class TimeGrid:
         return (self.t1 - self.t0) / (self.m - 1)
 
 
+def free_multiplier(grid: Grid, t: float) -> np.ndarray:
+    """The spectral multiplier exp(-i t |xi|^2) of the free flow at time t."""
+    return np.exp(-1j * t * grid.freq_sq())
+
+
 def free_evolve(f: Field, t: float) -> Field:
     """exp(it Laplace) f, the free flow of i u_t + Laplace(u) = 0."""
     if t == 0.0:
         return f
     F = to_spectrum(f)
-    mult = np.exp(-1j * t * f.grid.freq_sq())
-    return from_spectrum(SpectralField(f.grid, mult * F.coefficients))
+    return from_spectrum(SpectralField(f.grid, free_multiplier(f.grid, t) * F.coefficients))
+
+
+def free_flow_lp_norm(
+    factors: Sequence[Sequence[tuple[float, Field]]],
+    horizon: float,
+    m: int,
+    p: float,
+    pad: int = 1,
+) -> float:
+    """L^p norm over [0, horizon] x torus of a product of piecewise free flows.
+
+    Each factor is a list of (start, field) pieces with increasing starts, the
+    first at 0: on [a_j, a_{j+1}) the factor is exp(it Laplace) f_j, and the
+    last piece runs to the horizon.  A plain free flow is [(0.0, f)].  The
+    product is sampled at m uniform nodes on the grid refined ``pad`` times:
+    each spectrum is embedded with its modes' frequencies kept and the new
+    modes zero, so pad 2 makes the quadrature of a product of two band-limited
+    flows alias-free (Orszag's rule).  The trapezoid rule integrates the
+    spatial L^p^p in time.
+    """
+    g = factors[0][0][1].grid
+    fine = Grid(g.d, pad * g.n, g.length)
+    modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
+
+    def padded(f: Field) -> np.ndarray:
+        out = np.zeros(fine.shape, dtype=np.complex128)
+        out[modes] = to_spectrum(f).coefficients
+        return out
+
+    spectra = [[(a, padded(f)) for a, f in pieces] for pieces in factors]
+    ts = np.linspace(0.0, horizon, m)
+    powers = np.empty(m)
+    for i, t in enumerate(ts):
+        mult = free_multiplier(fine, t)
+        flows = []
+        for pieces in spectra:
+            F = [G for a, G in pieces if a <= t][-1]
+            flows.append(from_spectrum(SpectralField(fine, mult * F)).values)
+        powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
+    return float(trapezoid(powers, ts) ** (1.0 / p))
 
 
 def _lattice_index(grid: Grid, xi0: Sequence[float]) -> tuple[int, ...]:
@@ -204,35 +253,48 @@ def extension_lp_norm(
     """
     if radius < 4:
         raise ValueError(f"region radius must be >= 4, got {radius}")
+    slices = [(0, points.shape[0])]
+    return float(
+        extension_ball_norms(profile, points, weight, radius, p, samples_per_unit, slices)[0]
+    )
+
+
+def extension_ball_norms(
+    profile: np.ndarray,
+    points: np.ndarray,
+    weight: float,
+    radius: float,
+    p: float,
+    samples_per_unit: float,
+    slices: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """L^p norms over B_{d+1}(0, radius) of E(f 1_S), one per mesh slice S.
+
+    Slice (a, b) keeps the frequency mesh points a..b-1, so a mesh sorted by
+    cap gives every cap's extension from one pass.  The midpoint mesh of the
+    ball is walked one time row at a time; the plane waves exp(i x.xi) of a
+    row are products of per-axis tables exp(i x_a xi_a).
+    """
     d = points.shape[1]
     m = int(math.ceil(2.0 * radius * samples_per_unit))
     step = 2.0 * radius / m
     axis = -radius + step * (np.arange(m) + 0.5)
-    if d == 1:
-        tt, xx = np.meshgrid(axis, axis, indexing="ij")
-        mask = tt**2 + xx**2 <= radius**2
-        vals = extension_values(profile, points, weight, axis, axis[:, None])
-        cell = step**2
-    else:
-        vals_rows = []
-        mask_rows = []
-        xg, yg = np.meshgrid(axis, axis, indexing="ij")
-        xy = np.stack([xg.ravel(), yg.ravel()], axis=-1)
-        r_xy = np.sum(xy**2, axis=1)
-        for t in axis:
-            keep = t**2 + r_xy <= radius**2
-            mask_rows.append(keep)
-            row = np.zeros(xy.shape[0], dtype=np.complex128)
-            if keep.any():
-                row[keep] = extension_values(
-                    profile, points, weight, np.array([t]), xy[keep]
-                )[0]
-            vals_rows.append(row)
-        vals = np.stack(vals_rows)
-        mask = np.stack(mask_rows)
-        cell = step**3
-    a = np.abs(vals[mask])
-    return float((cell * np.sum(a**p)) ** (1.0 / p))
+    tables = [np.exp(1j * np.outer(axis, points[:, a])) for a in range(d)]
+    index = np.indices((m,) * d).reshape(d, -1)
+    r_sq = reduce(np.add, [axis[i] ** 2 for i in index])
+    quad_sq = np.sum(points**2, axis=1)
+    sums = np.zeros(len(slices))
+    for t in axis:
+        keep = np.flatnonzero(t**2 + r_sq <= radius**2)
+        if keep.size == 0:
+            continue
+        waves = tables[0][index[0][keep]]
+        for table, i in zip(tables[1:], index[1:]):
+            waves *= table[i[keep]]
+        coeff = profile * np.exp(1j * t * quad_sq)
+        for k, (a, b) in enumerate(slices):
+            sums[k] += float(np.sum(np.abs(waves[:, a:b] @ coeff[a:b]) ** p))
+    return (weight**p * step ** (d + 1) * sums) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

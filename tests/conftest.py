@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modlab.grid import Field, make_grid
+from modlab.propagator import extension_values
 
 
 @pytest.fixture
@@ -30,3 +31,20 @@ def complex_noise(grid, seed):
     return Field(
         grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
+
+
+def direct_ball_norm(profile, pts, w, R, p, spu):
+    """L^p norm of Ef over the midpoint mesh of B_{d+1}(0, R), summed from
+    ``extension_values`` on the masked mesh, one time row at a time."""
+    d = pts.shape[1]
+    m = int(np.ceil(2 * R * spu))
+    step = 2 * R / m
+    axis = -R + step * (np.arange(m) + 0.5)
+    xs = np.stack([a.ravel() for a in np.meshgrid(*[axis] * d, indexing="ij")], -1)
+    total = 0.0
+    for t in axis:
+        keep = t**2 + np.sum(xs**2, axis=1) <= R**2
+        if keep.any():
+            vals = extension_values(profile, pts, w, [t], xs[keep])
+            total += np.sum(np.abs(vals) ** p)
+    return (step ** (d + 1) * total) ** (1.0 / p)

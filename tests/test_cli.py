@@ -345,6 +345,62 @@ class TestFailurePaths:
         assert run(str(cfg), str(blocker / "out")) == EXIT_IO
 
 
+class TestExitCodes:
+    def test_plain_value_error_is_a_config_error(self, tmp_path, monkeypatch):
+        # the exit code follows the exception type, not the word "scale"
+        import modlab.estimates as est
+
+        def broken(config):
+            raise ValueError("rescale failed")
+
+        monkeypatch.setattr(est, "smoothing_ratio", broken)
+        cfg = write(tmp_path, SMOOTHING_CFG)
+        assert run(str(cfg), str(tmp_path / "out")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # fewer than 3 scales for the fit
+            SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 2 4"),
+            # bilinear scales beyond xi_max/2 = 4
+            """
+[experiment]
+kind = bilinear
+
+[grid]
+d = 3
+n = 16
+length = 6.283185307179586
+cube = 4.0
+
+[sweep]
+scales = 1 2 8
+family = band_noise
+""",
+            # random-phase data beyond the band, xi_max = 8 pi
+            """
+[experiment]
+kind = datagen
+
+[grid]
+d = 1
+n = 512
+length = 64.0
+
+[sweep]
+scales = 32
+family = random_phase
+""",
+        ],
+        ids=["fit", "bilinear_band", "datagen_band"],
+    )
+    def test_run_time_scale_errors_exit_scales(self, tmp_path, text):
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out)) == EXIT_SCALES
+        assert not out.exists()
+
+
 class TestMain:
     def test_main_run(self, tmp_path, capsys):
         cfg = write(tmp_path, SMOOTHING_CFG)

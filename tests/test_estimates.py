@@ -13,6 +13,7 @@ from modlab.estimates import (
     v2_bilinear_ratio,
 )
 from modlab.grid import Field, make_grid
+from tests.conftest import direct_ball_norm
 
 
 class TestSdec:
@@ -125,13 +126,14 @@ class TestStrichartz:
         # two scales: compare the measured ratios directly instead of a fit
         grid = cfg.grid()
         window = cfg.window()
-        from modlab.estimates import _spacetime_lp_free, scale_family
+        from modlab.estimates import scale_family
         from modlab.modspace import ModNormSpec, modulation_norm
+        from modlab.propagator import free_flow_lp_norm
 
         ratios = []
         for N in cfg.scales:
             u0 = scale_family(cfg, N, grid)
-            lhs = _spacetime_lp_free(u0, 1.0, cfg.time_nodes, 4.0)
+            lhs = free_flow_lp_norm([[(0.0, u0)]], 1.0, cfg.time_nodes, 4.0)
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
         assert max(ratios) / min(ratios) <= 1.5
@@ -154,13 +156,14 @@ class TestStrichartz:
         )
         grid = cfg.grid()
         window = cfg.window()
-        from modlab.estimates import _spacetime_lp_free, scale_family
+        from modlab.estimates import scale_family
         from modlab.modspace import ModNormSpec, modulation_norm
+        from modlab.propagator import free_flow_lp_norm
 
         ratios = []
         for N in cfg.scales:
             u0 = scale_family(cfg, N, grid)
-            lhs = _spacetime_lp_free(u0, 1.0, cfg.time_nodes, 4.0)
+            lhs = free_flow_lp_norm([[(0.0, u0)]], 1.0, cfg.time_nodes, 4.0)
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
         assert abs(ratios[1] / ratios[0] - 1.0) <= 1e-8
@@ -219,9 +222,9 @@ class TestBilinear:
     def test_galilean_pair_invariance(self):
         # translating both spectra by a common lattice vector moves the
         # measured ratio by round-off only
-        from modlab.estimates import _PaddedEvolver, _band_noise, _product_l2
+        from modlab.estimates import _band_noise
         from modlab.modspace import ModNormSpec, make_window, modulation_norm
-        from modlab.propagator import galilean_shift
+        from modlab.propagator import free_flow_lp_norm, galilean_shift
 
         grid = make_grid(3, 16, 2 * np.pi)
         window = make_window(grid, 4.0)
@@ -230,7 +233,7 @@ class TestBilinear:
         f2 = _band_noise(grid, 1.0, 6)
 
         def ratio(a, b):
-            lhs = _product_l2(_PaddedEvolver(a), _PaddedEvolver(b), 1.0, 33)
+            lhs = free_flow_lp_norm([[(0.0, a)], [(0.0, b)]], 1.0, 33, 2.0, pad=2)
             return lhs / (
                 modulation_norm(a, spec, window) * modulation_norm(b, spec, window)
             )
@@ -288,6 +291,34 @@ class TestDecoupling:
             cfg = ExperimentConfig(d=1, scales=(R,), p=6.0, profile="single_cap")
             value, cap_sq = est._decoupling_cell(cfg, R, R**-0.5)
             assert value == pytest.approx(np.sqrt(cap_sq), rel=1e-12)
+
+    @pytest.mark.parametrize("profile", ["constant", "bump"])
+    def test_d2_cell_matches_direct_quadrature(self, monkeypatch, profile):
+        # every slice the cell hands to the ball quadrature (the full mesh,
+        # then one per cap) against direct extension sums on the masked ball
+        calls = []
+        ball_norms = est.extension_ball_norms
+
+        def spy(*args):
+            calls.append((args, ball_norms(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(est, "extension_ball_norms", spy)
+        cfg = ExperimentConfig(d=2, scales=(4.0,), p=4.0, mesh=12, profile=profile)
+        value, cap_sq = est._decoupling_cell(cfg, 4.0, 0.5)
+        ((profile_, pts, w, R, p, spu, slices), norms) = calls[0]
+        # slice 0 is the whole mesh, then one slice per cap of width 0.5
+        assert len(slices) == 1 + 16 and slices[0] == (0, len(pts))
+        cuts = [a for a, _ in slices[1:]] + [len(pts)]
+        assert cuts[0] == 0 and slices[1:] == list(zip(cuts[:-1], cuts[1:]))
+        caps = np.floor((pts + 1.0) / 0.5)
+        assert all((caps[a:b] == caps[a]).all() for a, b in slices[1:])
+        assert len({tuple(caps[a]) for a, _ in slices[1:]}) == 16
+        for (a, b), norm in zip(slices, norms):
+            direct = direct_ball_norm(profile_[a:b], pts[a:b], w, R, p, spu)
+            assert norm == pytest.approx(direct, rel=1e-12)
+        assert value == norms[0]
+        assert cap_sq == pytest.approx(np.sum(norms[1:] ** 2), rel=1e-14)
 
     def test_d1_p6_constant_profile(self):
         cfg = ExperimentConfig(

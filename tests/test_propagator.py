@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modlab.grid import Field, lp_norm, make_grid, to_spectrum
+from modlab.grid import Field, lp_norm, make_grid, to_spectrum, trapezoid
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import (
     TimeGrid,
@@ -10,12 +10,13 @@ from modlab.propagator import (
     energy,
     extension_values,
     free_evolve,
+    free_flow_lp_norm,
     galilean_shift,
     gradient_sq_integral,
     mass,
     unit_ball_mesh,
 )
-from tests.conftest import complex_noise, gaussian_field
+from tests.conftest import complex_noise, direct_ball_norm, gaussian_field
 
 
 class TestTimeGrid:
@@ -74,6 +75,31 @@ class TestFreeEvolve:
         m0 = modulation_norm(f, spec2, w)
         m1 = modulation_norm(free_evolve(f, 1.0), spec2, w)
         assert abs(m1 - m0) <= 1e-10 * m0
+
+
+class TestFreeFlowNorm:
+    def test_repeated_piece_equals_one_piece(self, grid3d):
+        f = complex_noise(grid3d, 4)
+        g = complex_noise(grid3d, 5)
+        one = free_flow_lp_norm([[(0.0, f)], [(0.0, g)]], 1.0, 9, 2.0, pad=2)
+        split = [(0.0, f), (0.3, f), (0.5, f)]
+        two = free_flow_lp_norm([split, [(0.0, g)]], 1.0, 9, 2.0, pad=2)
+        assert two == pytest.approx(one, rel=1e-13)
+
+    def test_piece_j_used_on_half_open_interval(self, grid1d):
+        # cuts at a node (0.5) and between nodes (0.3): on [a_j, a_{j+1})
+        # each factor is the free flow of its piece j
+        f, g, h = (complex_noise(grid1d, s) for s in (6, 7, 8))
+        ts = np.linspace(0.0, 1.0, 9)
+        powers = []
+        for t in ts:
+            u = free_evolve(f if t < 0.5 else g, t).values
+            v = free_evolve(h if t < 0.3 else f, t).values
+            powers.append(grid1d.cell * np.sum(np.abs(u * v) ** 3))
+        expect = trapezoid(np.array(powers), ts) ** (1.0 / 3.0)
+        factors = [[(0.0, f), (0.5, g)], [(0.0, h), (0.3, f)]]
+        value = free_flow_lp_norm(factors, 1.0, 9, 3.0)
+        assert value == pytest.approx(expect, rel=1e-13)
 
 
 class TestGalilean:
@@ -204,6 +230,15 @@ class TestExtension:
         inside = tt**2 + xx**2 <= R**2
         direct = (step**2 * np.sum(np.abs(vals[inside]) ** 4)) ** 0.25
         assert norm == pytest.approx(direct, rel=1e-12)
+
+        # d = 2: a non-symmetric profile, so the per-axis plane-wave tables
+        # must pair every mesh point with its own coordinates
+        pts, w = unit_ball_mesh(2, 12)
+        profile = np.cos(2.0 * pts[:, 0]) + 0.5j * pts[:, 1] + 0.3
+        norm = extension_lp_norm(profile, pts, w, R, 4.0, samples_per_unit=spu)
+        assert norm == pytest.approx(
+            direct_ball_norm(profile, pts, w, R, 4.0, spu), rel=1e-12
+        )
 
     def test_ball_norm_d2_runs(self):
         from modlab.propagator import extension_lp_norm

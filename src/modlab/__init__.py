@@ -2,7 +2,8 @@
 
 Subpackages build on each other roughly bottom-up:
 
-- ``grid``: periodic lattice, unitary FFT, L^p quadrature
+- ``grid``: periodic lattice, the batched unitary FFT pair, L^p quadrature,
+  and ``Trajectory``, the one type for a sampled path
 - ``modspace``: isometric window decomposition, modulation norms, frequency
   projections
 - ``propagator``: free Schroedinger flow, Galilean twist, Duhamel integral,
@@ -21,6 +22,7 @@ from modlab.grid import (
     Field,
     Grid,
     SpectralField,
+    Trajectory,
     from_spectrum,
     lp_norm,
     make_grid,
@@ -36,6 +38,7 @@ __all__ = [
     "lp_norm",
     "make_grid",
     "spacetime_lp_norm",
+    "Trajectory",
     "to_spectrum",
 ]
 

@@ -1,12 +1,14 @@
 """Batch experiment runner.
 
-Usage: ``modlab run <config> --out <dir> [--seed N] [--threads K]``
+Usage: ``modlab run <config> --out <dir> [--seed N]``
 
 Configs are flat INI key-value files with sections (see configs/ for
 examples).  Each run executes one experiment and writes, atomically, a CSV
 with the fixed columns (experiment, scale, lhs, rhs, ratio) and a JSON
 summary carrying the fit keys (slope, intercept, residual, predicted,
-margin, pass) plus the fully resolved config for provenance.  The process
+margin, pass) plus the fully resolved config for provenance.  Its
+``config.threads`` leaf is a fixed provenance field, always null: modlab has
+no worker setting, and recorded outputs keep the leaf.  The process
 exit code is 0 only when every pass criterion of the experiment holds.
 
 Exit codes: 0 pass, 1 criteria failed, 2 config parse error,
@@ -259,9 +261,9 @@ def _run_sweep(kind, cfg, xcfg, out_dir):
 
 def _run_variation(cfg, xcfg, out_dir):
     from modlab.datagen import random_field
+    from modlab.grid import Trajectory
     from modlab.variation import (
         LpValueNorm,
-        SampledPath,
         make_atom,
         duality_pairing,
         vp_norm,
@@ -277,9 +279,9 @@ def _run_variation(cfg, xcfg, out_dir):
     for trial in range(trials):
         m = int(rng.integers(2, 11))
         fields = tuple(random_field(grid, xcfg.seed + 7 * trial + j) for j in range(m))
-        path = SampledPath(tuple(range(m)), fields, norm)
-        lhs = vp_norm(path, p)
-        rhs = vp_norm_bruteforce(path, p)
+        path = Trajectory(grid, np.arange(m), np.stack([f.values for f in fields]))
+        lhs = vp_norm(path, p, norm)
+        rhs = vp_norm_bruteforce(path, p, norm)
         rows.append((trial, lhs, rhs, lhs / rhs if rhs else 1.0))
         exact = exact and abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
         if m >= 3:
@@ -288,7 +290,7 @@ def _run_variation(cfg, xcfg, out_dir):
                 tuple(range(k + 1)), fields[:k], p if p > 1 else 2.0, norm
             )
             q = (p / (p - 1.0)) if p > 1 else 2.0
-            bound = 1.0001 * vp_norm(path, q)
+            bound = 1.0001 * vp_norm(path, q, norm)
             duality_ok = duality_ok and abs(duality_pairing(atom, path)) <= bound
     passed = exact and duality_ok
     summary = {
@@ -452,7 +454,7 @@ def _run_datagen(cfg, xcfg, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def run(config_path: str, out: str, seed: int | None = None, threads: int | None = None) -> int:
+def run(config_path: str, out: str, seed: int | None = None) -> int:
     from modlab.estimates import InvalidScales
 
     out_dir = Path(out)
@@ -492,15 +494,12 @@ def run(config_path: str, out: str, seed: int | None = None, threads: int | None
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if threads is None:
-        threads = int(os.environ.get("MODLAB_THREADS", "0")) or None
-
     summary["config"] = {
         "experiment": kind,
         "resolved": xcfg.to_dict(),
         "raw": cfg,
         "seed": xcfg.seed,
-        "threads": threads,
+        "threads": None,
     }
     try:
         _write_outputs(out_dir, kind, rows, summary)
@@ -518,10 +517,9 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("config", help="path to the INI config")
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    runp.add_argument("--threads", type=int, default=None, help="worker hint (recorded)")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.out, args.seed, args.threads)
+        return run(args.config, args.out, args.seed)
     parser.error(f"unknown command {args.command}")
     return EXIT_CONFIG
 

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from modlab.grid import Field, Grid, SpectralField, from_spectrum, lp_norm, to_spectrum
+from modlab.grid import (
+    Field, Grid, SpectralField, fourier_multiply, from_spectrum, lp_norm, to_spectrum
+)
 from modlab.modspace import ModNormSpec, Window, bump, modulation_norm
 from modlab.propagator import gradient_sq_integral
 
@@ -106,9 +108,7 @@ def random_field(grid: Grid, seed: int, band: float | None = None) -> Field:
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     f = Field(grid, vals)
     if band is not None:
-        F = to_spectrum(f)
-        mask = grid.freq_sq() <= band**2
-        f = from_spectrum(SpectralField(grid, mask * F.coefficients))
+        f = fourier_multiply(f, grid.freq_sq() <= band**2)
     return f
 
 

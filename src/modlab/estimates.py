@@ -27,6 +27,7 @@ from modlab.grid import (
     Field,
     Grid,
     SpectralField,
+    Trajectory,
     from_spectrum,
     lp_norm,
     make_grid,
@@ -98,8 +99,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for sc in self.scales:
-            if sc <= 0 or 2.0 ** round(math.log2(sc)) != sc:
-                raise InvalidScales(f"scales must be dyadic, got {sc}")
+            if not (0 < sc < math.inf) or 2.0 ** round(math.log2(sc)) != sc:
+                raise InvalidScales(f"scales must be finite and dyadic, got {sc}")
 
     def grid(self) -> Grid:
         return make_grid(self.d, self.n, self.length)
@@ -468,7 +469,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     when the fitted exponent stays below 2s + margin, s the Strichartz input
     exponent (config.s; 2*sdec(4,d) + epsilon when left at zero).
     """
-    from modlab.variation import ModValueNorm, SampledPath, vp_norm
+    from modlab.variation import ModValueNorm, vp_norm
 
     if config.d not in (3, 4):
         raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
@@ -482,10 +483,10 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
         # undoing the flow turns each free segment back into its profile, so
         # the adapted path is the step path of the profiles themselves,
         # sampled at the cut times
-        times = tuple(a for a, _ in pieces) + (config.horizon,)
-        fields = tuple(f for _, f in pieces) + (pieces[-1][1],)
-        path = SampledPath(times, fields, norm)
-        return vp_norm(path, 2.0, terminal_zero=True)
+        times = [a for a, _ in pieces] + [config.horizon]
+        values = [f.values for _, f in pieces] + [pieces[-1][1].values]
+        path = Trajectory(grid, times, np.stack(values))
+        return vp_norm(path, 2.0, norm, terminal_zero=True)
 
     lhs, rhs = [], []
     for n_low in config.scales:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, SpectralField, from_spectrum, to_spectrum
+from modlab.grid import Field, Grid, SpectralField, fourier_multiply, from_spectrum, to_spectrum
 
 __all__ = [
     "ModNormSpec",
@@ -191,8 +191,7 @@ def iso_piece(f: Field, k: Sequence[int], window: Window) -> Field:
     """The decomposition piece sigma_k(D) f."""
     if f.grid != window.grid:
         raise ValueError("field and window live on different grids")
-    F = to_spectrum(f)
-    return from_spectrum(SpectralField(f.grid, window.multiplier(k) * F.coefficients))
+    return fourier_multiply(f, window.multiplier(k))
 
 
 def _piece_lp_norms(
@@ -296,8 +295,7 @@ def dyadic_project(f: Field, band: float) -> Field:
         raise ValueError(f"band must be dyadic >= 1, got {band}")
     if band > g.xi_max / 2:
         raise ValueError(f"band {band} exceeds xi_max/2 = {g.xi_max / 2}")
-    F = to_spectrum(f)
-    return from_spectrum(SpectralField(g, _annulus_multiplier(g, band) * F.coefficients))
+    return fourier_multiply(f, _annulus_multiplier(g, band))
 
 
 def dyadic_multipliers(grid: Grid) -> list[tuple[float, np.ndarray]]:
@@ -330,9 +328,7 @@ def box_project(f: Field, center: Sequence[float], radius: float) -> Field:
     if center.shape != (g.d,):
         raise ValueError(f"center must have {g.d} components")
     dist_sq = reduce(np.add, [(xi - c) ** 2 for xi, c in zip(g.freqs(), center)])
-    mask = dist_sq <= radius**2
-    F = to_spectrum(f)
-    return from_spectrum(SpectralField(g, mask * F.coefficients))
+    return fourier_multiply(f, dist_sq <= radius**2)
 
 
 def ball_cover_centers(d: int, band: float, radius: float) -> list[tuple[float, ...]]:

@@ -3,7 +3,9 @@
 Sign convention, fixed once: the flow solves i u_t + Laplace(u) = 0, so the
 spectral multiplier of ``free_evolve(f, t)`` is exp(-i t |xi|^2).  The
 Galilean twist multiplies by a plane wave and translates the spectrum; the
-Duhamel integral uses the composite trapezoid rule; space-time L^p norms of
+Duhamel integral takes its forcing as a ``Trajectory`` and sums the composite
+trapezoid rule in one fixed order, which the solver's reported contraction
+factors depend on to the last bit; space-time L^p norms of
 products of free flows sample the flows node by node, on a zero-padded grid
 when the product must be alias-free; the paraboloid extension operator is
 direct midpoint quadrature over a frequency mesh of the unit ball, restricted
@@ -13,16 +15,14 @@ to d <= 2 since its cost grows like mesh^(2d+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, SpectralField, from_spectrum, to_spectrum, trapezoid
+from modlab.grid import Field, Grid, Trajectory, forward, fourier_multiply, inverse, trapezoid
 
 __all__ = [
-    "TimeGrid",
     "free_multiplier",
     "free_evolve",
     "free_flow_lp_norm",
@@ -39,29 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time nodes on [t0, t1]."""
-
-    t0: float
-    t1: float
-    m: int
-
-    def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise ValueError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
-        if self.m < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.m}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.m)
-
-    @property
-    def dt(self) -> float:
-        return (self.t1 - self.t0) / (self.m - 1)
-
-
 def free_multiplier(grid: Grid, t: float) -> np.ndarray:
     """The spectral multiplier exp(-i t |xi|^2) of the free flow at time t."""
     return np.exp(-1j * t * grid.freq_sq())
@@ -71,8 +48,7 @@ def free_evolve(f: Field, t: float) -> Field:
     """exp(it Laplace) f, the free flow of i u_t + Laplace(u) = 0."""
     if t == 0.0:
         return f
-    F = to_spectrum(f)
-    return from_spectrum(SpectralField(f.grid, free_multiplier(f.grid, t) * F.coefficients))
+    return fourier_multiply(f, free_multiplier(f.grid, t))
 
 
 def free_flow_lp_norm(
@@ -99,7 +75,7 @@ def free_flow_lp_norm(
 
     def padded(f: Field) -> np.ndarray:
         out = np.zeros(fine.shape, dtype=np.complex128)
-        out[modes] = to_spectrum(f).coefficients
+        out[modes] = forward(g, f.values)
         return out
 
     spectra = [[(a, padded(f)) for a, f in pieces] for pieces in factors]
@@ -110,7 +86,7 @@ def free_flow_lp_norm(
         flows = []
         for pieces in spectra:
             F = [G for a, G in pieces if a <= t][-1]
-            flows.append(from_spectrum(SpectralField(fine, mult * F)).values)
+            flows.append(inverse(fine, mult * F))
         powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
     return float(trapezoid(powers, ts) ** (1.0 / p))
 
@@ -139,54 +115,44 @@ def galilean_shift(f: Field, xi0: Sequence[float]) -> Field:
     return Field(g, np.exp(1j * phase) * f.values)
 
 
-def duhamel(forcing: Sequence[tuple[float, Field]], t: float) -> Field:
+def duhamel(forcing: Trajectory, t: float) -> Field:
     """Trapezoid quadrature of int_0^t exp(i(t-s) Laplace) F(s) ds.
 
     ``t`` must be one of the forcing nodes; the integral runs from the first
     node to ``t``.
     """
-    pairs = list(forcing)
-    times = np.array([s for s, _ in pairs], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("forcing nodes must be strictly increasing")
-    hits = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-12))[0]
-    if hits.size == 0:
-        raise ValueError(f"t={t} is not a forcing node")
-    j_end = int(hits[0])
-    grid = pairs[0][1].grid
-    if j_end == 0:
-        return Field.zero(grid)
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    times = forcing.times
+    j_end = forcing.node_index(t)
+    acc = np.zeros(forcing.grid.shape, dtype=np.complex128)
     for j in range(j_end + 1):
         wj = 0.0
         if j > 0:
             wj += 0.5 * (times[j] - times[j - 1])
         if j < j_end:
             wj += 0.5 * (times[j + 1] - times[j])
-        evolved = free_evolve(pairs[j][1], t - times[j])
+        evolved = free_evolve(forcing[j][1], t - times[j])
         acc = acc + wj * evolved.values
-    return Field(grid, acc)
+    return Field(forcing.grid, acc)
 
 
-def duhamel_path(forcing: Sequence[tuple[float, Field]]) -> list[tuple[float, Field]]:
+def duhamel_path(forcing: Trajectory) -> Trajectory:
     """Duhamel integral evaluated at every forcing node.
 
     Uses the group law of the free flow to accumulate the composite trapezoid
-    rule in one sweep; agrees with per-node ``duhamel`` to round-off.
+    rule in one sweep, acc_j = S(dt) acc_{j-1} + (S(dt) F_{j-1} + F_j) dt/2
+    with S(dt) the free flow over dt = t_j - t_{j-1}; agrees with per-node
+    ``duhamel`` to round-off.  The sweep runs node by node, so it never
+    holds a stack of per-node multipliers.
     """
-    pairs = list(forcing)
-    times = np.array([s for s, _ in pairs], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("forcing nodes must be strictly increasing")
-    grid = pairs[0][1].grid
-    out = [(times[0], Field.zero(grid))]
-    acc = Field.zero(grid)
-    for j in range(1, len(pairs)):
+    grid, times, F = forcing.grid, forcing.times, forcing.values
+    acc = np.zeros_like(F)
+    for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
-        step = 0.5 * dt * (free_evolve(pairs[j - 1][1], dt) + pairs[j][1])
-        acc = free_evolve(acc, dt) + step
-        out.append((times[j], acc))
-    return out
+        pair = np.stack([F[j - 1], acc[j - 1]])
+        evolved = inverse(grid, free_multiplier(grid, dt) * forward(grid, pair))
+        step = (evolved[0] + F[j]) * (0.5 * dt)
+        acc[j] = evolved[1] + step
+    return Trajectory(grid, times, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +270,8 @@ def extension_ball_norms(
 
 def gradient_sq_integral(f: Field) -> float:
     """int |grad f|^2 dx via the spectral representation."""
-    F = to_spectrum(f)
     g = f.grid
-    return float(g.dxi**g.d * np.sum(g.freq_sq() * np.abs(F.coefficients) ** 2))
+    return float(g.dxi**g.d * np.sum(g.freq_sq() * np.abs(forward(g, f.values)) ** 2))
 
 
 def mass(f: Field) -> float:

@@ -14,14 +14,14 @@ aborts naming the violated inequality if an iterate leaves the ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, from_spectrum, lp_norm, to_spectrum, SpectralField
+from modlab.grid import Field, Grid, Trajectory, fourier_multiply, lp_norm, spacetime_lp_norm
 from modlab.modspace import ModNormSpec, Window, make_window, modulation_norm, _smoothstep, _abs_freq
-from modlab.propagator import TimeGrid, duhamel_path, free_evolve, mass
+from modlab.propagator import duhamel_path, free_evolve, mass
 
 __all__ = [
     "NLSProblem",
@@ -132,11 +132,11 @@ class SolverReport:
         return out
 
 
-def nonlinearity(f: Field, kappa: float, sign: int = 1) -> Field:
-    """Pointwise power nonlinearity sign * |f|^kappa f."""
+def nonlinearity(u: Field | Trajectory, kappa: float, sign: int = 1) -> Field | Trajectory:
+    """Pointwise power sign * |u|^kappa u of a Field or of a Trajectory."""
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return Field(f.grid, sign * np.abs(f.values) ** kappa * f.values)
+    return replace(u, values=sign * np.abs(u.values) ** kappa * u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def nonlinearity(f: Field, kappa: float, sign: int = 1) -> Field:
 
 
 def _path_norm(kind: str, window: Window | None, s: float) -> Callable:
-    """Norms on trajectories used to measure contraction.
+    """Norms on a ``Trajectory`` used to measure contraction.
 
     ``sup_l2``: sup over nodes of the L^2 norm; ``sup_m42``: sup over nodes
     of M^s_{4,2}; ``strichartz``: sup-L^2 plus the space-time L^{kappa+2}
@@ -154,7 +154,7 @@ def _path_norm(kind: str, window: Window | None, s: float) -> Callable:
 
     if kind == "sup_l2":
         def norm(path, kappa):
-            return max(lp_norm(f, 2) for _, f in path)
+            return float(path.lp_norms(2).max())
         return norm
     if kind == "sup_m42":
         if window is None:
@@ -164,11 +164,8 @@ def _path_norm(kind: str, window: Window | None, s: float) -> Callable:
             return max(modulation_norm(f, spec, window) for _, f in path)
         return norm
     if kind == "strichartz":
-        from modlab.grid import spacetime_lp_norm
         def norm(path, kappa):
-            return max(lp_norm(f, 2) for _, f in path) + spacetime_lp_norm(
-                path, kappa + 2.0
-            )
+            return float(path.lp_norms(2).max()) + spacetime_lp_norm(path, kappa + 2.0)
         return norm
     raise ValueError(f"unknown iteration norm {kind!r}")
 
@@ -191,14 +188,15 @@ def picard_solve(
     s: float = 0.0,
     initial: str = "free",
     iterate_hook: Callable | None = None,
-) -> tuple[list, SolverReport]:
+) -> tuple[Trajectory, SolverReport]:
     """Fixed-point iteration of the Duhamel map.
 
     Starts from the free trajectory (or the zero path), applies the map until
     the iteration-norm residual drops below ``tol`` or ``max_iters`` is hit.
     Three consecutive non-contracting steps flag divergence and stop the run;
     the report carries the factors either way.  ``iterate_hook(j, path)`` is
-    called on every iterate including the initial one and may raise to abort.
+    called on every iterate, a ``Trajectory``, including the initial one and
+    may raise to abort.  Node 0 of the free trajectory is ``u0`` itself.
     """
     if problem.time_nodes < 16:
         raise ValueError(f"need at least 16 time nodes, got {problem.time_nodes}")
@@ -207,12 +205,13 @@ def picard_solve(
     if kind == "sup_m42" and window is None:
         window = make_window(grid)
     path_norm = _path_norm(kind, window, s)
-    ts = TimeGrid(0.0, problem.horizon, problem.time_nodes).nodes
-    free = [(float(t), free_evolve(problem.u0, float(t))) for t in ts]
+    ts = np.linspace(0.0, problem.horizon, problem.time_nodes)
+    nodes = [free_evolve(problem.u0, float(t)).values for t in ts]
+    free = Trajectory(grid, ts, np.stack(nodes))
     if initial == "free":
         current = free
     elif initial == "zero":
-        current = [(float(t), Field.zero(grid)) for t in ts]
+        current = replace(free, values=np.zeros_like(free.values))
     else:
         raise ValueError(f"unknown initial iterate {initial!r}")
     if iterate_hook is not None:
@@ -230,19 +229,12 @@ def picard_solve(
             # iterates of non-contracting runs grow super-exponentially; bail
             # out as a reported divergence before the power overflows the
             # field samples themselves (norms may still report inf)
-            if any(float(np.max(np.abs(f.values))) > 1e50 for _, f in current):
+            if np.max(np.abs(current.values)) > 1e50:
                 diverged = True
                 break
-            forcing = [
-                (t, nonlinearity(f, problem.kappa, problem.sign)) for t, f in current
-            ]
-            integrals = duhamel_path(forcing)
-            new = [
-                (t, fr - 1j * integ)
-                for (t, fr), (_, integ) in zip(free, integrals)
-            ]
-            diff = [(t, a - b) for (t, a), (_, b) in zip(new, current)]
-            res = path_norm(diff, problem.kappa)
+            integrals = duhamel_path(nonlinearity(current, problem.kappa, problem.sign))
+            new = replace(free, values=free.values - integrals.values * 1j)
+            res = path_norm(replace(new, values=new.values - current.values), problem.kappa)
             residuals.append(res)
             if len(residuals) >= 2 and residuals[-2] > 0:
                 factors.append(residuals[-1] / residuals[-2])
@@ -280,7 +272,7 @@ def splitstep_solve(
     dt: float,
     store: str = "nodes",
     guard_factor: float = 1e6,
-) -> list:
+) -> Trajectory:
     """Strang splitting: half nonlinear phase, full linear step, half phase.
 
     Each substep is either unitary or a pointwise phase rotation, so the mass
@@ -297,11 +289,11 @@ def splitstep_solve(
     if abs(n_steps * dt - problem.horizon) > 1e-9 * problem.horizon:
         raise ValueError("dt must divide the horizon")
     nodes = np.linspace(0.0, problem.horizon, problem.time_nodes)
-    u = problem.u0.values.copy()
+    u = problem.u0.values
     w2 = grid.freq_sq()
     linear = np.exp(-1j * dt * w2)
     guard = guard_factor * max(float(np.max(np.abs(u))), 1e-300)
-    out = [(0.0, Field(grid, u.copy()))]
+    times, values = [0.0], [u]
     next_node = 1
 
     def phase_halfstep(v):
@@ -320,11 +312,13 @@ def splitstep_solve(
         t = (step + 1) * dt
         if store == "nodes":
             while next_node < len(nodes) and nodes[next_node] <= t + 1e-12:
-                out.append((float(nodes[next_node]), Field(grid, u.copy())))
+                times.append(nodes[next_node])
+                values.append(u)
                 next_node += 1
     if store == "final":
-        out.append((problem.horizon, Field(grid, u.copy())))
-    return out
+        times.append(problem.horizon)
+        values.append(u)
+    return Trajectory(grid, np.array(times), np.stack(values))
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +326,9 @@ def splitstep_solve(
 # ---------------------------------------------------------------------------
 
 
-def _tail_field(f: Field, cutoff: float) -> Field:
+def _tail_field(u: Field | Trajectory, cutoff: float) -> Field | Trajectory:
     """High-pass part above the cutoff (complement of the smooth low-pass)."""
-    F = to_spectrum(f)
-    mult = 1.0 - _smoothstep(_abs_freq(f.grid) / cutoff)
-    return from_spectrum(SpectralField(f.grid, mult * F.coefficients))
+    return fourier_multiply(u, 1.0 - _smoothstep(_abs_freq(u.grid) / cutoff))
 
 
 def large_data_protocol(
@@ -347,7 +339,7 @@ def large_data_protocol(
     c1: float = 0.1,
     max_iters: int = 25,
     tol: float = 1e-9,
-) -> tuple[list, SolverReport]:
+) -> tuple[Trajectory, SolverReport]:
     """Frequency-cutoff contraction run for large data, d in {3, 4}.
 
     Chooses A = ||u0||_{M^s_{4,2}}, the tail budget
@@ -392,10 +384,10 @@ def large_data_protocol(
     )
     cert = Certificate(A=A, delta=delta, cutoff=cutoff, horizon=horizon, c0=c0, c1=c1)
 
-    def verify_ball(j: int, trajectory) -> None:
+    def verify_ball(j: int, trajectory: Trajectory) -> None:
         total = max(modulation_norm(f, spec, window) for _, f in trajectory)
         tail = max(
-            modulation_norm(_tail_field(f, cutoff), spec, window) for _, f in trajectory
+            modulation_norm(f, spec, window) for _, f in _tail_field(trajectory, cutoff)
         )
         cert.total_norms.append(total)
         cert.tail_norms.append(tail)

@@ -1,7 +1,8 @@
 """Discrete p-variation and atomic calculus for field-valued paths.
 
-Paths are finitely sampled and read as right-continuous step functions;
-increments only ever use node values.  The conventional terminal value 0 at
+Paths are ``grid.Trajectory`` samples read as right-continuous step
+functions; increments only ever use node values, measured in a value norm
+that each function takes as an argument.  The conventional terminal value 0 at
 t = +infinity is exposed as an explicit flag: plain increment suprema
 (``terminal_zero=False``, the default) match the dynamic program stated for
 ``vp_norm``; the adapted-space norms switch it on, which is what makes the
@@ -16,19 +17,17 @@ duality characterization from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, lp_norm
+from modlab.grid import Field, Grid, Trajectory, fourier_multiply, lp_norm
 from modlab.modspace import ModNormSpec, Window, modulation_norm, dyadic_multipliers
-from modlab.grid import SpectralField, from_spectrum, to_spectrum
 
 __all__ = [
     "LpValueNorm",
     "ModValueNorm",
-    "SampledPath",
     "StepFunction",
     "vp_norm",
     "vp_norm_bruteforce",
@@ -67,37 +66,6 @@ class ModValueNorm:
 
 
 @dataclass(frozen=True)
-class SampledPath:
-    """Fields sampled at strictly increasing times, with a value norm."""
-
-    times: tuple[float, ...]
-    values: tuple[Field, ...]
-    value_norm: object
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(times) != len(self.values):
-            raise ValueError("times and values length mismatch")
-        if any(t1 - t0 <= 0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing")
-        grids = {f.grid for f in self.values}
-        if len(grids) > 1:
-            raise ValueError("all path values must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.values[0].grid
-
-    def node_index(self, t: float) -> int:
-        for i, ti in enumerate(self.times):
-            if abs(ti - t) <= 1e-12 * max(1.0, abs(t)):
-                return i
-        raise ValueError(f"t={t} is not a node of the path")
-
-
-@dataclass(frozen=True)
 class StepFunction:
     """Left-closed right-open step function: value pieces[k] on
     [partition[k], partition[k+1]), zero outside [partition[0], partition[-1])."""
@@ -122,20 +90,19 @@ class StepFunction:
         return self.pieces[0].grid
 
 
-def _increment_table(path: SampledPath) -> tuple[np.ndarray, np.ndarray]:
+def _increment_table(path: Trajectory, norm) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise increment norms dist[i, j] = ||v_i - v_j|| and node norms."""
-    m = len(path.values)
-    norm = path.value_norm
+    m = len(path)
     dist = np.zeros((m, m))
     for i in range(m):
         for j in range(i):
-            dist[i, j] = dist[j, i] = norm(path.values[i] - path.values[j])
-    node = np.array([norm(v) for v in path.values])
+            dist[i, j] = dist[j, i] = norm(Field(path.grid, path.values[i] - path.values[j]))
+    node = np.array([norm(v) for _, v in path])
     return dist, node
 
 
-def vp_norm(path: SampledPath, p: float, terminal_zero: bool = False) -> float:
-    """Exact p-variation of the sampled path.
+def vp_norm(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> float:
+    """Exact p-variation of the sampled path in the value norm ``norm``.
 
     Supremum over increasing node subsequences of
     (sum ||v(t_k) - v(t_{k-1})||^p)^(1/p), by the O(m^2) dynamic program
@@ -145,10 +112,10 @@ def vp_norm(path: SampledPath, p: float, terminal_zero: bool = False) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if len(path.values) < 2:
+    if len(path) < 2:
         raise ValueError("need at least two nodes")
-    dist, node = _increment_table(path)
-    m = len(path.values)
+    dist, node = _increment_table(path, norm)
+    m = len(path)
     D = np.zeros(m)
     for i in range(1, m):
         D[i] = max(0.0, max(D[j] + dist[i, j] ** p for j in range(i)))
@@ -157,16 +124,16 @@ def vp_norm(path: SampledPath, p: float, terminal_zero: bool = False) -> float:
     return float(np.max(D) ** (1.0 / p))
 
 
-def vp_norm_bruteforce(path: SampledPath, p: float, terminal_zero: bool = False) -> float:
+def vp_norm_bruteforce(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> float:
     """Exhaustive enumeration over all node subsequences; oracle for small m."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    m = len(path.values)
+    m = len(path)
     if m < 2:
         raise ValueError("need at least two nodes")
     if m > 16:
         raise ValueError("brute force limited to m <= 16 nodes")
-    dist, node = _increment_table(path)
+    dist, node = _increment_table(path, norm)
     best = 0.0
     for mask in range(1, 1 << m):
         idx = [i for i in range(m) if mask >> i & 1]
@@ -214,7 +181,7 @@ def dual_pairing(f: Field, g: Field) -> complex:
     return complex(f.grid.cell * np.sum(f.values * np.conj(g.values)))
 
 
-def duality_pairing(u: StepFunction, v: SampledPath) -> complex:
+def duality_pairing(u: StepFunction, v: Trajectory) -> complex:
     """B(u, v) = -sum_k <phi_k - phi_{k-1}, v(t_k)>, phi_{-1} = phi_K = 0.
 
     The sum runs over all jumps of the step function, including the initial
@@ -228,27 +195,28 @@ def duality_pairing(u: StepFunction, v: SampledPath) -> complex:
     total = 0.0 + 0.0j
     for k, t in enumerate(u.partition):
         jump = padded[k + 1] - padded[k]
-        total -= dual_pairing(jump, v.values[v.node_index(t)])
+        total -= dual_pairing(jump, v[v.node_index(t)][1])
     return total
 
 
-def up_norm_lower(u: StepFunction, p: float, duals: Iterable[SampledPath]) -> float:
-    """Duality lower bound: max |B(u, v)| / ||v||_{V^{p'}} over trial paths."""
+def up_norm_lower(u: StepFunction, p: float, duals: Iterable[Trajectory]) -> float:
+    """Duality lower bound: max |B(u, v)| / ||v||_{V^{p'}} over trial paths,
+    the V^{p'} norm measured in ``u.value_norm``."""
     if p <= 1:
         raise ValueError(f"need p > 1 for the dual exponent, got {p}")
     q = p / (p - 1.0)
     best = 0.0
     for v in duals:
-        denom = vp_norm(v, q, terminal_zero=True)
+        denom = vp_norm(v, q, u.value_norm, terminal_zero=True)
         if denom > 0:
             best = max(best, abs(duality_pairing(u, v)) / denom)
     return best
 
 
-def step_to_path(u: StepFunction) -> SampledPath:
+def step_to_path(u: StepFunction) -> Trajectory:
     """Sample a step function at its partition: pieces then the terminal 0."""
-    values = u.pieces + (Field.zero(u.grid),)
-    return SampledPath(times=u.partition, values=values, value_norm=u.value_norm)
+    values = [phi.values for phi in u.pieces] + [Field.zero(u.grid).values]
+    return Trajectory(u.grid, u.partition, np.stack(values))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +236,8 @@ def adapt(obj, direction: str = "forward"):
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction}")
     sgn = -1.0 if direction == "forward" else 1.0
-    if isinstance(obj, SampledPath):
-        values = tuple(
-            free_evolve(v, sgn * t) for t, v in zip(obj.times, obj.values)
-        )
-        return SampledPath(times=obj.times, values=values, value_norm=obj.value_norm)
+    if isinstance(obj, Trajectory):
+        return replace(obj, values=np.stack([free_evolve(v, sgn * t).values for t, v in obj]))
     if isinstance(obj, StepFunction):
         pieces = tuple(
             free_evolve(phi, sgn * t) for t, phi in zip(obj.partition[:-1], obj.pieces)
@@ -283,17 +248,8 @@ def adapt(obj, direction: str = "forward"):
     raise TypeError(f"cannot adapt object of type {type(obj)!r}")
 
 
-def _band_path(path: SampledPath, multiplier: np.ndarray, norm) -> SampledPath:
-    spectra = [to_spectrum(v) for v in path.values]
-    values = tuple(
-        from_spectrum(SpectralField(path.grid, multiplier * S.coefficients))
-        for S in spectra
-    )
-    return SampledPath(times=path.times, values=values, value_norm=norm)
-
-
 def ys_norm(
-    path: SampledPath,
+    path: Trajectory,
     s: float,
     window: Window,
     bands: Sequence[tuple[float, np.ndarray]] | None = None,
@@ -304,7 +260,7 @@ def ys_norm(
 
     The V^2 norm uses the terminal-zero convention.
     """
-    if len(path.times) < 2:
+    if len(path) < 2:
         raise ValueError("need at least two time nodes")
     if bands is None:
         bands = dyadic_multipliers(path.grid)
@@ -313,15 +269,14 @@ def ys_norm(
     norm = ModValueNorm(ModNormSpec(0.0, 4.0, 2.0), window)
     total = 0.0
     for band, mult in bands:
-        projected = _band_path(path, mult, norm)
-        adapted = adapt(projected, "forward")
-        v2 = vp_norm(adapted, 2.0, terminal_zero=True)
+        adapted = adapt(fourier_multiply(path, mult), "forward")
+        v2 = vp_norm(adapted, 2.0, norm, terminal_zero=True)
         total += band ** (2.0 * s) * v2**2
     return float(math.sqrt(total))
 
 
 def xs_norm_upper(
-    path: SampledPath,
+    path: Trajectory,
     s: float,
     window: Window,
     bands: Sequence[tuple[float, np.ndarray]] | None = None,
@@ -332,17 +287,16 @@ def xs_norm_upper(
     aggregates the one-atom U^2 bounds with the same dyadic weights.  This is
     the reported stand-in for the atomic iteration norm, not an exact value.
     """
-    if len(path.times) < 2:
+    if len(path) < 2:
         raise ValueError("need at least two time nodes")
     if bands is None:
         bands = dyadic_multipliers(path.grid)
     norm = ModValueNorm(ModNormSpec(0.0, 4.0, 2.0), window)
-    dt_last = path.times[-1] - path.times[-2]
-    partition = path.times + (path.times[-1] + dt_last,)
+    partition = (*path.times, path.times[-1] + (path.times[-1] - path.times[-2]))
     total = 0.0
     for band, mult in bands:
-        projected = _band_path(path, mult, norm)
-        adapted = adapt(projected, "forward")
-        step = StepFunction(partition=partition, pieces=adapted.values, value_norm=norm)
+        adapted = adapt(fourier_multiply(path, mult), "forward")
+        pieces = tuple(f for _, f in adapted)
+        step = StepFunction(partition=partition, pieces=pieces, value_norm=norm)
         total += band ** (2.0 * s) * up_norm_upper(step, 2.0) ** 2
     return float(math.sqrt(total))

@@ -18,7 +18,7 @@ from modlab.estimates import (
     sdec,
     smoothing_ratio,
 )
-from modlab.grid import Field, lp_norm, make_grid
+from modlab.grid import Field, Trajectory, lp_norm, make_grid
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import free_evolve, galilean_shift, mass
 from modlab.solver import (
@@ -30,7 +30,6 @@ from modlab.solver import (
 )
 from modlab.variation import (
     LpValueNorm,
-    SampledPath,
     duality_pairing,
     make_atom,
     vp_norm,
@@ -130,14 +129,12 @@ class TestAcceptance:
         for trial in range(500):
             m = int(rng.integers(2, 13))
             vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            fields = tuple(
-                Field(unit, np.full(unit.shape, v, dtype=complex)) for v in vals
-            )
-            path = SampledPath(tuple(range(m)), fields, norm)
+            samples = np.stack([np.full(unit.shape, v, dtype=complex) for v in vals])
+            path = Trajectory(unit, np.arange(m), samples)
             p = float(rng.choice([1.0, 2.0, 4.0]))
             terminal = bool(rng.integers(0, 2))
-            a = vp_norm(path, p, terminal)
-            b = vp_norm_bruteforce(path, p, terminal)
+            a = vp_norm(path, p, norm, terminal)
+            b = vp_norm_bruteforce(path, p, norm, terminal)
             worst = max(worst, abs(a - b))
         report(
             6,
@@ -165,8 +162,9 @@ class TestAcceptance:
                 )
                 partition = tuple(np.cumsum(rng.uniform(0.1, 1.0, k + 1)))
                 atom = make_atom(partition, tuple(mk() for _ in range(k)), p, norm)
-                v = SampledPath(partition, tuple(mk() for _ in range(k + 1)), norm)
-                ratio = abs(duality_pairing(atom, v)) / vp_norm(v, q)
+                samples = np.stack([mk().values for _ in range(k + 1)])
+                v = Trajectory(unit, partition, samples)
+                ratio = abs(duality_pairing(atom, v)) / vp_norm(v, q, norm)
                 worst = max(worst, ratio)
                 ok = ok and ratio <= 1.0001
         report(

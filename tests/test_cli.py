@@ -90,6 +90,15 @@ class TestRun:
         cfg = write(tmp_path, bad)
         assert run(str(cfg), str(tmp_path / "out")) == EXIT_SCALES
 
+    def test_threads_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MODLAB_THREADS", "abc")
+        cfg = write(tmp_path, SMOOTHING_CFG)
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert (out / "smoothing.csv").is_file()
+        summary = json.loads((out / "smoothing.json").read_text())
+        assert summary["config"]["threads"] is None
+
     def test_out_of_band_scales(self, tmp_path):
         bad = SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 2 4 64")
         cfg = write(tmp_path, bad)
@@ -362,6 +371,9 @@ class TestExitCodes:
         [
             # fewer than 3 scales for the fit
             SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 2 4"),
+            # non-finite scales
+            SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 2 4 inf"),
+            SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 2 4 nan"),
             # bilinear scales beyond xi_max/2 = 4
             """
 [experiment]
@@ -392,7 +404,7 @@ scales = 32
 family = random_phase
 """,
         ],
-        ids=["fit", "bilinear_band", "datagen_band"],
+        ids=["fit", "inf", "nan", "bilinear_band", "datagen_band"],
     )
     def test_run_time_scale_errors_exit_scales(self, tmp_path, text):
         cfg = write(tmp_path, text)

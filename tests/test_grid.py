@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from modlab.grid import (
     Field,
     SpectralField,
+    Trajectory,
+    fourier_multiply,
     from_spectrum,
     lp_norm,
     make_grid,
@@ -154,21 +156,113 @@ class TestSpacetime:
         ts = np.linspace(0.0, 2.0, 9)
         for p in (2.0, 6.0):
             expect = abs(c) * g.volume ** (1 / p) * 2.0 ** (1 / p)
-            assert spacetime_lp_norm([(t, f) for t in ts], p) == pytest.approx(expect)
+            path = Trajectory(g, ts, np.stack([f.values] * len(ts)))
+            assert spacetime_lp_norm(path, p) == pytest.approx(expect)
 
     def test_sup_norm(self):
         g = make_grid(1, 64, 8.0)
         small = Field(g, np.full(g.shape, 0.1 + 0j))
         big = Field(g, np.full(g.shape, 3.0 + 0j))
-        val = spacetime_lp_norm([(0.0, small), (1.0, big)], np.inf)
+        path = Trajectory(g, [0.0, 1.0], np.stack([small.values, big.values]))
+        val = spacetime_lp_norm(path, np.inf)
         assert val == pytest.approx(3.0)
 
     def test_decreasing_nodes_rejected(self):
         g = make_grid(1, 64, 8.0)
-        f = Field.zero(g)
         with pytest.raises(ValueError, match="increasing"):
-            spacetime_lp_norm([(1.0, f), (0.5, f)], 2.0)
+            Trajectory(g, [1.0, 0.5], np.zeros((2, *g.shape)))
+
+    def test_is_the_nodewise_formula(self):
+        # exact: Picard residuals are reported to the last bit, and a
+        # vectorized power differs from the scalar one on a few nodes
+        g = make_grid(1, 8, 1.0)
+        for seed in range(0, 200, 2):
+            values = np.stack([complex_noise(g, seed).values, complex_noise(g, seed + 1).values])
+            path = Trajectory(g, [0.0, 0.7], values)
+            for p in (3.0, 6.0):
+                powers = np.array([lp_norm(f, p) ** p for _, f in path])
+                expect = trapezoid(powers, path.times) ** (1.0 / p)
+                assert spacetime_lp_norm(path, p) == expect
 
     def test_trapezoid_linear_exact(self):
         nodes = np.array([0.0, 0.5, 2.0])
         assert trapezoid(3.0 * nodes, nodes) == pytest.approx(6.0)
+
+
+class TestTrajectory:
+    def make(self, grid, m=5, seed=0):
+        values = np.stack([complex_noise(grid, seed + j).values for j in range(m)])
+        return Trajectory(grid, np.linspace(0.0, 1.0, m), values)
+
+    def test_shape_mismatch_rejected(self, grid3d):
+        with pytest.raises(ValueError, match="do not match"):
+            Trajectory(grid3d, [0.0, 1.0], np.zeros((3, *grid3d.shape)))
+        with pytest.raises(ValueError, match="do not match"):
+            Trajectory(grid3d, [0.0, 1.0], np.zeros((2, 16, 16)))
+        with pytest.raises(ValueError, match="do not match"):
+            Trajectory(grid3d, [[0.0, 1.0]], np.zeros((2, *grid3d.shape)))
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["repeat", "decrease"]
+    )
+    def test_non_increasing_times_rejected(self, grid1d, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(grid1d, times, np.zeros((3, *grid1d.shape)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_nonfinite_sample_rejected(self, grid1d, bad):
+        values = np.zeros((3, *grid1d.shape), dtype=complex)
+        values[2, 17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Trajectory(grid1d, [0.0, 0.5, 1.0], values)
+
+    def test_read_only(self, grid1d):
+        path = self.make(grid1d)
+        with pytest.raises(ValueError):
+            path.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            path.times[0] = -1.0
+
+    def test_times_are_copied(self, grid1d):
+        ts = np.array([0.0, 1.0])
+        path = Trajectory(grid1d, ts, np.zeros((2, *grid1d.shape)))
+        ts[1] = 0.0
+        assert path.times[1] == 1.0
+
+    def test_index_gives_time_and_field(self, grid3d):
+        path = self.make(grid3d, m=4)
+        assert len(path) == 4
+        for j in (0, 2, -1):
+            t, f = path[j]
+            assert isinstance(t, float) and t == path.times[j]
+            assert isinstance(f, Field) and f.grid == grid3d
+            assert np.array_equal(f.values, path.values[j])
+        assert [t for t, _ in path] == list(path.times)
+
+    def test_node_index(self, grid1d):
+        path = self.make(grid1d)
+        assert path.node_index(0.75) == 3
+        with pytest.raises(ValueError, match="node"):
+            path.node_index(0.7)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 6.0, np.inf])
+    def test_lp_norms_are_the_scalar_quadrature(self, p):
+        # exact: a vectorized final power differs from the scalar one in the
+        # last bit on a few percent of nodes, which would move reported norms
+        grid = make_grid(1, 8, 1.0)
+        path = self.make(grid, m=200)
+        norms = path.lp_norms(p)
+        for j, (_, f) in enumerate(path):
+            a = np.abs(f.values)
+            expect = a.max() if np.isinf(p) else (grid.cell * np.sum(a**p)) ** (1.0 / p)
+            assert norms[j] == expect == lp_norm(f, p)
+
+    def test_fourier_multiply_is_nodewise(self, grid3d):
+        # the batched transform pair acts on each node exactly as on a field
+        path = self.make(grid3d)
+        mult = np.exp(-0.3j * grid3d.freq_sq())
+        out = fourier_multiply(path, mult)
+        assert isinstance(out, Trajectory) and np.array_equal(out.times, path.times)
+        for j, (_, f) in enumerate(path):
+            expect = from_spectrum(SpectralField(grid3d, mult * to_spectrum(f).coefficients))
+            assert np.array_equal(out.values[j], expect.values)

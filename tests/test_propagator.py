@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from modlab.grid import Field, lp_norm, make_grid, to_spectrum, trapezoid
+from modlab.grid import Field, Trajectory, lp_norm, make_grid, to_spectrum, trapezoid
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import (
-    TimeGrid,
     duhamel,
     duhamel_path,
     energy,
@@ -17,19 +16,6 @@ from modlab.propagator import (
     unit_ball_mesh,
 )
 from tests.conftest import complex_noise, direct_ball_norm, gaussian_field
-
-
-class TestTimeGrid:
-    def test_nodes(self):
-        tg = TimeGrid(0.0, 1.0, 5)
-        assert np.allclose(tg.nodes, [0, 0.25, 0.5, 0.75, 1.0])
-        assert tg.dt == 0.25
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 0.0, 5)
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 1)
 
 
 class TestFreeEvolve:
@@ -140,21 +126,22 @@ class TestGalilean:
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-10
 
 
+def constant_path(ts, f):
+    return Trajectory(f.grid, ts, np.stack([f.values] * len(ts)))
+
+
 class TestDuhamel:
     def test_zero_forcing(self, grid1d):
-        ts = np.linspace(0, 1, 17)
-        forcing = [(t, Field.zero(grid1d)) for t in ts]
+        forcing = constant_path(np.linspace(0, 1, 17), Field.zero(grid1d))
         out = duhamel(forcing, 1.0)
         assert lp_norm(out, 2) == 0.0
 
     def test_at_first_node(self, grid1d):
-        ts = np.linspace(0, 1, 17)
-        forcing = [(t, complex_noise(grid1d, 8)) for t in ts]
+        forcing = constant_path(np.linspace(0, 1, 17), complex_noise(grid1d, 8))
         assert lp_norm(duhamel(forcing, 0.0), 2) == 0.0
 
     def test_off_node_rejected(self, grid1d):
-        ts = np.linspace(0, 1, 17)
-        forcing = [(t, Field.zero(grid1d)) for t in ts]
+        forcing = constant_path(np.linspace(0, 1, 17), Field.zero(grid1d))
         with pytest.raises(ValueError, match="node"):
             duhamel(forcing, 0.123)
 
@@ -166,7 +153,7 @@ class TestDuhamel:
 
         def error(m):
             ts = np.linspace(0, 1, m)
-            out = duhamel([(t, mode) for t in ts], 1.0)
+            out = duhamel(constant_path(ts, mode), 1.0)
             return np.max(np.abs(out.values - exact * mode.values))
 
         e_coarse, e_fine = error(129), error(257)
@@ -174,11 +161,31 @@ class TestDuhamel:
 
     def test_path_matches_pointwise(self, grid1d):
         ts = np.linspace(0, 0.5, 9)
-        forcing = [(float(t), complex_noise(grid1d, 20 + j)) for j, t in enumerate(ts)]
+        values = np.stack([complex_noise(grid1d, 20 + j).values for j in range(len(ts))])
+        forcing = Trajectory(grid1d, ts, values)
         path = duhamel_path(forcing)
-        for (t, acc) in path[1:]:
+        assert np.array_equal(path.times, ts)
+        for t, acc in list(path)[1:]:
             direct = duhamel(forcing, t)
             assert np.max(np.abs(acc.values - direct.values)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid", [make_grid(1, 256, 64 * np.pi), make_grid(3, 16, 8 * np.pi)], ids=["d1", "d3"]
+    )
+    def test_path_is_the_free_evolve_recurrence(self, grid):
+        # exact, not to round-off: the summation order of the sweep is what
+        # the solver's recorded contraction factors depend on
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, 8))])
+        fields = [complex_noise(grid, 40 + j) for j in range(len(ts))]
+        path = duhamel_path(Trajectory(grid, ts, np.stack([f.values for f in fields])))
+        acc = Field.zero(grid)
+        assert np.array_equal(path.values[0], acc.values)
+        for j in range(1, len(ts)):
+            dt = ts[j] - ts[j - 1]
+            step = 0.5 * dt * (free_evolve(fields[j - 1], dt) + fields[j])
+            acc = free_evolve(acc, dt) + step
+            assert np.array_equal(path.values[j], acc.values)
 
 
 class TestExtension:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modlab.grid import Field, lp_norm, make_grid
+from modlab.grid import Field, Trajectory, lp_norm, make_grid
 from modlab.modspace import make_window
 from modlab.datagen import mollified_indicator
 from modlab.propagator import free_evolve, mass
@@ -71,6 +71,22 @@ class TestPicard:
         path, report = picard_solve(prob, max_iters=12)
         assert report.diverged
         assert not report.converged
+
+    def test_free_start_is_u0_itself(self):
+        prob = small_quintic()
+        seen = []
+        path, report = picard_solve(prob, iterate_hook=lambda j, p: seen.append(p))
+        assert len(seen) == report.iterations + 1
+        first = seen[0]
+        assert isinstance(first, Trajectory) and len(first) == prob.time_nodes
+        assert np.array_equal(first.values[0], prob.u0.values)
+        assert np.array_equal(first.times, np.linspace(0.0, prob.horizon, prob.time_nodes))
+        assert np.array_equal(path.values[0], prob.u0.values)
+
+    @pytest.mark.parametrize("horizon", [0.0, -0.1])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            NLSProblem(u0=small_quintic().u0, horizon=horizon)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="16 time nodes"):

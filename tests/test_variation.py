@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab.grid import Field, make_grid
+from modlab.grid import Field, Trajectory, make_grid
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import free_evolve
 from modlab.variation import (
     LpValueNorm,
     ModValueNorm,
-    SampledPath,
     StepFunction,
     adapt,
     duality_pairing,
@@ -27,34 +26,39 @@ UNIT_GRID = make_grid(1, 8, 1.0)  # volume one: the L^2 norm of a constant is |c
 L2 = LpValueNorm(2.0)
 
 
+def path_of(times, fields):
+    return Trajectory(fields[0].grid, times, np.stack([f.values for f in fields]))
+
+
 def scalar_path(values, times=None):
-    fields = tuple(Field(UNIT_GRID, np.full(UNIT_GRID.shape, v, dtype=complex)) for v in values)
+    fields = [Field(UNIT_GRID, np.full(UNIT_GRID.shape, v, dtype=complex)) for v in values]
     if times is None:
         times = tuple(float(j) for j in range(len(values)))
-    return SampledPath(times, fields, L2)
+    return path_of(times, fields)
 
 
 class TestVpNorm:
     def test_constant_path_is_zero(self):
-        assert vp_norm(scalar_path([2.0, 2.0, 2.0]), 2.0) == 0.0
+        assert vp_norm(scalar_path([2.0, 2.0, 2.0]), 2.0, L2) == 0.0
 
     def test_alternating_path(self):
         # brute force over all 2^4 subsequences gives sqrt(3)
-        assert vp_norm(scalar_path([1, 0, 1, 0]), 2.0) == pytest.approx(np.sqrt(3))
+        assert vp_norm(scalar_path([1, 0, 1, 0]), 2.0, L2) == pytest.approx(np.sqrt(3))
 
     def test_monotone_path_single_jump_dominates(self):
-        assert vp_norm(scalar_path([0, 1, 2, 3]), 2.0) == pytest.approx(3.0)
+        assert vp_norm(scalar_path([0, 1, 2, 3]), 2.0, L2) == pytest.approx(3.0)
 
     def test_terminal_zero_convention_adds_last_jump(self):
-        assert vp_norm(scalar_path([2.0, 2.0]), 2.0, terminal_zero=True) == pytest.approx(2.0)
+        path = scalar_path([2.0, 2.0])
+        assert vp_norm(path, 2.0, L2, terminal_zero=True) == pytest.approx(2.0)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
-            vp_norm(scalar_path([0, 1]), 0.5)
+            vp_norm(scalar_path([0, 1]), 0.5, L2)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="two nodes"):
-            vp_norm(scalar_path([1.0]), 2.0)
+            vp_norm(scalar_path([1.0]), 2.0, L2)
 
     @given(seed=st.integers(0, 500), p=st.sampled_from([1.0, 2.0, 3.5]),
            terminal=st.booleans())
@@ -64,8 +68,8 @@ class TestVpNorm:
         m = int(rng.integers(2, 13))
         vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         path = scalar_path(list(vals))
-        a = vp_norm(path, p, terminal)
-        b = vp_norm_bruteforce(path, p, terminal)
+        a = vp_norm(path, p, L2, terminal)
+        b = vp_norm_bruteforce(path, p, L2, terminal)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     @given(seed=st.integers(0, 200))
@@ -74,7 +78,7 @@ class TestVpNorm:
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(7)
         path = scalar_path(list(vals))
-        norms = [vp_norm(path, p) for p in (1.0, 2.0, 4.0, 8.0)]
+        norms = [vp_norm(path, p, L2) for p in (1.0, 2.0, 4.0, 8.0)]
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
 
@@ -103,7 +107,7 @@ class TestAtoms:
             for v in rng.standard_normal(3)
         )
         atom = make_atom((0.0, 1.0, 2.0, 3.0), pieces, 2.0, L2)
-        v = vp_norm(step_to_path(atom), 2.0)
+        v = vp_norm(step_to_path(atom), 2.0, L2)
         assert v >= L2(atom.pieces[-1]) - 1e-12
 
     def test_upper_bound_of_atom_is_one(self):
@@ -146,7 +150,7 @@ class TestAtoms:
                     for _ in range(k)
                 )
                 atom = make_atom(tuple(float(j) for j in range(k + 1)), pieces, p, L2)
-                v = vp_norm(step_to_path(atom), p, terminal_zero=True)
+                v = vp_norm(step_to_path(atom), p, L2, terminal_zero=True)
                 assert v <= 2.0 ** (1.0 / p) * up_norm_upper(atom, p) * 2.0 + 1e-12
 
     def test_duality_lower_bound_stays_below_upper(self):
@@ -187,11 +191,11 @@ class TestDuality:
                            + 1j * rng.standard_normal(UNIT_GRID.shape))
         pieces = (mk(), mk())
         step = StepFunction((0.0, 1.0, 2.0), pieces, L2)
-        v = SampledPath((0.0, 1.0, 2.0), (mk(), mk(), mk()), L2)
+        v = path_of((0.0, 1.0, 2.0), (mk(), mk(), mk()))
         z = 1.3 - 0.4j
         scaled_u = StepFunction(step.partition, tuple(z * q for q in pieces), L2)
         assert duality_pairing(scaled_u, v) == pytest.approx(z * duality_pairing(step, v))
-        scaled_v = SampledPath(v.times, tuple(z * q for q in v.values), L2)
+        scaled_v = Trajectory(UNIT_GRID, v.times, z * v.values)
         assert duality_pairing(step, scaled_v) == pytest.approx(
             np.conj(z) * duality_pairing(step, v)
         )
@@ -205,33 +209,32 @@ class TestDuality:
                            + 1j * rng.standard_normal(UNIT_GRID.shape))
         partition = tuple(np.sort(rng.uniform(0, 1, k + 1)) + np.arange(k + 1) * 0.01)
         atom = make_atom(partition, tuple(mk() for _ in range(k)), p, L2)
-        v = SampledPath(partition, tuple(mk() for _ in range(k + 1)), L2)
+        v = path_of(partition, tuple(mk() for _ in range(k + 1)))
         q = p / (p - 1.0)
-        assert abs(duality_pairing(atom, v)) <= 1.0001 * vp_norm(v, q)
+        assert abs(duality_pairing(atom, v)) <= 1.0001 * vp_norm(v, q, L2)
 
 
 class TestAdapt:
     def test_involution(self, grid1d):
         ts = tuple(np.linspace(0, 1, 5))
-        path = SampledPath(ts, tuple(complex_noise(grid1d, j) for j in range(5)), L2)
+        path = path_of(ts, tuple(complex_noise(grid1d, j) for j in range(5)))
         back = adapt(adapt(path, "forward"), "backward")
-        for a, b in zip(back.values, path.values):
-            assert np.max(np.abs(a.values - b.values)) <= 1e-12
+        assert np.array_equal(back.times, path.times)
+        assert np.max(np.abs(back.values - path.values)) <= 1e-12
 
     def test_free_trajectory_becomes_constant(self, grid1d):
         f = gaussian_field(grid1d)
         ts = tuple(np.linspace(0, 1, 6))
-        traj = SampledPath(ts, tuple(free_evolve(f, t) for t in ts), LpValueNorm(2.0))
+        traj = path_of(ts, tuple(free_evolve(f, t) for t in ts))
         ad = adapt(traj, "forward")
-        for v in ad.values:
-            assert np.max(np.abs(v.values - f.values)) <= 1e-12
-        assert vp_norm(ad, 2.0) <= 1e-10
-        assert vp_norm(ad, 2.0, terminal_zero=True) == pytest.approx(
+        assert np.max(np.abs(ad.values - f.values)) <= 1e-12
+        assert vp_norm(ad, 2.0, L2) <= 1e-10
+        assert vp_norm(ad, 2.0, L2, terminal_zero=True) == pytest.approx(
             LpValueNorm(2.0)(f), rel=1e-10
         )
 
     def test_direction_validated(self, grid1d):
-        path = SampledPath((0.0, 1.0), (complex_noise(grid1d, 1),) * 2, L2)
+        path = path_of((0.0, 1.0), (complex_noise(grid1d, 1),) * 2)
         with pytest.raises(ValueError, match="forward or backward"):
             adapt(path, "sideways")
 
@@ -239,12 +242,10 @@ class TestAdapt:
         f = gaussian_field(grid1d)
         ts = tuple(np.linspace(0, 1, 5))
         eps = [1e-3 * complex_noise(grid1d, 40 + j) for j in range(5)]
-        traj = SampledPath(ts, tuple(free_evolve(f, t) for t in ts), L2)
-        pert = SampledPath(
-            ts, tuple(free_evolve(f, t) + e for t, e in zip(ts, eps)), L2
-        )
-        base = vp_norm(adapt(traj, "forward"), 2.0, terminal_zero=True)
-        bumped = vp_norm(adapt(pert, "forward"), 2.0, terminal_zero=True)
+        traj = path_of(ts, tuple(free_evolve(f, t) for t in ts))
+        pert = path_of(ts, tuple(free_evolve(f, t) + e for t, e in zip(ts, eps)))
+        base = vp_norm(adapt(traj, "forward"), 2.0, L2, terminal_zero=True)
+        bumped = vp_norm(adapt(pert, "forward"), 2.0, L2, terminal_zero=True)
         budget = sum(L2(e) for e in eps)
         assert abs(bumped - base) <= 2.0 * budget + 1e-12
 
@@ -258,11 +259,11 @@ class TestIterationNorms:
         x = self.grid.axis_coords()
         f = Field(self.grid, np.exp(1j * band * x))
         ts = tuple(np.linspace(0, 1, m))
-        return f, SampledPath(ts, tuple(free_evolve(f, t) for t in ts), L2)
+        return f, path_of(ts, tuple(free_evolve(f, t) for t in ts))
 
     def test_zero_path(self):
         ts = tuple(np.linspace(0, 1, 4))
-        path = SampledPath(ts, (Field.zero(self.grid),) * 4, L2)
+        path = path_of(ts, (Field.zero(self.grid),) * 4)
         assert ys_norm(path, 1.2, self.window) == 0.0
 
     def test_free_tone_single_band(self):
@@ -284,6 +285,6 @@ class TestIterationNorms:
         assert xs_norm_upper(traj, s, self.window) >= ys_norm(traj, s, self.window) - 1e-9
 
     def test_short_path_rejected(self):
-        path = SampledPath((0.0,), (Field.zero(self.grid),), L2)
+        path = path_of((0.0,), (Field.zero(self.grid),))
         with pytest.raises(ValueError):
             ys_norm(path, 1.2, self.window)

@@ -12,7 +12,10 @@ no worker setting, and recorded outputs keep the leaf.  The process
 exit code is 0 only when every pass criterion of the experiment holds.
 
 Exit codes: 0 pass, 1 criteria failed, 2 config parse error,
-3 unknown experiment, 4 invalid scales, 5 I/O failure.
+3 unknown experiment, 4 invalid scales, 5 I/O failure.  A large-data run
+whose iterate leaves the certificate ball exits 1 with both files written:
+the partial certificate, ``pass: false`` and the violated inequality under
+``violation``.
 """
 
 from __future__ import annotations
@@ -375,31 +378,38 @@ def _run_solve(cfg, xcfg, out_dir):
 
 
 def _run_largedata(cfg, xcfg, out_dir):
-    from modlab.solver import large_data_protocol
+    from modlab.solver import CertificateViolation, large_data_protocol
 
     problem = _problem_from_config(cfg, xcfg)
     c0 = _get(cfg, "problem", "c0", float, 0.1)
     c1 = _get(cfg, "problem", "c1", float, 0.1)
     s = _get(cfg, "problem", "s", float, 1.1)
-    path, report = large_data_protocol(
-        problem, window=xcfg.window(), s=s, c0=c0, c1=c1
-    )
-    cert = report.certificate
-    passed = cert.holds() and report.converged
+    try:
+        path, report = large_data_protocol(
+            problem, window=xcfg.window(), s=s, c0=c0, c1=c1
+        )
+    except CertificateViolation as exc:
+        # the run stopped at the violating iterate: report the partial certificate
+        cert = exc.certificate
+        outcome = {
+            "residual": None,
+            "pass": False,
+            "violation": exc.inequality,
+            "report": {"certificate": cert.to_dict()},
+        }
+    else:
+        cert = report.certificate
+        outcome = {
+            "residual": report.final_residual,
+            "pass": cert.holds() and report.converged,
+            "report": report.to_dict(),
+        }
     rows = [
         (j, tot, tail, tot / (2 * cert.A))
         for j, (tot, tail) in enumerate(zip(cert.total_norms, cert.tail_norms))
     ]
-    summary = {
-        "slope": None,
-        "intercept": None,
-        "residual": report.final_residual,
-        "predicted": None,
-        "margin": 0.0,
-        "pass": passed,
-        "report": report.to_dict(),
-    }
-    return rows, summary, passed
+    summary = {"slope": None, "intercept": None, "predicted": None, "margin": 0.0, **outcome}
+    return rows, summary, outcome["pass"]
 
 
 def _run_datagen(cfg, xcfg, out_dir):

@@ -125,7 +125,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class Field:
     """Complex samples on the physical lattice of a grid.  Immutable."""
 
@@ -162,7 +162,7 @@ class Field:
         return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class SpectralField:
     """Complex Fourier coefficients on the frequency lattice (FFT order)."""
 

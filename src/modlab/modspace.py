@@ -5,7 +5,8 @@ normalized so the translated squares sum to one.  The profile is a tensor
 product of a 1-d bump, which makes the normalization separable per axis and
 the square partition identity exact to round-off on every representable
 frequency.  Consequently the (s=0, p=2, q=2) modulation norm coincides with
-the L^2 norm up to round-off, not just up to a constant.
+the L^2 norm up to round-off, not just up to a constant.  Pieces are computed
+axis by axis, as the windows are separable, and skipped under an energy floor.
 
 A ``cube`` parameter scales the side length of the decomposition cubes.  Unit
 cubes are the default; small desk-scale grids use larger cubes so that each
@@ -44,6 +45,8 @@ __all__ = [
     "sum_space_norm_upper",
 ]
 
+_CHUNK_POINTS = 2**22  # complex samples one batch of window pieces may hold
+
 
 @dataclass(frozen=True)
 class ModNormSpec:
@@ -80,10 +83,6 @@ class Window:
     cube: float
     kmax: int
 
-    @property
-    def lattice_size(self) -> int:
-        return (2 * self.kmax + 1) ** self.grid.d
-
     def axis_profiles(self) -> np.ndarray:
         """(2*kmax+1, n) array; row j is the normalized profile of shift j-kmax."""
         return _axis_profiles(self.grid, self.cube, self.kmax)
@@ -108,29 +107,31 @@ class Window:
         return itertools.product(rng, repeat=self.grid.d)
 
     def active_lattice(self, coefficients: np.ndarray) -> list[tuple[int, ...]]:
-        """Lattice points whose window can overlap the support of a spectrum.
+        """Windows meeting a spectrum's energy: a product of per-axis shift
+        ranges, in ``itertools.product`` order.
 
-        Uses per-axis bounding of the support, so the returned set is a
-        superset of the truly active one; skipped windows give exactly zero
-        pieces.
+        Shift j is active on an axis when its profile meets a frequency whose
+        marginal energy (|F|^2 summed over the other axes) exceeds tau E, with
+        E = sum |F|^2 and tau = 1e-24 / (d n N), N = n^d.  The squared windows
+        sum to one, so the skipped pieces hold an L^2 share of at most
+        sqrt(d n tau) = 1e-12 / sqrt(N); L^p and L^2 norms on N points lie
+        within N^|1/2-1/p| of each other, so an M^0_{p,2} norm moves by under
+        1e-12 relative, and an M^s_{p,q} one by <kmax sqrt(d)>^|s|
+        (2 kmax + 1)^(d |1/q-1/2|) times that.  FFT round-off, ~1e-16 of the rms
+        coefficient, gives marginals up to ~1e-31 E / n, under the floor if d N < 1e7.
         """
-        prof = self.axis_profiles()
-        nonzero = np.abs(coefficients) > 0
+        d, n = self.grid.d, self.grid.n
+        energy = np.abs(coefficients) ** 2
+        floor = 1e-24 / (d * n * self.grid.size) * float(energy.sum())
         ranges = []
-        for axis in range(self.grid.d):
-            other = tuple(i for i in range(self.grid.d) if i != axis)
-            axis_mask = nonzero.any(axis=other) if other else nonzero
-            if not axis_mask.any():
+        for axis in range(d):
+            other = tuple(i for i in range(d) if i != axis)
+            marginal = energy.sum(axis=other) if other else energy
+            live = self.axis_profiles()[:, marginal > floor]  # row j: shift j - kmax
+            active = np.flatnonzero(np.any(live != 0.0, axis=1))
+            if active.size == 0:
                 return []
-            # shift j-kmax is active when its profile overlaps the axis mask
-            active = [
-                j - self.kmax
-                for j in range(prof.shape[0])
-                if np.any(prof[j][axis_mask] != 0.0)
-            ]
-            if not active:
-                return []
-            ranges.append(active)
+            ranges.append((active - self.kmax).tolist())
         return list(itertools.product(*ranges))
 
     def describe(self) -> dict:
@@ -194,43 +195,42 @@ def iso_piece(f: Field, k: Sequence[int], window: Window) -> Field:
     return fourier_multiply(f, window.multiplier(k))
 
 
-def _piece_lp_norms(
-    F: SpectralField, ks: list[tuple[int, ...]], window: Window, p: float
-) -> np.ndarray:
-    """L^p norms of all window pieces, batched.
-
-    p = 2 is evaluated on the frequency side (Parseval), every other p via
-    chunked inverse FFTs.  The |.| of a piece does not depend on the
-    phase/scale conventions of ``from_spectrum`` beyond a multiplicative
-    factor, so the inverse transform is taken without the coordinate twist.
-    """
+def _piece_lp_norms(F: SpectralField, ks: list, window: Window, p: float) -> np.ndarray:
+    """L^p norms of the pieces ``ks`` (a non-empty product of per-axis shift
+    ranges in ``itertools.product`` order), in that order.  p = 2 contracts
+    |F|^2 axis by axis (Parseval); other p walk the prefix tree of the shifts,
+    each level one profile multiply and one batched 1-d inverse FFT along its
+    axis, splitting shifts past ``_CHUNK_POINTS``.  |piece| ignores the
+    coordinate twist of ``from_spectrum``."""
     g = window.grid
-    if not ks:
-        return np.zeros(0)
+    ranges = [sorted({k[a] for k in ks}) for a in range(g.d)]
+    if not ks or list(itertools.product(*ranges)) != list(ks):
+        raise ValueError("windows must be a product of per-axis shift ranges, in order")
+    rows = [window.axis_profiles()[np.array(r) + window.kmax] for r in ranges]
     if p == 2:
-        weight = g.dxi**g.d
-        out = np.empty(len(ks))
-        absF2 = np.abs(F.coefficients) ** 2
-        for i, k in enumerate(ks):
-            m = window.multiplier(k)
-            out[i] = math.sqrt(weight * float(np.sum(m * m * absF2)))
-        return out
+        piece = np.abs(F.coefficients) ** 2
+        for r in rows:  # contracts axis 0, appends the shift axis last
+            piece = np.tensordot(piece, r**2, axes=([0], [1]))
+        return np.sqrt(g.dxi**g.d * piece.ravel())
     scale = g.dxi**g.d * (2.0 * np.pi) ** (-g.d / 2.0) * g.size
-    out = np.empty(len(ks))
-    chunk = max(1, int(2**22 // max(g.size, 1)))
-    axes = tuple(range(1, g.d + 1))
-    for start in range(0, len(ks), chunk):
-        batch = ks[start : start + chunk]
-        stack = np.empty((len(batch),) + g.shape, dtype=np.complex128)
-        for i, k in enumerate(batch):
-            stack[i] = window.multiplier(k) * F.coefficients
-        phys = np.abs(np.fft.ifftn(stack, axes=axes)) * scale
-        if np.isinf(p):
-            out[start : start + len(batch)] = phys.max(axis=axes)
-        else:
-            sums = np.sum(phys**p, axis=axes)
-            out[start : start + len(batch)] = (g.cell * sums) ** (1.0 / p)
-    return out
+    def descend(stack: np.ndarray, a: int) -> np.ndarray:
+        # norms of every piece below the prefixes in ``stack`` (axes < a done)
+        if a == g.d:
+            phys = np.abs(stack.reshape(len(stack), -1)) * scale
+            if np.isinf(p):
+                return phys.max(axis=1)
+            return (g.cell * np.sum(phys**p, axis=1)) ** (1.0 / p)
+        # a stack of several prefixes came from a budget-sized group, so its
+        # shifts fit in one group here too: groups split only single prefixes
+        group = max(1, _CHUNK_POINTS // (math.prod(map(len, rows[a + 1 :])) * g.size))
+        parts = []
+        for start in range(0, len(rows[a]), group):
+            r = rows[a][start : start + group].reshape((1, -1) + g._axis_shape(a))
+            nxt = (stack[:, None] * r).reshape((-1,) + g.shape)
+            parts.append(descend(np.fft.ifft(nxt, axis=a + 1, out=nxt), a + 1))
+        return np.concatenate(parts)
+
+    return descend(F.coefficients[None], 0)
 
 
 def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:

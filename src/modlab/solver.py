@@ -19,14 +19,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, Trajectory, fourier_multiply, lp_norm, spacetime_lp_norm
+from modlab.grid import (
+    Field, Grid, Trajectory, forward, fourier_multiply, inverse, lp_norm, spacetime_lp_norm
+)
 from modlab.modspace import ModNormSpec, Window, make_window, modulation_norm, _smoothstep, _abs_freq
-from modlab.propagator import duhamel_path, free_evolve, mass
+from modlab.propagator import duhamel_path, free_multiplier, mass
 
 __all__ = [
     "NLSProblem",
     "SolverReport",
     "Certificate",
+    "CertificateViolation",
     "nonlinearity",
     "picard_solve",
     "splitstep_solve",
@@ -102,6 +105,17 @@ class Certificate:
             "tail_norms": list(self.tail_norms),
             "holds": self.holds(),
         }
+
+
+class CertificateViolation(RuntimeError):
+    """An iterate left the large-data ball.  ``certificate`` is the partial
+    certificate, the violating iterate's norms last; ``inequality`` names the
+    failed bound."""
+
+    def __init__(self, inequality: str, certificate: Certificate):
+        super().__init__(inequality)
+        self.inequality = inequality
+        self.certificate = certificate
 
 
 @dataclass
@@ -206,8 +220,9 @@ def picard_solve(
         window = make_window(grid)
     path_norm = _path_norm(kind, window, s)
     ts = np.linspace(0.0, problem.horizon, problem.time_nodes)
-    nodes = [free_evolve(problem.u0, float(t)).values for t in ts]
-    free = Trajectory(grid, ts, np.stack(nodes))
+    spectrum = forward(grid, problem.u0.values)  # one transform of u0 for every node
+    nodes = [inverse(grid, free_multiplier(grid, float(t)) * spectrum) for t in ts[1:]]
+    free = Trajectory(grid, ts, np.stack([problem.u0.values, *nodes]))
     if initial == "free":
         current = free
     elif initial == "zero":
@@ -348,7 +363,7 @@ def large_data_protocol(
     T <= c1 * min(N^{-6/(d-2)}, N^{-2d/(d-2)}) * A^{-4/(d-2)}.  Runs the
     Picard iteration on [0, T] and verifies the ball conditions
     ||u^(j)|| <= 2A and ||P_{>N} u^(j)|| <= 2 delta at every iterate,
-    aborting with the failing inequality named.
+    raising ``CertificateViolation`` with the failing inequality named.
     """
     d = problem.d
     if d not in (3, 4):
@@ -392,14 +407,16 @@ def large_data_protocol(
         cert.total_norms.append(total)
         cert.tail_norms.append(tail)
         if total > 2.0 * A + 1e-12:
-            raise RuntimeError(
+            raise CertificateViolation(
                 f"certificate violation at iterate {j}: "
-                f"||u||_{{M^s_{{4,2}}}} = {total:.6g} > 2A = {2 * A:.6g}"
+                f"||u||_{{M^s_{{4,2}}}} = {total:.6g} > 2A = {2 * A:.6g}",
+                cert,
             )
         if tail > 2.0 * delta + 1e-12:
-            raise RuntimeError(
+            raise CertificateViolation(
                 f"certificate violation at iterate {j}: "
-                f"||P_>N u||_{{M^s_{{4,2}}}} = {tail:.6g} > 2 delta = {2 * delta:.6g}"
+                f"||P_>N u||_{{M^s_{{4,2}}}} = {tail:.6g} > 2 delta = {2 * delta:.6g}",
+                cert,
             )
 
     path, report = picard_solve(

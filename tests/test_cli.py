@@ -16,6 +16,25 @@ from modlab.cli import (
 from modlab.datagen import load_field
 
 
+LARGEDATA_CFG = """
+[experiment]
+kind = largedata
+seed = 1
+
+[grid]
+d = 3
+n = 16
+length = 25.132741228718345
+
+[problem]
+data = mollified
+n_radius = 2
+amplitude = 1.0
+horizon = 1.0
+time_nodes = 17
+c0 = 0.4
+"""
+
 SMOOTHING_CFG = """
 [experiment]
 kind = smoothing
@@ -180,27 +199,7 @@ tolerance = 1e-5
         assert summary["sum_space_smallness"]["bound"] > 0
 
     def test_largedata(self, tmp_path):
-        cfg = write(
-            tmp_path,
-            """
-[experiment]
-kind = largedata
-seed = 1
-
-[grid]
-d = 3
-n = 16
-length = 25.132741228718345
-
-[problem]
-data = mollified
-n_radius = 2
-amplitude = 1.0
-horizon = 1.0
-time_nodes = 17
-c0 = 0.4
-""",
-        )
+        cfg = write(tmp_path, LARGEDATA_CFG)
         out = tmp_path / "out"
         assert run(str(cfg), str(out)) == EXIT_PASS
         summary = json.loads((out / "largedata.json").read_text())
@@ -352,6 +351,22 @@ class TestFailurePaths:
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         assert run(str(cfg), str(blocker / "out")) == EXIT_IO
+
+    def test_certificate_violation_is_reported(self, tmp_path, capsys):
+        # a horizon far past the smallness bound: the iterates leave the ball
+        cfg = write(tmp_path, LARGEDATA_CFG.replace("amplitude = 1.0", "amplitude = 2.0")
+                    .replace("c0 = 0.4", "c0 = 5\nc1 = 1e9"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_FAIL
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "largedata.json").read_text())
+        assert summary["pass"] is False
+        assert "certificate violation at iterate" in summary["violation"]
+        assert "> 2A" in summary["violation"]
+        cert = summary["report"]["certificate"]
+        assert cert["holds"] is False and cert["total_norms"][-1] > 2 * cert["A"]
+        rows = (out / "largedata.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(cert["total_norms"])
 
 
 class TestExitCodes:

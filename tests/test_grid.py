@@ -103,6 +103,16 @@ class TestTransforms:
         with pytest.raises(ValueError, match="finite"):
             Field(grid1d, vals)
 
+    @pytest.mark.parametrize("kind", [Field, SpectralField])
+    def test_compared_by_identity(self, grid1d, kind):
+        # array members make value equality ambiguous; equality is identity
+        zeros = kind(grid1d, np.zeros(grid1d.shape))
+        ones = kind(grid1d, np.ones(grid1d.shape))
+        same = kind(grid1d, np.zeros(grid1d.shape))
+        assert (zeros == ones) is False and (zeros == same) is False
+        assert zeros == zeros and zeros != ones
+        assert len({zeros, ones, zeros}) == 2
+
 
 class TestLpNorm:
     def test_constant_field(self):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from modlab import modspace
 from modlab.grid import Field, SpectralField, from_spectrum, lp_norm, make_grid, to_spectrum
 from modlab.modspace import (
     ModNormSpec,
+    _piece_lp_norms,
     ball_cover_centers,
     box_project,
+    bump,
     dyadic_multipliers,
     dyadic_project,
     iso_piece,
@@ -160,6 +163,90 @@ class TestModulationNorm:
         # two-point slope in log2 against the d/2 = 1.5 prediction
         two_point = np.log2(vals[1] / vals[0])
         assert two_point <= 1.5 + 0.1
+
+
+def per_window_norms(F, ks, window, p):
+    """The per-window formula the separable kernel replaced: one ifftn of
+    sigma_k F per window, kept here as the oracle."""
+    g = window.grid
+    scale = g.dxi**g.d * (2.0 * np.pi) ** (-g.d / 2.0) * g.size
+    out = []
+    for k in ks:
+        phys = np.abs(np.fft.ifftn(window.multiplier(k) * F.coefficients)) * scale
+        out.append(phys.max() if np.isinf(p) else (g.cell * np.sum(phys**p)) ** (1.0 / p))
+    return np.array(out)
+
+
+def ball_noise_spectrum(grid, seed):
+    """Random complex coefficients (not a tensor product) on an off-center
+    ball, so the active shift ranges are a proper part of the lattice."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    dist = sum((xi - c) ** 2 for xi, c in zip(grid.freqs(), (0.75, -0.5, 0.25)))
+    return SpectralField(grid, np.where(dist < 1.6**2, coeffs, 0.0))
+
+
+KERNEL_GRIDS = {1: (64, 8 * np.pi), 2: (32, 8 * np.pi), 3: (16, 8 * np.pi)}
+
+
+class TestPieceKernel:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0, np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_window_formula(self, d, p):
+        g = make_grid(d, *KERNEL_GRIDS[d])
+        w = make_window(g)
+        F = ball_noise_spectrum(g, seed=d)
+        ks = w.active_lattice(F.coefficients)
+        assert 1 < len(ks) < len(list(w.lattice()))
+        got = _piece_lp_norms(F, ks, w, p)
+        want = per_window_norms(F, ks, w, p)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("levels", ["leading", "every"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_split_leading_axis_matches(self, d, levels, monkeypatch):
+        # a shrunken budget splits the leading axis's shifts into groups of
+        # three, or, at three grids, the shifts of every axis
+        g = make_grid(d, *KERNEL_GRIDS[d])
+        w = make_window(g)
+        F = ball_noise_spectrum(g, seed=10 + d)
+        ks = list(w.lattice())
+        below = (2 * w.kmax + 1) ** (d - 1) if levels == "leading" else 1
+        monkeypatch.setattr(modspace, "_CHUNK_POINTS", 3 * below * g.size)
+        got = _piece_lp_norms(F, ks, w, 4.0)
+        want = per_window_norms(F, ks, w, 4.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want.max())
+
+    def test_non_product_windows_rejected(self, grid3d):
+        w = make_window(grid3d)
+        F = ball_noise_spectrum(grid3d, seed=0)
+        ks = w.active_lattice(F.coefficients)
+        for bad in (ks[::-1], ks[1:], []):
+            with pytest.raises(ValueError, match="product"):
+                _piece_lp_norms(F, bad, w, 4.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_round_off_residue_activates_nothing(self, d):
+        # a compact bump spectrum plus a ~3e-17 residue on every coefficient:
+        # the residue leaves the active set alone and the norm matches the
+        # sum over the whole lattice
+        g = make_grid(d, *KERNEL_GRIDS[d])
+        w = make_window(g)
+        r_sq = sum((xi - c) ** 2 for xi, c in zip(g.freqs(), (0.5, -0.25, 0.0)))
+        clean = bump(r_sq / 1.2**2).astype(complex)
+        rng = np.random.default_rng(d)
+        residue = 3e-17 * np.exp(2j * np.pi * rng.random(g.shape))
+        noisy = clean + residue * np.abs(clean).max()
+        assert np.all(noisy != 0.0)
+        assert w.active_lattice(noisy) == w.active_lattice(clean)
+        assert len(w.active_lattice(clean)) < len(list(w.lattice()))
+        spec = ModNormSpec(1.1, 4.0, 2.0)
+        F = SpectralField(g, noisy)
+        ks = list(w.lattice())
+        brackets = np.array([np.sqrt(1.0 + sum(v * v for v in k)) for k in ks])
+        exhaustive = np.sqrt(np.sum((brackets**spec.s * _piece_lp_norms(F, ks, w, 4.0)) ** 2))
+        norm = modulation_norm(from_spectrum(F), spec, w)
+        assert abs(norm - exhaustive) <= 1e-14 * exhaustive
 
 
 class TestDyadic:

@@ -6,6 +6,7 @@ from modlab.modspace import make_window
 from modlab.datagen import mollified_indicator
 from modlab.propagator import free_evolve, mass
 from modlab.solver import (
+    CertificateViolation,
     NLSProblem,
     cross_validate,
     large_data_protocol,
@@ -82,6 +83,15 @@ class TestPicard:
         assert np.array_equal(first.values[0], prob.u0.values)
         assert np.array_equal(first.times, np.linspace(0.0, prob.horizon, prob.time_nodes))
         assert np.array_equal(path.values[0], prob.u0.values)
+
+    def test_free_trajectory_is_free_evolve(self):
+        # one forward transform of u0 serves every node, bit for bit
+        prob = small_quintic()
+        seen = []
+        picard_solve(prob, max_iters=1, iterate_hook=lambda j, p: seen.append(p))
+        ts = np.linspace(0.0, prob.horizon, prob.time_nodes)
+        expect = np.stack([free_evolve(prob.u0, float(t)).values for t in ts])
+        assert np.array_equal(seen[0].values, expect)
 
     @pytest.mark.parametrize("horizon", [0.0, -0.1])
     def test_nonpositive_horizon_rejected(self, horizon):
@@ -272,10 +282,16 @@ class TestLargeData:
         # a horizon far beyond the proof's smallness bound lets the iterates
         # leave the ball; the abort must name the violated inequality
         prob = NLSProblem(u0=2.0 * self.data, horizon=1.0, time_nodes=17)
-        with pytest.raises(RuntimeError, match="2A"):
+        with pytest.raises(CertificateViolation, match="2A") as info:
             large_data_protocol(
                 prob, window=self.window, c0=5.0, c1=1e9, max_iters=6
             )
+        # the partial certificate ends with the violating iterate's norms
+        cert = info.value.certificate
+        assert isinstance(info.value, RuntimeError) and "2A" in info.value.inequality
+        assert cert.total_norms[-1] > 2.0 * cert.A and not cert.holds()
+        assert all(v <= 2.0 * cert.A for v in cert.total_norms[:-1])
+        assert len(cert.tail_norms) == len(cert.total_norms)
 
     def test_unreachable_tail_budget_rejected(self):
         prob = NLSProblem(u0=self.data, horizon=1.0, time_nodes=17)

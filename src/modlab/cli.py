@@ -15,7 +15,8 @@ Exit codes: 0 pass, 1 criteria failed, 2 config parse error,
 3 unknown experiment, 4 invalid scales, 5 I/O failure.  A large-data run
 whose iterate leaves the certificate ball exits 1 with both files written:
 the partial certificate, ``pass: false`` and the violated inequality under
-``violation``.
+``violation``.  A solve run whose split-step oracle trips its blow-up guard
+exits 1 the same way, with the guard's message under ``violation``.
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def _problem_from_config(cfg, xcfg):
 
 
 def _run_solve(cfg, xcfg, out_dir):
-    from modlab.solver import cross_validate, sum_space_smallness
+    from modlab.solver import BlowUp, cross_validate, sum_space_smallness
 
     problem = _problem_from_config(cfg, xcfg)
     tol = _get(cfg, "problem", "tolerance", float, 1e-5)
@@ -351,7 +352,21 @@ def _run_solve(cfg, xcfg, out_dir):
         smallness = sum_space_smallness(
             problem.u0, xcfg.window(), s=_get(cfg, "problem", "s", float, 0.5)
         )
-    report = cross_validate(problem, tol=tol)
+    try:
+        report = cross_validate(problem, tol=tol)
+    except BlowUp as exc:
+        # the split-step oracle stopped, so there is no solution to compare
+        summary = {
+            "slope": None,
+            "intercept": None,
+            "residual": None,
+            "predicted": None,
+            "margin": tol,
+            "pass": False,
+            "violation": str(exc),
+            "sum_space_smallness": smallness,
+        }
+        return [], summary, False
     factors = report["picard_report"]["contraction_factors"]
     contracting = all(f < 0.5 for f in factors[1:]) if len(factors) > 1 else True
     passed = report["agrees"] and contracting

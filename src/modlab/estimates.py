@@ -322,31 +322,29 @@ def bilinear_ratio(
     if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
         raise InvalidScales("bilinear scales exceed xi_max/2")
 
-    def check_sep(n_high, n_low):
-        if n_low * config.min_separation > n_high:
-            raise ValueError(
-                f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
-            )
+    cells = {}  # both sweeps measure (max scale, fixed scale)
 
-    lhs_hi, rhs_hi = [], []
-    for n1 in config.scales:
-        check_sep(n1, config.fixed_scale)
-        a, b = _bilinear_cell(config, grid, window, n1, config.fixed_scale)
-        lhs_hi.append(a)
-        rhs_hi.append(b)
+    def sweep(pairs):
+        """(lhs values, rhs values) of the cells (N1, N2), each measured once."""
+        for n_high, n_low in pairs:
+            if n_low * config.min_separation > n_high:
+                raise ValueError(
+                    f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
+                )
+            if (n_high, n_low) not in cells:
+                cells[n_high, n_low] = _bilinear_cell(config, grid, window, n_high, n_low)
+        return zip(*(cells[pair] for pair in pairs))
+
+    lhs_hi, rhs_hi = sweep([(n1, config.fixed_scale) for n1 in config.scales])
     fit_high = _make_fit(
         config.scales, lhs_hi, rhs_hi, 0.0, config.margin, "bilinear_high"
     )
 
     n1_fixed = max(config.scales)
-    lhs_lo, rhs_lo = [], []
     low_scales = tuple(s for s in config.scales if s * config.min_separation <= n1_fixed)
     if len(low_scales) < 3:
         raise InvalidScales("fewer than 3 admissible low scales in the sweep")
-    for n2 in low_scales:
-        a, b = _bilinear_cell(config, grid, window, n1_fixed, n2)
-        lhs_lo.append(a)
-        rhs_lo.append(b)
+    lhs_lo, rhs_lo = sweep([(n1_fixed, n2) for n2 in low_scales])
     meta = {"window": window.describe(), "fixed_high": n1_fixed}
     if log_chain:
         meta["chain"] = bilinear_chain_log(

@@ -30,6 +30,7 @@ __all__ = [
     "SolverReport",
     "Certificate",
     "CertificateViolation",
+    "BlowUp",
     "nonlinearity",
     "picard_solve",
     "splitstep_solve",
@@ -282,6 +283,19 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 
 
+class BlowUp(RuntimeError):
+    """The split-step state at time ``t`` has sup|u| = ``sup`` past the
+    guard, or not finite."""
+
+    def __init__(self, t: float, sup: float, guard_factor: float):
+        super().__init__(
+            f"blow-up guard tripped at t={t:.6g}: "
+            f"sup|u| = {sup:.6g} exceeded {guard_factor:g} x initial"
+        )
+        self.t = t
+        self.sup = sup
+
+
 def splitstep_solve(
     problem: NLSProblem,
     dt: float,
@@ -291,8 +305,8 @@ def splitstep_solve(
     """Strang splitting: half nonlinear phase, full linear step, half phase.
 
     Each substep is either unitary or a pointwise phase rotation, so the mass
-    is conserved to round-off.  Aborts when the sup norm exceeds
-    ``guard_factor`` times its initial value.
+    is conserved to round-off.  Raises ``BlowUp`` when the sup norm exceeds
+    ``guard_factor`` times its initial value or is not finite.
 
     ``store``: "nodes" records the state at the problem's time nodes,
     "final" only at the horizon.
@@ -319,12 +333,10 @@ def splitstep_solve(
         u = phase_halfstep(u)
         u = ifft(linear * fft(u))
         u = phase_halfstep(u)
-        if float(np.max(np.abs(u))) > guard:
-            raise RuntimeError(
-                f"blow-up guard tripped at t={(step + 1) * dt:.6g}: "
-                f"sup|u| exceeded {guard_factor:g} x initial"
-            )
         t = (step + 1) * dt
+        sup = float(np.max(np.abs(u)))
+        if not sup <= guard:  # a NaN sup fails every comparison
+            raise BlowUp(t, sup, guard_factor)
         if store == "nodes":
             while next_node < len(nodes) and nodes[next_node] <= t + 1e-12:
                 times.append(nodes[next_node])

@@ -1,8 +1,11 @@
+import configparser
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlab.cli import (
     EXIT_CONFIG,
@@ -52,6 +55,9 @@ p = 4
 time_nodes = 257
 margin = 0.15
 """
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -367,6 +373,73 @@ class TestFailurePaths:
         assert cert["holds"] is False and cert["total_norms"][-1] > 2 * cert["A"]
         rows = (out / "largedata.csv").read_text().splitlines()
         assert len(rows) == 1 + len(cert["total_norms"])
+
+    def test_split_step_blow_up_is_reported(self, tmp_path, capsys, monkeypatch):
+        import modlab.solver as solver
+
+        def blows_up(problem, dt, store="nodes", guard_factor=1e6):
+            raise solver.BlowUp(0.05, float("nan"), guard_factor)
+
+        monkeypatch.setattr(solver, "splitstep_solve", blows_up)
+        out = tmp_path / "out"
+        code = main(["run", str(CONFIGS / "solve_quintic.cfg"), "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "solve.json").read_text())
+        assert summary["pass"] is False
+        assert summary["violation"] == (
+            "blow-up guard tripped at t=0.05: sup|u| = nan exceeded 1e+06 x initial"
+        )
+        assert (out / "solve.csv").read_text() == "experiment,scale,lhs,rhs,ratio\n"
+
+
+def _sections(name):
+    cp = configparser.ConfigParser()
+    cp.read(CONFIGS / name)
+    return {s: dict(cp.items(s)) for s in cp.sections()}
+
+
+# sizes stay small or invalid, so no draw allocates more than a few MB
+_SIZES = {"d": ["1", "2"], "n": ["16", "32", "64"], "time_nodes": ["3", "16", "17", "33"]}
+_BAD = ["", "inf", "-inf", "nan", "0", "-1", "-2.5", "0.5", "1e100", "1e400", "garbage", "%(x)s"]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A shipped solve or datagen config with values replaced by drawn
+    tokens, keys and sections dropped, and maybe one junk line."""
+    text = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=6)
+    lines = []
+    for section, items in _sections(
+        draw(st.sampled_from(["solve_quintic.cfg", "datagen_mollified.cfg"]))
+    ).items():
+        if draw(st.sampled_from(["keep"] * 9 + ["drop"])) == "drop":
+            continue
+        lines.append(f"[{section}]")
+        for key, value in items.items():
+            action = draw(st.sampled_from(["keep"] * 6 + ["replace", "drop"]))
+            if key in _SIZES:  # never dropped nor kept: the shipped n is 256 or 512
+                value = draw(st.sampled_from(_SIZES[key] if action == "keep" else _BAD))
+            elif action == "drop":
+                continue
+            elif action == "replace":
+                value = draw(st.sampled_from(_BAD) | text)
+            lines.append(f"{key} = {value}")
+    junk = draw(st.sampled_from([None] * 12 + ["garbage", "[experiment]", "= 3", "[grid"]))
+    if junk is not None:
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(text=fuzzed_configs())
+    def test_any_config_gives_an_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            code = run(str(cfg), str(Path(tmp) / "out"))
+        assert isinstance(code, int) and 0 <= code <= 5
 
 
 class TestExitCodes:

@@ -191,6 +191,20 @@ class TestBilinear:
         fit_high, _ = bilinear_ratio(self.small_config(), log_chain=False)
         assert abs(fit_high.slope) <= 0.15
 
+    def test_shared_cell_measured_once(self, monkeypatch):
+        # both sweeps use the cell (max scale, fixed scale) = (4, 1)
+        calls = []
+
+        def cell(config, grid, window, n_high, n_low):
+            calls.append((n_high, n_low))
+            return n_high * n_low, 1.0
+
+        monkeypatch.setattr(est, "_bilinear_cell", cell)
+        fit_high, fit_low = bilinear_ratio(self.small_config(), log_chain=False)
+        assert len(calls) == len(set(calls)) == 5
+        assert list(fit_high.lhs) == [1.0, 2.0, 4.0]
+        assert list(fit_low.lhs) == [4.0, 8.0, 16.0]
+
     def test_regime_guard(self):
         cfg = self.small_config(min_separation=4.0, fixed_scale=2.0)
         with pytest.raises(ValueError, match="regime"):

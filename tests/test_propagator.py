@@ -247,6 +247,32 @@ class TestExtension:
             direct_ball_norm(profile, pts, w, R, 4.0, spu), rel=1e-12
         )
 
+    @pytest.mark.parametrize("budget", ["one row", "mid-range"])
+    @pytest.mark.parametrize("d, mesh, R, spu", [(1, 48, 6.0, 2.0), (2, 12, 4.0, 1.5)])
+    def test_ball_norms_in_blocks_match_direct(self, monkeypatch, d, mesh, R, spu, budget):
+        # the row budget splits the ball's shadow into single points, or into
+        # blocks whose last one is partial; every slice (the whole mesh, then
+        # three caps) must match the per-row oracle on f 1_S.  The profile is
+        # complex and has no symmetry, so t -> -t changes every norm.
+        from modlab import propagator
+
+        pts, w = unit_ball_mesh(d, mesh)
+        profile = np.cos(2.0 * pts[:, 0] + 0.4) + 0.5j * pts[:, -1] ** 3 + 0.3
+        m = int(np.ceil(2 * R * spu))
+        axis = -R + 2 * R / m * (np.arange(m) + 0.5)
+        r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij"))
+        shadow = int(np.count_nonzero(r_sq <= R**2))
+        rows = 1 if budget == "one row" else shadow // 3 + 1
+        assert shadow > 2 * rows  # three blocks or more, the last one short
+        monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
+        n = len(pts)
+        slices = [(0, n), (0, n // 5), (n // 5, n // 2), (n // 2, n)]
+        norms = propagator.extension_ball_norms(profile, pts, w, R, 3.0, spu, slices)
+        for (a, b), norm in zip(slices, norms):
+            piece = np.where((np.arange(n) >= a) & (np.arange(n) < b), profile, 0.0)
+            direct = direct_ball_norm(piece, pts, w, R, 3.0, spu)
+            assert norm == pytest.approx(direct, rel=1e-12)
+
     def test_ball_norm_d2_runs(self):
         from modlab.propagator import extension_lp_norm
 

@@ -6,6 +6,7 @@ from modlab.modspace import make_window
 from modlab.datagen import mollified_indicator
 from modlab.propagator import free_evolve, mass
 from modlab.solver import (
+    BlowUp,
     CertificateViolation,
     NLSProblem,
     cross_validate,
@@ -163,8 +164,24 @@ class TestSplitStep:
         x = g.axis_coords()
         u0 = Field(g, 2.5 * np.exp(-(x**2) / 2).astype(complex))
         prob = NLSProblem(u0=u0, horizon=0.1, time_nodes=65, sign=-1)
-        with pytest.raises(RuntimeError, match="guard"):
+        with pytest.raises(BlowUp, match="guard") as info:
             splitstep_solve(prob, dt=prob.horizon / 256, guard_factor=1.5)
+        assert 0.0 < info.value.t < prob.horizon and info.value.sup > 1.5 * 2.5
+
+    @pytest.mark.parametrize("state", ["guard below the initial peak", "nan"])
+    def test_blowup_reports_first_bad_step(self, state):
+        # at amplitude 1e100 the phase |u|^4 dt overflows and the first step
+        # leaves NaN everywhere; NaN compares false with the guard, so only an
+        # explicit check of the state sees it
+        if state == "nan":
+            prob, factor = small_quintic(amplitude=1e100), 1e6
+        else:
+            prob, factor = small_quintic(), 0.5
+        dt = prob.horizon / 256
+        with pytest.raises(BlowUp) as info, np.errstate(over="ignore", invalid="ignore"):
+            splitstep_solve(prob, dt=dt, guard_factor=factor)
+        assert info.value.t == dt
+        assert np.isnan(info.value.sup) == (state == "nan")
 
 
 class TestCrossValidate:

@@ -3,13 +3,21 @@
 Usage: ``modlab run <config> --out <dir> [--seed N]``
 
 Configs are flat INI key-value files with sections (see configs/ for
-examples).  Each run executes one experiment and writes, atomically, a CSV
-with the fixed columns (experiment, scale, lhs, rhs, ratio) and a JSON
-summary carrying the fit keys (slope, intercept, residual, predicted,
-margin, pass) plus the fully resolved config for provenance.  Its
-``config.threads`` leaf is a fixed provenance field, always null: modlab has
-no worker setting, and recorded outputs keep the leaf.  The process
-exit code is 0 only when every pass criterion of the experiment holds.
+examples).  ``[experiment] kind`` picks one entry of ``EXPERIMENTS``, the
+table of experiment drivers; the five ratio sweeps among them name their
+``modlab.estimates`` function in ``SWEEPS``.  The keys shared by every kind
+are the fields of ``estimates.ExperimentConfig``, with its defaults and
+types: ``d``, ``n``, ``length`` and ``cube`` under ``[grid]``, ``seed`` under
+``[experiment]``, the rest under ``[sweep]``.  Keys a driver alone reads
+(``trials``, ``tolerance``, the ``[problem]`` section) default in the driver.
+
+Each run writes, atomically, a CSV with the fixed columns (experiment,
+scale, lhs, rhs, ratio) and a JSON summary carrying the fit keys (slope,
+intercept, residual, predicted, margin, pass) plus the fully resolved config
+for provenance.  Its ``config.threads`` leaf is a fixed provenance field,
+always null: modlab has no worker setting, and recorded outputs keep the
+leaf.  The process exit code is 0 only when every pass criterion of the
+experiment holds.
 
 Exit codes: 0 pass, 1 criteria failed, 2 config parse error,
 3 unknown experiment, 4 invalid scales, 5 I/O failure.  A large-data run
@@ -23,13 +31,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+from modlab.grid import InvalidScales
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,18 +50,18 @@ EXIT_UNKNOWN = 3
 EXIT_SCALES = 4
 EXIT_IO = 5
 
-EXPERIMENTS = (
-    "norms",
-    "smoothing",
-    "strichartz",
-    "bilinear",
-    "v2bilinear",
-    "decoupling",
-    "variation",
-    "solve",
-    "largedata",
-    "datagen",
-)
+# sweep kind -> name of its function in modlab.estimates, looked up at call
+# time so that a rebinding of the module attribute takes effect
+SWEEPS = {
+    "smoothing": "smoothing_ratio",
+    "strichartz": "strichartz_l4_ratio",
+    "bilinear": "bilinear_ratio",
+    "v2bilinear": "v2_bilinear_ratio",
+    "decoupling": "decoupling_ratio",
+}
+
+# config section of each ExperimentConfig field outside [sweep]
+_SECTIONS = {"d": "grid", "n": "grid", "length": "grid", "cube": "grid", "seed": "experiment"}
 
 
 class ConfigError(ValueError):
@@ -78,25 +90,19 @@ def _parse_config(path: Path) -> dict:
     return out
 
 
-def _get(cfg: dict, section: str, key: str, cast, default=None):
+def _get(cfg: dict, section: str, key: str, cast, default):
+    raw = cfg.get(section, {}).get(key)
+    if raw is None:
+        return default
     try:
-        raw = cfg.get(section, {}).get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing key {key!r} in section [{section}]")
-            return default
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
-def _scales(cfg: dict, default=None) -> tuple[float, ...]:
-    from modlab.estimates import InvalidScales
-
+def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     raw = cfg.get("sweep", {}).get("scales")
     if raw is None:
-        if default is None:
-            raise ConfigError("missing [sweep] scales")
         return default
     try:
         vals = tuple(float(v) for v in raw.replace(",", " ").split())
@@ -108,32 +114,19 @@ def _scales(cfg: dict, default=None) -> tuple[float, ...]:
 
 
 def _experiment_config(cfg: dict, seed_override: int | None):
+    """``ExperimentConfig`` from the config, each field cast to the type of
+    its default.  ``sweep`` is not read: no experiment uses it."""
     from modlab.estimates import ExperimentConfig
 
-    seed = seed_override
-    if seed is None:
-        seed = _get(cfg, "experiment", "seed", int, 0)
-    kwargs = dict(
-        d=_get(cfg, "grid", "d", int, 1),
-        n=_get(cfg, "grid", "n", int, 256),
-        length=_get(cfg, "grid", "length", float, 8.0 * math.pi),
-        cube=_get(cfg, "grid", "cube", float, 1.0),
-        seed=seed,
-        scales=_scales(cfg, default=(2.0, 4.0, 8.0)),
-        family=_get(cfg, "sweep", "family", str, "focusing"),
-        p=_get(cfg, "sweep", "p", float, 4.0),
-        s=_get(cfg, "sweep", "s", float, 0.0),
-        q=_get(cfg, "sweep", "q", float, 2.0),
-        horizon=_get(cfg, "sweep", "horizon", float, 1.0),
-        time_nodes=_get(cfg, "sweep", "time_nodes", int, 129),
-        margin=_get(cfg, "sweep", "margin", float, 0.15),
-        fixed_scale=_get(cfg, "sweep", "fixed_scale", float, 1.0),
-        min_separation=_get(cfg, "sweep", "min_separation", float, 1.0),
-        atoms=_get(cfg, "sweep", "atoms", int, 1),
-        mesh=_get(cfg, "sweep", "mesh", int, 0),
-        samples_per_unit=_get(cfg, "sweep", "samples_per_unit", float, 2.0),
-        profile=_get(cfg, "sweep", "profile", str, "constant"),
-    )
+    kwargs = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name == "scales":
+            kwargs[f.name] = _scales(cfg, f.default)
+        elif f.name == "seed" and seed_override is not None:
+            kwargs[f.name] = seed_override
+        elif f.name != "sweep":
+            section = _SECTIONS.get(f.name, "sweep")
+            kwargs[f.name] = _get(cfg, section, f.name, type(f.default), f.default)
     return ExperimentConfig(**kwargs)
 
 
@@ -183,15 +176,15 @@ def _write_outputs(out_dir: Path, name: str, rows: list, summary: dict) -> None:
     _atomic_write(out_dir / f"{name}.json", (payload + "\n").encode())
 
 
-def _fit_rows(name: str, fit) -> list:
-    return [
-        (s, l, r, q)
-        for s, l, r, q in zip(fit.scales, fit.lhs, fit.rhs, fit.ratios)
-    ]
+def _fit_rows(fit) -> list:
+    return list(zip(fit.scales, fit.lhs, fit.rhs, fit.ratios))
 
 
-def _fit_summary(fit) -> dict:
-    return fit.to_dict()
+def _summary(margin: float, passed: bool, **extra) -> dict:
+    """JSON summary with every fit key; an experiment that fits no exponent
+    leaves the ones it does not pass in ``extra`` null."""
+    fit_keys = dict(slope=None, intercept=None, residual=None, predicted=None)
+    return {**fit_keys, "margin": margin, "pass": passed, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -217,50 +210,23 @@ def _run_norms(cfg, xcfg, out_dir):
         devs.append(abs(lhs - rhs) / rhs)
     tol = _get(cfg, "sweep", "tolerance", float, 1e-10)
     passed = max(devs) <= tol
-    summary = {
-        "slope": None,
-        "intercept": None,
-        "residual": None,
-        "predicted": 1.0,
-        "margin": tol,
-        "pass": passed,
-        "max_rel_deviation": max(devs),
-        "window": window.describe(),
-    }
+    summary = _summary(
+        tol, passed, predicted=1.0, max_rel_deviation=max(devs), window=window.describe()
+    )
     return rows, summary, passed
 
 
 def _run_sweep(kind, cfg, xcfg, out_dir):
     from modlab import estimates
 
-    if kind == "smoothing":
-        fit = estimates.smoothing_ratio(xcfg)
-        return _fit_rows(kind, fit), _fit_summary(fit), fit.passed
-    if kind == "strichartz":
-        fit = estimates.strichartz_l4_ratio(xcfg)
-        return _fit_rows(kind, fit), _fit_summary(fit), fit.passed
-    if kind == "decoupling":
-        fit = estimates.decoupling_ratio(xcfg)
-        return _fit_rows(kind, fit), _fit_summary(fit), fit.passed
-    if kind == "v2bilinear":
-        fit = estimates.v2_bilinear_ratio(xcfg)
-        return _fit_rows(kind, fit), _fit_summary(fit), fit.passed
-    if kind == "bilinear":
-        fit_high, fit_low = estimates.bilinear_ratio(xcfg)
-        rows = _fit_rows("bilinear_high", fit_high) + _fit_rows("bilinear_low", fit_low)
-        passed = fit_high.passed and fit_low.passed
-        summary = {
-            "slope": fit_low.slope,
-            "intercept": fit_low.intercept,
-            "residual": fit_low.residual,
-            "predicted": fit_low.predicted,
-            "margin": fit_low.margin,
-            "pass": passed,
-            "high": _fit_summary(fit_high),
-            "low": _fit_summary(fit_low),
-        }
-        return rows, summary, passed
-    raise UnknownExperiment(kind)
+    result = getattr(estimates, SWEEPS[kind])(xcfg)
+    if kind != "bilinear":
+        return _fit_rows(result), result.to_dict(), result.passed
+    high, low = result
+    passed = high.passed and low.passed
+    fit = {key: getattr(low, key) for key in ("slope", "intercept", "residual", "predicted")}
+    summary = _summary(low.margin, passed, **fit, high=high.to_dict(), low=low.to_dict())
+    return _fit_rows(high) + _fit_rows(low), summary, passed
 
 
 def _run_variation(cfg, xcfg, out_dir):
@@ -275,7 +241,7 @@ def _run_variation(cfg, xcfg, out_dir):
     )
 
     trials = _get(cfg, "sweep", "trials", int, 50)
-    p = _get(cfg, "sweep", "p", float, 2.0)
+    p = xcfg.p
     grid = xcfg.grid()
     norm = LpValueNorm(2.0)
     rng = np.random.default_rng(xcfg.seed)
@@ -297,16 +263,7 @@ def _run_variation(cfg, xcfg, out_dir):
             bound = 1.0001 * vp_norm(path, q, norm)
             duality_ok = duality_ok and abs(duality_pairing(atom, path)) <= bound
     passed = exact and duality_ok
-    summary = {
-        "slope": None,
-        "intercept": None,
-        "residual": None,
-        "predicted": None,
-        "margin": 0.0,
-        "pass": passed,
-        "dp_matches_bruteforce": exact,
-        "duality_inequality": duality_ok,
-    }
+    summary = _summary(0.0, passed, dp_matches_bruteforce=exact, duality_inequality=duality_ok)
     return rows, summary, passed
 
 
@@ -356,16 +313,7 @@ def _run_solve(cfg, xcfg, out_dir):
         report = cross_validate(problem, tol=tol)
     except BlowUp as exc:
         # the split-step oracle stopped, so there is no solution to compare
-        summary = {
-            "slope": None,
-            "intercept": None,
-            "residual": None,
-            "predicted": None,
-            "margin": tol,
-            "pass": False,
-            "violation": str(exc),
-            "sum_space_smallness": smallness,
-        }
+        summary = _summary(tol, False, violation=str(exc), sum_space_smallness=smallness)
         return [], summary, False
     factors = report["picard_report"]["contraction_factors"]
     contracting = all(f < 0.5 for f in factors[1:]) if len(factors) > 1 else True
@@ -379,16 +327,13 @@ def _run_solve(cfg, xcfg, out_dir):
             )
         )
     ]
-    summary = {
-        "slope": None,
-        "intercept": None,
-        "residual": report["distance"],
-        "predicted": None,
-        "margin": tol,
-        "pass": passed,
-        "cross_validation": report,
-        "sum_space_smallness": smallness,
-    }
+    summary = _summary(
+        tol,
+        passed,
+        residual=report["distance"],
+        cross_validation=report,
+        sum_space_smallness=smallness,
+    )
     return rows, summary, passed
 
 
@@ -406,25 +351,22 @@ def _run_largedata(cfg, xcfg, out_dir):
     except CertificateViolation as exc:
         # the run stopped at the violating iterate: report the partial certificate
         cert = exc.certificate
-        outcome = {
-            "residual": None,
-            "pass": False,
-            "violation": exc.inequality,
-            "report": {"certificate": cert.to_dict()},
-        }
+        summary = _summary(
+            0.0, False, violation=exc.inequality, report={"certificate": cert.to_dict()}
+        )
     else:
         cert = report.certificate
-        outcome = {
-            "residual": report.final_residual,
-            "pass": cert.holds() and report.converged,
-            "report": report.to_dict(),
-        }
+        summary = _summary(
+            0.0,
+            cert.holds() and report.converged,
+            residual=report.final_residual,
+            report=report.to_dict(),
+        )
     rows = [
         (j, tot, tail, tot / (2 * cert.A))
         for j, (tot, tail) in enumerate(zip(cert.total_norms, cert.tail_norms))
     ]
-    summary = {"slope": None, "intercept": None, "predicted": None, "margin": 0.0, **outcome}
-    return rows, summary, outcome["pass"]
+    return rows, summary, summary["pass"]
 
 
 def _run_datagen(cfg, xcfg, out_dir):
@@ -461,17 +403,7 @@ def _run_datagen(cfg, xcfg, out_dir):
         rows.append(
             (scale, rep.get("m_norm", 0.0), rep.get("h1", 0.0), decay)
         )
-    summary = {
-        "slope": None,
-        "intercept": None,
-        "residual": None,
-        "predicted": None,
-        "margin": 0.0,
-        "pass": True,
-        "reports": reports,
-        "window": window.describe(),
-    }
-    return rows, summary, True
+    return rows, _summary(0.0, True, reports=reports, window=window.describe()), True
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +411,17 @@ def _run_datagen(cfg, xcfg, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def run(config_path: str, out: str, seed: int | None = None) -> int:
-    from modlab.estimates import InvalidScales
+EXPERIMENTS = {
+    "norms": _run_norms,
+    **{kind: partial(_run_sweep, kind) for kind in SWEEPS},
+    "variation": _run_variation,
+    "solve": _run_solve,
+    "largedata": _run_largedata,
+    "datagen": _run_datagen,
+}
 
+
+def run(config_path: str, out: str, seed: int | None = None) -> int:
     out_dir = Path(out)
     try:
         cfg = _parse_config(Path(config_path))
@@ -489,20 +429,7 @@ def run(config_path: str, out: str, seed: int | None = None) -> int:
         if kind not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment kind {kind!r}")
         xcfg = _experiment_config(cfg, seed)
-        if kind == "norms":
-            rows, summary, passed = _run_norms(cfg, xcfg, out_dir)
-        elif kind in ("smoothing", "strichartz", "bilinear", "v2bilinear", "decoupling"):
-            rows, summary, passed = _run_sweep(kind, cfg, xcfg, out_dir)
-        elif kind == "variation":
-            rows, summary, passed = _run_variation(cfg, xcfg, out_dir)
-        elif kind == "solve":
-            rows, summary, passed = _run_solve(cfg, xcfg, out_dir)
-        elif kind == "largedata":
-            rows, summary, passed = _run_largedata(cfg, xcfg, out_dir)
-        elif kind == "datagen":
-            rows, summary, passed = _run_datagen(cfg, xcfg, out_dir)
-        else:  # pragma: no cover - guarded above
-            raise UnknownExperiment(kind)
+        rows, summary, passed = EXPERIMENTS[kind](cfg, xcfg, out_dir)
     except InvalidScales as exc:
         print(f"error: invalid scales: {exc}", file=sys.stderr)
         return EXIT_SCALES

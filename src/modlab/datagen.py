@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from modlab.grid import (
-    Field, Grid, SpectralField, fourier_multiply, from_spectrum, lp_norm, to_spectrum
+    Field, Grid, InvalidScales, SpectralField, fourier_multiply, from_spectrum, lp_norm,
+    make_grid, to_spectrum,
 )
 from modlab.modspace import ModNormSpec, Window, bump, modulation_norm
 from modlab.propagator import gradient_sq_integral
@@ -76,8 +77,6 @@ def mollified_indicator(
 def random_phase_data(scale: float, seed: int, grid: Grid) -> Field:
     """Unit-modulus random-phase coefficients on all modes with |xi| <= scale."""
     if scale > grid.xi_max:
-        from modlab.estimates import InvalidScales  # estimates imports this module
-
         raise InvalidScales(f"scale {scale} outside the band (xi_max={grid.xi_max})")
     mask = grid.freq_sq() <= scale**2
     rng = np.random.default_rng([int(seed), int(round(scale * 16))])
@@ -94,8 +93,6 @@ def focusing_data(scale: float, grid: Grid) -> Field:
     dxi^d (2 pi)^{-d/2} * (number of coefficients).
     """
     if scale > grid.xi_max / 4:
-        from modlab.estimates import InvalidScales
-
         raise InvalidScales(f"scale {scale} exceeds xi_max/4 = {grid.xi_max / 4}")
     mask = reduce(np.logical_and, [np.abs(xi) <= scale for xi in grid.freqs()])
     coeffs = np.where(mask, 1.0 + 0.0j, 0.0)
@@ -142,8 +139,6 @@ def save_field(f: Field, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> Field:
-    from modlab.grid import make_grid
-
     path = Path(path)
     raw = path.read_bytes()
     d, n, length = _HEADER.unpack_from(raw)

@@ -26,6 +26,7 @@ import numpy as np
 from modlab.grid import (
     Field,
     Grid,
+    InvalidScales,
     SpectralField,
     Trajectory,
     from_spectrum,
@@ -62,10 +63,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Configuration and fit plumbing
 # ---------------------------------------------------------------------------
-
-
-class InvalidScales(ValueError):
-    """A scale sweep the grid or the fit cannot support."""
 
 
 @dataclass(frozen=True)
@@ -132,20 +129,9 @@ class FitResult:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "scales": list(self.scales),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "ratios": list(self.ratios),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "predicted": self.predicted,
-            "margin": self.margin,
-            "pass": self.passed,
-            "meta": self.meta,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def sdec(p: float, d: int) -> float:
@@ -362,13 +348,15 @@ def bilinear_ratio(
     return fit_high, fit_low
 
 
+_CHAIN_BOXES = 8  # cover balls sampled for the per-ball space-time norms
+
+
 def bilinear_chain_log(
     config: ExperimentConfig,
     grid: Grid,
     window: Window,
     n_high: float,
     n_low: float,
-    max_boxes: int = 8,
 ) -> dict:
     """Bookkeeping for the proof chain of the bilinear refinement.
 
@@ -406,9 +394,9 @@ def bilinear_chain_log(
 
     # Hoelder + product localization on a deterministic subsample of balls
     rng = np.random.default_rng(config.seed + 99)
-    sample = occupied if len(occupied) <= max_boxes else [
+    sample = occupied if len(occupied) <= _CHAIN_BOXES else [
         occupied[i]
-        for i in sorted(rng.choice(len(occupied), size=max_boxes, replace=False))
+        for i in sorted(rng.choice(len(occupied), size=_CHAIN_BOXES, replace=False))
     ]
     l4_low = free_flow_lp_norm([[(0.0, f2)]], config.horizon, m, 4.0)
     sum_products_sq = 0.0

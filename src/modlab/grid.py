@@ -24,6 +24,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 __all__ = [
+    "InvalidScales",
     "Grid",
     "Field",
     "SpectralField",
@@ -38,6 +39,10 @@ __all__ = [
     "spacetime_lp_norm",
     "trapezoid",
 ]
+
+
+class InvalidScales(ValueError):
+    """A scale sweep the grid or the fit cannot support."""
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,8 @@ def make_grid(d: int, n: int, length: float) -> Grid:
         raise ValueError(f"points per axis must be a power of two >= 8, got {n}")
     if not (length > 0):
         raise ValueError(f"period length must be positive, got {length}")
+    if not np.isfinite(length):
+        raise ValueError(f"period length must be finite, got {length}")
     return Grid(d=d, n=int(n), length=float(length))
 
 

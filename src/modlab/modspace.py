@@ -369,12 +369,7 @@ class SumSpaceBound:
     table: tuple[tuple[float, float], ...]
 
 
-def sum_space_norm_upper(
-    f: Field,
-    spec: ModNormSpec,
-    window: Window,
-    thresholds: Sequence[float] | None = None,
-) -> SumSpaceBound:
+def sum_space_norm_upper(f: Field, spec: ModNormSpec, window: Window) -> SumSpaceBound:
     """Upper bound on inf{ ||g||_{M^s_{p,2}} + ||h||_{L^2} : f = g + h }.
 
     Splits at a smooth dyadic low-pass and minimizes over a threshold sweep.
@@ -384,13 +379,12 @@ def sum_space_norm_upper(
     from modlab.grid import lp_norm, spectrum_l2
 
     g = f.grid
-    if thresholds is None:
-        thresholds = [0.0]
-        band = 1.0
-        while band <= g.xi_max / 2:
-            thresholds.append(band)
-            band *= 2.0
-        thresholds.append(np.inf)
+    thresholds = [0.0]
+    band = 1.0
+    while band <= g.xi_max / 2:
+        thresholds.append(band)
+        band *= 2.0
+    thresholds.append(np.inf)
     F = to_spectrum(f)
     rows = []
     for thr in thresholds:

@@ -14,7 +14,7 @@ aborts naming the violated inequality if an iterate leaves the ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,17 +95,7 @@ class Certificate:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "delta": self.delta,
-            "cutoff": self.cutoff,
-            "horizon": self.horizon,
-            "c0": self.c0,
-            "c1": self.c1,
-            "total_norms": list(self.total_norms),
-            "tail_norms": list(self.tail_norms),
-            "holds": self.holds(),
-        }
+        return {**asdict(self), "holds": self.holds()}
 
 
 class CertificateViolation(RuntimeError):
@@ -132,16 +122,8 @@ class SolverReport:
     certificate: Certificate | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "iterations": self.iterations,
-            "contraction_factors": list(self.contraction_factors),
-            "residuals": list(self.residuals),
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "iteration_norm": self.iteration_norm,
-            "mass_drift": self.mass_drift,
-        }
+        out = asdict(self)
+        del out["certificate"]
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_dict()
         return out
@@ -402,13 +384,7 @@ def large_data_protocol(
         cutoff ** (-6.0 / (d - 2.0)), cutoff ** (-2.0 * d / (d - 2.0))
     ) * A ** (-4.0 / (d - 2.0))
     horizon = min(problem.horizon, t_bound)
-    run = NLSProblem(
-        u0=problem.u0,
-        horizon=horizon,
-        time_nodes=problem.time_nodes,
-        kappa=problem.kappa,
-        sign=problem.sign,
-    )
+    run = replace(problem, horizon=horizon)
     cert = Certificate(A=A, delta=delta, cutoff=cutoff, horizon=horizon, c0=c0, c1=c1)
 
     def verify_ball(j: int, trajectory: Trajectory) -> None:
@@ -534,14 +510,9 @@ def cross_validate(
         distance = lp_norm(u_picard - u_split, 2)
 
     # convergence orders: halve both resolutions once
-    coarse_problem = NLSProblem(
-        u0=problem.u0,
-        horizon=problem.horizon,
-        time_nodes=(problem.time_nodes - 1) // 2 + 1
-        if (problem.time_nodes - 1) // 2 + 1 >= 16
-        else problem.time_nodes,
-        kappa=problem.kappa,
-        sign=problem.sign,
+    coarse_nodes = (problem.time_nodes - 1) // 2 + 1
+    coarse_problem = replace(
+        problem, time_nodes=coarse_nodes if coarse_nodes >= 16 else problem.time_nodes
     )
     coarse_path, _ = picard_solve(coarse_problem, tol=picard_tol)
     picard_step_err = lp_norm(coarse_path[-1][1] - u_picard, 2) / denom

@@ -248,12 +248,7 @@ def adapt(obj, direction: str = "forward"):
     raise TypeError(f"cannot adapt object of type {type(obj)!r}")
 
 
-def ys_norm(
-    path: Trajectory,
-    s: float,
-    window: Window,
-    bands: Sequence[tuple[float, np.ndarray]] | None = None,
-) -> float:
+def ys_norm(path: Trajectory, s: float, window: Window) -> float:
     """Dyadically weighted square sum of adapted V^2 norms:
 
     ( sum_N N^{2s} || P_N u ||^2_{V^2_adapted, M_{4,2}} )^(1/2).
@@ -262,8 +257,7 @@ def ys_norm(
     """
     if len(path) < 2:
         raise ValueError("need at least two time nodes")
-    if bands is None:
-        bands = dyadic_multipliers(path.grid)
+    bands = dyadic_multipliers(path.grid)
     if len(bands) < 3:
         raise ValueError("grid resolves fewer than 3 dyadic bands")
     norm = ModValueNorm(ModNormSpec(0.0, 4.0, 2.0), window)
@@ -275,12 +269,7 @@ def ys_norm(
     return float(math.sqrt(total))
 
 
-def xs_norm_upper(
-    path: Trajectory,
-    s: float,
-    window: Window,
-    bands: Sequence[tuple[float, np.ndarray]] | None = None,
-) -> float:
+def xs_norm_upper(path: Trajectory, s: float, window: Window) -> float:
     """Atomic-decomposition companion of ``ys_norm``.
 
     Reads each adapted band path as the step function on its own nodes and
@@ -289,8 +278,7 @@ def xs_norm_upper(
     """
     if len(path) < 2:
         raise ValueError("need at least two time nodes")
-    if bands is None:
-        bands = dyadic_multipliers(path.grid)
+    bands = dyadic_multipliers(path.grid)
     norm = ModValueNorm(ModNormSpec(0.0, 4.0, 2.0), window)
     partition = (*path.times, path.times[-1] + (path.times[-1] - path.times[-2]))
     total = 0.0

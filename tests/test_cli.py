@@ -238,6 +238,73 @@ family = mollified
         assert summary["reports"][0]["boundary_flagged"] is False
 
 
+class TestResolvedConfig:
+    def test_defaults_are_those_of_experiment_config(self, tmp_path):
+        from modlab.estimates import ExperimentConfig
+
+        cfg = write(tmp_path, "[experiment]\nkind = norms\n\n[sweep]\ntrials = 2\n")
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out)) == EXIT_PASS
+        resolved = json.loads((out / "norms.json").read_text())["config"]["resolved"]
+        assert resolved == ExperimentConfig().to_dict()
+
+    def test_every_key_is_read_from_its_section(self, tmp_path):
+        from dataclasses import replace
+
+        from modlab.estimates import ExperimentConfig
+
+        sections = {
+            "experiment": {"seed": 4},
+            "grid": {"d": 1, "n": 64, "length": 20.0, "cube": 2.0},
+            "sweep": {
+                "scales": (1.0, 2.0), "family": "bump", "p": 6.0, "s": 0.5,
+                "q": 3.0, "horizon": 0.5, "time_nodes": 17, "margin": 0.3,
+                "fixed_scale": 2.0, "min_separation": 2.0, "atoms": 3, "mesh": 5,
+                "samples_per_unit": 3.0, "profile": "bump",
+            },
+        }
+        text = "[experiment]\nkind = norms\n"
+        for section, values in sections.items():
+            text += f"[{section}]\n" if section != "experiment" else ""
+            for key, value in values.items():
+                value = " ".join(map(str, value)) if key == "scales" else value
+                text += f"{key} = {value}\n"
+        # no experiment reads [sweep] sweep, so the config does not set it
+        text += "trials = 2\nsweep = high\n"
+        out = tmp_path / "out"
+        assert run(str(write(tmp_path, text)), str(out)) == EXIT_PASS
+        resolved = json.loads((out / "norms.json").read_text())["config"]["resolved"]
+        fields = {k: v for values in sections.values() for k, v in values.items()}
+        assert resolved == replace(ExperimentConfig(), **fields).to_dict()
+        assert resolved["sweep"] == "low"
+
+    def test_variation_runs_the_recorded_p(self, tmp_path, monkeypatch):
+        import modlab.variation as variation
+
+        seen = []
+        vp_norm = variation.vp_norm
+
+        def recording(path, p, *args, **kwargs):
+            seen.append(p)
+            return vp_norm(path, p, *args, **kwargs)
+
+        monkeypatch.setattr(variation, "vp_norm", recording)
+        text = "[experiment]\nkind = variation\n[grid]\nn = 8\nlength = 1.0\n"
+        out = tmp_path / "out"
+        run(str(write(tmp_path, text + "[sweep]\ntrials = 3\n")), str(out))
+        resolved = json.loads((out / "variation.json").read_text())["config"]["resolved"]
+        assert seen[0] == resolved["p"]
+
+    def test_infinite_length_is_a_config_error(self, tmp_path, capsys, recwarn):
+        text = (CONFIGS / "datagen_mollified.cfg").read_text()
+        cfg = write(tmp_path, text.replace("length = 64.0", "length = inf"))
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out)) == EXIT_CONFIG
+        assert "period length" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+
 class TestSweepKinds:
     def test_strichartz(self, tmp_path):
         cfg = write(
@@ -442,17 +509,31 @@ class TestConfigFuzz:
         assert isinstance(code, int) and 0 <= code <= 5
 
 
+# each sweep kind and the modlab.estimates function it runs
+SWEEP_FUNCTIONS = {
+    "smoothing": "smoothing_ratio",
+    "strichartz": "strichartz_l4_ratio",
+    "bilinear": "bilinear_ratio",
+    "v2bilinear": "v2_bilinear_ratio",
+    "decoupling": "decoupling_ratio",
+}
+
+
 class TestExitCodes:
-    def test_plain_value_error_is_a_config_error(self, tmp_path, monkeypatch):
-        # the exit code follows the exception type, not the word "scale"
+    @pytest.mark.parametrize("kind", list(SWEEP_FUNCTIONS))
+    def test_plain_value_error_is_a_config_error(self, tmp_path, monkeypatch, capsys, kind):
+        # the exit code follows the exception type, not the word "scale"; the
+        # sweep function is looked up when the run starts, so a rebinding of
+        # the module attribute is the function that runs
         import modlab.estimates as est
 
         def broken(config):
             raise ValueError("rescale failed")
 
-        monkeypatch.setattr(est, "smoothing_ratio", broken)
-        cfg = write(tmp_path, SMOOTHING_CFG)
+        monkeypatch.setattr(est, SWEEP_FUNCTIONS[kind], broken)
+        cfg = write(tmp_path, SMOOTHING_CFG.replace("kind = smoothing", f"kind = {kind}"))
         assert run(str(cfg), str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: rescale failed\n"
 
     @pytest.mark.parametrize(
         "text",

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="dyadic"):
             ExperimentConfig(scales=(3.0,))
 
+    def test_invalid_scales_lives_in_grid(self):
+        from modlab.grid import InvalidScales
+
+        assert est.InvalidScales is InvalidScales and "InvalidScales" in est.__all__
+
     def test_to_dict_roundtrips_scales(self):
         cfg = ExperimentConfig(scales=(2.0, 4.0))
         assert cfg.to_dict()["scales"] == [2.0, 4.0]

@@ -41,6 +41,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="positive"):
             make_grid(1, 64, 0.0)
 
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(ValueError, match="period length"):
+            make_grid(1, 64, length)
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             make_grid(1, 4, 10.0)

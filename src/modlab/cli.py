@@ -19,7 +19,7 @@ always null: modlab has no worker setting, and recorded outputs keep the
 leaf.  The process exit code is 0 only when every pass criterion of the
 experiment holds.
 
-Exit codes: 0 pass, 1 criteria failed, 2 config parse error,
+Exit codes: 0 pass, 1 criteria failed, 2 bad config or value (overflow too),
 3 unknown experiment, 4 invalid scales, 5 I/O failure.  A large-data run
 whose iterate leaves the certificate ball exits 1 with both files written:
 the partial certificate, ``pass: false`` and the violated inequality under
@@ -231,19 +231,13 @@ def _run_sweep(kind, cfg, xcfg, out_dir):
 
 def _run_variation(cfg, xcfg, out_dir):
     from modlab.datagen import random_field
-    from modlab.grid import Trajectory
-    from modlab.variation import (
-        LpValueNorm,
-        make_atom,
-        duality_pairing,
-        vp_norm,
-        vp_norm_bruteforce,
-    )
+    from modlab.grid import Trajectory, lp_norm
+    from modlab.variation import duality_pairing, make_atom, vp_norm, vp_norm_bruteforce
 
     trials = _get(cfg, "sweep", "trials", int, 50)
     p = xcfg.p
     grid = xcfg.grid()
-    norm = LpValueNorm(2.0)
+    norm = partial(lp_norm, p=2.0)
     rng = np.random.default_rng(xcfg.seed)
     rows, exact, duality_ok = [], True, True
     for trial in range(trials):
@@ -439,7 +433,7 @@ def run(config_path: str, out: str, seed: int | None = None) -> int:
     except (ConfigError, configparser.Error) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -455,7 +455,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     when the fitted exponent stays below 2s + margin, s the Strichartz input
     exponent (config.s; 2*sdec(4,d) + epsilon when left at zero).
     """
-    from modlab.variation import ModValueNorm, vp_norm
+    from modlab.variation import vp_norm
 
     if config.d not in (3, 4):
         raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
@@ -463,7 +463,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     window = config.window()
     n_high = config.fixed_scale
     s_input = config.s if config.s > 0 else 2.0 * sdec(4.0, config.d) + 0.01
-    norm = ModValueNorm(ModNormSpec(0.0, 4.0, 2.0), window)
+    norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
 
     def adapted_v2(pieces) -> float:
         # undoing the flow turns each free segment back into its profile, so

@@ -85,6 +85,11 @@ class Grid:
         """Quadrature weight h^d of one spatial cell."""
         return self.h**self.d
 
+    @property
+    def inverse_scale(self) -> float:
+        """dxi^d (2 pi)^(-d/2) n^d, the factor of ``inverse`` over numpy's ifftn."""
+        return self.dxi**self.d * (2.0 * np.pi) ** (-self.d / 2.0) * self.size
+
     def axis_coords(self) -> np.ndarray:
         """Physical coordinates of one axis, x_j = -L/2 + j*h."""
         return -0.5 * self.length + self.h * np.arange(self.n)
@@ -255,8 +260,7 @@ def forward(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def inverse(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     """Inverse of ``forward``; round-trips it to machine precision."""
-    scale = grid.dxi**grid.d * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.size
-    return scale * np.fft.ifftn(_phase(grid) * coefficients, axes=range(-grid.d, 0))
+    return grid.inverse_scale * np.fft.ifftn(_phase(grid) * coefficients, axes=range(-grid.d, 0))
 
 
 def fourier_multiply(u: Field | Trajectory, multiplier: np.ndarray) -> Field | Trajectory:

@@ -212,11 +212,10 @@ def _piece_lp_norms(F: SpectralField, ks: list, window: Window, p: float) -> np.
         for r in rows:  # contracts axis 0, appends the shift axis last
             piece = np.tensordot(piece, r**2, axes=([0], [1]))
         return np.sqrt(g.dxi**g.d * piece.ravel())
-    scale = g.dxi**g.d * (2.0 * np.pi) ** (-g.d / 2.0) * g.size
     def descend(stack: np.ndarray, a: int) -> np.ndarray:
         # norms of every piece below the prefixes in ``stack`` (axes < a done)
         if a == g.d:
-            phys = np.abs(stack.reshape(len(stack), -1)) * scale
+            phys = np.abs(stack.reshape(len(stack), -1)) * g.inverse_scale
             if np.isinf(p):
                 return phys.max(axis=1)
             return (g.cell * np.sum(phys**p, axis=1)) ** (1.0 / p)

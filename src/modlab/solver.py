@@ -137,41 +137,6 @@ def nonlinearity(u: Field | Trajectory, kappa: float, sign: int = 1) -> Field | 
 
 
 # ---------------------------------------------------------------------------
-# Iteration norms
-# ---------------------------------------------------------------------------
-
-
-def _path_norm(kind: str, window: Window | None, s: float) -> Callable:
-    """Norms on a ``Trajectory`` used to measure contraction.
-
-    ``sup_l2``: sup over nodes of the L^2 norm; ``sup_m42``: sup over nodes
-    of M^s_{4,2}; ``strichartz``: sup-L^2 plus the space-time L^{kappa+2}
-    norm used in the d <= 2 well-posedness argument.
-    """
-
-    if kind == "sup_l2":
-        def norm(path, kappa):
-            return float(path.lp_norms(2).max())
-        return norm
-    if kind == "sup_m42":
-        if window is None:
-            raise ValueError("sup_m42 iteration norm needs a window")
-        spec = ModNormSpec(s, 4.0, 2.0)
-        def norm(path, kappa):
-            return max(modulation_norm(f, spec, window) for _, f in path)
-        return norm
-    if kind == "strichartz":
-        def norm(path, kappa):
-            return float(path.lp_norms(2).max()) + spacetime_lp_norm(path, kappa + 2.0)
-        return norm
-    raise ValueError(f"unknown iteration norm {kind!r}")
-
-
-def _default_norm_kind(d: int) -> str:
-    return "strichartz" if d <= 2 else "sup_m42"
-
-
-# ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
 
@@ -180,7 +145,6 @@ def picard_solve(
     problem: NLSProblem,
     max_iters: int = 25,
     tol: float = 1e-10,
-    norm_kind: str | None = None,
     window: Window | None = None,
     s: float = 0.0,
     initial: str = "free",
@@ -194,14 +158,25 @@ def picard_solve(
     the report carries the factors either way.  ``iterate_hook(j, path)`` is
     called on every iterate, a ``Trajectory``, including the initial one and
     may raise to abort.  Node 0 of the free trajectory is ``u0`` itself.
+
+    The iteration norm follows from d: ``strichartz`` (d <= 2) is sup-L^2
+    plus the space-time L^{kappa+2} norm of the d <= 2 well-posedness
+    argument; ``sup_m42`` (d >= 3) is the sup over nodes of M^s_{4,2}, in
+    ``window`` or the grid's default window.
     """
     if problem.time_nodes < 16:
         raise ValueError(f"need at least 16 time nodes, got {problem.time_nodes}")
     grid = problem.grid
-    kind = norm_kind or _default_norm_kind(problem.d)
-    if kind == "sup_m42" and window is None:
-        window = make_window(grid)
-    path_norm = _path_norm(kind, window, s)
+    if problem.d <= 2:
+        kind = "strichartz"
+        def path_norm(path):
+            return float(path.lp_norms(2).max()) + spacetime_lp_norm(path, problem.kappa + 2.0)
+    else:
+        kind = "sup_m42"
+        spec = ModNormSpec(s, 4.0, 2.0)
+        window = window if window is not None else make_window(grid)
+        def path_norm(path):
+            return max(modulation_norm(f, spec, window) for _, f in path)
     ts = np.linspace(0.0, problem.horizon, problem.time_nodes)
     spectrum = forward(grid, problem.u0.values)  # one transform of u0 for every node
     nodes = [inverse(grid, free_multiplier(grid, float(t)) * spectrum) for t in ts[1:]]
@@ -232,7 +207,7 @@ def picard_solve(
                 break
             integrals = duhamel_path(nonlinearity(current, problem.kappa, problem.sign))
             new = replace(free, values=free.values - integrals.values * 1j)
-            res = path_norm(replace(new, values=new.values - current.values), problem.kappa)
+            res = path_norm(replace(new, values=new.values - current.values))
             residuals.append(res)
             if len(residuals) >= 2 and residuals[-2] > 0:
                 factors.append(residuals[-1] / residuals[-2])
@@ -411,7 +386,6 @@ def large_data_protocol(
         run,
         max_iters=max_iters,
         tol=tol,
-        norm_kind="sup_m42",
         window=window,
         s=s,
         iterate_hook=verify_ball,
@@ -484,12 +458,10 @@ def small_data_threshold(
 # ---------------------------------------------------------------------------
 
 
-def cross_validate(
-    problem: NLSProblem,
-    dt: float | None = None,
-    tol: float = 1e-5,
-    picard_tol: float = 1e-12,
-) -> dict:
+_CROSS_VALIDATION_PICARD_TOL = 1e-12  # far below the time-integration errors compared
+
+
+def cross_validate(problem: NLSProblem, tol: float = 1e-5) -> dict:
     """Relative L^2 distance at the horizon between the Picard solution and
     the split-step oracle, with matched-resolution convergence logging.
 
@@ -498,9 +470,8 @@ def cross_validate(
     time-integration error of either.  Disagreement beyond ``tol`` is
     reported with both convergence histories.
     """
-    if dt is None:
-        dt = problem.horizon / max(1024, 16 * (problem.time_nodes - 1))
-    path, report = picard_solve(problem, tol=picard_tol)
+    dt = problem.horizon / max(1024, 16 * (problem.time_nodes - 1))
+    path, report = picard_solve(problem, tol=_CROSS_VALIDATION_PICARD_TOL)
     ss = splitstep_solve(problem, dt, store="final")
     u_picard = path[-1][1]
     u_split = ss[-1][1]
@@ -514,7 +485,7 @@ def cross_validate(
     coarse_problem = replace(
         problem, time_nodes=coarse_nodes if coarse_nodes >= 16 else problem.time_nodes
     )
-    coarse_path, _ = picard_solve(coarse_problem, tol=picard_tol)
+    coarse_path, _ = picard_solve(coarse_problem, tol=_CROSS_VALIDATION_PICARD_TOL)
     picard_step_err = lp_norm(coarse_path[-1][1] - u_picard, 2) / denom
     ss_coarse = splitstep_solve(problem, 2 * dt, store="final")
     split_step_err = lp_norm(ss_coarse[-1][1] - u_split, 2) / denom

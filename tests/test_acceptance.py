@@ -5,6 +5,7 @@ lines and timings.  Tolerances are fixed here, not configurable.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,13 +29,7 @@ from modlab.solver import (
     picard_solve,
     splitstep_solve,
 )
-from modlab.variation import (
-    LpValueNorm,
-    duality_pairing,
-    make_atom,
-    vp_norm,
-    vp_norm_bruteforce,
-)
+from modlab.variation import duality_pairing, make_atom, vp_norm, vp_norm_bruteforce
 
 
 def report(number, name, passed, detail):
@@ -123,7 +118,7 @@ class TestAcceptance:
     def test_criterion_06_vp_dp_oracle(self):
         t0 = time.time()
         unit = make_grid(1, 8, 1.0)
-        norm = LpValueNorm(2.0)
+        norm = partial(lp_norm, p=2.0)
         rng = np.random.default_rng(2024)
         worst = 0.0
         for trial in range(500):
@@ -147,7 +142,7 @@ class TestAcceptance:
     def test_criterion_07_duality_inequality(self):
         t0 = time.time()
         unit = make_grid(1, 8, 1.0)
-        norm = LpValueNorm(2.0)
+        norm = partial(lp_norm, p=2.0)
         rng = np.random.default_rng(7)
         ok = True
         worst = 0.0

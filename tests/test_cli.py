@@ -56,6 +56,21 @@ time_nodes = 257
 margin = 0.15
 """
 
+VARIATION_CFG = """
+[experiment]
+kind = variation
+seed = 5
+
+[grid]
+d = 1
+n = 8
+length = 1.0
+
+[sweep]
+trials = 25
+p = 2
+"""
+
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -154,28 +169,26 @@ trials = 10
         assert summary["max_rel_deviation"] <= 1e-10
 
     def test_variation(self, tmp_path):
-        cfg = write(
-            tmp_path,
-            """
-[experiment]
-kind = variation
-seed = 5
-
-[grid]
-d = 1
-n = 8
-length = 1.0
-
-[sweep]
-trials = 25
-p = 2
-""",
-        )
+        cfg = write(tmp_path, VARIATION_CFG)
         out = tmp_path / "out"
         assert run(str(cfg), str(out)) == EXIT_PASS
         summary = json.loads((out / "variation.json").read_text())
         assert summary["dp_matches_bruteforce"]
         assert summary["duality_inequality"]
+        rows = (out / "variation.csv").read_text().splitlines()[1:]
+        assert len(rows) == 25
+        for row in rows:
+            for cell in row.split(",")[1:]:
+                float(cell)  # a numeric cell is a plain float literal
+
+    @pytest.mark.parametrize("p", ["inf", "nan", "1e308"])
+    def test_variation_bad_p_is_a_config_error(self, tmp_path, capsys, p):
+        cfg = write(tmp_path, VARIATION_CFG.replace("p = 2", f"p = {p}"))
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_solve(self, tmp_path):
         cfg = write(
@@ -460,26 +473,40 @@ class TestFailurePaths:
         assert (out / "solve.csv").read_text() == "experiment,scale,lhs,rhs,ratio\n"
 
 
-def _sections(name):
+def _sections(text):
     cp = configparser.ConfigParser()
-    cp.read(CONFIGS / name)
+    cp.read_string(text)
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
-# sizes stay small or invalid, so no draw allocates more than a few MB
-_SIZES = {"d": ["1", "2"], "n": ["16", "32", "64"], "time_nodes": ["3", "16", "17", "33"]}
+# the configs a fuzzed config starts from: two shipped ones and a small
+# variation run, the one kind no shipped config covers
+_FUZZ_BASES = [
+    (CONFIGS / "solve_quintic.cfg").read_text(),
+    (CONFIGS / "datagen_mollified.cfg").read_text(),
+    VARIATION_CFG.replace("trials = 25", "trials = 4"),
+]
+
+
+# sizes stay small or invalid, so no draw allocates more than a few MB or
+# runs more than a few variation trials
+_SIZES = {
+    "d": ["1", "2"],
+    "n": ["16", "32", "64"],
+    "time_nodes": ["3", "16", "17", "33"],
+    "trials": ["1", "4"],
+}
 _BAD = ["", "inf", "-inf", "nan", "0", "-1", "-2.5", "0.5", "1e100", "1e400", "garbage", "%(x)s"]
 
 
 @st.composite
 def fuzzed_configs(draw):
-    """A shipped solve or datagen config with values replaced by drawn
-    tokens, keys and sections dropped, and maybe one junk line."""
+    """A base config (shipped solve or datagen, or a small variation run)
+    with values replaced by drawn tokens, keys and sections dropped, and
+    maybe one junk line."""
     text = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=6)
     lines = []
-    for section, items in _sections(
-        draw(st.sampled_from(["solve_quintic.cfg", "datagen_mollified.cfg"]))
-    ).items():
+    for section, items in _sections(draw(st.sampled_from(_FUZZ_BASES))).items():
         if draw(st.sampled_from(["keep"] * 9 + ["drop"])) == "drop":
             continue
         lines.append(f"[{section}]")

@@ -1,18 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab.grid import Field, Trajectory, make_grid
+from modlab.grid import Field, Trajectory, lp_norm, make_grid
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import free_evolve
 from modlab.variation import (
-    LpValueNorm,
-    ModValueNorm,
-    StepFunction,
     adapt,
     duality_pairing,
     make_atom,
-    step_to_path,
     up_norm_lower,
     up_norm_upper,
     vp_norm,
@@ -23,11 +21,22 @@ from modlab.variation import (
 from tests.conftest import complex_noise, gaussian_field
 
 UNIT_GRID = make_grid(1, 8, 1.0)  # volume one: the L^2 norm of a constant is |c|
-L2 = LpValueNorm(2.0)
+L2 = partial(lp_norm, p=2.0)
 
 
 def path_of(times, fields):
     return Trajectory(fields[0].grid, times, np.stack([f.values for f in fields]))
+
+
+def step_of(partition, pieces):
+    """The step function pieces[k] on [partition[k], partition[k+1]), 0 from
+    partition[-1] on, unnormalized."""
+    return path_of(partition, tuple(pieces) + (Field.zero(pieces[0].grid),))
+
+
+def pieces_of(step):
+    """The pieces of a step function, its last node (the terminal 0) left out."""
+    return [f for _, f in step][:-1]
 
 
 def scalar_path(values, times=None):
@@ -55,6 +64,32 @@ class TestVpNorm:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             vp_norm(scalar_path([0, 1]), 0.5, L2)
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_p_rejected(self, p):
+        path = scalar_path([0, 3])
+        phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 3.0 + 0j))
+        for call in (
+            lambda: vp_norm(path, p, L2),
+            lambda: vp_norm_bruteforce(path, p, L2),
+            lambda: make_atom((0.0, 1.0), (phi,), p, L2),
+            lambda: up_norm_upper(path, p, L2),
+            lambda: up_norm_lower(path, p, [path], L2),
+        ):
+            with pytest.raises(ValueError, match="p"):
+                call()
+
+    def test_power_sum_overflow_raises(self):
+        # 3^(1e308) is past the float range: the sums overflow, not round to inf
+        path = scalar_path([0, 3])
+        phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 3.0 + 0j))
+        for call in (
+            lambda: vp_norm(path, 1e308, L2),
+            lambda: vp_norm_bruteforce(path, 1e308, L2),
+            lambda: make_atom((0.0, 1.0), (phi,), 1e308, L2),
+        ):
+            with pytest.raises(OverflowError):
+                call()
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="two nodes"):
@@ -87,12 +122,14 @@ class TestAtoms:
     def test_single_piece_normalized(self):
         phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 2.0 + 0j))
         atom = make_atom((0.0, 1.0), (phi,), 2.0, L2)
-        assert L2(atom.pieces[0]) == pytest.approx(1.0)
+        assert L2(atom[0][1]) == pytest.approx(1.0)
+        assert np.array_equal(atom.times, [0.0, 1.0])
+        assert np.all(atom.values[-1] == 0.0)
 
     def test_two_equal_pieces(self):
         phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 3.0 + 0j))
         atom = make_atom((0.0, 1.0, 2.0), (phi, phi), 2.0, L2)
-        for piece in atom.pieces:
+        for piece in pieces_of(atom):
             assert L2(piece) == pytest.approx(2.0**-0.5)
 
     def test_all_zero_rejected(self):
@@ -107,20 +144,20 @@ class TestAtoms:
             for v in rng.standard_normal(3)
         )
         atom = make_atom((0.0, 1.0, 2.0, 3.0), pieces, 2.0, L2)
-        v = vp_norm(step_to_path(atom), 2.0, L2)
-        assert v >= L2(atom.pieces[-1]) - 1e-12
+        v = vp_norm(atom, 2.0, L2)
+        assert v >= L2(pieces_of(atom)[-1]) - 1e-12
 
     def test_upper_bound_of_atom_is_one(self):
         phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 0.7 + 0.2j))
         atom = make_atom((0.0, 1.0, 2.0), (phi, 2 * phi), 4.0, L2)
-        assert up_norm_upper(atom, 4.0) == pytest.approx(1.0)
+        assert up_norm_upper(atom, 4.0, L2) == pytest.approx(1.0)
 
     def test_upper_bound_scales(self):
         phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 1.0 + 0j))
         atom = make_atom((0.0, 1.0, 2.0), (phi, phi), 2.0, L2)
         lam = 3.7
-        scaled = StepFunction(atom.partition, tuple(lam * q for q in atom.pieces), L2)
-        assert up_norm_upper(scaled, 2.0) == pytest.approx(lam)
+        scaled = Trajectory(UNIT_GRID, atom.times, lam * atom.values)
+        assert up_norm_upper(scaled, 2.0, L2) == pytest.approx(lam)
 
     def test_concatenation_two_sided_bounds(self):
         rng = np.random.default_rng(9)
@@ -128,12 +165,11 @@ class TestAtoms:
         a1 = make_atom((0.0, 1.0), (mk(1.0),), 2.0, L2)
         a2 = make_atom((2.0, 3.0), (mk(1.0 + 1j),), 2.0, L2)
         lam1, lam2 = 2.0, 3.0
-        combined = StepFunction(
+        combined = step_of(
             (0.0, 1.0, 2.0, 3.0),
-            (lam1 * a1.pieces[0], Field.zero(UNIT_GRID), lam2 * a2.pieces[0]),
-            L2,
+            (lam1 * a1[0][1], Field.zero(UNIT_GRID), lam2 * a2[0][1]),
         )
-        bound = up_norm_upper(combined, 2.0)
+        bound = up_norm_upper(combined, 2.0, L2)
         assert bound <= lam1 + lam2 + 1e-12
         assert bound >= (lam1**2 + lam2**2) ** 0.5 - 1e-12
 
@@ -150,22 +186,56 @@ class TestAtoms:
                     for _ in range(k)
                 )
                 atom = make_atom(tuple(float(j) for j in range(k + 1)), pieces, p, L2)
-                v = vp_norm(step_to_path(atom), p, L2, terminal_zero=True)
-                assert v <= 2.0 ** (1.0 / p) * up_norm_upper(atom, p) * 2.0 + 1e-12
+                v = vp_norm(atom, p, L2, terminal_zero=True)
+                assert v <= 2.0 ** (1.0 / p) * up_norm_upper(atom, p, L2) * 2.0 + 1e-12
 
     def test_duality_lower_bound_stays_below_upper(self):
         rng = np.random.default_rng(4)
         pieces = tuple(
             Field(UNIT_GRID, rng.standard_normal(UNIT_GRID.shape) + 0j) for _ in range(3)
         )
-        step = StepFunction((0.0, 1.0, 2.0, 3.0), pieces, L2)
+        step = step_of((0.0, 1.0, 2.0, 3.0), pieces)
         duals = [scalar_path(list(rng.standard_normal(4)), times=(0.0, 1.0, 2.0, 3.0))
                  for _ in range(10)]
-        lower = up_norm_lower(step, 2.0, duals)
-        assert 0.0 < lower <= up_norm_upper(step, 2.0) + 1e-9
+        lower = up_norm_lower(step, 2.0, duals, L2)
+        assert 0.0 < lower <= up_norm_upper(step, 2.0, L2) + 1e-9
+
+
+def step_function_pairing(partition, pieces, v):
+    """B(u, v) as the former StepFunction type computed it: one jump of the
+    zero-padded pieces per partition point, paired with v there."""
+    grid = pieces[0].grid
+    zero = Field.zero(grid)
+    padded = (zero,) + tuple(pieces) + (zero,)
+    total = 0.0 + 0.0j
+    for k, t in enumerate(partition):
+        jump = padded[k + 1] - padded[k]
+        g = v[v.node_index(t)][1]
+        total -= complex(grid.cell * np.sum(jump.values * np.conj(g.values)))
+    return total
 
 
 class TestDuality:
+    @pytest.mark.parametrize("grid", [UNIT_GRID, make_grid(2, 8, 2.0)], ids=["d1", "d2"])
+    def test_pairing_equals_step_function_formula_exactly(self, grid):
+        rng = np.random.default_rng(21)
+        mk = lambda: Field(grid, rng.standard_normal(grid.shape)
+                           + 1j * rng.standard_normal(grid.shape))
+        for p in (1.0, 2.0, 3.0, 4.0):
+            for k in range(1, 6):
+                partition = tuple(np.cumsum(rng.uniform(0.1, 1.0, k + 1)))
+                pieces = tuple(mk() for _ in range(k))
+                atom = make_atom(partition, pieces, p, L2)
+                lam = sum(L2(phi) ** p for phi in pieces) ** (1.0 / p)
+                normalized = tuple((1.0 / lam) * phi for phi in pieces)
+                for (_, got), want in zip(atom, normalized):
+                    assert np.array_equal(got.values, want.values)
+                # v has a node between every two of the partition and one after
+                mids = [t + 0.05 for t in partition]
+                times = np.sort(np.concatenate([partition, mids]))
+                v = path_of(times, tuple(mk() for _ in times))
+                assert duality_pairing(atom, v) == step_function_pairing(partition, normalized, v)
+
     def test_zero_path(self):
         phi = Field(UNIT_GRID, np.full(UNIT_GRID.shape, 1.0 + 0j))
         atom = make_atom((0.0, 1.0, 2.0), (phi, 2 * phi), 2.0, L2)
@@ -190,10 +260,10 @@ class TestDuality:
         mk = lambda: Field(UNIT_GRID, rng.standard_normal(UNIT_GRID.shape)
                            + 1j * rng.standard_normal(UNIT_GRID.shape))
         pieces = (mk(), mk())
-        step = StepFunction((0.0, 1.0, 2.0), pieces, L2)
+        step = step_of((0.0, 1.0, 2.0), pieces)
         v = path_of((0.0, 1.0, 2.0), (mk(), mk(), mk()))
         z = 1.3 - 0.4j
-        scaled_u = StepFunction(step.partition, tuple(z * q for q in pieces), L2)
+        scaled_u = Trajectory(UNIT_GRID, step.times, z * step.values)
         assert duality_pairing(scaled_u, v) == pytest.approx(z * duality_pairing(step, v))
         scaled_v = Trajectory(UNIT_GRID, v.times, z * v.values)
         assert duality_pairing(step, scaled_v) == pytest.approx(
@@ -230,7 +300,7 @@ class TestAdapt:
         assert np.max(np.abs(ad.values - f.values)) <= 1e-12
         assert vp_norm(ad, 2.0, L2) <= 1e-10
         assert vp_norm(ad, 2.0, L2, terminal_zero=True) == pytest.approx(
-            LpValueNorm(2.0)(f), rel=1e-10
+            lp_norm(f, 2.0), rel=1e-10
         )
 
     def test_direction_validated(self, grid1d):
@@ -288,3 +358,5 @@ class TestIterationNorms:
         path = path_of((0.0,), (Field.zero(self.grid),))
         with pytest.raises(ValueError):
             ys_norm(path, 1.2, self.window)
+        with pytest.raises(ValueError):
+            xs_norm_upper(path, 1.2, self.window)

@@ -281,12 +281,11 @@ def _problem_from_config(cfg, xcfg):
         u0 = amplitude * random_field(grid, xcfg.seed, band=grid.xi_max / 4)
     else:
         raise ConfigError(f"unknown problem data {data!r}")
-    kappa_raw = cfg.get("problem", {}).get("kappa")
     return NLSProblem(
         u0=u0,
         horizon=_get(cfg, "problem", "horizon", float, 0.1),
         time_nodes=_get(cfg, "problem", "time_nodes", int, 65),
-        kappa=float(kappa_raw) if kappa_raw else None,
+        kappa=_get(cfg, "problem", "kappa", lambda v: float(v) if v else None, None),
         sign=_get(cfg, "problem", "sign", int, 1),
     )
 

@@ -6,12 +6,12 @@ exponent plus a margin.  Margins default to 0.15 (0.2 for decoupling) to
 absorb epsilon losses, periodization, and finite-scale effects.
 
 Every space-time norm of a free flow, or of a product of piecewise free
-flows, goes through the one kernel ``propagator.free_flow_lp_norm``.  The
-linear sweeps sample on the grid itself; products are sampled on the 2x
-zero-padded grid so the quadrature of |u v|^2 is alias-free, which is what
-makes the Galilean invariance of measured bilinear ratios hold to near
-round-off.  Decoupling cells and the extension norm share the streamed ball
-quadrature ``propagator.extension_ball_norms``.
+flows given as the step ``Trajectory`` of their profiles, goes through the
+one kernel ``propagator.free_flow_lp_norm``.  Linear sweeps sample on the
+grid itself; products on the 2x zero-padded grid, so the quadrature of
+|u v|^2 is alias-free, which makes the Galilean invariance of measured
+bilinear ratios hold to near round-off.  Decoupling cells and the extension
+norm share the streamed ball quadrature ``propagator.extension_ball_norms``.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
         u0 = scale_family(config, N, grid)
         if lp_norm(u0, 2) == 0.0:
             raise ValueError("degenerate data family: zero field")
-        lhs.append(free_flow_lp_norm([[(0.0, u0)]], config.horizon, config.time_nodes, config.p))
+        lhs.append(free_flow_lp_norm([u0], config.horizon, config.time_nodes, config.p))
         rhs.append(modulation_norm(u0, spec, window))
     predicted = 2.0 * sdec(config.p, config.d)
     meta = {"window": window.describe()}
@@ -271,6 +271,14 @@ def strichartz_l4_ratio(config: ExperimentConfig) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _bilinear_pair(config: ExperimentConfig, grid: Grid, n_high: float, n_low: float):
+    """The band-noise fields (f1, f2) of the (N1, N2) cell; neither may be 0."""
+    pair = _band_noise(grid, n_high, config.seed), _band_noise(grid, n_low, config.seed + 1)
+    if any(lp_norm(f, 2) == 0.0 for f in pair):
+        raise ValueError("zero field in bilinear data")
+    return pair
+
+
 def _bilinear_cell(
     config: ExperimentConfig,
     grid: Grid,
@@ -280,15 +288,10 @@ def _bilinear_cell(
 ) -> tuple[float, float]:
     """One (N1, N2) measurement: product L^2 over [0, horizon] and the
     product of the two M_{4,2} norms."""
-    f1 = _band_noise(grid, n_high, config.seed)
-    f2 = _band_noise(grid, n_low, config.seed + 1)
-    if lp_norm(f2, 2) == 0.0 or lp_norm(f1, 2) == 0.0:
-        raise ValueError("zero field in bilinear data")
+    f1, f2 = _bilinear_pair(config, grid, n_high, n_low)
     spec = ModNormSpec(0.0, 4.0, 2.0)
     rhs = modulation_norm(f1, spec, window) * modulation_norm(f2, spec, window)
-    lhs = free_flow_lp_norm(
-        [[(0.0, f1)], [(0.0, f2)]], config.horizon, config.time_nodes, 2.0, pad=2
-    )
+    lhs = free_flow_lp_norm([f1, f2], config.horizon, config.time_nodes, 2.0, pad=2)
     return lhs, rhs
 
 
@@ -368,23 +371,19 @@ def bilinear_chain_log(
     per-ball space-time norms are the expensive part, so they run on a
     capped box sample and a reduced time mesh.
     """
-    f1 = _band_noise(grid, n_high, config.seed)
-    f2 = _band_noise(grid, n_low, config.seed + 1)
+    f1, f2 = _bilinear_pair(config, grid, n_high, n_low)
     spec = ModNormSpec(0.0, 4.0, 2.0)
     m = max(33, config.time_nodes // 4 + 1)
-    lhs = free_flow_lp_norm([[(0.0, f1)], [(0.0, f2)]], config.horizon, m, 2.0, pad=2)
+    lhs = free_flow_lp_norm([f1, f2], config.horizon, m, 2.0, pad=2)
 
     centers = ball_cover_centers(grid.d, n_high, n_low)
     F1 = to_spectrum(f1)
-    dist_fn = lambda c: reduce(
-        np.add, [(xi - ci) ** 2 for xi, ci in zip(grid.freqs(), c)]
-    )
     # L^2 covering bounds are exact: sum of localized energies vs energy
     e_total = float(np.sum(np.abs(F1.coefficients) ** 2))
     e_boxes = 0.0
     occupied = []
     for c in centers:
-        mask = dist_fn(c) <= n_low**2
+        mask = reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(grid.freqs(), c)]) <= n_low**2
         e = float(np.sum(np.abs(F1.coefficients[mask]) ** 2))
         e_boxes += e
         if e > 0.0:
@@ -398,16 +397,14 @@ def bilinear_chain_log(
         occupied[i]
         for i in sorted(rng.choice(len(occupied), size=_CHAIN_BOXES, replace=False))
     ]
-    l4_low = free_flow_lp_norm([[(0.0, f2)]], config.horizon, m, 4.0)
+    l4_low = free_flow_lp_norm([f2], config.horizon, m, 4.0)
     sum_products_sq = 0.0
     holder_ok = True
     m42_sq = 0.0
     for c, mask, _ in sample:
         piece = from_spectrum(SpectralField(grid, mask * F1.coefficients))
-        prod = free_flow_lp_norm(
-            [[(0.0, piece)], [(0.0, f2)]], config.horizon, m, 2.0, pad=2
-        )
-        l4_piece = free_flow_lp_norm([[(0.0, piece)]], config.horizon, m, 4.0)
+        prod = free_flow_lp_norm([piece, f2], config.horizon, m, 2.0, pad=2)
+        l4_piece = free_flow_lp_norm([piece], config.horizon, m, 4.0)
         holder_ok = holder_ok and prod <= l4_piece * l4_low * (1.0 + 1e-9)
         sum_products_sq += prod**2
         m42_sq += modulation_norm(piece, spec, window) ** 2
@@ -431,27 +428,23 @@ def bilinear_chain_log(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_path(
-    config: ExperimentConfig, grid: Grid, band: float, seed: int
-) -> list[tuple[float, Field]]:
-    """Atomic superposition data: pieces (t_start, field) tiling [0, horizon]
-    with ``config.atoms`` free-trajectory atoms."""
+def _atomic_path(config: ExperimentConfig, grid: Grid, band: float, seed: int) -> Trajectory:
+    """The profile step path of ``config.atoms`` free-trajectory atoms tiling
+    [0, horizon], on linspace(0, horizon, atoms + 1); the last profile repeats
+    at the horizon, so that one atom still has the two nodes of a variation."""
     k = max(1, config.atoms)
-    cuts = np.linspace(0.0, config.horizon, k + 1)
-    pieces = []
-    for j in range(k):
-        f = _band_noise(grid, band, seed + 101 * j)
-        if lp_norm(f, 2) == 0.0:
-            raise ValueError("zero path piece in atomic data")
-        pieces.append((float(cuts[j]), f))
-    return pieces
+    profiles = [_band_noise(grid, band, seed + 101 * j) for j in range(k)]
+    if any(lp_norm(f, 2) == 0.0 for f in profiles):
+        raise ValueError("zero path piece in atomic data")
+    values = np.stack([f.values for f in profiles + profiles[-1:]])
+    return Trajectory(grid, np.linspace(0.0, config.horizon, k + 1), values)
 
 
 def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     """Low-frequency sweep of the product bound for adapted-V^2 paths.
 
-    Inputs are finite atomic superpositions of free trajectories, whose
-    adapted V^2 norms are computed exactly from the piece structure.  Passes
+    Inputs are finite atomic superpositions of free trajectories; their adapted
+    V^2 norms are the exact 2-variations of their profile step paths.  Passes
     when the fitted exponent stays below 2s + margin, s the Strichartz input
     exponent (config.s; 2*sdec(4,d) + epsilon when left at zero).
     """
@@ -464,15 +457,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     n_high = config.fixed_scale
     s_input = config.s if config.s > 0 else 2.0 * sdec(4.0, config.d) + 0.01
     norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
-
-    def adapted_v2(pieces) -> float:
-        # undoing the flow turns each free segment back into its profile, so
-        # the adapted path is the step path of the profiles themselves,
-        # sampled at the cut times
-        times = [a for a, _ in pieces] + [config.horizon]
-        values = [f.values for _, f in pieces] + [pieces[-1][1].values]
-        path = Trajectory(grid, times, np.stack(values))
-        return vp_norm(path, 2.0, norm, terminal_zero=True)
+    v2 = partial(vp_norm, p=2.0, norm=norm, terminal_zero=True)
 
     lhs, rhs = [], []
     for n_low in config.scales:
@@ -480,14 +465,10 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
             raise ValueError(
                 f"regime violated: K={n_low} > N/{config.min_separation}={n_high}"
             )
-        hi_pieces = _atomic_path(config, grid, n_high, config.seed)
-        lo_pieces = _atomic_path(config, grid, n_low, config.seed + 7)
-        lhs.append(
-            free_flow_lp_norm(
-                [hi_pieces, lo_pieces], config.horizon, config.time_nodes, 2.0, pad=2
-            )
-        )
-        rhs.append(adapted_v2(hi_pieces) * adapted_v2(lo_pieces))
+        hi = _atomic_path(config, grid, n_high, config.seed)
+        lo = _atomic_path(config, grid, n_low, config.seed + 7)
+        lhs.append(free_flow_lp_norm([hi, lo], config.horizon, config.time_nodes, 2.0, pad=2))
+        rhs.append(v2(hi) * v2(lo))
     meta = {"window": window.describe(), "s_input": s_input, "atoms": config.atoms}
     return _make_fit(
         config.scales, lhs, rhs, 2.0 * s_input, config.margin, "v2_bilinear", meta

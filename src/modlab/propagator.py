@@ -5,9 +5,10 @@ spectral multiplier of ``free_evolve(f, t)`` is exp(-i t |xi|^2).  The
 Galilean twist multiplies by a plane wave and translates the spectrum; the
 Duhamel integral takes its forcing as a ``Trajectory`` and sums the composite
 trapezoid rule in one fixed order, which the solver's reported contraction
-factors depend on to the last bit; space-time L^p norms of
-products of free flows sample the flows node by node, on a zero-padded grid
-when the product must be alias-free; the paraboloid extension operator is
+factors depend on to the last bit; space-time L^p norms of products of free
+flows take each factor as a Field or as the step ``Trajectory`` of its
+profiles and sample the product node by node, on a zero-padded grid when it
+must be alias-free; the paraboloid extension operator is
 direct midpoint quadrature over a frequency mesh of the unit ball, and its
 ball norms are time-blocked GEMMs of about nmesh * m * |ball shadow|
 multiply-adds, restricted to d <= 2 since that cost grows like mesh^(2d+1).
@@ -55,7 +56,7 @@ def free_evolve(f: Field, t: float) -> Field:
 
 
 def free_flow_lp_norm(
-    factors: Sequence[Sequence[tuple[float, Field]]],
+    factors: Sequence[Field | Trajectory],
     horizon: float,
     m: int,
     p: float,
@@ -63,33 +64,36 @@ def free_flow_lp_norm(
 ) -> float:
     """L^p norm over [0, horizon] x torus of a product of piecewise free flows.
 
-    Each factor is a list of (start, field) pieces with increasing starts, the
-    first at 0: on [a_j, a_{j+1}) the factor is exp(it Laplace) f_j, and the
-    last piece runs to the horizon.  A plain free flow is [(0.0, f)].  The
-    product is sampled at m uniform nodes on the grid refined ``pad`` times:
-    each spectrum is embedded with its modes' frequencies kept and the new
-    modes zero, so pad 2 makes the quadrature of a product of two band-limited
-    flows alias-free (Orszag's rule).  The trapezoid rule integrates the
-    spatial L^p^p in time.
+    A factor is a Field f, the free flow exp(it Laplace) f, or a Trajectory
+    of profiles, a right-continuous step function with first node at 0: on
+    [t_k, t_{k+1}) the factor is exp(it Laplace) v_k, and the last profile
+    runs to the horizon.  Factors share one grid; the product is sampled at
+    m uniform nodes on the grid refined ``pad`` times: each spectrum is
+    embedded with its modes' frequencies kept and the new modes zero, so pad
+    2 makes the quadrature of a product of two band-limited flows alias-free
+    (Orszag's rule).  The trapezoid rule integrates the spatial L^p^p in time.
     """
-    g = factors[0][0][1].grid
+    g = factors[0].grid
     fine = Grid(g.d, pad * g.n, g.length)
     modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
-
-    def padded(f: Field) -> np.ndarray:
-        out = np.zeros(fine.shape, dtype=np.complex128)
-        out[modes] = forward(g, f.values)
-        return out
-
-    spectra = [[(a, padded(f)) for a, f in pieces] for pieces in factors]
+    spectra = []
+    for f in factors:
+        if f.grid != g:
+            raise ValueError(f"factors live on different grids: {g} vs {f.grid}")
+        path = f if isinstance(f, Trajectory) else Trajectory(g, [0.0], f.values[None])
+        if path.times[0] != 0.0:
+            raise ValueError(f"a piecewise free flow starts at t = 0, not {path.times[0]}")
+        padded = np.zeros((len(path), *fine.shape), dtype=np.complex128)
+        padded[(slice(None), *modes)] = forward(g, path.values)
+        spectra.append((path.times, padded))
     ts = np.linspace(0.0, horizon, m)
     powers = np.empty(m)
     for i, t in enumerate(ts):
         mult = free_multiplier(fine, t)
-        flows = []
-        for pieces in spectra:
-            F = [G for a, G in pieces if a <= t][-1]
-            flows.append(inverse(fine, mult * F))
+        flows = [
+            inverse(fine, mult * F[np.searchsorted(times, t, "right") - 1])
+            for times, F in spectra
+        ]
         powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
     return float(trapezoid(powers, ts) ** (1.0 / p))
 

@@ -57,14 +57,14 @@ class NLSProblem:
     sign: int = 1
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         if self.kappa is None:
             object.__setattr__(self, "kappa", _DEFAULT_KAPPA[self.u0.grid.d])
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     @property
     def d(self) -> int:

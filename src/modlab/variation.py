@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import partial
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,18 +57,17 @@ def _root(total, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def _increment_table(path: Trajectory, p: float, norm) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise increment norms dist[i, j] = ||v_i - v_j|| and node norms,
-    after the checks of the p-variation: ``_check_p`` and two nodes."""
+def _increment_table(path: Trajectory, p: float, norm, terminal_zero: bool):
+    """Pairwise increment norms dist[i, j] = ||v_i - v_j|| and, only with
+    ``terminal_zero``, node norms, after the checks ``_check_p`` and two nodes."""
     _check_p(p)
     m = len(path)
     if m < 2:
         raise ValueError("need at least two nodes")
     dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i):
-            dist[i, j] = dist[j, i] = norm(Field(path.grid, path.values[i] - path.values[j]))
-    node = np.array([norm(v) for _, v in path])
+    for j, i in combinations(range(m), 2):
+        dist[i, j] = dist[j, i] = norm(Field(path.grid, path.values[i] - path.values[j]))
+    node = np.array([norm(v) for _, v in path]) if terminal_zero else None
     return dist, node
 
 
@@ -80,7 +80,7 @@ def vp_norm(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> fl
     ``terminal_zero`` the conventional value 0 at t = +infinity is appended,
     adding a final jump ||v_last||.
     """
-    dist, node = _increment_table(path, p, norm)
+    dist, node = _increment_table(path, p, norm, terminal_zero)
     D = np.zeros(len(path))
     with np.errstate(over="ignore"):  # an overflowed power is inf; _root raises
         for i in range(1, len(path)):
@@ -91,11 +91,16 @@ def vp_norm(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> fl
 
 
 def vp_norm_bruteforce(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> float:
-    """Exhaustive enumeration over all node subsequences; oracle for small m."""
+    """Exhaustive enumeration over all node subsequences; oracle for small m.
+    It measures its own increments, sharing no table with ``vp_norm``."""
+    _check_p(p)
     m = len(path)
-    if m > 16:
-        raise ValueError("brute force limited to m <= 16 nodes")
-    dist, node = _increment_table(path, p, norm)
+    if not 2 <= m <= 16:
+        raise ValueError(f"brute force needs 2 to 16 nodes, got {m}")
+    dist = np.zeros((m, m))
+    for a, b in combinations(range(m), 2):
+        dist[a, b] = norm(path[b][1] - path[a][1])
+    node = np.array([norm(f) for _, f in path]) if terminal_zero else None
     best = 0.0
     with np.errstate(over="ignore"):
         for mask in range(1, 1 << m):

@@ -454,6 +454,29 @@ class TestFailurePaths:
         rows = (out / "largedata.csv").read_text().splitlines()
         assert len(rows) == 1 + len(cert["total_norms"])
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("kappa", "inf"), ("kappa", "nan"), ("kappa", "abc"), ("horizon", "nan"),
+         ("horizon", "inf")],
+    )
+    def test_bad_problem_value_names_its_key(self, tmp_path, capsys, key, value):
+        # |u|^inf is 0 for data below 1, so an infinite kappa would otherwise pass
+        text = (CONFIGS / "solve_quintic.cfg").read_text().replace("horizon = 0.1\n", "")
+        cfg = write(tmp_path, text.replace("[problem]\n", f"[problem]\n{key} = {value}\n"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "already exists" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
+        assert not out.exists()
+
+    def test_empty_kappa_is_the_critical_power(self, tmp_path):
+        from modlab.cli import _experiment_config, _parse_config, _problem_from_config
+
+        text = (CONFIGS / "solve_quintic.cfg").read_text()
+        cfg = _parse_config(write(tmp_path, text.replace("[problem]\n", "[problem]\nkappa =\n")))
+        assert _problem_from_config(cfg, _experiment_config(cfg, None)).kappa == 4.0
+
     def test_split_step_blow_up_is_reported(self, tmp_path, capsys, monkeypatch):
         import modlab.solver as solver
 

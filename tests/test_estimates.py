@@ -138,7 +138,7 @@ class TestStrichartz:
         ratios = []
         for N in cfg.scales:
             u0 = scale_family(cfg, N, grid)
-            lhs = free_flow_lp_norm([[(0.0, u0)]], 1.0, cfg.time_nodes, 4.0)
+            lhs = free_flow_lp_norm([u0], 1.0, cfg.time_nodes, 4.0)
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
         assert max(ratios) / min(ratios) <= 1.5
@@ -168,7 +168,7 @@ class TestStrichartz:
         ratios = []
         for N in cfg.scales:
             u0 = scale_family(cfg, N, grid)
-            lhs = free_flow_lp_norm([[(0.0, u0)]], 1.0, cfg.time_nodes, 4.0)
+            lhs = free_flow_lp_norm([u0], 1.0, cfg.time_nodes, 4.0)
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
         assert abs(ratios[1] / ratios[0] - 1.0) <= 1e-8
@@ -252,7 +252,7 @@ class TestBilinear:
         f2 = _band_noise(grid, 1.0, 6)
 
         def ratio(a, b):
-            lhs = free_flow_lp_norm([[(0.0, a)], [(0.0, b)]], 1.0, 33, 2.0, pad=2)
+            lhs = free_flow_lp_norm([a, b], 1.0, 33, 2.0, pad=2)
             return lhs / (
                 modulation_norm(a, spec, window) * modulation_norm(b, spec, window)
             )
@@ -292,6 +292,19 @@ class TestV2Bilinear:
         )
         two = v2_bilinear_ratio(ExperimentConfig(**base, atoms=2))
         assert two.passed
+
+    @pytest.mark.parametrize("atoms", [1, 3])
+    def test_atomic_path_is_a_profile_step_path(self, atoms):
+        # one profile per atom on linspace(0, horizon, atoms + 1), the last
+        # repeated at the horizon so that even one atom has two nodes
+        cfg = ExperimentConfig(d=3, n=16, length=2 * np.pi, horizon=0.5, atoms=atoms)
+        grid = cfg.grid()
+        path = est._atomic_path(cfg, grid, 2.0, 4)
+        assert np.array_equal(path.times, np.linspace(0.0, 0.5, atoms + 1))
+        for j in range(atoms):
+            profile = est._band_noise(grid, 2.0, 4 + 101 * j)
+            assert np.array_equal(path.values[j], profile.values)
+        assert np.array_equal(path.values[-1], path.values[-2])
 
     def test_zero_piece_rejected(self, monkeypatch):
         cfg = ExperimentConfig(

@@ -1,7 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from modlab.grid import Field, Trajectory, lp_norm, make_grid, to_spectrum, trapezoid
+from modlab.grid import (
+    Field, Trajectory, forward, inverse, lp_norm, make_grid, to_spectrum, trapezoid
+)
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import (
     duhamel,
@@ -10,6 +14,7 @@ from modlab.propagator import (
     extension_values,
     free_evolve,
     free_flow_lp_norm,
+    free_multiplier,
     galilean_shift,
     gradient_sq_integral,
     mass,
@@ -63,18 +68,48 @@ class TestFreeEvolve:
         assert abs(m1 - m0) <= 1e-10 * m0
 
 
+def step_path(times, fields):
+    return Trajectory(fields[0].grid, times, np.stack([f.values for f in fields]))
+
+
+def scanned_piece_norm(factors, horizon, m, p, pad=1):
+    """Reference space-time norm of step-path factors: each spectrum embedded
+    node by node, and the piece at t found by scanning for the last start <= t."""
+    g = factors[0].grid
+    fine = make_grid(g.d, pad * g.n, g.length)
+    modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
+    starts, spectra = [], []
+    for path in factors:
+        starts.append(list(path.times))
+        spectra.append([])
+        for _, f in path:
+            F = np.zeros(fine.shape, dtype=np.complex128)
+            F[modes] = forward(g, f.values)
+            spectra[-1].append(F)
+    ts = np.linspace(0.0, horizon, m)
+    powers = np.empty(m)
+    for i, t in enumerate(ts):
+        mult = free_multiplier(fine, t)
+        flows = []
+        for a, F in zip(starts, spectra):
+            k = [j for j, start in enumerate(a) if start <= t][-1]
+            flows.append(inverse(fine, mult * F[k]))
+        powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
+    return float(trapezoid(powers, ts) ** (1.0 / p))
+
+
 class TestFreeFlowNorm:
     def test_repeated_piece_equals_one_piece(self, grid3d):
         f = complex_noise(grid3d, 4)
         g = complex_noise(grid3d, 5)
-        one = free_flow_lp_norm([[(0.0, f)], [(0.0, g)]], 1.0, 9, 2.0, pad=2)
-        split = [(0.0, f), (0.3, f), (0.5, f)]
-        two = free_flow_lp_norm([split, [(0.0, g)]], 1.0, 9, 2.0, pad=2)
+        one = free_flow_lp_norm([f, g], 1.0, 9, 2.0, pad=2)
+        split = step_path((0.0, 0.3, 0.5), (f, f, f))
+        two = free_flow_lp_norm([split, g], 1.0, 9, 2.0, pad=2)
         assert two == pytest.approx(one, rel=1e-13)
 
     def test_piece_j_used_on_half_open_interval(self, grid1d):
-        # cuts at a node (0.5) and between nodes (0.3): on [a_j, a_{j+1})
-        # each factor is the free flow of its piece j
+        # cuts at a node (0.5) and between nodes (0.3): on [t_k, t_{k+1})
+        # each factor is the free flow of its profile k
         f, g, h = (complex_noise(grid1d, s) for s in (6, 7, 8))
         ts = np.linspace(0.0, 1.0, 9)
         powers = []
@@ -83,9 +118,41 @@ class TestFreeFlowNorm:
             v = free_evolve(h if t < 0.3 else f, t).values
             powers.append(grid1d.cell * np.sum(np.abs(u * v) ** 3))
         expect = trapezoid(np.array(powers), ts) ** (1.0 / 3.0)
-        factors = [[(0.0, f), (0.5, g)], [(0.0, h), (0.3, f)]]
+        factors = [step_path((0.0, 0.5), (f, g)), step_path((0.0, 0.3), (h, f))]
         value = free_flow_lp_norm(factors, 1.0, 9, 3.0)
         assert value == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("pad", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_scanned_pieces(self, pad, seed):
+        # random cut times, some on a sample node (multiples of 1/8), and a
+        # factor whose last profile repeats at the horizon, which must read
+        # the same bits as the same path without that node
+        grid = make_grid(2, 8, 2 * np.pi)
+        rng = np.random.default_rng(seed)
+        f, g, h = (complex_noise(grid, 10 * seed + j) for j in range(3))
+        between = np.sort(rng.uniform(0.05, 0.95, 2))
+        on_node = rng.integers(1, 8) / 8
+        paths = [step_path((0.0, *between), (f, g, h)), step_path((0.0, on_node), (h, f))]
+        repeated = step_path((0.0, 0.5, 1.0), (f, g, g))
+        trimmed = step_path((0.0, 0.5), (f, g))
+        plain = step_path((0.0,), (f,))
+        for factors, reference in [
+            ([*paths, f], [*paths, plain]),
+            ([repeated, paths[0]], [trimmed, paths[0]]),
+        ]:
+            value = free_flow_lp_norm(factors, 1.0, 9, 2.0, pad=pad)
+            assert value == scanned_piece_norm(reference, 1.0, 9, 2.0, pad=pad)
+
+    def test_factors_on_different_grids_rejected(self, grid1d):
+        other = make_grid(1, 256, 32 * np.pi)
+        with pytest.raises(ValueError, match="different grids"):
+            free_flow_lp_norm([complex_noise(grid1d, 1), complex_noise(other, 2)], 1.0, 9, 2.0)
+
+    def test_path_starting_after_zero_rejected(self, grid1d):
+        late = step_path((0.1, 0.5), (complex_noise(grid1d, 1), complex_noise(grid1d, 2)))
+        with pytest.raises(ValueError, match="t = 0"):
+            free_flow_lp_norm([complex_noise(grid1d, 3), late], 1.0, 9, 2.0)
 
 
 class TestGalilean:

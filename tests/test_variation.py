@@ -107,6 +107,40 @@ class TestVpNorm:
         b = vp_norm_bruteforce(path, p, L2, terminal)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
+    def test_bruteforce_oracle_measures_its_own_increments(self, monkeypatch):
+        # a fault in the table of the dynamic program must show against the
+        # oracle, not cancel out of the comparison
+        import modlab.variation as variation
+
+        table = variation._increment_table
+
+        def scaled(*args):
+            dist, node = table(*args)
+            return 1.01 * dist, node
+
+        monkeypatch.setattr(variation, "_increment_table", scaled)
+        path = scalar_path([0.0, 1.0, 3.0, 2.0])
+        a = vp_norm(path, 2.0, L2)
+        b = vp_norm_bruteforce(path, 2.0, L2)
+        assert a != b
+        assert a == pytest.approx(1.01 * b, rel=1e-12)
+
+    def test_node_norms_evaluated_only_with_terminal_zero(self):
+        # 8 nodes: 28 increments each for the dynamic program and the oracle,
+        # plus 8 node norms each only when the terminal 0 reads them
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return L2(f)
+
+        path = scalar_path([float(j) for j in range(8)])
+        for terminal, expected in ((False, 56), (True, 72)):
+            calls.clear()
+            vp_norm(path, 2.0, counting, terminal)
+            vp_norm_bruteforce(path, 2.0, counting, terminal)
+            assert len(calls) == expected
+
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
     def test_monotone_nonincreasing_in_p(self, seed):

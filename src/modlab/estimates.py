@@ -39,9 +39,9 @@ from modlab.modspace import (
     Window,
     ball_cover_centers,
     bump,
+    dyadic_multiplier,
     make_window,
     modulation_norm,
-    _annulus_multiplier,
 )
 from modlab.propagator import extension_ball_norms, free_flow_lp_norm, unit_ball_mesh
 from modlab import datagen
@@ -98,6 +98,12 @@ class ExperimentConfig:
         for sc in self.scales:
             if not (0 < sc < math.inf) or 2.0 ** round(math.log2(sc)) != sc:
                 raise InvalidScales(f"scales must be finite and dyadic, got {sc}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.time_nodes < 2:
+            raise ValueError(f"time_nodes must be at least 2, got {self.time_nodes}")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
 
     def grid(self) -> Grid:
         return make_grid(self.d, self.n, self.length)
@@ -206,7 +212,7 @@ def _band_noise(grid: Grid, band: float, seed: int) -> Field:
     """Gaussian white noise through the dyadic annulus multiplier at ``band``."""
     rng = np.random.default_rng([int(seed), int(round(band * 16))])
     white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    mult = _annulus_multiplier(grid, band)
+    mult = dyadic_multiplier(grid, band)
     return from_spectrum(SpectralField(grid, mult * white))
 
 

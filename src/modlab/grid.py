@@ -278,11 +278,6 @@ def from_spectrum(F: SpectralField) -> Field:
     return Field(F.grid, inverse(F.grid, F.coefficients))
 
 
-def spectrum_l2(F: SpectralField) -> float:
-    """L^2 norm computed on the frequency side, (dxi^d sum |F|^2)^(1/2)."""
-    return float(np.sqrt(F.grid.dxi ** F.grid.d * np.sum(np.abs(F.coefficients) ** 2)))
-
-
 def _lp_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
     """L^p quadrature over the trailing d axes, one norm per leading index."""
     if p < 1:

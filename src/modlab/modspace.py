@@ -13,9 +13,10 @@ cubes are the default; small desk-scale grids use larger cubes so that each
 cube still holds several lattice modes.  Parabolic rescaling maps either
 convention onto the other without changing fitted exponents.
 
-Dyadic (Littlewood-Paley) projections are smooth annulus multipliers that
-telescope exactly; ball projections are sharp cutoffs so the overlap counting
-of a covering family is exact.
+The smooth ``low_pass`` psi(|xi|/N) is the one dyadic split: its differences
+are the Littlewood-Paley multipliers ``dyadic_multiplier``, which telescope
+exactly, and ``solver`` splits data with it.  Ball projections are sharp
+cutoffs so the overlap counting of a covering family is exact.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, SpectralField, fourier_multiply, from_spectrum, to_spectrum
+from modlab.grid import Field, Grid, SpectralField, fourier_multiply, to_spectrum
 
 __all__ = [
     "ModNormSpec",
@@ -37,12 +38,12 @@ __all__ = [
     "make_window",
     "iso_piece",
     "modulation_norm",
+    "low_pass",
+    "dyadic_multiplier",
     "dyadic_project",
     "dyadic_multipliers",
     "box_project",
     "ball_cover_centers",
-    "SumSpaceBound",
-    "sum_space_norm_upper",
 ]
 
 _CHUNK_POINTS = 2**22  # complex samples one batch of window pieces may hold
@@ -276,11 +277,17 @@ def _abs_freq(grid: Grid) -> np.ndarray:
     return out
 
 
-def _annulus_multiplier(grid: Grid, band: float) -> np.ndarray:
-    r = _abs_freq(grid)
+def low_pass(grid: Grid, cutoff: float) -> np.ndarray:
+    """Smooth low-pass psi(|xi|/cutoff): 1 on |xi| <= cutoff, 0 on |xi| >= 2 cutoff."""
+    return _smoothstep(_abs_freq(grid) / cutoff)
+
+
+def dyadic_multiplier(grid: Grid, band: float) -> np.ndarray:
+    """Multiplier of P_N: the low ball ``low_pass(grid, 1)`` for N = 1, else the
+    annulus ``low_pass(grid, N) - low_pass(grid, N/2)``."""
     if band == 1:
-        return _smoothstep(r)
-    return _smoothstep(r / band) - _smoothstep(2.0 * r / band)
+        return low_pass(grid, 1.0)
+    return low_pass(grid, band) - low_pass(grid, band / 2.0)
 
 
 def dyadic_project(f: Field, band: float) -> Field:
@@ -294,7 +301,7 @@ def dyadic_project(f: Field, band: float) -> Field:
         raise ValueError(f"band must be dyadic >= 1, got {band}")
     if band > g.xi_max / 2:
         raise ValueError(f"band {band} exceeds xi_max/2 = {g.xi_max / 2}")
-    return fourier_multiply(f, _annulus_multiplier(g, band))
+    return fourier_multiply(f, dyadic_multiplier(g, band))
 
 
 def dyadic_multipliers(grid: Grid) -> list[tuple[float, np.ndarray]]:
@@ -312,7 +319,7 @@ def dyadic_multipliers(grid: Grid) -> list[tuple[float, np.ndarray]]:
     running = np.zeros(grid.shape)
     band = 1.0
     while band < top:
-        m = _annulus_multiplier(grid, band)
+        m = dyadic_multiplier(grid, band)
         out.append((band, m))
         running = running + m
         band *= 2.0
@@ -353,52 +360,3 @@ def ball_cover_centers(d: int, band: float, radius: float) -> list[tuple[float, 
             centers.append(c)
     return centers
 
-
-# ---------------------------------------------------------------------------
-# Sum-space norm
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SumSpaceBound:
-    """Upper bound for a modulation + L^2 sum-space norm."""
-
-    value: float
-    threshold: float
-    table: tuple[tuple[float, float], ...]
-
-
-def sum_space_norm_upper(f: Field, spec: ModNormSpec, window: Window) -> SumSpaceBound:
-    """Upper bound on inf{ ||g||_{M^s_{p,2}} + ||h||_{L^2} : f = g + h }.
-
-    Splits at a smooth dyadic low-pass and minimizes over a threshold sweep.
-    Threshold 0 puts everything in L^2, threshold inf everything in the
-    modulation part, so the bound never exceeds either single-space norm.
-    """
-    from modlab.grid import lp_norm, spectrum_l2
-
-    g = f.grid
-    thresholds = [0.0]
-    band = 1.0
-    while band <= g.xi_max / 2:
-        thresholds.append(band)
-        band *= 2.0
-    thresholds.append(np.inf)
-    F = to_spectrum(f)
-    rows = []
-    for thr in thresholds:
-        if thr == 0.0:
-            low = None
-            high = F
-        elif np.isinf(thr):
-            low = F
-            high = None
-        else:
-            mult = _smoothstep(_abs_freq(g) / thr)
-            low = SpectralField(g, mult * F.coefficients)
-            high = SpectralField(g, (1.0 - mult) * F.coefficients)
-        m = modulation_norm(from_spectrum(low), spec, window) if low is not None else 0.0
-        l2 = spectrum_l2(high) if high is not None else 0.0
-        rows.append((float(thr), m + l2))
-    best_thr, best = min(rows, key=lambda r: r[1])
-    return SumSpaceBound(value=best, threshold=best_thr, table=tuple(rows))

@@ -6,10 +6,12 @@ i u_t + Laplace(u) = sign |u|^kappa u.  Picard iterates start from the free
 trajectory; the split-step solver integrates the same equation by Strang
 splitting and serves as an independent oracle for cross-validation.
 
-Large data runs through a frequency-cutoff protocol: a total bound 2A and a
-high-frequency tail bound 2*delta above a cutoff N constrain every iterate,
-with the horizon T chosen from (A, N).  The protocol emits a certificate and
-aborts naming the violated inequality if an iterate leaves the ball.
+Both data regimes split u0 at the smooth ``modspace.low_pass``.  In d <= 2,
+``sum_space_smallness`` bounds its M^s_{p,2} + L^2 sum-space norm.  In d in
+{3, 4} a frequency-cutoff protocol runs large data: a total bound 2A and a
+tail bound 2*delta above a cutoff N constrain every iterate, with the horizon
+T chosen from (A, N); it emits a certificate and aborts naming the violated
+inequality if an iterate leaves the ball.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from modlab.grid import (
     Field, Grid, Trajectory, forward, fourier_multiply, inverse, lp_norm, spacetime_lp_norm
 )
-from modlab.modspace import ModNormSpec, Window, make_window, modulation_norm, _smoothstep, _abs_freq
+from modlab.modspace import ModNormSpec, Window, low_pass, make_window, modulation_norm
 from modlab.propagator import duhamel_path, free_multiplier, mass
 
 __all__ = [
@@ -312,7 +314,7 @@ def splitstep_solve(
 
 def _tail_field(u: Field | Trajectory, cutoff: float) -> Field | Trajectory:
     """High-pass part above the cutoff (complement of the smooth low-pass)."""
-    return fourier_multiply(u, 1.0 - _smoothstep(_abs_freq(u.grid) / cutoff))
+    return fourier_multiply(u, 1.0 - low_pass(u.grid, cutoff))
 
 
 def large_data_protocol(
@@ -394,29 +396,33 @@ def large_data_protocol(
     return path, report
 
 
-def sum_space_smallness(
-    u0: Field, window: Window, s: float = 0.5
-) -> dict:
+def sum_space_smallness(u0: Field, window: Window, s: float = 0.5) -> dict:
     """Smallness data for sum-space initial values in the d <= 2 theory.
 
-    Bounds the modulation + L^2 sum-space norm of the data from above by
-    threshold splitting (p = 6 for d = 1, p = 4 for d = 2) so the small-data
-    hypothesis can be checked before a solve.
+    Bounds inf{ ||g||_{M^s_{p,2}} + ||h||_{L^2} : u0 = g + h } (p = 6 for d = 1,
+    4 for d = 2) by splitting u0 at a smooth low-pass, minimized over the
+    thresholds 0 (all in L^2), the dyadic N <= xi_max/2 and inf (all in M^s_{p,2}).
     """
-    from modlab.modspace import sum_space_norm_upper
-
-    d = u0.grid.d
-    if d not in (1, 2):
-        raise ValueError(f"sum-space smallness check applies to d in {{1,2}}, got {d}")
-    p = 6.0 if d == 1 else 4.0
-    bound = sum_space_norm_upper(u0, ModNormSpec(s, p, 2.0), window)
-    return {
-        "bound": bound.value,
-        "threshold": bound.threshold,
-        "p": p,
-        "s": s,
-        "table": [list(row) for row in bound.table],
-    }
+    g = u0.grid
+    if g.d not in (1, 2):
+        raise ValueError(f"sum-space smallness check applies to d in {{1,2}}, got {g.d}")
+    p = 6.0 if g.d == 1 else 4.0
+    spec = ModNormSpec(s, p, 2.0)
+    thresholds = [0.0]
+    band = 1.0
+    while band <= g.xi_max / 2:
+        thresholds.append(band)
+        band *= 2.0
+    thresholds.append(np.inf)
+    F = forward(g, u0.values)
+    table = []
+    for thr in thresholds:
+        low = 0.0 if thr == 0.0 else 1.0 if np.isinf(thr) else low_pass(g, thr)
+        m = modulation_norm(Field(g, inverse(g, low * F)), spec, window)
+        l2 = float(np.sqrt(g.dxi**g.d * np.sum(np.abs((1.0 - low) * F) ** 2)))
+        table.append([float(thr), m + l2])
+    threshold, bound = min(table, key=lambda row: row[1])
+    return {"bound": bound, "threshold": threshold, "p": p, "s": s, "table": table}
 
 
 def small_data_threshold(

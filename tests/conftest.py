@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modlab.grid import Field, make_grid
+from modlab.grid import Field, SpectralField, from_spectrum, make_grid
 from modlab.propagator import extension_values
 
 
@@ -31,6 +31,17 @@ def complex_noise(grid, seed):
     return Field(
         grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
+
+
+def bandlimited(grid, center, halfwidth, seed):
+    """Random spectrum on the ball |xi - center| < halfwidth."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    dist = sum((xi - c) ** 2 for xi, c in zip(grid.freqs(), np.atleast_1d(center)))
+    mask = dist < halfwidth**2
+    count = int(mask.sum())
+    coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return from_spectrum(SpectralField(grid, coeffs))
 
 
 def direct_ball_norm(profile, pts, w, R, p, spu):

@@ -470,6 +470,32 @@ class TestFailurePaths:
         assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("horizon", "nan"), ("horizon", "inf"), ("horizon", "-1"), ("horizon", "0"),
+         ("time_nodes", "1"), ("time_nodes", "-5"), ("margin", "nan"), ("margin", "inf")],
+    )
+    def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
+        lines = [line for line in SMOOTHING_CFG.splitlines() if not line.startswith(key)]
+        cfg = write(tmp_path, "\n".join(lines).replace("[sweep]", f"[sweep]\n{key} = {value}"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
+        assert not out.exists()
+
+    def test_picard_divergence_is_reported(self, tmp_path, capsys):
+        text = (CONFIGS / "solve_quintic.cfg").read_text()
+        cfg = write(tmp_path, text.replace("amplitude = 0.2", "amplitude = 2.0"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "solve.json").read_text())
+        assert summary["pass"] is False
+        assert summary["cross_validation"]["picard_report"]["diverged"] is True
+        assert summary["cross_validation"]["agrees"] is False
+
     def test_empty_kappa_is_the_critical_power(self, tmp_path):
         from modlab.cli import _experiment_config, _parse_config, _problem_from_config
 

@@ -9,26 +9,17 @@ from modlab.modspace import (
     ball_cover_centers,
     box_project,
     bump,
+    dyadic_multiplier,
     dyadic_multipliers,
     dyadic_project,
     iso_piece,
+    low_pass,
     make_window,
     modulation_norm,
-    sum_space_norm_upper,
 )
 from modlab.estimates import fit_exponent
 from modlab.datagen import focusing_data
-from tests.conftest import complex_noise
-
-
-def bandlimited(grid, center, halfwidth, seed):
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    dist = sum((xi - c) ** 2 for xi, c in zip(grid.freqs(), np.atleast_1d(center)))
-    mask = dist < halfwidth**2
-    count = int(mask.sum())
-    coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return from_spectrum(SpectralField(grid, coeffs))
+from tests.conftest import bandlimited, complex_noise
 
 
 class TestWindow:
@@ -282,6 +273,26 @@ class TestDyadic:
         with pytest.raises(ValueError, match="dyadic"):
             dyadic_project(complex_noise(grid1d, 0), 3.0)
 
+    @pytest.mark.parametrize("cutoff", [0.5, 1.0, 2.0, 4.0])
+    def test_low_pass_is_one_inside_and_zero_outside(self, cutoff):
+        g = make_grid(2, 64, 16 * np.pi)
+        r = np.sqrt(g.freq_sq())
+        m = low_pass(g, cutoff)
+        assert np.all(m[r <= cutoff] == 1.0)
+        assert np.all(m[r >= 2.0 * cutoff] == 0.0)
+        assert np.all((m >= 0.0) & (m <= 1.0))
+
+    @pytest.mark.parametrize("d,n", [(1, 256), (3, 16)])
+    def test_dyadic_multiplier_is_a_difference_of_low_passes(self, d, n):
+        g = make_grid(d, n, 8 * np.pi)
+        r, smooth = np.sqrt(g.freq_sq()), modspace._smoothstep
+        assert np.array_equal(dyadic_multiplier(g, 1.0), low_pass(g, 1.0))
+        for band in (2.0, 4.0, 8.0):
+            m = dyadic_multiplier(g, band)
+            assert np.array_equal(m, low_pass(g, band) - low_pass(g, band / 2))
+            # the same bits as the annulus written with a doubled radius
+            assert np.array_equal(m, smooth(r / band) - smooth(2.0 * r / band))
+
 
 class TestBoxProject:
     def test_far_center_gives_zero(self, grid1d):
@@ -312,30 +323,3 @@ class TestBoxProject:
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError, match="radius"):
             ball_cover_centers(1, 4.0, 0.5)
-
-
-class TestSumSpace:
-    def test_low_frequency_field_bounded_by_both(self, grid1d):
-        w = make_window(grid1d)
-        spec = ModNormSpec(0.5, 6.0, 2.0)
-        f = bandlimited(grid1d, 0.0, 0.9, seed=8)
-        bound = sum_space_norm_upper(f, spec, w)
-        m = modulation_norm(f, spec, w)
-        l2 = lp_norm(f, 2)
-        assert bound.value <= min(m, l2) + 1e-10
-
-    def test_zero_field(self, grid1d):
-        w = make_window(grid1d)
-        bound = sum_space_norm_upper(Field.zero(grid1d), ModNormSpec(0, 6, 2), w)
-        assert bound.value == 0.0
-
-    def test_split_beats_single_space_for_mixed_data(self, grid1d):
-        w = make_window(grid1d)
-        spec = ModNormSpec(1.0, 6.0, 2.0)
-        low = bandlimited(grid1d, 0.0, 0.9, seed=2)
-        high = bandlimited(grid1d, 6.0, 0.4, seed=3)
-        f = low + 0.5 * high
-        bound = sum_space_norm_upper(f, spec, w)
-        assert bound.value <= modulation_norm(f, spec, w) + 1e-10
-        assert bound.value <= lp_norm(f, 2) + 1e-10
-        assert dict(bound.table)  # sweep table is reported

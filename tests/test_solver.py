@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from modlab.grid import Field, Trajectory, lp_norm, make_grid
-from modlab.modspace import make_window
+from modlab.grid import (
+    Field, SpectralField, Trajectory, from_spectrum, lp_norm, make_grid, to_spectrum
+)
+from modlab.modspace import ModNormSpec, low_pass, make_window, modulation_norm
 from modlab.datagen import mollified_indicator
 from modlab.propagator import free_evolve, mass
 from modlab.solver import (
@@ -14,8 +16,9 @@ from modlab.solver import (
     nonlinearity,
     picard_solve,
     splitstep_solve,
+    sum_space_smallness,
 )
-from tests.conftest import gaussian_field
+from tests.conftest import bandlimited, complex_noise, gaussian_field
 
 
 def small_quintic(amplitude=0.2, nodes=65):
@@ -207,10 +210,78 @@ class TestCrossValidate:
         assert out["agrees"], out["distance"]
 
 
+def three_branch_bound(f, spec, window):
+    """The sum-space sweep with the ends of the split held as ``None`` (the
+    low part at threshold 0, the high part at inf), kept as a reference."""
+    g = f.grid
+    thresholds = [0.0]
+    band = 1.0
+    while band <= g.xi_max / 2:
+        thresholds.append(band)
+        band *= 2.0
+    thresholds.append(np.inf)
+    F = to_spectrum(f)
+    rows = []
+    for thr in thresholds:
+        if thr == 0.0:
+            low, high = None, F
+        elif np.isinf(thr):
+            low, high = F, None
+        else:
+            mult = low_pass(g, thr)
+            low = SpectralField(g, mult * F.coefficients)
+            high = SpectralField(g, (1.0 - mult) * F.coefficients)
+        m = modulation_norm(from_spectrum(low), spec, window) if low is not None else 0.0
+        l2 = 0.0
+        if high is not None:
+            l2 = float(np.sqrt(g.dxi ** g.d * np.sum(np.abs(high.coefficients) ** 2)))
+        rows.append([float(thr), m + l2])
+    threshold, bound = min(rows, key=lambda r: r[1])
+    return bound, threshold, rows
+
+
+class TestSumSpace:
+    def test_low_frequency_field_bounded_by_both(self, grid1d):
+        w = make_window(grid1d)
+        f = bandlimited(grid1d, 0.0, 0.9, seed=8)
+        out = sum_space_smallness(f, w, s=0.5)
+        m = modulation_norm(f, ModNormSpec(0.5, 6.0, 2.0), w)
+        assert out["p"] == 6.0
+        assert out["bound"] <= min(m, lp_norm(f, 2)) + 1e-10
+
+    def test_zero_field(self, grid1d):
+        out = sum_space_smallness(Field.zero(grid1d), make_window(grid1d), s=0.0)
+        assert out["bound"] == 0.0
+
+    def test_split_beats_single_space_for_mixed_data(self, grid1d):
+        w = make_window(grid1d)
+        low = bandlimited(grid1d, 0.0, 0.9, seed=2)
+        high = bandlimited(grid1d, 6.0, 0.4, seed=3)
+        f = low + 0.5 * high
+        out = sum_space_smallness(f, w, s=1.0)
+        assert out["bound"] <= modulation_norm(f, ModNormSpec(1.0, 6.0, 2.0), w) + 1e-10
+        assert out["bound"] <= lp_norm(f, 2) + 1e-10
+        assert dict(out["table"])  # sweep table is reported
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("data", ["noise", "gaussian", "zero"])
+    def test_equals_the_three_branch_sweep(self, d, data, s):
+        g = make_grid(d, *{1: (256, 16 * np.pi), 2: (32, 8 * np.pi)}[d])
+        w = make_window(g)
+        f = {
+            "noise": lambda: complex_noise(g, 3),
+            "gaussian": lambda: gaussian_field(g, amplitude=0.3),
+            "zero": lambda: Field.zero(g),
+        }[data]()
+        out = sum_space_smallness(f, w, s)
+        bound, threshold, table = three_branch_bound(f, ModNormSpec(s, out["p"], 2.0), w)
+        assert out["p"] == (6.0 if d == 1 else 4.0)
+        assert (out["bound"], out["threshold"], out["table"]) == (bound, threshold, table)
+
+
 class TestSmallnessProbes:
     def test_sum_space_smallness_bound(self):
-        from modlab.solver import sum_space_smallness
-
         g = make_grid(1, 256, 16 * np.pi)
         w = make_window(g)
         x = g.axis_coords()
@@ -220,8 +291,6 @@ class TestSmallnessProbes:
         assert 0 < out["bound"] <= lp_norm(u0, 2) + 1e-10
 
     def test_sum_space_smallness_dimension_guard(self):
-        from modlab.solver import sum_space_smallness
-
         g = make_grid(3, 16, 8 * np.pi)
         with pytest.raises(ValueError, match="d in"):
             sum_space_smallness(Field.zero(g), make_window(g))

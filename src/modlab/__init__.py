@@ -23,7 +23,6 @@ from modlab.grid import (
     Grid,
     SpectralField,
     Trajectory,
-    from_spectrum,
     lp_norm,
     make_grid,
     spacetime_lp_norm,
@@ -34,7 +33,6 @@ __all__ = [
     "Field",
     "Grid",
     "SpectralField",
-    "from_spectrum",
     "lp_norm",
     "make_grid",
     "spacetime_lp_norm",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -136,9 +137,9 @@ def _experiment_config(cfg: dict, seed_override: int | None):
 
 
 def _sanitize(obj):
-    """Make results JSON-safe and deterministic (inf/nan become strings)."""
+    """Make results JSON-safe (inf/nan become strings); ``json.dumps`` sorts keys."""
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
@@ -311,15 +312,8 @@ def _run_solve(cfg, xcfg, out_dir):
     factors = report["picard_report"]["contraction_factors"]
     contracting = all(f < 0.5 for f in factors[1:]) if len(factors) > 1 else True
     passed = report["agrees"] and contracting
-    rows = [
-        (j, r, tol, f)
-        for j, (r, f) in enumerate(
-            zip(
-                report["picard_report"]["residuals"],
-                factors + [0.0] * (len(report["picard_report"]["residuals"]) - len(factors)),
-            )
-        )
-    ]
+    padded = itertools.zip_longest(report["picard_report"]["residuals"], factors, fillvalue=0.0)
+    rows = [(j, r, tol, f) for j, (r, f) in enumerate(padded)]
     summary = _summary(
         tol,
         passed,

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from modlab.grid import (
-    Field, Grid, InvalidScales, SpectralField, fourier_multiply, from_spectrum, lp_norm,
-    make_grid, to_spectrum,
+    Field, Grid, InvalidScales, forward, fourier_multiply, inverse, lp_norm, make_grid,
 )
 from modlab.modspace import ModNormSpec, Window, bump, modulation_norm
 from modlab.propagator import gradient_sq_integral
@@ -54,10 +53,8 @@ def mollified_indicator(
     chi = bump(r_sq)
     chi = chi / (grid.cell * chi.sum())
     # convolution via the transform pair: (f*g)^ = (2 pi)^{d/2} f^ g^
-    F_chi = to_spectrum(Field(grid, chi.astype(np.complex128)))
-    F_ind = to_spectrum(Field(grid, indicator))
-    conv = (2.0 * np.pi) ** (grid.d / 2.0) * F_chi.coefficients * F_ind.coefficients
-    f = from_spectrum(SpectralField(grid, conv))
+    conv = (2.0 * np.pi) ** (grid.d / 2.0) * forward(grid, chi) * forward(grid, indicator)
+    f = Field(grid, inverse(grid, conv))
     f = (1.0 / lp_norm(f, 4)) * f
 
     l2 = lp_norm(f, 2)
@@ -83,7 +80,7 @@ def random_phase_data(scale: float, seed: int, grid: Grid) -> Field:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=int(mask.sum()))
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[mask] = np.exp(1j * phases)
-    return from_spectrum(SpectralField(grid, coeffs))
+    return Field(grid, inverse(grid, coeffs))
 
 
 def focusing_data(scale: float, grid: Grid) -> Field:
@@ -96,7 +93,7 @@ def focusing_data(scale: float, grid: Grid) -> Field:
         raise InvalidScales(f"scale {scale} exceeds xi_max/4 = {grid.xi_max / 4}")
     mask = reduce(np.logical_and, [np.abs(xi) <= scale for xi in grid.freqs()])
     coeffs = np.where(mask, 1.0 + 0.0j, 0.0)
-    return from_spectrum(SpectralField(grid, coeffs))
+    return Field(grid, inverse(grid, coeffs))
 
 
 def random_field(grid: Grid, seed: int, band: float | None = None) -> Field:

@@ -27,12 +27,11 @@ from modlab.grid import (
     Field,
     Grid,
     InvalidScales,
-    SpectralField,
     Trajectory,
-    from_spectrum,
+    forward,
+    inverse,
     lp_norm,
     make_grid,
-    to_spectrum,
 )
 from modlab.modspace import (
     ModNormSpec,
@@ -205,7 +204,7 @@ def _bump_at(grid: Grid, center: Sequence[float], width: float) -> Field:
     arg = reduce(
         np.add, [((xi - c) / width) ** 2 for xi, c in zip(grid.freqs(), center)]
     )
-    return from_spectrum(SpectralField(grid, bump(arg)))
+    return Field(grid, inverse(grid, bump(arg)))
 
 
 def _band_noise(grid: Grid, band: float, seed: int) -> Field:
@@ -213,7 +212,7 @@ def _band_noise(grid: Grid, band: float, seed: int) -> Field:
     rng = np.random.default_rng([int(seed), int(round(band * 16))])
     white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     mult = dyadic_multiplier(grid, band)
-    return from_spectrum(SpectralField(grid, mult * white))
+    return Field(grid, inverse(grid, mult * white))
 
 
 def scale_family(config: ExperimentConfig, scale: float, grid: Grid) -> Field:
@@ -383,14 +382,14 @@ def bilinear_chain_log(
     lhs = free_flow_lp_norm([f1, f2], config.horizon, m, 2.0, pad=2)
 
     centers = ball_cover_centers(grid.d, n_high, n_low)
-    F1 = to_spectrum(f1)
+    F1 = forward(grid, f1.values)
     # L^2 covering bounds are exact: sum of localized energies vs energy
-    e_total = float(np.sum(np.abs(F1.coefficients) ** 2))
+    e_total = float(np.sum(np.abs(F1) ** 2))
     e_boxes = 0.0
     occupied = []
     for c in centers:
         mask = reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(grid.freqs(), c)]) <= n_low**2
-        e = float(np.sum(np.abs(F1.coefficients[mask]) ** 2))
+        e = float(np.sum(np.abs(F1[mask]) ** 2))
         e_boxes += e
         if e > 0.0:
             occupied.append((c, mask, e))
@@ -408,7 +407,7 @@ def bilinear_chain_log(
     holder_ok = True
     m42_sq = 0.0
     for c, mask, _ in sample:
-        piece = from_spectrum(SpectralField(grid, mask * F1.coefficients))
+        piece = Field(grid, inverse(grid, mask * F1))
         prod = free_flow_lp_norm([piece, f2], config.horizon, m, 2.0, pad=2)
         l4_piece = free_flow_lp_norm([piece], config.horizon, m, 4.0)
         holder_ok = holder_ok and prod <= l4_piece * l4_low * (1.0 + 1e-9)

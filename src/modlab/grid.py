@@ -34,7 +34,6 @@ __all__ = [
     "inverse",
     "fourier_multiply",
     "to_spectrum",
-    "from_spectrum",
     "lp_norm",
     "spacetime_lp_norm",
     "trapezoid",
@@ -176,7 +175,7 @@ class Field:
 
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class SpectralField:
-    """Complex Fourier coefficients on the frequency lattice (FFT order)."""
+    """Frozen Fourier coefficients in FFT order, a view for callers outside the package."""
 
     grid: Grid
     coefficients: np.ndarray
@@ -269,13 +268,8 @@ def fourier_multiply(u: Field | Trajectory, multiplier: np.ndarray) -> Field | T
 
 
 def to_spectrum(f: Field) -> SpectralField:
-    """Forward transform of a field with unitary continuum normalization."""
+    """``forward`` of a field as a frozen ``SpectralField``, for callers outside the package."""
     return SpectralField(f.grid, forward(f.grid, f.values))
-
-
-def from_spectrum(F: SpectralField) -> Field:
-    """Inverse transform; round-trips ``to_spectrum`` to machine precision."""
-    return Field(F.grid, inverse(F.grid, F.coefficients))
 
 
 def _lp_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:

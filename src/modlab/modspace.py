@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, SpectralField, fourier_multiply, to_spectrum
+from modlab.grid import Field, Grid, forward, fourier_multiply
 
 __all__ = [
     "ModNormSpec",
@@ -196,20 +196,20 @@ def iso_piece(f: Field, k: Sequence[int], window: Window) -> Field:
     return fourier_multiply(f, window.multiplier(k))
 
 
-def _piece_lp_norms(F: SpectralField, ks: list, window: Window, p: float) -> np.ndarray:
-    """L^p norms of the pieces ``ks`` (a non-empty product of per-axis shift
-    ranges in ``itertools.product`` order), in that order.  p = 2 contracts
-    |F|^2 axis by axis (Parseval); other p walk the prefix tree of the shifts,
-    each level one profile multiply and one batched 1-d inverse FFT along its
-    axis, splitting shifts past ``_CHUNK_POINTS``.  |piece| ignores the
-    coordinate twist of ``from_spectrum``."""
+def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.ndarray:
+    """L^p norms of the pieces ``ks`` of a spectrum F (a non-empty product of
+    per-axis shift ranges in ``itertools.product`` order), in that order.
+    p = 2 contracts |F|^2 axis by axis (Parseval); other p walk the prefix
+    tree of the shifts, each level one profile multiply and one batched 1-d
+    inverse FFT along its axis, splitting shifts past ``_CHUNK_POINTS``.
+    |piece| ignores the coordinate twist of ``inverse``."""
     g = window.grid
     ranges = [sorted({k[a] for k in ks}) for a in range(g.d)]
     if not ks or list(itertools.product(*ranges)) != list(ks):
         raise ValueError("windows must be a product of per-axis shift ranges, in order")
     rows = [window.axis_profiles()[np.array(r) + window.kmax] for r in ranges]
     if p == 2:
-        piece = np.abs(F.coefficients) ** 2
+        piece = np.abs(F) ** 2
         for r in rows:  # contracts axis 0, appends the shift axis last
             piece = np.tensordot(piece, r**2, axes=([0], [1]))
         return np.sqrt(g.dxi**g.d * piece.ravel())
@@ -230,7 +230,7 @@ def _piece_lp_norms(F: SpectralField, ks: list, window: Window, p: float) -> np.
             parts.append(descend(np.fft.ifft(nxt, axis=a + 1, out=nxt), a + 1))
         return np.concatenate(parts)
 
-    return descend(F.coefficients[None], 0)
+    return descend(F[None], 0)
 
 
 def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
@@ -241,12 +241,13 @@ def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
     """
     if f.grid != window.grid:
         raise ValueError("field and window live on different grids")
-    F = to_spectrum(f)
-    ks = window.active_lattice(F.coefficients)
+    F = forward(f.grid, f.values)
+    F.flags.writeable = False  # callers of active_lattice may keep a reference
+    ks = window.active_lattice(F)
     if not ks:
         return 0.0
     norms = _piece_lp_norms(F, ks, window, spec.p)
-    brackets = np.array([math.sqrt(1.0 + sum(v * v for v in k)) for k in ks])
+    brackets = np.sqrt(1.0 + np.sum(np.square(ks), axis=1))
     weighted = brackets**spec.s * norms
     if np.isinf(spec.q):
         return float(weighted.max())

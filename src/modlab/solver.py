@@ -37,6 +37,8 @@ __all__ = [
     "picard_solve",
     "splitstep_solve",
     "large_data_protocol",
+    "sum_space_smallness",
+    "small_data_threshold",
     "cross_validate",
 ]
 
@@ -168,6 +170,8 @@ def picard_solve(
     """
     if problem.time_nodes < 16:
         raise ValueError(f"need at least 16 time nodes, got {problem.time_nodes}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     grid = problem.grid
     if problem.d <= 2:
         kind = "strichartz"
@@ -197,7 +201,6 @@ def picard_solve(
     converged = False
     diverged = False
     iterations = 0
-    zero_data = lp_norm(problem.u0, 2) == 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iters):
             iterations = it + 1
@@ -216,7 +219,7 @@ def picard_solve(
             current = new
             if iterate_hook is not None:
                 iterate_hook(iterations, current)
-            if res <= tol or (zero_data and res == 0.0):
+            if res <= tol:
                 converged = True
                 break
             if len(factors) >= 3 and all(f >= 1.0 for f in factors[-3:]):
@@ -483,8 +486,6 @@ def cross_validate(problem: NLSProblem, tol: float = 1e-5) -> dict:
     u_split = ss[-1][1]
     denom = max(lp_norm(u_split, 2), 1e-300)
     distance = lp_norm(u_picard - u_split, 2) / denom
-    if lp_norm(problem.u0, 2) == 0.0:
-        distance = lp_norm(u_picard - u_split, 2)
 
     # convergence orders: halve both resolutions once
     coarse_nodes = (problem.time_nodes - 1) // 2 + 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modlab.grid import Field, SpectralField, from_spectrum, make_grid
+from modlab.grid import Field, inverse, make_grid
 from modlab.propagator import extension_values
 
 
@@ -41,7 +41,7 @@ def bandlimited(grid, center, halfwidth, seed):
     mask = dist < halfwidth**2
     count = int(mask.sum())
     coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return from_spectrum(SpectralField(grid, coeffs))
+    return Field(grid, inverse(grid, coeffs))
 
 
 def direct_ball_norm(profile, pts, w, R, p, spu):

@@ -7,7 +7,7 @@ from modlab.grid import (
     SpectralField,
     Trajectory,
     fourier_multiply,
-    from_spectrum,
+    inverse,
     lp_norm,
     make_grid,
     spacetime_lp_norm,
@@ -82,7 +82,7 @@ class TestTransforms:
         g = make_grid(d, n, 8 * np.pi)
         for seed in range(100):
             f = complex_noise(g, seed)
-            back = from_spectrum(to_spectrum(f))
+            back = Field(g, inverse(g, to_spectrum(f).coefficients))
             rel = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
             assert rel <= 1e-12
 
@@ -279,5 +279,5 @@ class TestTrajectory:
         out = fourier_multiply(path, mult)
         assert isinstance(out, Trajectory) and np.array_equal(out.times, path.times)
         for j, (_, f) in enumerate(path):
-            expect = from_spectrum(SpectralField(grid3d, mult * to_spectrum(f).coefficients))
+            expect = Field(grid3d, inverse(grid3d, mult * to_spectrum(f).coefficients))
             assert np.array_equal(out.values[j], expect.values)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modlab import modspace
-from modlab.grid import Field, SpectralField, from_spectrum, lp_norm, make_grid, to_spectrum
+from modlab.grid import Field, SpectralField, inverse, lp_norm, make_grid, to_spectrum
 from modlab.modspace import (
     ModNormSpec,
     _piece_lp_norms,
@@ -87,6 +87,19 @@ class TestModulationNorm:
     def test_zero_field(self, grid1d):
         w = make_window(grid1d)
         assert modulation_norm(Field.zero(grid1d), ModNormSpec(0, 2, 2), w) == 0.0
+
+    def test_spectrum_reaches_active_lattice_read_only(self, grid3d, monkeypatch):
+        # callers of active_lattice may keep the spectrum after the call
+        seen = []
+        original = modspace.Window.active_lattice
+
+        def capture(window, coefficients):
+            seen.append(coefficients)
+            return original(window, coefficients)
+
+        monkeypatch.setattr(modspace.Window, "active_lattice", capture)
+        modulation_norm(complex_noise(grid3d, 0), ModNormSpec(0, 4, 2), make_window(grid3d))
+        assert len(seen) == 1 and not seen[0].flags.writeable
 
     @pytest.mark.parametrize("d,n", [(1, 256), (2, 32), (3, 16)])
     def test_plancherel(self, d, n):
@@ -189,7 +202,7 @@ class TestPieceKernel:
         F = ball_noise_spectrum(g, seed=d)
         ks = w.active_lattice(F.coefficients)
         assert 1 < len(ks) < len(list(w.lattice()))
-        got = _piece_lp_norms(F, ks, w, p)
+        got = _piece_lp_norms(F.coefficients, ks, w, p)
         want = per_window_norms(F, ks, w, p)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
@@ -204,7 +217,7 @@ class TestPieceKernel:
         ks = list(w.lattice())
         below = (2 * w.kmax + 1) ** (d - 1) if levels == "leading" else 1
         monkeypatch.setattr(modspace, "_CHUNK_POINTS", 3 * below * g.size)
-        got = _piece_lp_norms(F, ks, w, 4.0)
+        got = _piece_lp_norms(F.coefficients, ks, w, 4.0)
         want = per_window_norms(F, ks, w, 4.0)
         assert np.all(np.abs(got - want) <= 1e-13 * want.max())
 
@@ -214,7 +227,7 @@ class TestPieceKernel:
         ks = w.active_lattice(F.coefficients)
         for bad in (ks[::-1], ks[1:], []):
             with pytest.raises(ValueError, match="product"):
-                _piece_lp_norms(F, bad, w, 4.0)
+                _piece_lp_norms(F.coefficients, bad, w, 4.0)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_round_off_residue_activates_nothing(self, d):
@@ -235,8 +248,9 @@ class TestPieceKernel:
         F = SpectralField(g, noisy)
         ks = list(w.lattice())
         brackets = np.array([np.sqrt(1.0 + sum(v * v for v in k)) for k in ks])
-        exhaustive = np.sqrt(np.sum((brackets**spec.s * _piece_lp_norms(F, ks, w, 4.0)) ** 2))
-        norm = modulation_norm(from_spectrum(F), spec, w)
+        norms = _piece_lp_norms(F.coefficients, ks, w, 4.0)
+        exhaustive = np.sqrt(np.sum((brackets**spec.s * norms) ** 2))
+        norm = modulation_norm(Field(g, inverse(g, F.coefficients)), spec, w)
         assert abs(norm - exhaustive) <= 1e-14 * exhaustive
 
 

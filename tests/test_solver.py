@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modlab.grid import (
-    Field, SpectralField, Trajectory, from_spectrum, lp_norm, make_grid, to_spectrum
+    Field, SpectralField, Trajectory, inverse, lp_norm, make_grid, to_spectrum
 )
 from modlab.modspace import ModNormSpec, low_pass, make_window, modulation_norm
 from modlab.datagen import mollified_indicator
@@ -59,6 +59,11 @@ class TestPicard:
         assert report.iterations == 1
         assert report.converged
         assert all(lp_norm(f, 2) == 0.0 for _, f in path)
+
+    @pytest.mark.parametrize("tol", [-1e-12, np.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            picard_solve(small_quintic(), tol=tol)
 
     def test_small_data_contracts_fast(self):
         path, report = picard_solve(small_quintic(), tol=1e-12)
@@ -231,7 +236,9 @@ def three_branch_bound(f, spec, window):
             mult = low_pass(g, thr)
             low = SpectralField(g, mult * F.coefficients)
             high = SpectralField(g, (1.0 - mult) * F.coefficients)
-        m = modulation_norm(from_spectrum(low), spec, window) if low is not None else 0.0
+        m = 0.0
+        if low is not None:
+            m = modulation_norm(Field(g, inverse(g, low.coefficients)), spec, window)
         l2 = 0.0
         if high is not None:
             l2 = float(np.sqrt(g.dxi ** g.d * np.sum(np.abs(high.coefficients) ** 2)))
@@ -340,14 +347,12 @@ class TestLargeData:
     def test_adversarial_tail_still_certified(self):
         # extra rough mass beyond the cutoff: the measured tail grows, the
         # horizon shrinks, and the run stays certified
-        from modlab.grid import SpectralField, from_spectrum, to_spectrum
-
         rng = np.random.default_rng(5)
         F = to_spectrum(self.data).coefficients.copy()
         r = np.sqrt(self.grid.freq_sq())
         F = F + 0.05 * (rng.standard_normal(self.grid.shape)
                         + 1j * rng.standard_normal(self.grid.shape)) * (r > 2.2)
-        rough = from_spectrum(SpectralField(self.grid, F))
+        rough = Field(self.grid, inverse(self.grid, F))
         prob = NLSProblem(u0=rough, horizon=1.0, time_nodes=17)
         _, report = large_data_protocol(prob, window=self.window, c0=0.4)
         base_prob = NLSProblem(u0=self.data, horizon=1.0, time_nodes=17)

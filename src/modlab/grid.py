@@ -32,6 +32,7 @@ __all__ = [
     "make_grid",
     "forward",
     "inverse",
+    "inverse_pruned",
     "fourier_multiply",
     "to_spectrum",
     "lp_norm",
@@ -260,6 +261,32 @@ def forward(grid: Grid, values: np.ndarray) -> np.ndarray:
 def inverse(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     """Inverse of ``forward``; round-trips it to machine precision."""
     return grid.inverse_scale * np.fft.ifftn(_phase(grid) * coefficients, axes=range(-grid.d, 0))
+
+
+def inverse_pruned(grid: Grid, coefficients: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """``inverse(grid, X)``, bit for bit, for the X that holds ``coefficients``
+    at the modes ``modes`` of every axis and is zero elsewhere.
+
+    ``modes`` is a strictly increasing index into one axis of ``grid``; the
+    trailing d axes of ``coefficients`` have ``len(modes)`` entries each.
+    Zeros are known by index, never tested by value.  The twist goes on the
+    given modes only; then, axis by axis in ``ifftn``'s order, last axis
+    first, the axis about to be transformed is embedded in ``grid.n`` points,
+    so every 1-d transform is one ``ifftn`` would take and the lines it would
+    take over zeros are skipped (FFT pruning, Markel 1971).  Modes that fill
+    the axis leave nothing to prune: that case is ``inverse`` itself.
+    """
+    if len(modes) == grid.n:
+        return inverse(grid, coefficients)
+    out = _phase(grid)[np.ix_(*[modes] * grid.d)] * coefficients
+    for axis in range(-1, -grid.d - 1, -1):
+        shape = list(out.shape)
+        shape[axis] = grid.n
+        embedded = np.zeros(shape, dtype=out.dtype)
+        embedded[(..., modes, *[slice(None)] * (-axis - 1))] = out
+        out = np.fft.ifft(embedded, axis=axis)
+    out *= grid.inverse_scale
+    return out
 
 
 def fourier_multiply(u: Field | Trajectory, multiplier: np.ndarray) -> Field | Trajectory:

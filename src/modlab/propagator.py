@@ -1,17 +1,23 @@
 """Free Schroedinger evolution and its companions.
 
 Sign convention, fixed once: the flow solves i u_t + Laplace(u) = 0, so the
-spectral multiplier of ``free_evolve(f, t)`` is exp(-i t |xi|^2).  The
-Galilean twist multiplies by a plane wave and translates the spectrum; the
-Duhamel integral takes its forcing as a ``Trajectory`` and sums the composite
-trapezoid rule in one fixed order, which the solver's reported contraction
-factors depend on to the last bit; space-time L^p norms of products of free
-flows take each factor as a Field or as the step ``Trajectory`` of its
-profiles and sample the product node by node, on a zero-padded grid when it
-must be alias-free; the paraboloid extension operator is
-direct midpoint quadrature over a frequency mesh of the unit ball, and its
-ball norms are time-blocked GEMMs of about nmesh * m * |ball shadow|
-multiply-adds, restricted to d <= 2 since that cost grows like mesh^(2d+1).
+spectral multiplier of ``free_evolve(f, t)`` is exp(-i t |xi|^2), and that
+phase has one spelling, shared by ``free_multiplier`` and the product-norm
+kernel.
+
+- The Galilean twist multiplies by a plane wave and translates the spectrum.
+- The Duhamel integral takes its forcing as a ``Trajectory`` and sums the
+  composite trapezoid rule in one fixed order, which the solver's reported
+  contraction factors depend on to the last bit.
+- Space-time L^p norms of products of free flows (``free_flow_lp_norm``)
+  take each factor as a Field or as the step ``Trajectory`` of its profiles
+  and sample the product node by node, on a zero-padded grid when it must be
+  alias-free.  The phase, the twist and the multiply act on the n^d embedded
+  modes only, and ``grid.inverse_pruned`` does the padding.
+- The paraboloid extension operator is direct midpoint quadrature over a
+  frequency mesh of the unit ball; its ball norms are time-blocked GEMMs of
+  about nmesh * m * |ball shadow| multiply-adds, restricted to d <= 2 since
+  that cost grows like mesh^(2d+1).
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, Trajectory, forward, fourier_multiply, inverse, trapezoid
+from modlab.grid import (
+    Field, Grid, Trajectory, forward, fourier_multiply, inverse, inverse_pruned, trapezoid
+)
 
 __all__ = [
     "free_multiplier",
@@ -43,9 +51,14 @@ __all__ = [
 _CHUNK_ROWS = 256  # spatial points of the ball's shadow in one block of GEMMs
 
 
+def _flow_phase(freq_sq: np.ndarray, t: float) -> np.ndarray:
+    # exp(-i t |xi|^2) from |xi|^2: the one spelling of the free-flow phase
+    return np.exp(-1j * t * freq_sq)
+
+
 def free_multiplier(grid: Grid, t: float) -> np.ndarray:
     """The spectral multiplier exp(-i t |xi|^2) of the free flow at time t."""
-    return np.exp(-1j * t * grid.freq_sq())
+    return _flow_phase(grid.freq_sq(), t)
 
 
 def free_evolve(f: Field, t: float) -> Field:
@@ -67,15 +80,31 @@ def free_flow_lp_norm(
     A factor is a Field f, the free flow exp(it Laplace) f, or a Trajectory
     of profiles, a right-continuous step function with first node at 0: on
     [t_k, t_{k+1}) the factor is exp(it Laplace) v_k, and the last profile
-    runs to the horizon.  Factors share one grid; the product is sampled at
-    m uniform nodes on the grid refined ``pad`` times: each spectrum is
-    embedded with its modes' frequencies kept and the new modes zero, so pad
-    2 makes the quadrature of a product of two band-limited flows alias-free
-    (Orszag's rule).  The trapezoid rule integrates the spatial L^p^p in time.
+    runs to the horizon.  Factors share one grid of n points per axis; the
+    product is sampled at m uniform nodes on the grid refined ``pad`` times,
+    ``Grid(d, pad * n, L)``, where each spectrum keeps its modes'
+    frequencies and the new modes are zero, so pad 2 makes the quadrature of
+    a product of two band-limited flows alias-free (Orszag's rule).  The
+    trapezoid rule integrates the spatial L^p^p in time.
+
+    Only the n^d embedded modes are ever touched: the phase exp(-i t|xi|^2)
+    is taken on the refined grid's |xi|^2 gathered at those modes (the n-point
+    grid's own |xi|^2 can differ in the last bit), multiplies the n^d
+    coefficients, and ``inverse_pruned`` does the padding.  The result is
+    bit for bit the inverse of the zero-padded spectrum times the refined
+    grid's ``free_multiplier``.  An empty ``factors``, a ``pad`` that is not
+    a positive integer, and p < 1 or p = inf raise ``ValueError``.
     """
+    if not factors:
+        raise ValueError("factors must hold at least one Field or Trajectory")
+    if not isinstance(pad, (int, np.integer)) or pad < 1:
+        raise ValueError(f"pad must be a positive integer, got {pad!r}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     g = factors[0].grid
     fine = Grid(g.d, pad * g.n, g.length)
-    modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
+    modes = (np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n
+    freq_sq = fine.freq_sq()[np.ix_(*[modes] * g.d)]
     spectra = []
     for f in factors:
         if f.grid != g:
@@ -83,15 +112,13 @@ def free_flow_lp_norm(
         path = f if isinstance(f, Trajectory) else Trajectory(g, [0.0], f.values[None])
         if path.times[0] != 0.0:
             raise ValueError(f"a piecewise free flow starts at t = 0, not {path.times[0]}")
-        padded = np.zeros((len(path), *fine.shape), dtype=np.complex128)
-        padded[(slice(None), *modes)] = forward(g, path.values)
-        spectra.append((path.times, padded))
+        spectra.append((path.times, forward(g, path.values)))
     ts = np.linspace(0.0, horizon, m)
     powers = np.empty(m)
     for i, t in enumerate(ts):
-        mult = free_multiplier(fine, t)
+        phase = _flow_phase(freq_sq, t)
         flows = [
-            inverse(fine, mult * F[np.searchsorted(times, t, "right") - 1])
+            inverse_pruned(fine, phase * F[np.searchsorted(times, t, "right") - 1], modes)
             for times, F in spectra
         ]
         powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)

@@ -8,6 +8,7 @@ from modlab.grid import (
     Trajectory,
     fourier_multiply,
     inverse,
+    inverse_pruned,
     lp_norm,
     make_grid,
     spacetime_lp_norm,
@@ -95,6 +96,46 @@ class TestTransforms:
             phys = lp_norm(f, 2) ** 2
             freq = g.dxi**d * np.sum(np.abs(F.coefficients) ** 2)
             assert abs(phys - freq) <= 1e-10 * phys
+
+    @pytest.mark.parametrize("pad", [1, 2, 4])
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 16)])
+    def test_pruned_inverse_is_inverse_of_embedded(self, d, n, pad):
+        # a batch of three spectra of the n-point lattice embedded in the
+        # pad * n one; the second has whole lines of zeros inside the block
+        # and at its band edge, the third an all-zero leading slab
+        fine = make_grid(d, pad * n, 8 * np.pi)
+        modes = (np.fft.fftfreq(n) * n).astype(int) % fine.n
+        rng = np.random.default_rng(10 * d + pad)
+        shape = (3,) + (n,) * d
+        coarse = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coarse[1, ..., 3] = 0.0
+        coarse[1, ..., n // 2] = 0.0
+        coarse[2, : n // 4] = 0.0
+        embedded = np.zeros((3, *fine.shape), dtype=np.complex128)
+        embedded[(slice(None), *np.ix_(*[modes] * d))] = coarse
+        assert np.array_equal(inverse_pruned(fine, coarse, modes), inverse(fine, embedded))
+
+    def test_pruned_inverse_prunes_by_index(self, monkeypatch):
+        # the same 1-d transforms run whatever the values: a spectrum with
+        # zero lines takes exactly the work of a full one, and each axis
+        # transforms only the lines the axes already done can have filled
+        fine = make_grid(3, 32, 8 * np.pi)
+        modes = (np.fft.fftfreq(16) * 16).astype(int) % 32
+        sizes = []
+        ifft = np.fft.ifft
+
+        def counted(a, axis):
+            sizes.append(a.shape)
+            return ifft(a, axis=axis)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        rng = np.random.default_rng(0)
+        full = rng.standard_normal((16, 16, 16)) + 0j
+        sparse = full.copy()
+        sparse[:, :, 1:] = 0.0
+        for coarse in (full, sparse, np.zeros_like(full)):
+            inverse_pruned(fine, coarse, modes)
+        assert sizes == [(16, 16, 32), (16, 32, 32), (32, 32, 32)] * 3
 
     def test_shape_mismatch_rejected(self, grid1d):
         other = make_grid(1, 512, 64 * np.pi)

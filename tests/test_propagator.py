@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modlab.grid import (
-    Field, Trajectory, forward, inverse, lp_norm, make_grid, to_spectrum, trapezoid
+    Field, Grid, Trajectory, forward, inverse, lp_norm, make_grid, to_spectrum, trapezoid
 )
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import (
@@ -76,7 +76,7 @@ def scanned_piece_norm(factors, horizon, m, p, pad=1):
     """Reference space-time norm of step-path factors: each spectrum embedded
     node by node, and the piece at t found by scanning for the last start <= t."""
     g = factors[0].grid
-    fine = make_grid(g.d, pad * g.n, g.length)
+    fine = Grid(g.d, pad * g.n, g.length)
     modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
     starts, spectra = [], []
     for path in factors:
@@ -122,27 +122,63 @@ class TestFreeFlowNorm:
         value = free_flow_lp_norm(factors, 1.0, 9, 3.0)
         assert value == pytest.approx(expect, rel=1e-13)
 
-    @pytest.mark.parametrize("pad", [1, 2])
+    @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal_to_scanned_pieces(self, pad, seed):
         # random cut times, some on a sample node (multiples of 1/8), and a
         # factor whose last profile repeats at the horizon, which must read
-        # the same bits as the same path without that node
-        grid = make_grid(2, 8, 2 * np.pi)
-        rng = np.random.default_rng(seed)
-        f, g, h = (complex_noise(grid, 10 * seed + j) for j in range(3))
-        between = np.sort(rng.uniform(0.05, 0.95, 2))
-        on_node = rng.integers(1, 8) / 8
-        paths = [step_path((0.0, *between), (f, g, h)), step_path((0.0, on_node), (h, f))]
-        repeated = step_path((0.0, 0.5, 1.0), (f, g, g))
-        trimmed = step_path((0.0, 0.5), (f, g))
-        plain = step_path((0.0,), (f,))
-        for factors, reference in [
-            ([*paths, f], [*paths, plain]),
-            ([repeated, paths[0]], [trimmed, paths[0]]),
-        ]:
-            value = free_flow_lp_norm(factors, 1.0, 9, 2.0, pad=pad)
-            assert value == scanned_piece_norm(reference, 1.0, 9, 2.0, pad=pad)
+        # the same bits as the same path without that node; on Grid(2, 16,
+        # 7.3) at pad 3 the coarse grid's |xi|^2 differs in the last bit from
+        # the refined grid's at the embedded modes, so only the refined one
+        # gives the oracle's bits
+        grids = {
+            1: [make_grid(2, 8, 2 * np.pi)],
+            2: [make_grid(2, 8, 2 * np.pi), make_grid(3, 8, 2 * np.pi)],
+            3: [Grid(2, 16, 7.3)],
+        }
+        for grid in grids[pad]:
+            rng = np.random.default_rng(seed)
+            f, g, h = (complex_noise(grid, 10 * seed + j) for j in range(3))
+            between = np.sort(rng.uniform(0.05, 0.95, 2))
+            on_node = rng.integers(1, 8) / 8
+            paths = [step_path((0.0, *between), (f, g, h)), step_path((0.0, on_node), (h, f))]
+            repeated = step_path((0.0, 0.5, 1.0), (f, g, g))
+            trimmed = step_path((0.0, 0.5), (f, g))
+            plain = step_path((0.0,), (f,))
+            for factors, reference in [
+                ([*paths, f], [*paths, plain]),
+                ([repeated, paths[0]], [trimmed, paths[0]]),
+            ]:
+                value = free_flow_lp_norm(factors, 1.0, 9, 2.0, pad=pad)
+                assert value == scanned_piece_norm(reference, 1.0, 9, 2.0, pad=pad)
+
+    def test_coarse_grid_phase_differs_at_pad_3(self):
+        # the trap the bitwise test above guards: n * (L/n) does not round
+        # back to L, so the coarse |xi|^2 is not the refined one's
+        g = Grid(2, 16, 7.3)
+        fine = Grid(2, 48, 7.3)
+        modes = np.ix_(*[(np.fft.fftfreq(16) * 16).astype(int) % 48] * 2)
+        assert not np.array_equal(g.freq_sq(), fine.freq_sq()[modes])
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"pad": 0}, "pad"),
+            ({"pad": -1}, "pad"),
+            ({"pad": 1.5}, "pad"),
+            ({"p": 0.5}, "p must be >= 1"),
+            ({"p": np.nan}, "p must be >= 1"),
+            ({"p": np.inf}, "finite"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, grid1d, kwargs, match):
+        args = {"horizon": 1.0, "m": 9, "p": 2.0, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            free_flow_lp_norm([complex_noise(grid1d, 1)], **args)
+
+    def test_no_factors_rejected(self):
+        with pytest.raises(ValueError, match="factors"):
+            free_flow_lp_norm([], 1.0, 9, 2.0)
 
     def test_factors_on_different_grids_rejected(self, grid1d):
         other = make_grid(1, 256, 32 * np.pi)

@@ -46,7 +46,10 @@ __all__ = [
     "ball_cover_centers",
 ]
 
-_CHUNK_POINTS = 2**22  # complex samples one batch of window pieces may hold
+# Complex samples one block of window pieces may hold: 2**17 of them are
+# 2 MiB, one core's L2 cache on current x86 servers.  That bounds the
+# kernel's memory at no cost in time; smaller blocks only add FFT calls.
+_CHUNK_POINTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,12 @@ class ModNormSpec:
     q: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"p and q must be >= 1, got p={self.p}, q={self.q}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got s={self.s}")
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not value >= 1:  # NaN fails every comparison; inf is legal
+                raise ValueError(f"{name} must be >= 1, got {name}={value}")
 
 
 def bump(r_sq: np.ndarray) -> np.ndarray:
@@ -201,7 +208,12 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
     per-axis shift ranges in ``itertools.product`` order), in that order.
     p = 2 contracts |F|^2 axis by axis (Parseval); other p walk the prefix
     tree of the shifts, each level one profile multiply and one batched 1-d
-    inverse FFT along its axis, splitting shifts past ``_CHUNK_POINTS``.
+    inverse FFT along its axis, splitting shifts past ``_CHUNK_POINTS``, and
+    reduce each leaf block in one float buffer (abs, scale, power, row sum).
+    The budget is L2-sized, so those passes read a block of a few MiB, not
+    the whole tree; no intermediate holds more than max(``_CHUNK_POINTS``,
+    ``grid.size``) samples, and every budget gives the same bits, as the
+    budget only regroups whole 1-d transforms and leaf rows.
     |piece| ignores the coordinate twist of ``inverse``."""
     g = window.grid
     ranges = [sorted({k[a] for k in ks}) for a in range(g.d)]
@@ -216,10 +228,12 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
     def descend(stack: np.ndarray, a: int) -> np.ndarray:
         # norms of every piece below the prefixes in ``stack`` (axes < a done)
         if a == g.d:
-            phys = np.abs(stack.reshape(len(stack), -1)) * g.inverse_scale
+            phys = np.abs(stack.reshape(len(stack), -1))
+            phys *= g.inverse_scale
             if np.isinf(p):
                 return phys.max(axis=1)
-            return (g.cell * np.sum(phys**p, axis=1)) ** (1.0 / p)
+            np.power(phys, p, out=phys)
+            return (g.cell * np.sum(phys, axis=1)) ** (1.0 / p)
         # a stack of several prefixes came from a budget-sized group, so its
         # shifts fit in one group here too: groups split only single prefixes
         group = max(1, _CHUNK_POINTS // (math.prod(map(len, rows[a + 1 :])) * g.size))

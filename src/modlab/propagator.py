@@ -121,7 +121,8 @@ def free_flow_lp_norm(
             inverse_pruned(fine, phase * F[np.searchsorted(times, t, "right") - 1], modes)
             for times, F in spectra
         ]
-        powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
+        phys = np.abs(reduce(np.multiply, flows))
+        powers[i] = fine.cell * np.sum(np.power(phys, p, out=phys))
     return float(trapezoid(powers, ts) ** (1.0 / p))
 
 

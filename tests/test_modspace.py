@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from modlab import modspace
-from modlab.grid import Field, SpectralField, inverse, lp_norm, make_grid, to_spectrum
+from modlab.grid import (
+    Field, SpectralField, forward, inverse, lp_norm, make_grid, to_spectrum
+)
 from modlab.modspace import (
     ModNormSpec,
     _piece_lp_norms,
@@ -81,6 +85,26 @@ class TestIsoPiece:
         f = complex_noise(g, 7)
         total = sum(lp_norm(iso_piece(f, k, w), 2) ** 2 for k in w.lattice())
         assert abs(total - lp_norm(f, 2) ** 2) <= 1e-10 * lp_norm(f, 2) ** 2
+
+
+class TestModNormSpec:
+    @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("s", (np.nan, 4, 2)),
+            ("s", (np.inf, 4, 2)),
+            ("s", (-np.inf, 4, 2)),
+            ("p", (0, np.nan, 2)),
+            ("q", (0, 4, np.nan)),
+        ],
+    )
+    def test_nan_fields_and_infinite_s_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ModNormSpec(*args)
+
+    def test_infinite_p_and_q_accepted(self, grid1d):
+        spec = ModNormSpec(0.5, np.inf, np.inf)
+        assert modulation_norm(complex_noise(grid1d, 0), spec, make_window(grid1d)) > 0.0
 
 
 class TestModulationNorm:
@@ -220,6 +244,54 @@ class TestPieceKernel:
         got = _piece_lp_norms(F.coefficients, ks, w, 4.0)
         want = per_window_norms(F, ks, w, 4.0)
         assert np.all(np.abs(got - want) <= 1e-13 * want.max())
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bits_do_not_depend_on_the_budget(self, d, p, monkeypatch):
+        # the budget only regroups whole 1-d transforms and leaf rows
+        g = make_grid(d, *KERNEL_GRIDS[d])
+        w = make_window(g)
+        F = ball_noise_spectrum(g, seed=20 + d)
+        ks = list(w.lattice())
+        want = _piece_lp_norms(F.coefficients, ks, w, p)
+        for budget in (1, 3 * g.size, 2**30):
+            monkeypatch.setattr(modspace, "_CHUNK_POINTS", budget)
+            assert np.array_equal(_piece_lp_norms(F.coefficients, ks, w, p), want)
+
+    def test_blocks_fit_the_budget(self, grid3d, monkeypatch):
+        w = make_window(grid3d)
+        F = ball_noise_spectrum(grid3d, seed=0)
+        ks = list(w.lattice())
+        assert len(ks) * grid3d.size > modspace._CHUNK_POINTS  # the tree must split
+        sizes = []
+        original = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        _piece_lp_norms(F.coefficients, ks, w, 4.0)
+        assert sizes and max(sizes) <= max(modspace._CHUNK_POINTS, grid3d.size)
+
+    @pytest.mark.parametrize(
+        "p,bits,pieces",
+        [
+            (4.0, "0x1.8197d9cc5d9f8p+5", "69bca4015598252b"),
+            (3.0, "0x1.905754471badcp+6", "2a95fe0e26669ba7"),
+            (np.inf, "0x1.31bd0dfa8807dp+3", "4ee6d3c01ba72bd3"),
+        ],
+    )
+    def test_pinned_bits(self, grid3d, p, bits, pieces):
+        # M^1.1_{p,2} of seeded noise on 16^3 and a digest of its piece norms
+        # over the whole lattice, recorded before the leaf was reduced in
+        # place; the bits are those of numpy 2.4's pocketfft.  The digest
+        # catches a 1-ulp leaf change, such as |z|^4 as square(square(|z|)),
+        # that the aggregated norm rounds away.
+        f, w = complex_noise(grid3d, 0), make_window(grid3d)
+        assert modulation_norm(f, ModNormSpec(1.1, p, 2.0), w).hex() == bits
+        norms = _piece_lp_norms(forward(grid3d, f.values), list(w.lattice()), w, p)
+        assert hashlib.sha256(norms.tobytes()).hexdigest()[:16] == pieces
 
     def test_non_product_windows_rejected(self, grid3d):
         w = make_window(grid3d)

@@ -7,7 +7,10 @@ absorb epsilon losses, periodization, and finite-scale effects.
 
 Every space-time norm of a free flow, or of a product of piecewise free
 flows given as the step ``Trajectory`` of their profiles, goes through the
-one kernel ``propagator.free_flow_lp_norm``.  Linear sweeps sample on the
+one kernel ``propagator.free_flow_lp_norms``, which measures a whole sweep
+in one pass over the time nodes: each sweep hands it all its products at
+once, and a field that several products share is built once and shared by
+identity, so it is transformed once per node.  Linear sweeps sample on the
 grid itself; products on the 2x zero-padded grid, so the quadrature of
 |u v|^2 is alias-free, which makes the Galilean invariance of measured
 bilinear ratios hold to near round-off.  Decoupling cells and the extension
@@ -42,7 +45,7 @@ from modlab.modspace import (
     make_window,
     modulation_norm,
 )
-from modlab.propagator import extension_ball_norms, free_flow_lp_norm, unit_ball_mesh
+from modlab.propagator import extension_ball_norms, free_flow_lp_norms, unit_ball_mesh
 from modlab import datagen
 
 __all__ = [
@@ -160,8 +163,7 @@ def fit_exponent(
     """
     scales = np.asarray(scales, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
-    if scales.size < 3:
-        raise InvalidScales(f"need at least 3 scales for a fit, got {scales.size}")
+    _require_fit_size(scales.size)
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive for a log-log fit")
     x = np.log(scales)
@@ -173,6 +175,11 @@ def fit_exponent(
     if not np.isfinite(slope):
         raise ValueError("degenerate fit")
     return slope, intercept, resid
+
+
+def _require_fit_size(count: int) -> None:
+    if count < 3:
+        raise InvalidScales(f"need at least 3 scales for a fit, got {count}")
 
 
 def _make_fit(scales, lhs, rhs, predicted, margin, label, meta=None) -> FitResult:
@@ -248,17 +255,19 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
             f"largest scale {max(config.scales)} exceeds xi_max/4 = {grid.xi_max / 4}"
         )
     spec = ModNormSpec(0.0, config.p, 2.0)
-    lhs, rhs = [], []
+    data = []
     for N in config.scales:
         u0 = scale_family(config, N, grid)
         if lp_norm(u0, 2) == 0.0:
             raise ValueError("degenerate data family: zero field")
-        lhs.append(free_flow_lp_norm([u0], config.horizon, config.time_nodes, config.p))
-        rhs.append(modulation_norm(u0, spec, window))
+        data.append(u0)
+    products = [[u0] for u0 in data]
+    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, config.p)
+    rhs = [modulation_norm(u0, spec, window) for u0 in data]
     predicted = 2.0 * sdec(config.p, config.d)
     meta = {"window": window.describe()}
     return _make_fit(
-        config.scales, lhs, rhs, predicted, config.margin, "smoothing", meta
+        config.scales, lhs.tolist(), rhs, predicted, config.margin, "smoothing", meta
     )
 
 
@@ -276,28 +285,42 @@ def strichartz_l4_ratio(config: ExperimentConfig) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_pair(config: ExperimentConfig, grid: Grid, n_high: float, n_low: float):
-    """The band-noise fields (f1, f2) of the (N1, N2) cell; neither may be 0."""
-    pair = _band_noise(grid, n_high, config.seed), _band_noise(grid, n_low, config.seed + 1)
-    if any(lp_norm(f, 2) == 0.0 for f in pair):
-        raise ValueError("zero field in bilinear data")
-    return pair
+def _bilinear_fields(
+    config: ExperimentConfig, grid: Grid, pairs: Sequence[tuple[float, float]]
+) -> list[tuple[Field, Field]]:
+    """The band-noise fields (f1, f2) of each (N1, N2) cell, one object per
+    distinct field, so the kernel transforms it once; none may be 0."""
+    built = {}
+
+    def field(band: float, seed: int) -> Field:
+        if (band, seed) not in built:
+            f = _band_noise(grid, band, seed)
+            if lp_norm(f, 2) == 0.0:
+                raise ValueError("zero field in bilinear data")
+            built[band, seed] = f
+        return built[band, seed]
+
+    return [(field(n1, config.seed), field(n2, config.seed + 1)) for n1, n2 in pairs]
 
 
-def _bilinear_cell(
+def _bilinear_cells(
     config: ExperimentConfig,
     grid: Grid,
     window: Window,
-    n_high: float,
-    n_low: float,
-) -> tuple[float, float]:
-    """One (N1, N2) measurement: product L^2 over [0, horizon] and the
-    product of the two M_{4,2} norms."""
-    f1, f2 = _bilinear_pair(config, grid, n_high, n_low)
+    pairs: Sequence[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """(lhs, rhs) of each (N1, N2) cell: the product L^2 over [0, horizon]
+    and the product of the two M_{4,2} norms.  Each distinct field takes one
+    norm, and one kernel sweep measures every product."""
+    fields = _bilinear_fields(config, grid, pairs)
     spec = ModNormSpec(0.0, 4.0, 2.0)
-    rhs = modulation_norm(f1, spec, window) * modulation_norm(f2, spec, window)
-    lhs = free_flow_lp_norm([f1, f2], config.horizon, config.time_nodes, 2.0, pad=2)
-    return lhs, rhs
+    norms = {}
+    for pair in fields:
+        for f in pair:
+            if id(f) not in norms:
+                norms[id(f)] = modulation_norm(f, spec, window)
+    lhs = free_flow_lp_norms(fields, config.horizon, config.time_nodes, 2.0, pad=2)
+    return [(v, norms[id(f1)] * norms[id(f2)]) for v, (f1, f2) in zip(lhs.tolist(), fields)]
 
 
 def bilinear_ratio(
@@ -307,7 +330,9 @@ def bilinear_ratio(
 
     Returns (fit in N1 at fixed N2, fit in N2 at fixed N1).  The high
     frequency should carry no loss (predicted exponent 0); the low one at
-    most (d-2)/2.
+    most (d-2)/2.  Every pair is checked before any cell is measured, and
+    the cells of both sweeps, which share (max scale, fixed scale), are
+    measured once each in one kernel sweep.
     """
     if config.d not in (3, 4):
         raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
@@ -316,29 +341,26 @@ def bilinear_ratio(
     if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
         raise InvalidScales("bilinear scales exceed xi_max/2")
 
-    cells = {}  # both sweeps measure (max scale, fixed scale)
-
-    def sweep(pairs):
-        """(lhs values, rhs values) of the cells (N1, N2), each measured once."""
-        for n_high, n_low in pairs:
-            if n_low * config.min_separation > n_high:
-                raise ValueError(
-                    f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
-                )
-            if (n_high, n_low) not in cells:
-                cells[n_high, n_low] = _bilinear_cell(config, grid, window, n_high, n_low)
-        return zip(*(cells[pair] for pair in pairs))
-
-    lhs_hi, rhs_hi = sweep([(n1, config.fixed_scale) for n1 in config.scales])
-    fit_high = _make_fit(
-        config.scales, lhs_hi, rhs_hi, 0.0, config.margin, "bilinear_high"
-    )
-
+    high = [(n1, config.fixed_scale) for n1 in config.scales]
+    for n_high, n_low in high:
+        if n_low * config.min_separation > n_high:
+            raise ValueError(
+                f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
+            )
+    _require_fit_size(len(config.scales))
     n1_fixed = max(config.scales)
     low_scales = tuple(s for s in config.scales if s * config.min_separation <= n1_fixed)
     if len(low_scales) < 3:
         raise InvalidScales("fewer than 3 admissible low scales in the sweep")
-    lhs_lo, rhs_lo = sweep([(n1_fixed, n2) for n2 in low_scales])
+    low = [(n1_fixed, n2) for n2 in low_scales]
+    pairs = list(dict.fromkeys(high + low))
+    cells = dict(zip(pairs, _bilinear_cells(config, grid, window, pairs)))
+
+    lhs_hi, rhs_hi = zip(*(cells[pair] for pair in high))
+    fit_high = _make_fit(
+        config.scales, lhs_hi, rhs_hi, 0.0, config.margin, "bilinear_high"
+    )
+    lhs_lo, rhs_lo = zip(*(cells[pair] for pair in low))
     meta = {"window": window.describe(), "fixed_high": n1_fixed}
     if log_chain:
         meta["chain"] = bilinear_chain_log(
@@ -374,12 +396,13 @@ def bilinear_chain_log(
     localized modulation-norm squares.  Exact inequalities (Hoelder, the L^2
     covering bounds) are asserted; empirical constants are recorded.  The
     per-ball space-time norms are the expensive part, so they run on a
-    capped box sample and a reduced time mesh.
+    capped box sample and a reduced time mesh, in two kernel sweeps that
+    share the low field f2: the pad-2 products (f1 f2 and each sampled
+    piece times f2) and the L^4 norms (f2 and each piece).
     """
-    f1, f2 = _bilinear_pair(config, grid, n_high, n_low)
+    [(f1, f2)] = _bilinear_fields(config, grid, [(n_high, n_low)])
     spec = ModNormSpec(0.0, 4.0, 2.0)
     m = max(33, config.time_nodes // 4 + 1)
-    lhs = free_flow_lp_norm([f1, f2], config.horizon, m, 2.0, pad=2)
 
     centers = ball_cover_centers(grid.d, n_high, n_low)
     F1 = forward(grid, f1.values)
@@ -402,14 +425,17 @@ def bilinear_chain_log(
         occupied[i]
         for i in sorted(rng.choice(len(occupied), size=_CHAIN_BOXES, replace=False))
     ]
-    l4_low = free_flow_lp_norm([f2], config.horizon, m, 4.0)
+    pieces = [Field(grid, inverse(grid, mask * F1)) for _, mask, _ in sample]
+    lhs, *prods = free_flow_lp_norms(
+        [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, pad=2
+    ).tolist()
+    l4_low, *l4_pieces = free_flow_lp_norms(
+        [[f2], *([piece] for piece in pieces)], config.horizon, m, 4.0
+    ).tolist()
     sum_products_sq = 0.0
     holder_ok = True
     m42_sq = 0.0
-    for c, mask, _ in sample:
-        piece = Field(grid, inverse(grid, mask * F1))
-        prod = free_flow_lp_norm([piece, f2], config.horizon, m, 2.0, pad=2)
-        l4_piece = free_flow_lp_norm([piece], config.horizon, m, 4.0)
+    for piece, prod, l4_piece in zip(pieces, prods, l4_pieces):
         holder_ok = holder_ok and prod <= l4_piece * l4_low * (1.0 + 1e-9)
         sum_products_sq += prod**2
         m42_sq += modulation_norm(piece, spec, window) ** 2
@@ -464,19 +490,20 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
     v2 = partial(vp_norm, p=2.0, norm=norm, terminal_zero=True)
 
-    lhs, rhs = [], []
     for n_low in config.scales:
         if n_low * config.min_separation > n_high:
             raise ValueError(
                 f"regime violated: K={n_low} > N/{config.min_separation}={n_high}"
             )
-        hi = _atomic_path(config, grid, n_high, config.seed)
-        lo = _atomic_path(config, grid, n_low, config.seed + 7)
-        lhs.append(free_flow_lp_norm([hi, lo], config.horizon, config.time_nodes, 2.0, pad=2))
-        rhs.append(v2(hi) * v2(lo))
+    hi = _atomic_path(config, grid, n_high, config.seed)
+    los = [_atomic_path(config, grid, n_low, config.seed + 7) for n_low in config.scales]
+    products = [[hi, lo] for lo in los]
+    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, 2.0, pad=2)
+    v2_high = v2(hi)
+    rhs = [v2_high * v2(lo) for lo in los]
     meta = {"window": window.describe(), "s_input": s_input, "atoms": config.atoms}
     return _make_fit(
-        config.scales, lhs, rhs, 2.0 * s_input, config.margin, "v2_bilinear", meta
+        config.scales, lhs.tolist(), rhs, 2.0 * s_input, config.margin, "v2_bilinear", meta
     )
 
 

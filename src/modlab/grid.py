@@ -319,7 +319,7 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 def trapezoid(values: np.ndarray, nodes: np.ndarray) -> float:
-    """Composite trapezoid rule on strictly increasing nodes."""
+    """Composite trapezoid rule on finite, strictly increasing nodes."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.size != values.size:
@@ -327,8 +327,8 @@ def trapezoid(values: np.ndarray, nodes: np.ndarray) -> float:
     if nodes.size < 2:
         raise ValueError("need at least two time nodes")
     dt = np.diff(nodes)
-    if np.any(dt <= 0):
-        raise ValueError("time nodes must be strictly increasing")
+    if not (np.all(np.isfinite(nodes)) and np.all(dt > 0)):
+        raise ValueError("time nodes must be finite and strictly increasing")
     return float(np.sum(0.5 * dt * (values[1:] + values[:-1])))
 
 

@@ -9,11 +9,13 @@ kernel.
 - The Duhamel integral takes its forcing as a ``Trajectory`` and sums the
   composite trapezoid rule in one fixed order, which the solver's reported
   contraction factors depend on to the last bit.
-- Space-time L^p norms of products of free flows (``free_flow_lp_norm``)
+- Space-time L^p norms of products of free flows (``free_flow_lp_norms``)
   take each factor as a Field or as the step ``Trajectory`` of its profiles
-  and sample the product node by node, on a zero-padded grid when it must be
-  alias-free.  The phase, the twist and the multiply act on the n^d embedded
-  modes only, and ``grid.inverse_pruned`` does the padding.
+  and sample a whole sweep of products node by node, on a zero-padded grid
+  when it must be alias-free.  Per node the phase is built once and each
+  distinct factor object is transformed once, however many products share
+  it.  The phase, the twist and the multiply act on the n^d embedded modes
+  only, and ``grid.inverse_pruned`` does the padding.
 - The paraboloid extension operator is direct midpoint quadrature over a
   frequency mesh of the unit ball; its ball norms are time-blocked GEMMs of
   about nmesh * m * |ball shadow| multiply-adds, restricted to d <= 2 since
@@ -35,7 +37,7 @@ from modlab.grid import (
 __all__ = [
     "free_multiplier",
     "free_evolve",
-    "free_flow_lp_norm",
+    "free_flow_lp_norms",
     "galilean_shift",
     "duhamel",
     "duhamel_path",
@@ -68,19 +70,20 @@ def free_evolve(f: Field, t: float) -> Field:
     return fourier_multiply(f, free_multiplier(f.grid, t))
 
 
-def free_flow_lp_norm(
-    factors: Sequence[Field | Trajectory],
+def free_flow_lp_norms(
+    products: Sequence[Sequence[Field | Trajectory]],
     horizon: float,
     m: int,
     p: float,
     pad: int = 1,
-) -> float:
-    """L^p norm over [0, horizon] x torus of a product of piecewise free flows.
+) -> np.ndarray:
+    """L^p norms over [0, horizon] x torus of products of piecewise free flows,
+    one per entry of ``products``, measured in one sweep of the time nodes.
 
     A factor is a Field f, the free flow exp(it Laplace) f, or a Trajectory
     of profiles, a right-continuous step function with first node at 0: on
     [t_k, t_{k+1}) the factor is exp(it Laplace) v_k, and the last profile
-    runs to the horizon.  Factors share one grid of n points per axis; the
+    runs to the horizon.  Factors share one grid of n points per axis; each
     product is sampled at m uniform nodes on the grid refined ``pad`` times,
     ``Grid(d, pad * n, L)``, where each spectrum keeps its modes'
     frequencies and the new modes are zero, so pad 2 makes the quadrature of
@@ -90,40 +93,70 @@ def free_flow_lp_norm(
     Only the n^d embedded modes are ever touched: the phase exp(-i t|xi|^2)
     is taken on the refined grid's |xi|^2 gathered at those modes (the n-point
     grid's own |xi|^2 can differ in the last bit), multiplies the n^d
-    coefficients, and ``inverse_pruned`` does the padding.  The result is
-    bit for bit the inverse of the zero-padded spectrum times the refined
-    grid's ``free_multiplier``.  An empty ``factors``, a ``pad`` that is not
-    a positive integer, and p < 1 or p = inf raise ``ValueError``.
+    coefficients, and ``inverse_pruned`` does the padding.  A flow is bit for
+    bit the inverse of the zero-padded spectrum times the refined grid's
+    ``free_multiplier``.
+
+    At each node the phase is built once, and a factor that several products
+    share, the same object (``is``, never equal values), is transformed once:
+    its flow is taken at its first use and dropped after its last use in
+    product order.  So a product's value has the same bits whether it is
+    measured alone or in a sweep, and a sweep whose consecutive products
+    share a factor holds two flows at a time.  Empty ``products`` or an
+    empty product, a horizon that is not finite and positive, an ``m`` that
+    is not an integer >= 2, a ``pad`` that is not a positive integer, and
+    p < 1 or p = inf raise ``ValueError``.
     """
-    if not factors:
-        raise ValueError("factors must hold at least one Field or Trajectory")
+    if not products:
+        raise ValueError("products must hold at least one product of factors")
+    for k, factors in enumerate(products):
+        if not factors:
+            raise ValueError(f"products[{k}] holds no factors: give a Field or Trajectory")
     if not isinstance(pad, (int, np.integer)) or pad < 1:
         raise ValueError(f"pad must be a positive integer, got {pad!r}")
     if not 1 <= p < np.inf:
         raise ValueError(f"p must be >= 1 and finite, got {p}")
-    g = factors[0].grid
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    g = products[0][0].grid
     fine = Grid(g.d, pad * g.n, g.length)
     modes = (np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n
     freq_sq = fine.freq_sq()[np.ix_(*[modes] * g.d)]
-    spectra = []
-    for f in factors:
-        if f.grid != g:
-            raise ValueError(f"factors live on different grids: {g} vs {f.grid}")
-        path = f if isinstance(f, Trajectory) else Trajectory(g, [0.0], f.values[None])
-        if path.times[0] != 0.0:
-            raise ValueError(f"a piecewise free flow starts at t = 0, not {path.times[0]}")
-        spectra.append((path.times, forward(g, path.values)))
+    slots: dict[int, int] = {}  # id of each distinct factor -> its index in spectra
+    spectra, rows, last_use = [], [], {}
+    for k, factors in enumerate(products):
+        for f in factors:
+            if id(f) not in slots:
+                if f.grid != g:
+                    raise ValueError(f"factors live on different grids: {g} vs {f.grid}")
+                path = f if isinstance(f, Trajectory) else Trajectory(g, [0.0], f.values[None])
+                if path.times[0] != 0.0:
+                    raise ValueError(
+                        f"a piecewise free flow starts at t = 0, not {path.times[0]}"
+                    )
+                slots[id(f)] = len(spectra)
+                spectra.append((path.times, forward(g, path.values)))
+            last_use[slots[id(f)]] = k
+        rows.append([slots[id(f)] for f in factors])
     ts = np.linspace(0.0, horizon, m)
-    powers = np.empty(m)
+    powers = np.empty((len(rows), m))
     for i, t in enumerate(ts):
         phase = _flow_phase(freq_sq, t)
-        flows = [
-            inverse_pruned(fine, phase * F[np.searchsorted(times, t, "right") - 1], modes)
-            for times, F in spectra
-        ]
-        phys = np.abs(reduce(np.multiply, flows))
-        powers[i] = fine.cell * np.sum(np.power(phys, p, out=phys))
-    return float(trapezoid(powers, ts) ** (1.0 / p))
+        flows = {}
+        for k, row in enumerate(rows):
+            for j in row:
+                if j not in flows:
+                    times, F = spectra[j]
+                    piece = F[np.searchsorted(times, t, "right") - 1]
+                    flows[j] = inverse_pruned(fine, phase * piece, modes)
+            phys = np.abs(reduce(np.multiply, [flows[j] for j in row]))
+            powers[k, i] = fine.cell * np.sum(np.power(phys, p, out=phys))
+            for j in row:
+                if last_use[j] == k:
+                    flows.pop(j, None)
+    return np.array([trapezoid(row, ts) ** (1.0 / p) for row in powers])
 
 
 def _lattice_index(grid: Grid, xi0: Sequence[float]) -> tuple[int, ...]:

@@ -133,12 +133,12 @@ class TestStrichartz:
         window = cfg.window()
         from modlab.estimates import scale_family
         from modlab.modspace import ModNormSpec, modulation_norm
-        from modlab.propagator import free_flow_lp_norm
+        from modlab.propagator import free_flow_lp_norms
 
         ratios = []
         for N in cfg.scales:
             u0 = scale_family(cfg, N, grid)
-            lhs = free_flow_lp_norm([u0], 1.0, cfg.time_nodes, 4.0)
+            lhs = free_flow_lp_norms([[u0]], 1.0, cfg.time_nodes, 4.0)[0]
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
         assert max(ratios) / min(ratios) <= 1.5
@@ -163,12 +163,12 @@ class TestStrichartz:
         window = cfg.window()
         from modlab.estimates import scale_family
         from modlab.modspace import ModNormSpec, modulation_norm
-        from modlab.propagator import free_flow_lp_norm
+        from modlab.propagator import free_flow_lp_norms
 
         ratios = []
         for N in cfg.scales:
             u0 = scale_family(cfg, N, grid)
-            lhs = free_flow_lp_norm([u0], 1.0, cfg.time_nodes, 4.0)
+            lhs = free_flow_lp_norms([[u0]], 1.0, cfg.time_nodes, 4.0)[0]
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
         assert abs(ratios[1] / ratios[0] - 1.0) <= 1e-8
@@ -192,6 +192,59 @@ class TestBilinear:
         assert chain["holder_ok"]
         assert chain["lhs_sq"] > 0
 
+    def test_bits_pinned(self):
+        # float.hex of the sweep and the chain log as the per-cell kernel
+        # measured them, one product per call; the sweep kernel must give
+        # the same bits
+        fit_high, fit_low = bilinear_ratio(self.small_config())
+        chain = fit_low.meta["chain"]
+        assert [v.hex() for v in fit_high.lhs] == [
+            "0x1.2e59a54d9f580p+0", "0x1.a6dc1bd9aaf6dp+1", "0x1.385e1fddd4064p+3",
+        ]
+        assert [v.hex() for v in fit_low.rhs] == [
+            "0x1.ae46809f6e0fap+3", "0x1.48a75d6415245p+5", "0x1.d93901fd44333p+6",
+        ]
+        assert chain["lhs_sq"].hex() == "0x1.7d273b9110146p+6"
+        assert chain["sampled_product_sq_sum"].hex() == "0x1.7f6f503be5646p-1"
+
+    def test_pairs_checked_before_any_cell(self, monkeypatch):
+        # a regime violation in the last high pair, too few scales for the
+        # high fit, or too few low scales is reported before a single cell
+        # is measured
+        monkeypatch.setattr(est, "_bilinear_cells", pytest.fail)
+        cfg = self.small_config(scales=(4.0, 2.0, 1.0), min_separation=2.0)
+        with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=1.0"):
+            bilinear_ratio(cfg, log_chain=False)
+        cfg = self.small_config(scales=(2.0, 4.0, 4.0), min_separation=2.0)
+        with pytest.raises(est.InvalidScales, match="fewer than 3 admissible"):
+            bilinear_ratio(cfg, log_chain=False)
+        with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
+            bilinear_ratio(self.small_config(scales=(1.0, 2.0)), log_chain=False)
+
+    def test_one_field_and_norm_per_distinct_band(self, monkeypatch):
+        # 5 cells over 3 high and 3 low fields: each field is built once, takes
+        # one M_{4,2} norm, and is the same object in every product it enters
+        built, normed, sweeps = [], [], []
+
+        def spy(name, record):
+            real = getattr(est, name)
+
+            def wrapper(*args, **kwargs):
+                record(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(est, name, wrapper)
+
+        spy("_band_noise", lambda args: built.append(args[1:]))
+        spy("modulation_norm", lambda args: normed.append(args[0]))
+        spy("free_flow_lp_norms", lambda args: sweeps.append(args[0]))
+        bilinear_ratio(self.small_config(), log_chain=False)
+        assert len(built) == len(set(built)) == 6
+        assert len(normed) == len({id(f) for f in normed}) == 6
+        [products] = sweeps
+        assert len(products) == 5
+        assert products[1][1] is products[0][1] and products[3][0] is products[2][0]
+
     def test_high_frequency_slope_flat(self):
         fit_high, _ = bilinear_ratio(self.small_config(), log_chain=False)
         assert abs(fit_high.slope) <= 0.15
@@ -200,11 +253,11 @@ class TestBilinear:
         # both sweeps use the cell (max scale, fixed scale) = (4, 1)
         calls = []
 
-        def cell(config, grid, window, n_high, n_low):
-            calls.append((n_high, n_low))
-            return n_high * n_low, 1.0
+        def cells(config, grid, window, pairs):
+            calls.extend(pairs)
+            return [(n_high * n_low, 1.0) for n_high, n_low in pairs]
 
-        monkeypatch.setattr(est, "_bilinear_cell", cell)
+        monkeypatch.setattr(est, "_bilinear_cells", cells)
         fit_high, fit_low = bilinear_ratio(self.small_config(), log_chain=False)
         assert len(calls) == len(set(calls)) == 5
         assert list(fit_high.lhs) == [1.0, 2.0, 4.0]
@@ -229,13 +282,13 @@ class TestBilinear:
     def test_d4_cell_runs_on_tiny_grid(self):
         # the d = 4 machinery stays exercised at demo scale: one measured
         # cell, no sweep
-        from modlab.estimates import _bilinear_cell
+        from modlab.estimates import _bilinear_cells
 
         cfg = ExperimentConfig(
             d=4, n=16, length=2 * np.pi, cube=4.0, scales=(2.0,),
             fixed_scale=1.0, family="band_noise", time_nodes=17, seed=3,
         )
-        lhs, rhs = _bilinear_cell(cfg, cfg.grid(), cfg.window(), 2.0, 1.0)
+        [(lhs, rhs)] = _bilinear_cells(cfg, cfg.grid(), cfg.window(), [(2.0, 1.0)])
         assert lhs > 0 and rhs > 0 and np.isfinite(lhs / rhs)
 
     def test_galilean_pair_invariance(self):
@@ -243,7 +296,7 @@ class TestBilinear:
         # measured ratio by round-off only
         from modlab.estimates import _band_noise
         from modlab.modspace import ModNormSpec, make_window, modulation_norm
-        from modlab.propagator import free_flow_lp_norm, galilean_shift
+        from modlab.propagator import free_flow_lp_norms, galilean_shift
 
         grid = make_grid(3, 16, 2 * np.pi)
         window = make_window(grid, 4.0)
@@ -252,7 +305,7 @@ class TestBilinear:
         f2 = _band_noise(grid, 1.0, 6)
 
         def ratio(a, b):
-            lhs = free_flow_lp_norm([a, b], 1.0, 33, 2.0, pad=2)
+            lhs = free_flow_lp_norms([[a, b]], 1.0, 33, 2.0, pad=2)[0]
             return lhs / (
                 modulation_norm(a, spec, window) * modulation_norm(b, spec, window)
             )

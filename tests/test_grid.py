@@ -244,6 +244,17 @@ class TestSpacetime:
         nodes = np.array([0.0, 0.5, 2.0])
         assert trapezoid(3.0 * nodes, nodes) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, np.inf], [-np.inf, 0.0, 1.0]],
+        ids=["nan_inside", "nan_last", "inf_last", "minus_inf_first"],
+    )
+    def test_trapezoid_rejects_nonfinite_nodes(self, nodes):
+        # nan steps compare False both ways, and an infinite end node makes
+        # an infinite but positive step: neither may pass as increasing
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            trapezoid(np.ones(3), nodes)
+
 
 class TestTrajectory:
     def make(self, grid, m=5, seed=0):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from modlab.grid import (
-    Field, Grid, Trajectory, forward, inverse, lp_norm, make_grid, to_spectrum, trapezoid
+    Field,
+    Grid,
+    Trajectory,
+    forward,
+    inverse,
+    inverse_pruned,
+    lp_norm,
+    make_grid,
+    to_spectrum,
+    trapezoid,
 )
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import (
@@ -13,7 +22,7 @@ from modlab.propagator import (
     energy,
     extension_values,
     free_evolve,
-    free_flow_lp_norm,
+    free_flow_lp_norms,
     free_multiplier,
     galilean_shift,
     gradient_sq_integral,
@@ -102,9 +111,9 @@ class TestFreeFlowNorm:
     def test_repeated_piece_equals_one_piece(self, grid3d):
         f = complex_noise(grid3d, 4)
         g = complex_noise(grid3d, 5)
-        one = free_flow_lp_norm([f, g], 1.0, 9, 2.0, pad=2)
+        one = free_flow_lp_norms([[f, g]], 1.0, 9, 2.0, pad=2)[0]
         split = step_path((0.0, 0.3, 0.5), (f, f, f))
-        two = free_flow_lp_norm([split, g], 1.0, 9, 2.0, pad=2)
+        two = free_flow_lp_norms([[split, g]], 1.0, 9, 2.0, pad=2)[0]
         assert two == pytest.approx(one, rel=1e-13)
 
     def test_piece_j_used_on_half_open_interval(self, grid1d):
@@ -119,7 +128,7 @@ class TestFreeFlowNorm:
             powers.append(grid1d.cell * np.sum(np.abs(u * v) ** 3))
         expect = trapezoid(np.array(powers), ts) ** (1.0 / 3.0)
         factors = [step_path((0.0, 0.5), (f, g)), step_path((0.0, 0.3), (h, f))]
-        value = free_flow_lp_norm(factors, 1.0, 9, 3.0)
+        value = free_flow_lp_norms([factors], 1.0, 9, 3.0)[0]
         assert value == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("pad", [1, 2, 3])
@@ -149,7 +158,7 @@ class TestFreeFlowNorm:
                 ([*paths, f], [*paths, plain]),
                 ([repeated, paths[0]], [trimmed, paths[0]]),
             ]:
-                value = free_flow_lp_norm(factors, 1.0, 9, 2.0, pad=pad)
+                value = free_flow_lp_norms([factors], 1.0, 9, 2.0, pad=pad)[0]
                 assert value == scanned_piece_norm(reference, 1.0, 9, 2.0, pad=pad)
 
     def test_coarse_grid_phase_differs_at_pad_3(self):
@@ -169,26 +178,96 @@ class TestFreeFlowNorm:
             ({"p": 0.5}, "p must be >= 1"),
             ({"p": np.nan}, "p must be >= 1"),
             ({"p": np.inf}, "finite"),
+            # nan and inf nodes used to pass the trapezoid rule and return nan
+            ({"horizon": np.nan}, "horizon must be finite and positive"),
+            ({"horizon": np.inf}, "horizon must be finite and positive"),
+            ({"horizon": 0.0}, "horizon must be finite and positive"),
+            ({"horizon": -1.0}, "horizon must be finite and positive"),
+            ({"m": 1}, "m must be an integer >= 2"),
+            ({"m": 2.5}, "m must be an integer >= 2"),
+            ({"m": 9.0}, "m must be an integer >= 2"),
         ],
     )
     def test_bad_arguments_rejected(self, grid1d, kwargs, match):
         args = {"horizon": 1.0, "m": 9, "p": 2.0, **kwargs}
         with pytest.raises(ValueError, match=match):
-            free_flow_lp_norm([complex_noise(grid1d, 1)], **args)
+            free_flow_lp_norms([[complex_noise(grid1d, 1)]], **args)
+
+    def test_empty_product_rejected(self, grid1d):
+        f = complex_noise(grid1d, 1)
+        with pytest.raises(ValueError, match=r"products\[1\] holds no factors"):
+            free_flow_lp_norms([[f], [], [f]], 1.0, 9, 2.0)
 
     def test_no_factors_rejected(self):
         with pytest.raises(ValueError, match="factors"):
-            free_flow_lp_norm([], 1.0, 9, 2.0)
+            free_flow_lp_norms([], 1.0, 9, 2.0)
 
     def test_factors_on_different_grids_rejected(self, grid1d):
         other = make_grid(1, 256, 32 * np.pi)
         with pytest.raises(ValueError, match="different grids"):
-            free_flow_lp_norm([complex_noise(grid1d, 1), complex_noise(other, 2)], 1.0, 9, 2.0)
+            free_flow_lp_norms([[complex_noise(grid1d, 1), complex_noise(other, 2)]], 1.0, 9, 2.0)
 
     def test_path_starting_after_zero_rejected(self, grid1d):
         late = step_path((0.1, 0.5), (complex_noise(grid1d, 1), complex_noise(grid1d, 2)))
         with pytest.raises(ValueError, match="t = 0"):
-            free_flow_lp_norm([complex_noise(grid1d, 3), late], 1.0, 9, 2.0)
+            free_flow_lp_norms([[complex_noise(grid1d, 3), late]], 1.0, 9, 2.0)
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_sweep_is_each_product_alone_bitwise(self, pad):
+        # Fields and a step Trajectory, the shared factor f first and last,
+        # a repeated factor, and a copy of f that is another object
+        grid = Grid(2, 16, 7.3) if pad == 3 else make_grid(2, 8, 2 * np.pi)
+        f, g, h = (complex_noise(grid, 40 + j) for j in range(3))
+        path = step_path((0.0, 0.3, 0.625), (g, h, f))
+        twin = Field(grid, f.values.copy())
+        products = [[f, g], [path, f], [f], [h, path, f], [path], [g, g], [twin, h]]
+        for p in (2.0, 3.0):
+            sweep = free_flow_lp_norms(products, 1.0, 9, p, pad=pad)
+            alone = [free_flow_lp_norms([product], 1.0, 9, p, pad=pad)[0] for product in products]
+            assert [v.hex() for v in sweep.tolist()] == [v.hex() for v in alone]
+
+    def test_each_distinct_factor_transformed_once_per_node(self, monkeypatch):
+        # distinct means the same object: an equal copy is transformed again
+        import modlab.propagator as prop
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return inverse_pruned(*args)
+
+        monkeypatch.setattr(prop, "inverse_pruned", spy)
+        grid = make_grid(2, 8, 2 * np.pi)
+        f, g = complex_noise(grid, 1), complex_noise(grid, 2)
+        twin = Field(grid, f.values.copy())
+        path = step_path((0.0, 0.5), (g, f))
+        products = [[f, g], [g, f], [twin, g], [path, f], [f], [f, f]]
+        free_flow_lp_norms(products, 1.0, 9, 2.0, pad=2)
+        assert len(calls) == 4 * 9  # f, g, twin and path at each of 9 nodes
+
+    def test_bilinear_sweep_peaks_like_one_cell(self):
+        # the five cells of the bilinear sweep, three high and three low
+        # fields, in the order the sweep measures them: the sweep keeps at
+        # most two padded flows live, as one cell does, and holds each of
+        # its six distinct spectra (one cell: two) through the whole sweep
+        import tracemalloc
+
+        grid = make_grid(3, 16, 2 * np.pi)
+        h1, h2, h4, l1, l2, l4 = (complex_noise(grid, j) for j in range(6))
+        cells = [[h1, l1], [h2, l1], [h4, l1], [h4, l2], [h4, l4]]
+        spectrum = grid.size * np.dtype(np.complex128).itemsize
+
+        def peak(products):
+            tracemalloc.start()
+            try:
+                free_flow_lp_norms(products, 1.0, 3, 2.0, pad=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(cells)  # fill the grids' caches, which no later call grows
+        one, five = peak(cells[:1]), peak(cells)
+        assert five <= 1.10 * one + 4 * spectrum
 
 
 class TestGalilean:

@@ -7,9 +7,8 @@ Subpackages build on each other roughly bottom-up:
 - ``modspace``: isometric window decomposition, modulation norms, frequency
   projections
 - ``propagator``: free Schroedinger flow, Galilean twist, Duhamel integral,
-  paraboloid extension operator, conserved functionals
-- ``variation``: p-variation / atomic calculus for field-valued paths and the
-  adapted iteration norms
+  product norms of free flows, paraboloid extension norms, mass
+- ``variation``: p-variation / atomic calculus for field-valued paths
 - ``datagen``: reproducible initial-data families and field serialization
 - ``estimates``: ratio sweeps and log-log exponent fits for every measured
   inequality

@@ -304,15 +304,12 @@ def _bilinear_fields(
 
 
 def _bilinear_cells(
-    config: ExperimentConfig,
-    grid: Grid,
-    window: Window,
-    pairs: Sequence[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """(lhs, rhs) of each (N1, N2) cell: the product L^2 over [0, horizon]
-    and the product of the two M_{4,2} norms.  Each distinct field takes one
-    norm, and one kernel sweep measures every product."""
-    fields = _bilinear_fields(config, grid, pairs)
+    config: ExperimentConfig, window: Window, fields: Sequence[tuple[Field, Field]]
+) -> tuple[list[tuple[float, float]], dict[int, float]]:
+    """(lhs, rhs) of each cell (f1, f2): the product L^2 over [0, horizon]
+    and the product of the two M_{4,2} norms; and those norms by field id.
+    Each distinct field takes one norm, and one kernel sweep measures every
+    product."""
     spec = ModNormSpec(0.0, 4.0, 2.0)
     norms = {}
     for pair in fields:
@@ -320,7 +317,8 @@ def _bilinear_cells(
             if id(f) not in norms:
                 norms[id(f)] = modulation_norm(f, spec, window)
     lhs = free_flow_lp_norms(fields, config.horizon, config.time_nodes, 2.0, pad=2)
-    return [(v, norms[id(f1)] * norms[id(f2)]) for v, (f1, f2) in zip(lhs.tolist(), fields)]
+    cells = [(v, norms[id(f1)] * norms[id(f2)]) for v, (f1, f2) in zip(lhs.tolist(), fields)]
+    return cells, norms
 
 
 def bilinear_ratio(
@@ -332,7 +330,8 @@ def bilinear_ratio(
     frequency should carry no loss (predicted exponent 0); the low one at
     most (d-2)/2.  Every pair is checked before any cell is measured, and
     the cells of both sweeps, which share (max scale, fixed scale), are
-    measured once each in one kernel sweep.
+    measured once each in one kernel sweep.  The proof-chain log reuses the
+    fields and the high field's norm of its cell.
     """
     if config.d not in (3, 4):
         raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
@@ -354,7 +353,9 @@ def bilinear_ratio(
         raise InvalidScales("fewer than 3 admissible low scales in the sweep")
     low = [(n1_fixed, n2) for n2 in low_scales]
     pairs = list(dict.fromkeys(high + low))
-    cells = dict(zip(pairs, _bilinear_cells(config, grid, window, pairs)))
+    fields = dict(zip(pairs, _bilinear_fields(config, grid, pairs)))
+    measured, norms = _bilinear_cells(config, window, list(fields.values()))
+    cells = dict(zip(pairs, measured))
 
     lhs_hi, rhs_hi = zip(*(cells[pair] for pair in high))
     fit_high = _make_fit(
@@ -363,9 +364,9 @@ def bilinear_ratio(
     lhs_lo, rhs_lo = zip(*(cells[pair] for pair in low))
     meta = {"window": window.describe(), "fixed_high": n1_fixed}
     if log_chain:
-        meta["chain"] = bilinear_chain_log(
-            config, grid, window, n1_fixed, low_scales[0]
-        )
+        chain_pair = (n1_fixed, low_scales[0])
+        f1, f2 = fields[chain_pair]
+        meta["chain"] = bilinear_chain_log(config, window, chain_pair, f1, f2, norms[id(f1)])
     fit_low = _make_fit(
         low_scales,
         lhs_lo,
@@ -383,14 +384,16 @@ _CHAIN_BOXES = 8  # cover balls sampled for the per-ball space-time norms
 
 def bilinear_chain_log(
     config: ExperimentConfig,
-    grid: Grid,
     window: Window,
-    n_high: float,
-    n_low: float,
+    bands: tuple[float, float],
+    f1: Field,
+    f2: Field,
+    f1_norm: float,
 ) -> dict:
     """Bookkeeping for the proof chain of the bilinear refinement.
 
-    Logs, for one (N1, N2) pair: the almost-orthogonality ratio between the
+    Logs, for one (N1, N2) = ``bands`` pair with fields ``f1``, ``f2`` and
+    ``f1_norm`` = ||f1||_{M_{4,2}}: the almost-orthogonality ratio between the
     product L^2 and its ball-localized square sum, the exact Hoelder step on
     a deterministic sample of cover balls, and the overlap ratio of the
     localized modulation-norm squares.  Exact inequalities (Hoelder, the L^2
@@ -400,7 +403,8 @@ def bilinear_chain_log(
     share the low field f2: the pad-2 products (f1 f2 and each sampled
     piece times f2) and the L^4 norms (f2 and each piece).
     """
-    [(f1, f2)] = _bilinear_fields(config, grid, [(n_high, n_low)])
+    grid = window.grid
+    n_high, n_low = bands
     spec = ModNormSpec(0.0, 4.0, 2.0)
     m = max(33, config.time_nodes // 4 + 1)
 
@@ -439,7 +443,7 @@ def bilinear_chain_log(
         holder_ok = holder_ok and prod <= l4_piece * l4_low * (1.0 + 1e-9)
         sum_products_sq += prod**2
         m42_sq += modulation_norm(piece, spec, window) ** 2
-    m42_total = modulation_norm(f1, spec, window) ** 2
+    m42_total = f1_norm**2
     return {
         "lhs_sq": lhs**2,
         "cover_energy_ratio": cover_ratio,

@@ -284,6 +284,7 @@ def inverse_pruned(grid: Grid, coefficients: np.ndarray, modes: np.ndarray) -> n
         shape[axis] = grid.n
         embedded = np.zeros(shape, dtype=out.dtype)
         embedded[(..., modes, *[slice(None)] * (-axis - 1))] = out
+        del out  # released before the transform allocates its result
         out = np.fft.ifft(embedded, axis=axis)
     out *= grid.inverse_scale
     return out

@@ -15,8 +15,8 @@ convention onto the other without changing fitted exponents.
 
 The smooth ``low_pass`` psi(|xi|/N) is the one dyadic split: its differences
 are the Littlewood-Paley multipliers ``dyadic_multiplier``, which telescope
-exactly, and ``solver`` splits data with it.  Ball projections are sharp
-cutoffs so the overlap counting of a covering family is exact.
+exactly, and ``solver`` splits data with it.  ``ball_cover_centers`` places
+the finitely-overlapping balls that localize the bilinear proof chain.
 """
 
 from __future__ import annotations
@@ -29,20 +29,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, forward, fourier_multiply
+from modlab.grid import Field, Grid, forward
 
 __all__ = [
     "ModNormSpec",
     "bump",
     "Window",
     "make_window",
-    "iso_piece",
     "modulation_norm",
     "low_pass",
     "dyadic_multiplier",
-    "dyadic_project",
-    "dyadic_multipliers",
-    "box_project",
     "ball_cover_centers",
 ]
 
@@ -196,13 +192,6 @@ def make_window(grid: Grid, cube: float = 1.0) -> Window:
     return Window(grid=grid, cube=float(cube), kmax=kmax)
 
 
-def iso_piece(f: Field, k: Sequence[int], window: Window) -> Field:
-    """The decomposition piece sigma_k(D) f."""
-    if f.grid != window.grid:
-        raise ValueError("field and window live on different grids")
-    return fourier_multiply(f, window.multiplier(k))
-
-
 def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.ndarray:
     """L^p norms of the pieces ``ks`` of a spectrum F (a non-empty product of
     per-axis shift ranges in ``itertools.product`` order), in that order.
@@ -269,7 +258,7 @@ def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Paley projections
+# Littlewood-Paley multipliers and ball covers
 # ---------------------------------------------------------------------------
 
 
@@ -303,53 +292,6 @@ def dyadic_multiplier(grid: Grid, band: float) -> np.ndarray:
     if band == 1:
         return low_pass(grid, 1.0)
     return low_pass(grid, band) - low_pass(grid, band / 2.0)
-
-
-def dyadic_project(f: Field, band: float) -> Field:
-    """Smooth dyadic annulus projection P_N, supported in N/2 <= |xi| <= 2N.
-
-    ``band`` = 1 is the low ball |xi| <= 2.  The multiplier equals one on the
-    sphere |xi| = N.
-    """
-    g = f.grid
-    if band < 1 or 2 ** round(math.log2(band)) != band:
-        raise ValueError(f"band must be dyadic >= 1, got {band}")
-    if band > g.xi_max / 2:
-        raise ValueError(f"band {band} exceeds xi_max/2 = {g.xi_max / 2}")
-    return fourier_multiply(f, dyadic_multiplier(g, band))
-
-
-def dyadic_multipliers(grid: Grid) -> list[tuple[float, np.ndarray]]:
-    """The full family (N, multiplier) resolving the identity on the band.
-
-    Bands 1, 2, ..., N_top/2 are the usual annuli; the top entry is the
-    complementary high-pass so the family sums to one exactly, corner
-    frequencies included.
-    """
-    top = 1.0
-    corner = grid.xi_max * math.sqrt(grid.d)
-    while top < corner:
-        top *= 2.0
-    out = []
-    running = np.zeros(grid.shape)
-    band = 1.0
-    while band < top:
-        m = dyadic_multiplier(grid, band)
-        out.append((band, m))
-        running = running + m
-        band *= 2.0
-    out.append((top, 1.0 - running))
-    return out
-
-
-def box_project(f: Field, center: Sequence[float], radius: float) -> Field:
-    """Sharp-cutoff projection to the ball B(center, radius) in frequency."""
-    g = f.grid
-    center = np.asarray(center, dtype=float)
-    if center.shape != (g.d,):
-        raise ValueError(f"center must have {g.d} components")
-    dist_sq = reduce(np.add, [(xi - c) ** 2 for xi, c in zip(g.freqs(), center)])
-    return fourier_multiply(f, dist_sq <= radius**2)
 
 
 def ball_cover_centers(d: int, band: float, radius: float) -> list[tuple[float, ...]]:

@@ -16,10 +16,10 @@ kernel.
   distinct factor object is transformed once, however many products share
   it.  The phase, the twist and the multiply act on the n^d embedded modes
   only, and ``grid.inverse_pruned`` does the padding.
-- The paraboloid extension operator is direct midpoint quadrature over a
-  frequency mesh of the unit ball; its ball norms are time-blocked GEMMs of
-  about nmesh * m * |ball shadow| multiply-adds, restricted to d <= 2 since
-  that cost grows like mesh^(2d+1).
+- The paraboloid extension operator is measured only by its ball norms:
+  midpoint quadrature over a frequency mesh of the unit ball, time-blocked
+  GEMMs of about nmesh * m * |ball shadow| multiply-adds, restricted to
+  d <= 2 since that cost grows like mesh^(2d+1).
 """
 
 from __future__ import annotations
@@ -39,14 +39,10 @@ __all__ = [
     "free_evolve",
     "free_flow_lp_norms",
     "galilean_shift",
-    "duhamel",
     "duhamel_path",
     "unit_ball_mesh",
-    "extension_values",
-    "extension_lp_norm",
     "extension_ball_norms",
     "gradient_sq_integral",
-    "energy",
     "mass",
 ]
 
@@ -183,33 +179,13 @@ def galilean_shift(f: Field, xi0: Sequence[float]) -> Field:
     return Field(g, np.exp(1j * phase) * f.values)
 
 
-def duhamel(forcing: Trajectory, t: float) -> Field:
-    """Trapezoid quadrature of int_0^t exp(i(t-s) Laplace) F(s) ds.
-
-    ``t`` must be one of the forcing nodes; the integral runs from the first
-    node to ``t``.
-    """
-    times = forcing.times
-    j_end = forcing.node_index(t)
-    acc = np.zeros(forcing.grid.shape, dtype=np.complex128)
-    for j in range(j_end + 1):
-        wj = 0.0
-        if j > 0:
-            wj += 0.5 * (times[j] - times[j - 1])
-        if j < j_end:
-            wj += 0.5 * (times[j + 1] - times[j])
-        evolved = free_evolve(forcing[j][1], t - times[j])
-        acc = acc + wj * evolved.values
-    return Field(forcing.grid, acc)
-
-
 def duhamel_path(forcing: Trajectory) -> Trajectory:
     """Duhamel integral evaluated at every forcing node.
 
     Uses the group law of the free flow to accumulate the composite trapezoid
     rule in one sweep, acc_j = S(dt) acc_{j-1} + (S(dt) F_{j-1} + F_j) dt/2
-    with S(dt) the free flow over dt = t_j - t_{j-1}; agrees with per-node
-    ``duhamel`` to round-off.  The sweep runs node by node, so it never
+    with S(dt) the free flow over dt = t_j - t_{j-1}; agrees with the
+    per-node trapezoid sum to round-off.  The sweep runs node by node, so it never
     holds a stack of per-node multipliers.
     """
     grid, times, F = forcing.grid, forcing.times, forcing.values
@@ -242,55 +218,6 @@ def unit_ball_mesh(d: int, m: int) -> tuple[np.ndarray, float]:
     pts = np.stack([a.ravel() for a in grids], axis=-1)
     inside = np.sum(pts**2, axis=1) < 1.0
     return pts[inside], step**d
-
-
-def extension_values(
-    profile: np.ndarray,
-    points: np.ndarray,
-    weight: float,
-    times: np.ndarray,
-    xs: np.ndarray,
-) -> np.ndarray:
-    """Samples of Ef(t, x) = int_{|xi|<1} exp(i(x.xi + t|xi|^2)) f(xi) dxi.
-
-    ``profile`` holds f on the frequency mesh ``points`` (quadrature weight
-    ``weight``); ``xs`` is an array of spatial sample points of shape
-    (nx, d).  Returns an (nt, nx) complex array.  The x-dependence is a
-    single dense matrix product, so the cost is nt*nx*nmesh.
-    """
-    profile = np.asarray(profile, dtype=np.complex128).ravel()
-    if profile.shape[0] != points.shape[0]:
-        raise ValueError("profile and mesh size mismatch")
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    phase_x = np.exp(1j * (xs @ points.T))  # (nx, nmesh)
-    quad_sq = np.sum(points**2, axis=1)
-    out = np.empty((len(times), xs.shape[0]), dtype=np.complex128)
-    for i, t in enumerate(np.asarray(times, dtype=float)):
-        coeff = profile * np.exp(1j * t * quad_sq)
-        out[i] = phase_x @ coeff
-    return weight * out
-
-
-def extension_lp_norm(
-    profile: np.ndarray,
-    points: np.ndarray,
-    weight: float,
-    radius: float,
-    p: float,
-    samples_per_unit: float = 2.0,
-) -> float:
-    """L^p norm of Ef over the space-time ball B_{d+1}(0, radius).
-
-    Uniform midpoint mesh on [-R, R]^{d+1}, masked to the ball.  Ef
-    oscillates on unit scale (frequencies in the unit ball), so a couple of
-    samples per unit resolves the quadrature.
-    """
-    if radius < 4:
-        raise ValueError(f"region radius must be >= 4, got {radius}")
-    slices = [(0, points.shape[0])]
-    return float(
-        extension_ball_norms(profile, points, weight, radius, p, samples_per_unit, slices)[0]
-    )
 
 
 def extension_ball_norms(
@@ -349,21 +276,3 @@ def mass(f: Field) -> float:
     g = f.grid
     return float(g.cell * np.sum(np.abs(f.values) ** 2))
 
-
-def energy(f: Field, d: int | None = None, sign: int = 1) -> float:
-    """Energy of the energy-critical flow in dimension d in {3, 4}.
-
-    E[f] = int |grad f|^2 / 2 +- (d-2)/(2d) |f|^(2d/(d-2)) dx; the potential
-    exponent 2d/(d-2) is the one the rescaling
-    u -> lambda^((d-2)/2) u(lambda x) leaves invariant.
-    """
-    if d is None:
-        d = f.grid.d
-    if d not in (3, 4):
-        raise ValueError(f"energy-critical exponent needs d in {{3, 4}}, got {d}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    q = 2.0 * d / (d - 2.0)
-    g = f.grid
-    potential = g.cell * np.sum(np.abs(f.values) ** q)
-    return float(0.5 * gradient_sq_integral(f) + sign * (d - 2.0) / (2.0 * d) * potential)

@@ -151,13 +151,12 @@ def picard_solve(
     tol: float = 1e-10,
     window: Window | None = None,
     s: float = 0.0,
-    initial: str = "free",
     iterate_hook: Callable | None = None,
 ) -> tuple[Trajectory, SolverReport]:
     """Fixed-point iteration of the Duhamel map.
 
-    Starts from the free trajectory (or the zero path), applies the map until
-    the iteration-norm residual drops below ``tol`` or ``max_iters`` is hit.
+    Starts from the free trajectory and applies the map until the
+    iteration-norm residual drops below ``tol`` or ``max_iters`` is hit.
     Three consecutive non-contracting steps flag divergence and stop the run;
     the report carries the factors either way.  ``iterate_hook(j, path)`` is
     called on every iterate, a ``Trajectory``, including the initial one and
@@ -186,13 +185,7 @@ def picard_solve(
     ts = np.linspace(0.0, problem.horizon, problem.time_nodes)
     spectrum = forward(grid, problem.u0.values)  # one transform of u0 for every node
     nodes = [inverse(grid, free_multiplier(grid, float(t)) * spectrum) for t in ts[1:]]
-    free = Trajectory(grid, ts, np.stack([problem.u0.values, *nodes]))
-    if initial == "free":
-        current = free
-    elif initial == "zero":
-        current = replace(free, values=np.zeros_like(free.values))
-    else:
-        raise ValueError(f"unknown initial iterate {initial!r}")
+    free = current = Trajectory(grid, ts, np.stack([problem.u0.values, *nodes]))
     if iterate_hook is not None:
         iterate_hook(0, current)
 

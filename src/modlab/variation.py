@@ -7,40 +7,33 @@ Increments only ever use node values, measured in a value norm that each
 function takes as an argument, e.g. ``partial(lp_norm, p=2.0)``.  The
 conventional terminal value 0 at t = +infinity is exposed as an explicit
 flag: plain increment suprema (``terminal_zero=False``, the default) match the
-dynamic program stated for ``vp_norm``; the adapted-space norms switch it on,
-which is what makes the free trajectory of f carry the single jump of size
-||f||.
+dynamic program stated for ``vp_norm``; the adapted V^2 norm of a free
+trajectory switches it on, which is what makes the profile path of f carry
+the single jump of size ||f||.
 
 The atomic norm is not computed exactly (it is an infimum over all
 decompositions); ``up_norm_upper`` evaluates the one-atom decomposition a
-step function carries on its own nodes, and ``up_norm_lower`` samples the
-duality characterization from below.
+step function carries on its own nodes, and ``duality_pairing`` is the
+pairing B(u, v) that bounds it from below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Trajectory, fourier_multiply
-from modlab.modspace import ModNormSpec, Window, modulation_norm, dyadic_multipliers
-from modlab.propagator import free_evolve
+from modlab.grid import Field, Trajectory
 
 __all__ = [
     "vp_norm",
     "vp_norm_bruteforce",
     "make_atom",
     "up_norm_upper",
-    "up_norm_lower",
     "duality_pairing",
-    "adapt",
-    "ys_norm",
-    "xs_norm_upper",
 ]
 
 
@@ -147,71 +140,3 @@ def duality_pairing(u: Trajectory, v: Trajectory) -> complex:
     for t, jump in zip(u.times, jumps):
         total -= complex(u.grid.cell * np.sum(jump * np.conj(v.values[v.node_index(t)])))
     return total
-
-
-def up_norm_lower(u: Trajectory, p: float, duals: Iterable[Trajectory], norm) -> float:
-    """Duality lower bound: max |B(u, v)| / ||v||_{V^{p'}} over trial paths,
-    the V^{p'} norm measured in ``norm``."""
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"need 1 < p < inf for the dual exponent, got {p}")
-    q = p / (p - 1.0)
-    best = 0.0
-    for v in duals:
-        denom = vp_norm(v, q, norm, terminal_zero=True)
-        if denom > 0:
-            best = max(best, abs(duality_pairing(u, v)) / denom)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Adapted spaces
-# ---------------------------------------------------------------------------
-
-
-def adapt(path: Trajectory, direction: str = "forward") -> Trajectory:
-    """Undo (forward) or re-apply (backward) the free flow nodewise.
-
-    Forward composes each value with exp(-i t Laplace) at its own node, so a
-    free trajectory becomes a constant path; backward inverts it exactly.  A
-    step function is twisted at the left endpoint of each piece.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction}")
-    sgn = -1.0 if direction == "forward" else 1.0
-    return replace(path, values=np.stack([free_evolve(v, sgn * t).values for t, v in path]))
-
-
-def _band_sum(path: Trajectory, s: float, window: Window, band_norm) -> float:
-    """( sum_N N^{2s} band_norm(P_N u adapted, ||.||_{M_{4,2}})^2 )^(1/2)
-    over the dyadic bands N of the grid."""
-    if len(path) < 2:
-        raise ValueError("need at least two time nodes")
-    bands = dyadic_multipliers(path.grid)
-    if len(bands) < 3:
-        raise ValueError("grid resolves fewer than 3 dyadic bands")
-    norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
-    total = 0.0
-    for band, mult in bands:
-        adapted = adapt(fourier_multiply(path, mult), "forward")
-        total += band ** (2.0 * s) * band_norm(adapted, norm=norm) ** 2
-    return float(math.sqrt(total))
-
-
-def ys_norm(path: Trajectory, s: float, window: Window) -> float:
-    """Dyadically weighted square sum of adapted V^2 norms:
-
-    ( sum_N N^{2s} || P_N u ||^2_{V^2_adapted, M_{4,2}} )^(1/2).
-
-    The V^2 norm uses the terminal-zero convention.
-    """
-    return _band_sum(path, s, window, partial(vp_norm, p=2.0, terminal_zero=True))
-
-
-def xs_norm_upper(path: Trajectory, s: float, window: Window) -> float:
-    """Atomic-decomposition companion of ``ys_norm``.
-
-    Reads each adapted band path as the step function on its own nodes and
-    aggregates the one-atom U^2 bounds with the same dyadic weights.  This is
-    the reported stand-in for the atomic iteration norm, not an exact value.
-    """
-    return _band_sum(path, s, window, partial(up_norm_upper, p=2.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modlab.grid import Field, inverse, make_grid
-from modlab.propagator import extension_values
+from tests.oracles import extension_values
 
 
 @pytest.fixture

@@ -245,6 +245,18 @@ class TestBilinear:
         assert len(products) == 5
         assert products[1][1] is products[0][1] and products[3][0] is products[2][0]
 
+    def test_chain_reuses_the_cell_fields_and_norm(self, monkeypatch):
+        # the chain log builds no field of its own and measures only its
+        # sampled pieces: 6 band-noise builds and 6 + boxes norms in all
+        built, normed = [], []
+        band_noise, norm = est._band_noise, est.modulation_norm
+        monkeypatch.setattr(est, "_band_noise", lambda *a: built.append(a) or band_noise(*a))
+        monkeypatch.setattr(est, "modulation_norm", lambda *a: normed.append(a) or norm(*a))
+        _, fit_low = bilinear_ratio(self.small_config())
+        chain = fit_low.meta["chain"]
+        assert len(built) == 6
+        assert len(normed) == 6 + chain["sampled_boxes"]
+
     def test_high_frequency_slope_flat(self):
         fit_high, _ = bilinear_ratio(self.small_config(), log_chain=False)
         assert abs(fit_high.slope) <= 0.15
@@ -253,10 +265,12 @@ class TestBilinear:
         # both sweeps use the cell (max scale, fixed scale) = (4, 1)
         calls = []
 
-        def cells(config, grid, window, pairs):
-            calls.extend(pairs)
-            return [(n_high * n_low, 1.0) for n_high, n_low in pairs]
+        def cells(config, window, fields):
+            calls.extend(fields)
+            return [(n_high * n_low, 1.0) for n_high, n_low in fields], {}
 
+        # each cell's "fields" are its bands, so the mock can tell them apart
+        monkeypatch.setattr(est, "_bilinear_fields", lambda config, grid, pairs: pairs)
         monkeypatch.setattr(est, "_bilinear_cells", cells)
         fit_high, fit_low = bilinear_ratio(self.small_config(), log_chain=False)
         assert len(calls) == len(set(calls)) == 5
@@ -282,13 +296,14 @@ class TestBilinear:
     def test_d4_cell_runs_on_tiny_grid(self):
         # the d = 4 machinery stays exercised at demo scale: one measured
         # cell, no sweep
-        from modlab.estimates import _bilinear_cells
+        from modlab.estimates import _bilinear_cells, _bilinear_fields
 
         cfg = ExperimentConfig(
             d=4, n=16, length=2 * np.pi, cube=4.0, scales=(2.0,),
             fixed_scale=1.0, family="band_noise", time_nodes=17, seed=3,
         )
-        [(lhs, rhs)] = _bilinear_cells(cfg, cfg.grid(), cfg.window(), [(2.0, 1.0)])
+        fields = _bilinear_fields(cfg, cfg.grid(), [(2.0, 1.0)])
+        [(lhs, rhs)], _ = _bilinear_cells(cfg, cfg.window(), fields)
         assert lhs > 0 and rhs > 0 and np.isfinite(lhs / rhs)
 
     def test_galilean_pair_invariance(self):

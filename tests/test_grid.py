@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +138,23 @@ class TestTransforms:
         for coarse in (full, sparse, np.zeros_like(full)):
             inverse_pruned(fine, coarse, modes)
         assert sizes == [(16, 16, 32), (16, 32, 32), (32, 32, 32)] * 3
+
+    def test_pruned_inverse_peak_memory(self):
+        # 16^3 modes into 32^3: the last axis holds the 32^3 embed and the
+        # 32^3 result, 1 MiB in all; the array of the axes before it is
+        # released first, or the peak would be 1.25 MiB
+        fine = make_grid(3, 32, 8 * np.pi)
+        modes = (np.fft.fftfreq(16) * 16).astype(int) % 32
+        coarse = np.random.default_rng(0).standard_normal((16, 16, 16)) + 0j
+        inverse_pruned(fine, coarse, modes)  # the grid's cached twist is built
+        tracemalloc.start()
+        try:
+            out = inverse_pruned(fine, coarse, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 2**19
+        assert peak <= 1.1 * 2**20
 
     def test_shape_mismatch_rejected(self, grid1d):
         other = make_grid(1, 512, 64 * np.pi)

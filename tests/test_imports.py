@@ -1,7 +1,8 @@
 """Import hygiene of the package: no module imports a name it never uses
 (unless its ``__all__`` re-exports it), none imports another modlab
-module's private (underscore) name, every public name imported from a modlab
-module is in that module's ``__all__``, and only ``grid`` and the package's
+module's private (underscore) name, and neither do the test oracles; every
+public name imported from a modlab module is in that module's ``__all__``;
+a run reaches every ``__all__`` name; and only ``grid`` and the package's
 re-exports touch the frozen ``SpectralField`` view."""
 
 import ast
@@ -12,6 +13,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "modlab"
 IMPORTERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+# the code a run reaches a public name from; tests other than the acceptance
+# gate do not count, so a name only they use belongs in tests/oracles.py
+RUNNERS = (
+    sorted(SRC.glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"]
+    + sorted((ROOT / "perfbench").glob("*.py"))
+)
+# reads the .bin files the CLI writes; no run reads them back
+UNREACHED_ALLOWED = {"load_field"}
 
 
 def _exported(tree: ast.Module) -> set:
@@ -23,7 +34,9 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + [ROOT / "tests" / "oracles.py"], ids=lambda p: p.name
+)
 def test_imports_are_used_and_public(path):
     tree = ast.parse(path.read_text())
     parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
@@ -76,3 +89,65 @@ def test_spectrum_view_stays_in_grid(path):
     # inside the package, spectra are plain arrays from grid.forward/inverse
     view = [name for _, name in _modlab_imports(path) if name in ("SpectralField", "to_spectrum")]
     assert not view, f"{path.name} imports {view}; use grid.forward/inverse"
+
+
+def _references(path: Path, module: str) -> set:
+    """Names a file references, outside the ``def`` or ``class`` that binds
+    them: a load of a name ``module`` binds itself or the file imports from
+    modlab, and any attribute; an import alone, as in a re-export, is no
+    use.  A string constant that is exactly a name counts too, since
+    ``cli.SWEEPS`` and the benchmark's tracer look functions up with
+    ``getattr``; docstrings and ``__all__`` do not."""
+    tree = ast.parse(path.read_text())
+    docs = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    own = path.parent == SRC and path.stem == module
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("modlab")
+        for alias in node.names
+    }
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and owner is None:
+            owner = node.name
+        name = None
+        if isinstance(node, ast.Name) and (own or node.id in imported):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            name = node.value
+        if name is not None and name != owner:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_public_names_are_reached_by_a_run(path):
+    # a public name that only tests use is a capability no run has: it
+    # moves to tests/oracles.py if a test checks reached code with it, and
+    # goes otherwise
+    reached = set().union(*(_references(p, path.stem) for p in RUNNERS))
+    unreached = _exported(ast.parse(path.read_text())) - reached - UNREACHED_ALLOWED
+    assert not unreached, f"{path.name} exports names no run reaches: {sorted(unreached)}"

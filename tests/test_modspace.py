@@ -11,12 +11,8 @@ from modlab.modspace import (
     ModNormSpec,
     _piece_lp_norms,
     ball_cover_centers,
-    box_project,
     bump,
     dyadic_multiplier,
-    dyadic_multipliers,
-    dyadic_project,
-    iso_piece,
     low_pass,
     make_window,
     modulation_norm,
@@ -24,6 +20,7 @@ from modlab.modspace import (
 from modlab.estimates import fit_exponent
 from modlab.datagen import focusing_data
 from tests.conftest import bandlimited, complex_noise
+from tests.oracles import box_project, dyadic_multipliers, dyadic_project, iso_piece
 
 
 class TestWindow:

@@ -17,10 +17,8 @@ from modlab.grid import (
 )
 from modlab.modspace import ModNormSpec, make_window, modulation_norm
 from modlab.propagator import (
-    duhamel,
     duhamel_path,
-    energy,
-    extension_values,
+    extension_ball_norms,
     free_evolve,
     free_flow_lp_norms,
     free_multiplier,
@@ -30,6 +28,7 @@ from modlab.propagator import (
     unit_ball_mesh,
 )
 from tests.conftest import complex_noise, direct_ball_norm, gaussian_field
+from tests.oracles import duhamel, energy, extension_values
 
 
 class TestFreeEvolve:
@@ -405,12 +404,10 @@ class TestExtension:
             unit_ball_mesh(3, 16)
 
     def test_ball_norm_matches_direct_quadrature(self):
-        from modlab.propagator import extension_lp_norm
-
         R, spu = 4.0, 2.0
         pts, w = unit_ball_mesh(1, 48)
         profile = np.ones(len(pts))
-        norm = extension_lp_norm(profile, pts, w, R, 4.0, samples_per_unit=spu)
+        [norm] = extension_ball_norms(profile, pts, w, R, 4.0, spu, [(0, len(pts))])
         m = int(np.ceil(2 * R * spu))
         step = 2 * R / m
         axis = -R + step * (np.arange(m) + 0.5)
@@ -424,7 +421,7 @@ class TestExtension:
         # must pair every mesh point with its own coordinates
         pts, w = unit_ball_mesh(2, 12)
         profile = np.cos(2.0 * pts[:, 0]) + 0.5j * pts[:, 1] + 0.3
-        norm = extension_lp_norm(profile, pts, w, R, 4.0, samples_per_unit=spu)
+        [norm] = extension_ball_norms(profile, pts, w, R, 4.0, spu, [(0, len(pts))])
         assert norm == pytest.approx(
             direct_ball_norm(profile, pts, w, R, 4.0, spu), rel=1e-12
         )
@@ -456,19 +453,10 @@ class TestExtension:
             assert norm == pytest.approx(direct, rel=1e-12)
 
     def test_ball_norm_d2_runs(self):
-        from modlab.propagator import extension_lp_norm
-
         pts, w = unit_ball_mesh(2, 12)
         profile = np.ones(len(pts))
-        value = extension_lp_norm(profile, pts, w, 4.0, 2.0, samples_per_unit=1.0)
+        [value] = extension_ball_norms(profile, pts, w, 4.0, 2.0, 1.0, [(0, len(pts))])
         assert value > 0
-
-    def test_ball_norm_small_radius_rejected(self):
-        from modlab.propagator import extension_lp_norm
-
-        pts, w = unit_ball_mesh(1, 16)
-        with pytest.raises(ValueError, match=">= 4"):
-            extension_lp_norm(np.ones(len(pts)), pts, w, 2.0, 4.0)
 
 
 class TestEnergyMass:

@@ -33,16 +33,14 @@ __all__ = [
 
 
 def mollified_indicator(
-    n_radius: float,
-    grid: Grid,
-    window: Window | None = None,
-    eps: float = 0.1,
+    n_radius: float, grid: Grid, window: Window | None = None
 ) -> tuple[Field, dict]:
     """Smooth unit-scale mollifier convolved with the ball indicator 1_B(0,n),
     normalized to unit L^4 norm.
 
     Returns the field and a norm report: the modulation norm M^{1+eps}_{4,2}
-    (when a window is supplied), the spectral H^1 norm, and the L^2 norm.
+    with eps = 0.1 (when a window is supplied), the spectral H^1 norm, and
+    the L^2 norm.
     """
     if n_radius + 2 > grid.length / 2:
         raise ValueError(
@@ -64,10 +62,10 @@ def mollified_indicator(
         "l4": lp_norm(f, 4),
         "l2": l2,
         "h1": h1,
-        "eps": eps,
+        "eps": 0.1,
     }
     if window is not None:
-        report["m_norm"] = modulation_norm(f, ModNormSpec(1.0 + eps, 4.0, 2.0), window)
+        report["m_norm"] = modulation_norm(f, ModNormSpec(1.1, 4.0, 2.0), window)
     return f, report
 
 

@@ -106,6 +106,10 @@ class ExperimentConfig:
             raise ValueError(f"time_nodes must be at least 2, got {self.time_nodes}")
         if not math.isfinite(self.margin):
             raise ValueError(f"margin must be finite, got {self.margin}")
+        for name in ("fixed_scale", "samples_per_unit"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def grid(self) -> Grid:
         return make_grid(self.d, self.n, self.length)
@@ -321,17 +325,16 @@ def _bilinear_cells(
     return cells, norms
 
 
-def bilinear_ratio(
-    config: ExperimentConfig, log_chain: bool = True
-) -> tuple[FitResult, FitResult]:
+def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
     """Bilinear sweep in both frequencies.
 
     Returns (fit in N1 at fixed N2, fit in N2 at fixed N1).  The high
     frequency should carry no loss (predicted exponent 0); the low one at
     most (d-2)/2.  Every pair is checked before any cell is measured, and
     the cells of both sweeps, which share (max scale, fixed scale), are
-    measured once each in one kernel sweep.  The proof-chain log reuses the
-    fields and the high field's norm of its cell.
+    measured once each in one kernel sweep.  The low fit's ``meta["chain"]``
+    is the proof-chain log of the cell (max scale, smallest low scale); it
+    reuses the fields and the high field's norm of that cell.
     """
     if config.d not in (3, 4):
         raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
@@ -362,11 +365,10 @@ def bilinear_ratio(
         config.scales, lhs_hi, rhs_hi, 0.0, config.margin, "bilinear_high"
     )
     lhs_lo, rhs_lo = zip(*(cells[pair] for pair in low))
-    meta = {"window": window.describe(), "fixed_high": n1_fixed}
-    if log_chain:
-        chain_pair = (n1_fixed, low_scales[0])
-        f1, f2 = fields[chain_pair]
-        meta["chain"] = bilinear_chain_log(config, window, chain_pair, f1, f2, norms[id(f1)])
+    chain_pair = (n1_fixed, low_scales[0])
+    f1, f2 = fields[chain_pair]
+    chain = bilinear_chain_log(config, window, chain_pair, f1, f2, norms[id(f1)])
+    meta = {"window": window.describe(), "fixed_high": n1_fixed, "chain": chain}
     fit_low = _make_fit(
         low_scales,
         lhs_lo,
@@ -402,24 +404,33 @@ def bilinear_chain_log(
     capped box sample and a reduced time mesh, in two kernel sweeps that
     share the low field f2: the pad-2 products (f1 f2 and each sampled
     piece times f2) and the L^4 norms (f2 and each piece).
+
+    A cover ball is occupied when the energy of F1 = f1^ on it is
+    ``e > 0.0``, an exact-zero test, so balls holding only round-off count
+    (``total_boxes``).  Only the occupied centers are kept; a sampled ball's
+    mask is rebuilt from its center.
     """
     grid = window.grid
     n_high, n_low = bands
     spec = ModNormSpec(0.0, 4.0, 2.0)
     m = max(33, config.time_nodes // 4 + 1)
 
-    centers = ball_cover_centers(grid.d, n_high, n_low)
     F1 = forward(grid, f1.values)
+    freqs = grid.freqs()
+
+    def ball(c):
+        return reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(freqs, c)]) <= n_low**2
+
     # L^2 covering bounds are exact: sum of localized energies vs energy
-    e_total = float(np.sum(np.abs(F1) ** 2))
+    energy = np.abs(F1) ** 2
+    e_total = float(np.sum(energy))
     e_boxes = 0.0
     occupied = []
-    for c in centers:
-        mask = reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(grid.freqs(), c)]) <= n_low**2
-        e = float(np.sum(np.abs(F1[mask]) ** 2))
+    for c in ball_cover_centers(grid.d, n_high, n_low):
+        e = float(np.sum(energy[ball(c)]))
         e_boxes += e
         if e > 0.0:
-            occupied.append((c, mask, e))
+            occupied.append(c)
     cover_ratio = e_boxes / e_total
     overlap_bound = 3.0**grid.d
 
@@ -429,7 +440,7 @@ def bilinear_chain_log(
         occupied[i]
         for i in sorted(rng.choice(len(occupied), size=_CHAIN_BOXES, replace=False))
     ]
-    pieces = [Field(grid, inverse(grid, mask * F1)) for _, mask, _ in sample]
+    pieces = [Field(grid, inverse(grid, ball(c) * F1)) for c in sample]
     lhs, *prods = free_flow_lp_norms(
         [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, pad=2
     ).tolist()

@@ -77,10 +77,6 @@ class Grid:
         return self.n**self.d
 
     @property
-    def volume(self) -> float:
-        return self.length**self.d
-
-    @property
     def cell(self) -> float:
         """Quadrature weight h^d of one spatial cell."""
         return self.h**self.d
@@ -169,10 +165,6 @@ class Field:
     def __neg__(self) -> "Field":
         return Field(self.grid, -self.values)
 
-    @staticmethod
-    def zero(grid: Grid) -> "Field":
-        return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
-
 
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class SpectralField:
@@ -206,8 +198,8 @@ class Trajectory:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or self.values.shape != (times.size, *self.grid.shape):
             raise ValueError(f"values {self.values.shape} do not match {times.size} times")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("trajectory times must be finite and strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("trajectory contains non-finite samples")
         times.flags.writeable = False

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,10 +106,6 @@ class Window:
         total = reduce(np.multiply.outer, [per_axis] * self.grid.d)
         return float(np.max(np.abs(total - 1.0)))
 
-    def lattice(self) -> Iterable[tuple[int, ...]]:
-        rng = range(-self.kmax, self.kmax + 1)
-        return itertools.product(rng, repeat=self.grid.d)
-
     def active_lattice(self, coefficients: np.ndarray) -> list[tuple[int, ...]]:
         """Windows meeting a spectrum's energy: a product of per-axis shift
         ranges, in ``itertools.product`` order.
@@ -177,8 +173,8 @@ def make_window(grid: Grid, cube: float = 1.0) -> Window:
     Requires at least four frequency lattice points per cube per axis
     (``dxi <= cube/4``) and a band wide enough for a couple of cubes.
     """
-    if cube <= 0:
-        raise ValueError(f"cube side must be positive, got {cube}")
+    if not 0 < cube < math.inf:
+        raise ValueError(f"cube side must be positive and finite, got cube={cube}")
     if grid.dxi > cube / 4 + 1e-12:
         raise ValueError(
             f"grid too coarse to resolve the window: dxi={grid.dxi:.4g} > "

@@ -133,7 +133,7 @@ class SolverReport:
         return out
 
 
-def nonlinearity(u: Field | Trajectory, kappa: float, sign: int = 1) -> Field | Trajectory:
+def nonlinearity(u: Field | Trajectory, kappa: float, sign: int) -> Field | Trajectory:
     """Pointwise power sign * |u|^kappa u of a Field or of a Trajectory."""
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -315,29 +315,26 @@ def _tail_field(u: Field | Trajectory, cutoff: float) -> Field | Trajectory:
 
 def large_data_protocol(
     problem: NLSProblem,
-    window: Window | None = None,
+    window: Window,
+    c0: float,
     s: float = 1.1,
-    c0: float = 0.1,
     c1: float = 0.1,
-    max_iters: int = 25,
-    tol: float = 1e-9,
 ) -> tuple[Trajectory, SolverReport]:
     """Frequency-cutoff contraction run for large data, d in {3, 4}.
 
-    Chooses A = ||u0||_{M^s_{4,2}}, the tail budget
+    Chooses A = ||u0||_{M^s_{4,2}} in ``window``, the tail budget
     delta = c0 * A^{-(6-d)/(d-2)}, the smallest dyadic cutoff N with
     ||P_{>N} u0|| <= delta, and the horizon
     T <= c1 * min(N^{-6/(d-2)}, N^{-2d/(d-2)}) * A^{-4/(d-2)}.  Runs the
-    Picard iteration on [0, T] and verifies the ball conditions
-    ||u^(j)|| <= 2A and ||P_{>N} u^(j)|| <= 2 delta at every iterate,
-    raising ``CertificateViolation`` with the failing inequality named.
+    Picard iteration on [0, T] (at most 25 iterates, residual tolerance
+    1e-9) and verifies the ball conditions ||u^(j)|| <= 2A and
+    ||P_{>N} u^(j)|| <= 2 delta at every iterate, raising
+    ``CertificateViolation`` with the failing inequality named.
     """
     d = problem.d
     if d not in (3, 4):
         raise ValueError(f"large-data protocol expects d in {{3, 4}}, got {d}")
     grid = problem.grid
-    if window is None:
-        window = make_window(grid)
     spec = ModNormSpec(s, 4.0, 2.0)
     A = modulation_norm(problem.u0, spec, window)
     if not np.isfinite(A) or A == 0.0:
@@ -382,8 +379,7 @@ def large_data_protocol(
 
     path, report = picard_solve(
         run,
-        max_iters=max_iters,
-        tol=tol,
+        tol=1e-9,
         window=window,
         s=s,
         iterate_hook=verify_ball,
@@ -422,14 +418,11 @@ def sum_space_smallness(u0: Field, window: Window, s: float = 0.5) -> dict:
 
 
 def small_data_threshold(
-    make_problem: Callable[[float], NLSProblem],
-    amplitudes: Sequence[float],
-    max_iters: int = 12,
-    tol: float = 1e-10,
+    make_problem: Callable[[float], NLSProblem], amplitudes: Sequence[float]
 ) -> dict:
     """Measured stand-in for the unquantified smallness constant: the largest
-    amplitude in the sweep whose Picard run keeps every contraction factor
-    below 1/2.
+    amplitude in the sweep whose Picard run (at most 12 iterates, residual
+    tolerance 1e-10) keeps every contraction factor below 1/2.
 
     ``make_problem`` maps an amplitude to the problem instance; the sweep is
     probed in increasing order and reported with per-amplitude factors.
@@ -437,7 +430,7 @@ def small_data_threshold(
     rows = []
     largest = None
     for amp in sorted(amplitudes):
-        _, rep = picard_solve(make_problem(amp), max_iters=max_iters, tol=tol)
+        _, rep = picard_solve(make_problem(amp), max_iters=12)
         contracting = (
             rep.converged
             and not rep.diverged
@@ -463,7 +456,7 @@ def small_data_threshold(
 _CROSS_VALIDATION_PICARD_TOL = 1e-12  # far below the time-integration errors compared
 
 
-def cross_validate(problem: NLSProblem, tol: float = 1e-5) -> dict:
+def cross_validate(problem: NLSProblem, tol: float) -> dict:
     """Relative L^2 distance at the horizon between the Picard solution and
     the split-step oracle, with matched-resolution convergence logging.
 

@@ -473,11 +473,19 @@ class TestFailurePaths:
     @pytest.mark.parametrize(
         "key, value",
         [("horizon", "nan"), ("horizon", "inf"), ("horizon", "-1"), ("horizon", "0"),
-         ("time_nodes", "1"), ("time_nodes", "-5"), ("margin", "nan"), ("margin", "inf")],
+         ("time_nodes", "1"), ("time_nodes", "-5"), ("margin", "nan"), ("margin", "inf"),
+         ("samples_per_unit", "0"), ("samples_per_unit", "nan"), ("samples_per_unit", "inf"),
+         ("samples_per_unit", "-1"), ("fixed_scale", "0"), ("fixed_scale", "nan"),
+         ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
+         ("cube", "0")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
+        # every key is checked whatever the kind reads: the smoothing sweep
+        # has no fixed scale, and samples_per_unit = 0 divided by zero in a
+        # decoupling run; cube sits under [grid]
+        section = "[grid]" if key == "cube" else "[sweep]"
         lines = [line for line in SMOOTHING_CFG.splitlines() if not line.startswith(key)]
-        cfg = write(tmp_path, "\n".join(lines).replace("[sweep]", f"[sweep]\n{key} = {value}"))
+        cfg = write(tmp_path, "\n".join(lines).replace(section, f"{section}\n{key} = {value}"))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -107,7 +107,7 @@ class TestSmoothing:
         )
         grid = cfg.grid()
         monkeypatch.setattr(
-            est, "scale_family", lambda c, s, g: Field.zero(grid)
+            est, "scale_family", lambda c, s, g: Field(grid, np.zeros(grid.shape, complex))
         )
         with pytest.raises(ValueError, match="zero field"):
             smoothing_ratio(cfg)
@@ -214,12 +214,12 @@ class TestBilinear:
         monkeypatch.setattr(est, "_bilinear_cells", pytest.fail)
         cfg = self.small_config(scales=(4.0, 2.0, 1.0), min_separation=2.0)
         with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=1.0"):
-            bilinear_ratio(cfg, log_chain=False)
+            bilinear_ratio(cfg)
         cfg = self.small_config(scales=(2.0, 4.0, 4.0), min_separation=2.0)
         with pytest.raises(est.InvalidScales, match="fewer than 3 admissible"):
-            bilinear_ratio(cfg, log_chain=False)
+            bilinear_ratio(cfg)
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
-            bilinear_ratio(self.small_config(scales=(1.0, 2.0)), log_chain=False)
+            bilinear_ratio(self.small_config(scales=(1.0, 2.0)))
 
     def test_one_field_and_norm_per_distinct_band(self, monkeypatch):
         # 5 cells over 3 high and 3 low fields: each field is built once, takes
@@ -238,10 +238,12 @@ class TestBilinear:
         spy("_band_noise", lambda args: built.append(args[1:]))
         spy("modulation_norm", lambda args: normed.append(args[0]))
         spy("free_flow_lp_norms", lambda args: sweeps.append(args[0]))
-        bilinear_ratio(self.small_config(), log_chain=False)
+        _, fit_low = bilinear_ratio(self.small_config())
+        # the chain log adds one norm per sampled piece and two sweeps of its own
+        boxes = fit_low.meta["chain"]["sampled_boxes"]
         assert len(built) == len(set(built)) == 6
-        assert len(normed) == len({id(f) for f in normed}) == 6
-        [products] = sweeps
+        assert len(normed) == len({id(f) for f in normed}) == 6 + boxes
+        products = sweeps[0]
         assert len(products) == 5
         assert products[1][1] is products[0][1] and products[3][0] is products[2][0]
 
@@ -257,8 +259,31 @@ class TestBilinear:
         assert len(built) == 6
         assert len(normed) == 6 + chain["sampled_boxes"]
 
+    def test_chain_log_keeps_no_ball_masks(self):
+        # the chain log keeps the occupied centers and rebuilds the masks of
+        # the sampled balls only; a full-grid mask kept for each of the
+        # ~3000 occupied balls peaked at 16 MiB on this 16^3 cell
+        import tracemalloc
+
+        from modlab.modspace import ModNormSpec, modulation_norm
+
+        cfg = self.small_config()
+        window = cfg.window()
+        bands = (4.0, 1.0)
+        [(f1, f2)] = est._bilinear_fields(cfg, cfg.grid(), [bands])
+        f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
+        est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)  # fill the caches
+        tracemalloc.start()
+        try:
+            chain = est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain["total_boxes"] > 1000
+        assert peak < 6 * 2**20
+
     def test_high_frequency_slope_flat(self):
-        fit_high, _ = bilinear_ratio(self.small_config(), log_chain=False)
+        fit_high, _ = bilinear_ratio(self.small_config())
         assert abs(fit_high.slope) <= 0.15
 
     def test_shared_cell_measured_once(self, monkeypatch):
@@ -267,12 +292,14 @@ class TestBilinear:
 
         def cells(config, window, fields):
             calls.extend(fields)
-            return [(n_high * n_low, 1.0) for n_high, n_low in fields], {}
+            norms = {id(band): 1.0 for pair in fields for band in pair}
+            return [(n_high * n_low, 1.0) for n_high, n_low in fields], norms
 
         # each cell's "fields" are its bands, so the mock can tell them apart
         monkeypatch.setattr(est, "_bilinear_fields", lambda config, grid, pairs: pairs)
         monkeypatch.setattr(est, "_bilinear_cells", cells)
-        fit_high, fit_low = bilinear_ratio(self.small_config(), log_chain=False)
+        monkeypatch.setattr(est, "bilinear_chain_log", lambda *args: {})
+        fit_high, fit_low = bilinear_ratio(self.small_config())
         assert len(calls) == len(set(calls)) == 5
         assert list(fit_high.lhs) == [1.0, 2.0, 4.0]
         assert list(fit_low.lhs) == [4.0, 8.0, 16.0]
@@ -280,18 +307,19 @@ class TestBilinear:
     def test_regime_guard(self):
         cfg = self.small_config(min_separation=4.0, fixed_scale=2.0)
         with pytest.raises(ValueError, match="regime"):
-            bilinear_ratio(cfg, log_chain=False)
+            bilinear_ratio(cfg)
 
     def test_zero_input_rejected(self, monkeypatch):
         cfg = self.small_config()
         grid = cfg.grid()
-        monkeypatch.setattr(est, "_band_noise", lambda g, b, s: Field.zero(grid))
+        zero = Field(grid, np.zeros(grid.shape, complex))
+        monkeypatch.setattr(est, "_band_noise", lambda g, b, s: zero)
         with pytest.raises(ValueError, match="zero field"):
-            bilinear_ratio(cfg, log_chain=False)
+            bilinear_ratio(cfg)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="d in"):
-            bilinear_ratio(self.small_config(d=1, n=64), log_chain=False)
+            bilinear_ratio(self.small_config(d=1, n=64))
 
     def test_d4_cell_runs_on_tiny_grid(self):
         # the d = 4 machinery stays exercised at demo scale: one measured
@@ -345,7 +373,6 @@ class TestV2Bilinear:
                 fixed_scale=1.0, family="band_noise", time_nodes=65,
                 min_separation=1.0, seed=4,
             ),
-            log_chain=False,
         )
         # adapted V^2 of a free trajectory equals its single terminal jump,
         # so the measured cells agree with the plain bilinear ones
@@ -380,7 +407,8 @@ class TestV2Bilinear:
             fixed_scale=4.0, time_nodes=65, min_separation=1.0, atoms=1,
         )
         grid = cfg.grid()
-        monkeypatch.setattr(est, "_band_noise", lambda g, b, s: Field.zero(grid))
+        zero = Field(grid, np.zeros(grid.shape, complex))
+        monkeypatch.setattr(est, "_band_noise", lambda g, b, s: zero)
         with pytest.raises(ValueError, match="zero path"):
             v2_bilinear_ratio(cfg)
 

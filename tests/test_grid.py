@@ -184,7 +184,7 @@ class TestLpNorm:
         g = make_grid(2, 16, 4.0)
         c = 2.0 - 1.0j
         f = Field(g, np.full(g.shape, c))
-        vol = g.volume
+        vol = g.length**g.d
         for p in (1.0, 2.0, 4.0):
             assert lp_norm(f, p) == pytest.approx(abs(c) * vol ** (1 / p))
         assert lp_norm(f, np.inf) == pytest.approx(abs(c))
@@ -193,7 +193,7 @@ class TestLpNorm:
         g = make_grid(1, 64, 10.0)
         vals = np.zeros(g.shape, dtype=complex)
         vals[: g.n // 2] = 1.0
-        assert lp_norm(Field(g, vals), 2) == pytest.approx(np.sqrt(g.volume / 2))
+        assert lp_norm(Field(g, vals), 2) == pytest.approx(np.sqrt(g.length**g.d / 2))
 
     def test_gaussian_l4_closed_form(self, wide1d):
         f = gaussian_field(wide1d)
@@ -230,7 +230,7 @@ class TestSpacetime:
         f = Field(g, np.full(g.shape, c))
         ts = np.linspace(0.0, 2.0, 9)
         for p in (2.0, 6.0):
-            expect = abs(c) * g.volume ** (1 / p) * 2.0 ** (1 / p)
+            expect = abs(c) * (g.length**g.d) ** (1 / p) * 2.0 ** (1 / p)
             path = Trajectory(g, ts, np.stack([f.values] * len(ts)))
             assert spacetime_lp_norm(path, p) == pytest.approx(expect)
 
@@ -289,11 +289,15 @@ class TestTrajectory:
             Trajectory(grid3d, [[0.0, 1.0]], np.zeros((2, *grid3d.shape)))
 
     @pytest.mark.parametrize(
-        "times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["repeat", "decrease"]
+        "times",
+        [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan], [0.0, np.inf], [np.nan]],
+        ids=["repeat", "decrease", "nan", "inf", "lone_nan"],
     )
     def test_non_increasing_times_rejected(self, grid1d, times):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory(grid1d, times, np.zeros((3, *grid1d.shape)))
+        # a nan step compares False both ways, so "strictly increasing"
+        # includes "finite"
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(grid1d, times, np.zeros((len(times), *grid1d.shape)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
     def test_nonfinite_sample_rejected(self, grid1d, bad):

@@ -2,8 +2,10 @@
 (unless its ``__all__`` re-exports it), none imports another modlab
 module's private (underscore) name, and neither do the test oracles; every
 public name imported from a modlab module is in that module's ``__all__``;
-a run reaches every ``__all__`` name; and only ``grid`` and the package's
-re-exports touch the frozen ``SpectralField`` view."""
+a run reaches every ``__all__`` name and every public method; every default
+of a public function is both set and left to itself by a run; and only
+``grid`` and the package's re-exports touch the frozen ``SpectralField``
+view."""
 
 import ast
 from pathlib import Path
@@ -91,13 +93,14 @@ def test_spectrum_view_stays_in_grid(path):
     assert not view, f"{path.name} imports {view}; use grid.forward/inverse"
 
 
-def _references(path: Path, module: str) -> set:
+def _references(path: Path, module: str | None = None) -> set:
     """Names a file references, outside the ``def`` or ``class`` that binds
     them: a load of a name ``module`` binds itself or the file imports from
     modlab, and any attribute; an import alone, as in a re-export, is no
     use.  A string constant that is exactly a name counts too, since
     ``cli.SWEEPS`` and the benchmark's tracer look functions up with
-    ``getattr``; docstrings and ``__all__`` do not."""
+    ``getattr``; docstrings and ``__all__`` do not.  With no ``module``,
+    only attributes and strings count: the ways a method is reached."""
     tree = ast.parse(path.read_text())
     docs = {
         id(node.body[0].value)
@@ -111,31 +114,33 @@ def _references(path: Path, module: str) -> set:
     imported = {
         alias.asname or alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("modlab")
+        if module is not None
+        and isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("modlab")
         for alias in node.names
     }
     found = set()
 
-    def visit(node, owner):
+    def visit(node, owners):
         if isinstance(node, ast.Assign) and any(
             getattr(t, "id", None) == "__all__" for t in node.targets
         ):
             return
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and owner is None:
-            owner = node.name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
         name = None
         if isinstance(node, ast.Name) and (own or node.id in imported):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
-            name = node.value
-        if name is not None and name != owner:
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = None if id(node) in docs else node.value
+        if name is not None and name not in owners:
             found.add(name)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owners)
 
-    visit(tree, None)
+    visit(tree, frozenset())
     return found
 
 
@@ -151,3 +156,123 @@ def test_public_names_are_reached_by_a_run(path):
     reached = set().union(*(_references(p, path.stem) for p in RUNNERS))
     unreached = _exported(ast.parse(path.read_text())) - reached - UNREACHED_ALLOWED
     assert not unreached, f"{path.name} exports names no run reaches: {sorted(unreached)}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_public_methods_are_reached_by_a_run(path):
+    # the __all__ rule for the methods of public classes: one that only
+    # tests call is rebuilt inline by them
+    reached = set().union(*(_references(p) for p in RUNNERS))
+    unreached = [
+        f"{cls.name}.{node.name}"
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in reached
+    ]
+    assert not unreached, f"{path.name} has methods no run reaches: {unreached}"
+
+
+def _defaulted(tree: ast.Module) -> dict:
+    """name -> (positional parameter names, defaulted parameter names) of
+    every public function of a module that has a default."""
+    out, exported = {}, _exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            a = node.args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            keyword = [k.arg for k, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+            defaulted = positional[len(positional) - len(a.defaults):] + keyword
+            if defaulted:
+                out[node.name] = (positional, defaulted)
+    return out
+
+
+def _calls(path: Path):
+    """(module, function, call, through partial) for every call in a file of
+    a modlab function: by a name the file binds (in ``src/``) or imports
+    from modlab, or as an attribute of a modlab module; ``partial(f, ...)``
+    is a call of ``f`` with the arguments it binds."""
+    tree = ast.parse(path.read_text())
+    functions, modules = {}, {}
+    if path.parent == SRC:
+        functions = {
+            node.name: (path.stem, node.name)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "modlab":
+            modules.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("modlab."):
+            stem = node.module.split(".")[1]
+            functions.update({a.asname or a.name: (stem, a.name) for a in node.names})
+        elif isinstance(node, ast.Import):
+            modules.update(
+                {a.asname: a.name.split(".")[1] for a in node.names
+                 if a.name.startswith("modlab.") and a.asname}
+            )
+
+    def resolve(func):
+        if isinstance(func, ast.Name):
+            return functions.get(func.id)
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+            return modules[func.value.id], func.attr
+        return None
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, call, through_partial = node.func, node, False
+        if getattr(func, "id", getattr(func, "attr", None)) == "partial" and node.args:
+            func, through_partial = node.args[0], True
+            call = ast.Call(func=func, args=node.args[1:], keywords=node.keywords)
+        target = resolve(func)
+        if target is not None:
+            yield (*target, call, through_partial)
+
+
+def test_every_default_is_set_and_left_by_a_run():
+    # a default no run overrides is a constant in disguise, and one every run
+    # overrides is an argument in disguise: a public function's defaulted
+    # parameter must be set by one run call and left to its default by
+    # another.  *args or **kwargs set every parameter; partial(f, ...) sets
+    # what it binds and leaves nothing, since the partial's own callers may
+    # set the rest.  The CLI exports nothing: the defaults of its entry
+    # points (argv, --seed) are the shell's to set
+    defaults = {m.stem: _defaulted(ast.parse(m.read_text())) for m in SRC.glob("*.py")}
+    set_, left = set(), set()
+    for path in RUNNERS:
+        for module, name, call, through_partial in _calls(path):
+            if name not in defaults.get(module, {}):
+                continue
+            positional, defaulted = defaults[module][name]
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                given = set(defaulted)
+            else:
+                given = set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+            for param in defaulted:
+                if param in given:
+                    set_.add((module, name, param))
+                elif not through_partial:
+                    left.add((module, name, param))
+    bad = [
+        f"{module}.{name}({param}): "
+        + ", ".join(
+            why for why, seen in (("no run sets it", set_), ("no run leaves it", left))
+            if (module, name, param) not in seen
+        )
+        for module, functions in sorted(defaults.items())
+        for name, (_, defaulted) in sorted(functions.items())
+        for param in defaulted
+        if (module, name, param) not in set_ & left
+    ]
+    assert not bad, f"defaults no run varies: {bad}"

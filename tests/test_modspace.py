@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ from modlab.estimates import fit_exponent
 from modlab.datagen import focusing_data
 from tests.conftest import bandlimited, complex_noise
 from tests.oracles import box_project, dyadic_multipliers, dyadic_project, iso_piece
+
+
+def lattice(w):
+    """Every window shift of ``w``, in ``itertools.product`` order."""
+    return list(itertools.product(range(-w.kmax, w.kmax + 1), repeat=w.grid.d))
 
 
 class TestWindow:
@@ -80,7 +86,7 @@ class TestIsoPiece:
         g = make_grid(d, n, 8 * np.pi)
         w = make_window(g)
         f = complex_noise(g, 7)
-        total = sum(lp_norm(iso_piece(f, k, w), 2) ** 2 for k in w.lattice())
+        total = sum(lp_norm(iso_piece(f, k, w), 2) ** 2 for k in lattice(w))
         assert abs(total - lp_norm(f, 2) ** 2) <= 1e-10 * lp_norm(f, 2) ** 2
 
 
@@ -107,7 +113,8 @@ class TestModNormSpec:
 class TestModulationNorm:
     def test_zero_field(self, grid1d):
         w = make_window(grid1d)
-        assert modulation_norm(Field.zero(grid1d), ModNormSpec(0, 2, 2), w) == 0.0
+        zero = Field(grid1d, np.zeros(grid1d.shape, complex))
+        assert modulation_norm(zero, ModNormSpec(0, 2, 2), w) == 0.0
 
     def test_spectrum_reaches_active_lattice_read_only(self, grid3d, monkeypatch):
         # callers of active_lattice may keep the spectrum after the call
@@ -222,7 +229,7 @@ class TestPieceKernel:
         w = make_window(g)
         F = ball_noise_spectrum(g, seed=d)
         ks = w.active_lattice(F.coefficients)
-        assert 1 < len(ks) < len(list(w.lattice()))
+        assert 1 < len(ks) < len(lattice(w))
         got = _piece_lp_norms(F.coefficients, ks, w, p)
         want = per_window_norms(F, ks, w, p)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -235,7 +242,7 @@ class TestPieceKernel:
         g = make_grid(d, *KERNEL_GRIDS[d])
         w = make_window(g)
         F = ball_noise_spectrum(g, seed=10 + d)
-        ks = list(w.lattice())
+        ks = lattice(w)
         below = (2 * w.kmax + 1) ** (d - 1) if levels == "leading" else 1
         monkeypatch.setattr(modspace, "_CHUNK_POINTS", 3 * below * g.size)
         got = _piece_lp_norms(F.coefficients, ks, w, 4.0)
@@ -249,7 +256,7 @@ class TestPieceKernel:
         g = make_grid(d, *KERNEL_GRIDS[d])
         w = make_window(g)
         F = ball_noise_spectrum(g, seed=20 + d)
-        ks = list(w.lattice())
+        ks = lattice(w)
         want = _piece_lp_norms(F.coefficients, ks, w, p)
         for budget in (1, 3 * g.size, 2**30):
             monkeypatch.setattr(modspace, "_CHUNK_POINTS", budget)
@@ -258,7 +265,7 @@ class TestPieceKernel:
     def test_blocks_fit_the_budget(self, grid3d, monkeypatch):
         w = make_window(grid3d)
         F = ball_noise_spectrum(grid3d, seed=0)
-        ks = list(w.lattice())
+        ks = lattice(w)
         assert len(ks) * grid3d.size > modspace._CHUNK_POINTS  # the tree must split
         sizes = []
         original = np.fft.ifft
@@ -287,7 +294,7 @@ class TestPieceKernel:
         # that the aggregated norm rounds away.
         f, w = complex_noise(grid3d, 0), make_window(grid3d)
         assert modulation_norm(f, ModNormSpec(1.1, p, 2.0), w).hex() == bits
-        norms = _piece_lp_norms(forward(grid3d, f.values), list(w.lattice()), w, p)
+        norms = _piece_lp_norms(forward(grid3d, f.values), lattice(w), w, p)
         assert hashlib.sha256(norms.tobytes()).hexdigest()[:16] == pieces
 
     def test_non_product_windows_rejected(self, grid3d):
@@ -312,10 +319,10 @@ class TestPieceKernel:
         noisy = clean + residue * np.abs(clean).max()
         assert np.all(noisy != 0.0)
         assert w.active_lattice(noisy) == w.active_lattice(clean)
-        assert len(w.active_lattice(clean)) < len(list(w.lattice()))
+        assert len(w.active_lattice(clean)) < len(lattice(w))
         spec = ModNormSpec(1.1, 4.0, 2.0)
         F = SpectralField(g, noisy)
-        ks = list(w.lattice())
+        ks = lattice(w)
         brackets = np.array([np.sqrt(1.0 + sum(v * v for v in k)) for k in ks])
         norms = _piece_lp_norms(F.coefficients, ks, w, 4.0)
         exhaustive = np.sqrt(np.sum((brackets**spec.s * norms) ** 2))
@@ -345,7 +352,7 @@ class TestDyadic:
         assert err <= 1e-10
 
     def test_zero_field(self, grid1d):
-        out = dyadic_project(Field.zero(grid1d), 2.0)
+        out = dyadic_project(Field(grid1d, np.zeros(grid1d.shape, complex)), 2.0)
         assert lp_norm(out, 2) == 0.0
 
     def test_band_beyond_nyquist_rejected(self, grid1d):

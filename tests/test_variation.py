@@ -26,7 +26,8 @@ def path_of(times, fields):
 def step_of(partition, pieces):
     """The step function pieces[k] on [partition[k], partition[k+1]), 0 from
     partition[-1] on, unnormalized."""
-    return path_of(partition, tuple(pieces) + (Field.zero(pieces[0].grid),))
+    grid = pieces[0].grid
+    return path_of(partition, tuple(pieces) + (Field(grid, np.zeros(grid.shape, complex)),))
 
 
 def pieces_of(step):
@@ -173,7 +174,7 @@ class TestAtoms:
             assert L2(piece) == pytest.approx(2.0**-0.5)
 
     def test_all_zero_rejected(self):
-        zero = Field.zero(UNIT_GRID)
+        zero = Field(UNIT_GRID, np.zeros(UNIT_GRID.shape, complex))
         with pytest.raises(ValueError, match="zero"):
             make_atom((0.0, 1.0), (zero,), 2.0, L2)
 
@@ -207,7 +208,7 @@ class TestAtoms:
         lam1, lam2 = 2.0, 3.0
         combined = step_of(
             (0.0, 1.0, 2.0, 3.0),
-            (lam1 * a1[0][1], Field.zero(UNIT_GRID), lam2 * a2[0][1]),
+            (lam1 * a1[0][1], mk(0.0), lam2 * a2[0][1]),
         )
         bound = up_norm_upper(combined, 2.0, L2)
         assert bound <= lam1 + lam2 + 1e-12
@@ -245,7 +246,7 @@ def step_function_pairing(partition, pieces, v):
     """B(u, v) as the former StepFunction type computed it: one jump of the
     zero-padded pieces per partition point, paired with v there."""
     grid = pieces[0].grid
-    zero = Field.zero(grid)
+    zero = Field(grid, np.zeros(grid.shape, complex))
     padded = (zero,) + tuple(pieces) + (zero,)
     total = 0.0 + 0.0j
     for k, t in enumerate(partition):

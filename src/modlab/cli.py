@@ -101,6 +101,13 @@ def _get(cfg: dict, section: str, key: str, cast, default):
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value <= 0:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     raw = cfg.get("sweep", {}).get("scales")
     if raw is None:
@@ -198,7 +205,7 @@ def _run_norms(cfg, xcfg, out_dir):
     from modlab.grid import lp_norm
     from modlab.modspace import ModNormSpec, modulation_norm
 
-    trials = _get(cfg, "sweep", "trials", int, 20)
+    trials = _get(cfg, "sweep", "trials", _positive_int, 20)
     grid = xcfg.grid()
     window = xcfg.window()
     spec = ModNormSpec(0.0, 2.0, 2.0)
@@ -235,7 +242,7 @@ def _run_variation(cfg, xcfg, out_dir):
     from modlab.grid import Trajectory, lp_norm
     from modlab.variation import duality_pairing, make_atom, vp_norm, vp_norm_bruteforce
 
-    trials = _get(cfg, "sweep", "trials", int, 50)
+    trials = _get(cfg, "sweep", "trials", _positive_int, 50)
     p = xcfg.p
     grid = xcfg.grid()
     norm = partial(lp_norm, p=2.0)

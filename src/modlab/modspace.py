@@ -65,13 +65,18 @@ class ModNormSpec:
                 raise ValueError(f"{name} must be >= 1, got {name}={value}")
 
 
+def _flat(x: np.ndarray) -> np.ndarray:
+    """C^inf flat function exp(-1/x) for x > 0, zero elsewhere."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    positive = x > 0.0
+    out[positive] = np.exp(-1.0 / x[positive])
+    return out
+
+
 def bump(r_sq: np.ndarray) -> np.ndarray:
     """C^inf bump exp(-1/(1-r^2)) as a function of r^2, zero for r >= 1."""
-    r_sq = np.asarray(r_sq, dtype=float)
-    out = np.zeros_like(r_sq)
-    inside = r_sq < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
-    return out
+    return _flat(1.0 - r_sq)
 
 
 @dataclass(frozen=True)
@@ -260,14 +265,8 @@ def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
 
 def _smoothstep(r: np.ndarray) -> np.ndarray:
     """C^inf cutoff: 1 for r <= 1, 0 for r >= 2, monotone in between."""
-    r = np.asarray(r, dtype=float)
-    a = np.zeros_like(r)
-    b = np.zeros_like(r)
-    up = r - 1.0
-    down = 2.0 - r
-    np.exp(np.divide(-1.0, up, out=np.full_like(r, -np.inf), where=up > 0), out=a)
-    np.exp(np.divide(-1.0, down, out=np.full_like(r, -np.inf), where=down > 0), out=b)
-    return b / (a + b)
+    b = _flat(2.0 - r)
+    return b / (_flat(r - 1.0) + b)
 
 
 @lru_cache(maxsize=64)

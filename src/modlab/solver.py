@@ -266,6 +266,8 @@ def splitstep_solve(
     ``store``: "nodes" records the state at the problem's time nodes,
     "final" only at the horizon.
     """
+    if store not in ("nodes", "final"):
+        raise ValueError(f"store must be 'nodes' or 'final', got {store!r}")
     if dt > problem.horizon / 64:
         raise ValueError(f"dt={dt} too coarse; need dt <= horizon/64")
     grid = problem.grid

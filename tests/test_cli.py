@@ -56,6 +56,20 @@ time_nodes = 257
 margin = 0.15
 """
 
+NORMS_CFG = """
+[experiment]
+kind = norms
+seed = 3
+
+[grid]
+d = 2
+n = 32
+length = 25.132741228718345
+
+[sweep]
+trials = 10
+"""
+
 VARIATION_CFG = """
 [experiment]
 kind = variation
@@ -147,22 +161,7 @@ class TestRun:
 
 class TestExperiments:
     def test_norms(self, tmp_path):
-        cfg = write(
-            tmp_path,
-            """
-[experiment]
-kind = norms
-seed = 3
-
-[grid]
-d = 2
-n = 32
-length = 25.132741228718345
-
-[sweep]
-trials = 10
-""",
-        )
+        cfg = write(tmp_path, NORMS_CFG)
         out = tmp_path / "out"
         assert run(str(cfg), str(out)) == EXIT_PASS
         summary = json.loads((out / "norms.json").read_text())
@@ -477,21 +476,26 @@ class TestFailurePaths:
          ("samples_per_unit", "0"), ("samples_per_unit", "nan"), ("samples_per_unit", "inf"),
          ("samples_per_unit", "-1"), ("fixed_scale", "0"), ("fixed_scale", "nan"),
          ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
-         ("cube", "0")],
+         ("cube", "0"), ("trials", "0"), ("trials", "-3")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
         # every key is checked whatever the kind reads: the smoothing sweep
         # has no fixed scale, and samples_per_unit = 0 divided by zero in a
-        # decoupling run; cube sits under [grid]
+        # decoupling run; cube sits under [grid].  trials is read by the
+        # norms and variation drivers alone: a variation run with no trial
+        # passed, and a norms run took max() of no deviation
         section = "[grid]" if key == "cube" else "[sweep]"
-        lines = [line for line in SMOOTHING_CFG.splitlines() if not line.startswith(key)]
-        cfg = write(tmp_path, "\n".join(lines).replace(section, f"{section}\n{key} = {value}"))
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
-        assert not out.exists()
+        bases = [NORMS_CFG, VARIATION_CFG] if key == "trials" else [SMOOTHING_CFG]
+        for base in bases:
+            lines = [line for line in base.splitlines() if not line.startswith(key)]
+            text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
+            cfg = write(tmp_path, text)
+            out = tmp_path / "out"
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
+            assert not out.exists()
 
     def test_picard_divergence_is_reported(self, tmp_path, capsys):
         text = (CONFIGS / "solve_quintic.cfg").read_text()

@@ -239,25 +239,14 @@ class TestBilinear:
         spy("modulation_norm", lambda args: normed.append(args[0]))
         spy("free_flow_lp_norms", lambda args: sweeps.append(args[0]))
         _, fit_low = bilinear_ratio(self.small_config())
-        # the chain log adds one norm per sampled piece and two sweeps of its own
+        # the chain log builds no field of its own: it adds one norm per sampled
+        # piece and two sweeps
         boxes = fit_low.meta["chain"]["sampled_boxes"]
         assert len(built) == len(set(built)) == 6
         assert len(normed) == len({id(f) for f in normed}) == 6 + boxes
         products = sweeps[0]
         assert len(products) == 5
         assert products[1][1] is products[0][1] and products[3][0] is products[2][0]
-
-    def test_chain_reuses_the_cell_fields_and_norm(self, monkeypatch):
-        # the chain log builds no field of its own and measures only its
-        # sampled pieces: 6 band-noise builds and 6 + boxes norms in all
-        built, normed = [], []
-        band_noise, norm = est._band_noise, est.modulation_norm
-        monkeypatch.setattr(est, "_band_noise", lambda *a: built.append(a) or band_noise(*a))
-        monkeypatch.setattr(est, "modulation_norm", lambda *a: normed.append(a) or norm(*a))
-        _, fit_low = bilinear_ratio(self.small_config())
-        chain = fit_low.meta["chain"]
-        assert len(built) == 6
-        assert len(normed) == 6 + chain["sampled_boxes"]
 
     def test_chain_log_keeps_no_ball_masks(self):
         # the chain log keeps the occupied centers and rebuilds the masks of

@@ -155,6 +155,12 @@ class TestSplitStep:
         with pytest.raises(ValueError, match="dt"):
             splitstep_solve(prob, dt=prob.horizon / 8)
 
+    def test_unknown_store_rejected(self):
+        # any other value used to return the t = 0 node alone
+        prob = small_quintic()
+        with pytest.raises(ValueError, match="store"):
+            splitstep_solve(prob, dt=prob.horizon / 256, store="all")
+
     def test_blowup_guard_trips(self):
         # focusing quintic above the small-data regime: the peak grows past
         # 1.5x its initial height well inside the horizon

@@ -108,6 +108,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be finite and positive, got {value}")
+    return value
+
+
 def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     raw = cfg.get("sweep", {}).get("scales")
     if raw is None:
@@ -206,6 +213,7 @@ def _run_norms(cfg, xcfg, out_dir):
     from modlab.modspace import ModNormSpec, modulation_norm
 
     trials = _get(cfg, "sweep", "trials", _positive_int, 20)
+    tol = _get(cfg, "sweep", "tolerance", _positive_float, 1e-10)
     grid = xcfg.grid()
     window = xcfg.window()
     spec = ModNormSpec(0.0, 2.0, 2.0)
@@ -216,7 +224,6 @@ def _run_norms(cfg, xcfg, out_dir):
         rhs = lp_norm(f, 2)
         rows.append((trial, lhs, rhs, lhs / rhs))
         devs.append(abs(lhs - rhs) / rhs)
-    tol = _get(cfg, "sweep", "tolerance", float, 1e-10)
     passed = max(devs) <= tol
     summary = _summary(
         tol, passed, predicted=1.0, max_rel_deviation=max(devs), window=window.describe()
@@ -302,7 +309,7 @@ def _run_solve(cfg, xcfg, out_dir):
     from modlab.solver import BlowUp, cross_validate, sum_space_smallness
 
     problem = _problem_from_config(cfg, xcfg)
-    tol = _get(cfg, "problem", "tolerance", float, 1e-5)
+    tol = _get(cfg, "problem", "tolerance", _positive_float, 1e-5)
     smallness = None
     if problem.d <= 2:
         # the d <= 2 theory takes sum-space data; record the smallness bound

@@ -11,10 +11,14 @@ one kernel ``propagator.free_flow_lp_norms``, which measures a whole sweep
 in one pass over the time nodes: each sweep hands it all its products at
 once, and a field that several products share is built once and shared by
 identity, so it is transformed once per node.  Linear sweeps sample on the
-grid itself; products on the 2x zero-padded grid, so the quadrature of
-|u v|^2 is alias-free, which makes the Galilean invariance of measured
-bilinear ratios hold to near round-off.  Decoupling cells and the extension
-norm share the streamed ball quadrature ``propagator.extension_ball_norms``.
+grid itself.  The bilinear sweeps pass each field's spectral box, known by
+construction (``modspace.band_box`` of its band, or a chain-log ball's mode
+range cut to f1's box), and the kernel measures each product on the
+smallest even 5-smooth grid that holds the product's support without
+wrap-around, so the quadrature of |u v|^2 is exact, which makes the
+Galilean invariance of measured bilinear ratios hold to near round-off.
+Decoupling cells and the extension norm share the streamed ball quadrature
+``propagator.extension_ball_norms``.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from modlab.modspace import (
     ModNormSpec,
     Window,
     ball_cover_centers,
+    band_box,
     bump,
     dyadic_multiplier,
     make_window,
@@ -291,9 +296,10 @@ def strichartz_l4_ratio(config: ExperimentConfig) -> FitResult:
 
 def _bilinear_fields(
     config: ExperimentConfig, grid: Grid, pairs: Sequence[tuple[float, float]]
-) -> list[tuple[Field, Field]]:
+) -> tuple[list[tuple[Field, Field]], dict[Field, tuple]]:
     """The band-noise fields (f1, f2) of each (N1, N2) cell, one object per
-    distinct field, so the kernel transforms it once; none may be 0."""
+    distinct field, so the kernel transforms it once, and the spectral box
+    of each field; none may be 0."""
     built = {}
 
     def field(band: float, seed: int) -> Field:
@@ -304,23 +310,30 @@ def _bilinear_fields(
             built[band, seed] = f
         return built[band, seed]
 
-    return [(field(n1, config.seed), field(n2, config.seed + 1)) for n1, n2 in pairs]
+    fields = [(field(n1, config.seed), field(n2, config.seed + 1)) for n1, n2 in pairs]
+    boxes = {f: band_box(grid, band) for (band, _), f in built.items()}
+    return fields, boxes
 
 
 def _bilinear_cells(
-    config: ExperimentConfig, window: Window, fields: Sequence[tuple[Field, Field]]
+    config: ExperimentConfig,
+    window: Window,
+    fields: Sequence[tuple[Field, Field]],
+    boxes: dict[Field, tuple],
 ) -> tuple[list[tuple[float, float]], dict[int, float]]:
     """(lhs, rhs) of each cell (f1, f2): the product L^2 over [0, horizon]
     and the product of the two M_{4,2} norms; and those norms by field id.
     Each distinct field takes one norm, and one kernel sweep measures every
-    product."""
+    product, each on the smallest exact grid its fields' ``boxes`` allow."""
     spec = ModNormSpec(0.0, 4.0, 2.0)
     norms = {}
     for pair in fields:
         for f in pair:
             if id(f) not in norms:
                 norms[id(f)] = modulation_norm(f, spec, window)
-    lhs = free_flow_lp_norms(fields, config.horizon, config.time_nodes, 2.0, pad=2)
+    lhs = free_flow_lp_norms(
+        fields, config.horizon, config.time_nodes, 2.0, pad=2, boxes=boxes
+    )
     cells = [(v, norms[id(f1)] * norms[id(f2)]) for v, (f1, f2) in zip(lhs.tolist(), fields)]
     return cells, norms
 
@@ -356,8 +369,9 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
         raise InvalidScales("fewer than 3 admissible low scales in the sweep")
     low = [(n1_fixed, n2) for n2 in low_scales]
     pairs = list(dict.fromkeys(high + low))
-    fields = dict(zip(pairs, _bilinear_fields(config, grid, pairs)))
-    measured, norms = _bilinear_cells(config, window, list(fields.values()))
+    built, boxes = _bilinear_fields(config, grid, pairs)
+    fields = dict(zip(pairs, built))
+    measured, norms = _bilinear_cells(config, window, built, boxes)
     cells = dict(zip(pairs, measured))
 
     lhs_hi, rhs_hi = zip(*(cells[pair] for pair in high))
@@ -403,7 +417,10 @@ def bilinear_chain_log(
     per-ball space-time norms are the expensive part, so they run on a
     capped box sample and a reduced time mesh, in two kernel sweeps that
     share the low field f2: the pad-2 products (f1 f2 and each sampled
-    piece times f2) and the L^4 norms (f2 and each piece).
+    piece times f2) and the L^4 norms (f2 and each piece).  The kernel
+    sizes each product's grid from the factors' spectral boxes: f1 and f2
+    take their bands' boxes, a piece its ball's mode range cut to f1's box;
+    a piece whose ball misses that box holds round-off only and takes none.
 
     A cover ball is occupied when the energy of F1 = f1^ on it is
     ``e > 0.0``, an exact-zero test, so balls holding only round-off count
@@ -420,6 +437,21 @@ def bilinear_chain_log(
 
     def ball(c):
         return reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(freqs, c)]) <= n_low**2
+
+    signed = (np.fft.fftfreq(grid.n) * grid.n).astype(int)
+    box1 = band_box(grid, n_high)
+
+    def ball_box(c):
+        # the ball's per-axis mode range (each axis term bounds the sum) cut
+        # to f1's box; None, no box, when the two do not meet
+        box, xi = [], grid.axis_freqs()
+        for ci, (lo, hi) in zip(c, box1):
+            reach = signed[(xi - ci) ** 2 <= n_low**2]
+            lo, hi = max(lo, reach.min()), min(hi, reach.max())
+            if lo > hi:
+                return None
+            box.append((int(lo), int(hi)))
+        return tuple(box)
 
     # L^2 covering bounds are exact: sum of localized energies vs energy
     energy = np.abs(F1) ** 2
@@ -440,12 +472,19 @@ def bilinear_chain_log(
         occupied[i]
         for i in sorted(rng.choice(len(occupied), size=_CHAIN_BOXES, replace=False))
     ]
-    pieces = [Field(grid, inverse(grid, ball(c) * F1)) for c in sample]
+    boxes = {f1: box1, f2: band_box(grid, n_low)}
+    pieces = []
+    for c in sample:
+        pieces.append(Field(grid, inverse(grid, ball(c) * F1)))
+        box = ball_box(c)
+        if box is not None:
+            boxes[pieces[-1]] = box
     lhs, *prods = free_flow_lp_norms(
-        [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, pad=2
+        [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, pad=2,
+        boxes=boxes,
     ).tolist()
     l4_low, *l4_pieces = free_flow_lp_norms(
-        [[f2], *([piece] for piece in pieces)], config.horizon, m, 4.0
+        [[f2], *([piece] for piece in pieces)], config.horizon, m, 4.0, boxes=boxes
     ).tolist()
     sum_products_sq = 0.0
     holder_ok = True
@@ -513,7 +552,11 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     hi = _atomic_path(config, grid, n_high, config.seed)
     los = [_atomic_path(config, grid, n_low, config.seed + 7) for n_low in config.scales]
     products = [[hi, lo] for lo in los]
-    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, 2.0, pad=2)
+    boxes = {lo: band_box(grid, n_low) for lo, n_low in zip(los, config.scales)}
+    boxes[hi] = band_box(grid, n_high)
+    lhs = free_flow_lp_norms(
+        products, config.horizon, config.time_nodes, 2.0, pad=2, boxes=boxes
+    )
     v2_high = v2(hi)
     rhs = [v2_high * v2(lo) for lo in los]
     meta = {"window": window.describe(), "s_input": s_input, "atoms": config.atoms}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -255,31 +256,59 @@ def inverse(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     return grid.inverse_scale * np.fft.ifftn(_phase(grid) * coefficients, axes=range(-grid.d, 0))
 
 
-def inverse_pruned(grid: Grid, coefficients: np.ndarray, modes: np.ndarray) -> np.ndarray:
+def inverse_pruned(
+    grid: Grid, coefficients: np.ndarray, modes: Sequence[Sequence[int]]
+) -> np.ndarray:
     """``inverse(grid, X)``, bit for bit, for the X that holds ``coefficients``
-    at the modes ``modes`` of every axis and is zero elsewhere.
+    at the signed modes ``modes`` and is zero elsewhere.
 
-    ``modes`` is a strictly increasing index into one axis of ``grid``; the
-    trailing d axes of ``coefficients`` have ``len(modes)`` entries each.
-    Zeros are known by index, never tested by value.  The twist goes on the
-    given modes only; then, axis by axis in ``ifftn``'s order, last axis
-    first, the axis about to be transformed is embedded in ``grid.n`` points,
-    so every 1-d transform is one ``ifftn`` would take and the lines it would
-    take over zeros are skipped (FFT pruning, Markel 1971).  Modes that fill
-    the axis leave nothing to prune: that case is ``inverse`` itself.
+    ``modes`` holds one sequence of signed integer modes per trailing axis;
+    mode m sits at index ``m % grid.n``, so modes need not increase, but they
+    must be distinct modulo ``grid.n``.  The trailing d axes of
+    ``coefficients`` follow ``modes``.  ``grid.n`` must be even: then the
+    ``(-1)^index`` twist of ``inverse`` is ``(-1)^m`` for every mode, and
+    the result is the trigonometric polynomial with those coefficients,
+    sampled at the grid's points; on an odd grid it is not.  Zeros are
+    known by index, never tested by value.  The twist goes on the given
+    modes only, gathered once per (grid, modes); then, axis by axis in
+    ``ifftn``'s order, last axis first, the axis about to be transformed is
+    embedded in ``grid.n`` points, so every 1-d transform is one ``ifftn``
+    would take and the lines it would take over zeros are skipped (FFT
+    pruning, Markel 1971).  Modes that fill every axis in index order leave
+    nothing to prune: that case is ``inverse`` itself.
     """
-    if len(modes) == grid.n:
+    twist, slots = _embedding(grid, tuple(map(tuple, modes)))
+    if slots is None:
         return inverse(grid, coefficients)
-    out = _phase(grid)[np.ix_(*[modes] * grid.d)] * coefficients
+    out = twist * coefficients
     for axis in range(-1, -grid.d - 1, -1):
         shape = list(out.shape)
         shape[axis] = grid.n
         embedded = np.zeros(shape, dtype=out.dtype)
-        embedded[(..., modes, *[slice(None)] * (-axis - 1))] = out
+        embedded[(..., slots[axis], *[slice(None)] * (-axis - 1))] = out
         del out  # released before the transform allocates its result
         out = np.fft.ifft(embedded, axis=axis)
     out *= grid.inverse_scale
     return out
+
+
+@lru_cache(maxsize=64)
+def _embedding(grid: Grid, modes: tuple[tuple[int, ...], ...]):
+    # the twist (-1)^(m_1+...+m_d) on the block of ``modes`` and each axis's
+    # indices m % n; no indices when the block is the whole grid in order
+    if grid.n % 2:
+        raise ValueError(f"a pruned inverse needs an even grid length, got {grid.n}")
+    if len(modes) != grid.d:
+        raise ValueError(f"need modes for {grid.d} axes, got {len(modes)}")
+    slots = [[m % grid.n for m in axis] for axis in modes]
+    if any(len(set(s)) != len(s) for s in slots):
+        raise ValueError(f"modes collide modulo the grid length {grid.n}")
+    alt = [np.where(np.array(s) % 2 == 0, 1.0, -1.0) for s in slots]
+    twist = reduce(np.multiply.outer, alt)
+    twist.flags.writeable = False
+    if all(s == list(range(grid.n)) for s in slots):
+        return twist, None
+    return twist, [np.array(s) for s in slots]
 
 
 def fourier_multiply(u: Field | Trajectory, multiplier: np.ndarray) -> Field | Trajectory:

@@ -39,6 +39,7 @@ __all__ = [
     "modulation_norm",
     "low_pass",
     "dyadic_multiplier",
+    "band_box",
     "ball_cover_centers",
 ]
 
@@ -287,6 +288,14 @@ def dyadic_multiplier(grid: Grid, band: float) -> np.ndarray:
     if band == 1:
         return low_pass(grid, 1.0)
     return low_pass(grid, band) - low_pass(grid, band / 2.0)
+
+
+def band_box(grid: Grid, band: float) -> tuple[tuple[int, int], ...]:
+    """Signed mode range (lo, hi) per axis outside which ``dyadic_multiplier(grid,
+    band)`` is exactly 0.0: it vanishes for |xi| >= 2 band, and |xi| >= |xi_a|,
+    so each axis keeps |m| <= ceil(2 band / dxi) - 1, clipped to [-n/2, n/2)."""
+    reach = math.ceil(2.0 * band / grid.dxi) - 1
+    return ((max(-grid.n // 2, -reach), min(grid.n // 2 - 1, reach)),) * grid.d
 
 
 def ball_cover_centers(d: int, band: float, radius: float) -> list[tuple[float, ...]]:

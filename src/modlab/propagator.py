@@ -11,10 +11,12 @@ kernel.
   contraction factors depend on to the last bit.
 - Space-time L^p norms of products of free flows (``free_flow_lp_norms``)
   take each factor as a Field or as the step ``Trajectory`` of its profiles
-  and sample a whole sweep of products node by node, on a zero-padded grid
-  when it must be alias-free.  Per node the phase is built once and each
-  distinct factor object is transformed once, however many products share
-  it.  The phase, the twist and the multiply act on the n^d embedded modes
+  and sample a whole sweep of products node by node.  A product whose
+  factors come with spectral boxes runs on the smallest even 5-smooth grid
+  on which its quadrature is exact; any other on the zero-padded grid.  Per
+  node the phase is built once per set of modes and each distinct factor
+  object is transformed once per grid size, however many products share
+  it.  The phase, the twist and the multiply act on the embedded modes
   only, and ``grid.inverse_pruned`` does the padding.
 - The paraboloid extension operator is measured only by its ball norms:
   midpoint quadrature over a frequency mesh of the unit ball, time-blocked
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +74,7 @@ def free_flow_lp_norms(
     m: int,
     p: float,
     pad: int = 1,
+    boxes: Mapping[Field | Trajectory, Sequence[tuple[int, int]]] | None = None,
 ) -> np.ndarray:
     """L^p norms over [0, horizon] x torus of products of piecewise free flows,
     one per entry of ``products``, measured in one sweep of the time nodes.
@@ -79,29 +82,41 @@ def free_flow_lp_norms(
     A factor is a Field f, the free flow exp(it Laplace) f, or a Trajectory
     of profiles, a right-continuous step function with first node at 0: on
     [t_k, t_{k+1}) the factor is exp(it Laplace) v_k, and the last profile
-    runs to the horizon.  Factors share one grid of n points per axis; each
-    product is sampled at m uniform nodes on the grid refined ``pad`` times,
-    ``Grid(d, pad * n, L)``, where each spectrum keeps its modes'
-    frequencies and the new modes are zero, so pad 2 makes the quadrature of
-    a product of two band-limited flows alias-free (Orszag's rule).  The
-    trapezoid rule integrates the spatial L^p^p in time.
+    runs to the horizon.  Factors share one grid of n points per axis.  The
+    trapezoid rule over m uniform nodes integrates the spatial L^p^p in time.
 
-    Only the n^d embedded modes are ever touched: the phase exp(-i t|xi|^2)
-    is taken on the refined grid's |xi|^2 gathered at those modes (the n-point
-    grid's own |xi|^2 can differ in the last bit), multiplies the n^d
-    coefficients, and ``inverse_pruned`` does the padding.  A flow is bit for
+    Each product is sampled on ``Grid(d, M, L)``, where each spectrum keeps
+    its modes' frequencies and every other mode is zero.  ``boxes`` maps a
+    factor object to its spectral box, one signed mode range (lo, hi) per
+    axis outside which its spectrum is zero by construction (round-off
+    aside); the caller knows it, it is never read from values.  For p = 2k,
+    k an integer, and every factor boxed, |product|^p = |product^k|^2 and
+    product^k spans W = k max_a sum_i (hi_ia - lo_ia) + 1 modes per axis,
+    so its Riemann sum is exact on any M >= W points: M is the smallest even
+    2^a 3^b 5^c >= W, the factors' box modes embedded at m mod M, provided
+    M < pad * n.  Every other product (odd or non-integer p, a factor
+    without a box, or M >= pad * n) takes M = pad * n and all n^d modes, so
+    pad 2 makes the quadrature of a product of two band-limited flows
+    alias-free (Orszag's rule).
+
+    Only the embedded modes are ever touched: the phase exp(-i t|xi|^2) is
+    taken on the |xi|^2 of ``Grid(d, pad * n, L)``, which holds every mode
+    at its own frequency, gathered at those modes (the n-point grid's own
+    |xi|^2 can differ in the last bit), multiplies the coefficients, and
+    ``inverse_pruned`` does the padding.  On M = pad * n a flow is bit for
     bit the inverse of the zero-padded spectrum times the refined grid's
     ``free_multiplier``.
 
-    At each node the phase is built once, and a factor that several products
-    share, the same object (``is``, never equal values), is transformed once:
-    its flow is taken at its first use and dropped after its last use in
+    At each node the phase is built once per set of embedded modes, and a
+    factor that several products of one size share, the same object (``is``,
+    never equal values), is transformed once at that size: its flow is
+    taken at its first use and dropped after its last use at that size in
     product order.  So a product's value has the same bits whether it is
-    measured alone or in a sweep, and a sweep whose consecutive products
-    share a factor holds two flows at a time.  Empty ``products`` or an
-    empty product, a horizon that is not finite and positive, an ``m`` that
-    is not an integer >= 2, a ``pad`` that is not a positive integer, and
-    p < 1 or p = inf raise ``ValueError``.
+    measured alone or in a sweep.  Empty ``products`` or an empty product, a
+    horizon that is not finite and positive, an ``m`` that is not an integer
+    >= 2, a ``pad`` that is not a positive integer, p < 1 or p = inf, and a
+    box that is not one range -n/2 <= lo <= hi < n/2 per axis raise
+    ``ValueError``.
     """
     if not products:
         raise ValueError("products must hold at least one product of factors")
@@ -116,13 +131,12 @@ def free_flow_lp_norms(
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    boxes = boxes or {}
     g = products[0][0].grid
-    fine = Grid(g.d, pad * g.n, g.length)
-    modes = (np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n
-    freq_sq = fine.freq_sq()[np.ix_(*[modes] * g.d)]
-    slots: dict[int, int] = {}  # id of each distinct factor -> its index in spectra
-    spectra, rows, last_use = [], [], {}
-    for k, factors in enumerate(products):
+    padded = pad * g.n
+    slots: dict[int, int] = {}  # id of each distinct factor -> its index in paths
+    paths, box_modes, rows, sizes = [], [], [], []
+    for factors in products:
         for f in factors:
             if id(f) not in slots:
                 if f.grid != g:
@@ -132,27 +146,79 @@ def free_flow_lp_norms(
                     raise ValueError(
                         f"a piecewise free flow starts at t = 0, not {path.times[0]}"
                     )
-                slots[id(f)] = len(spectra)
-                spectra.append((path.times, forward(g, path.values)))
-            last_use[slots[id(f)]] = k
-        rows.append([slots[id(f)] for f in factors])
+                slots[id(f)] = len(paths)
+                paths.append(path)
+                box_modes.append(_box_modes(g, boxes[f]) if f in boxes else None)
+        row = [slots[id(f)] for f in factors]
+        size = padded
+        if p % 2 == 0 and all(box_modes[j] is not None for j in row):
+            spans = [[len(axis) - 1 for axis in box_modes[j]] for j in row]
+            size = min(padded, _even_smooth(int(p // 2) * max(map(sum, zip(*spans))) + 1))
+        rows.append(row)
+        sizes.append(size)
+    # each (factor, size) used: its embedded modes, spectrum and last use
+    full = (tuple((np.fft.fftfreq(g.n) * g.n).astype(int).tolist()),) * g.d
+    modes, last_use = {}, {}
+    for k, (row, size) in enumerate(zip(rows, sizes)):
+        for j in row:
+            modes[j, size] = full if size == padded else box_modes[j]
+            last_use[j, size] = k
+    spectra = {}  # (factor, size) -> profile times, profile spectra at the modes
+    for j, path in enumerate(paths):
+        F = forward(g, path.values)
+        for (j_, size), embedded in modes.items():
+            if j_ == j:
+                block = np.ix_(*[np.array(axis) % g.n for axis in embedded])
+                spectra[j, size] = path.times, F[(slice(None), *block)]
+    grids = {size: Grid(g.d, size, g.length) for size in {*sizes, padded}}
+    freq_sq = {}  # on the padded grid, which holds every mode at its frequency
+    for embedded in set(modes.values()):
+        block = np.ix_(*[np.array(axis) % padded for axis in embedded])
+        freq_sq[embedded] = grids[padded].freq_sq()[block]
     ts = np.linspace(0.0, horizon, m)
     powers = np.empty((len(rows), m))
     for i, t in enumerate(ts):
-        phase = _flow_phase(freq_sq, t)
-        flows = {}
-        for k, row in enumerate(rows):
+        phases, flows = {}, {}
+        for k, (row, size) in enumerate(zip(rows, sizes)):
             for j in row:
-                if j not in flows:
-                    times, F = spectra[j]
+                if (j, size) not in flows:
+                    embedded = modes[j, size]
+                    if embedded not in phases:
+                        phases[embedded] = _flow_phase(freq_sq[embedded], t)
+                    times, F = spectra[j, size]
                     piece = F[np.searchsorted(times, t, "right") - 1]
-                    flows[j] = inverse_pruned(fine, phase * piece, modes)
-            phys = np.abs(reduce(np.multiply, [flows[j] for j in row]))
-            powers[k, i] = fine.cell * np.sum(np.power(phys, p, out=phys))
+                    flows[j, size] = inverse_pruned(
+                        grids[size], phases[embedded] * piece, embedded
+                    )
+            phys = np.abs(reduce(np.multiply, [flows[j, size] for j in row]))
+            powers[k, i] = grids[size].cell * np.sum(np.power(phys, p, out=phys))
             for j in row:
-                if last_use[j] == k:
-                    flows.pop(j, None)
+                if last_use[j, size] == k:
+                    flows.pop((j, size), None)
     return np.array([trapezoid(row, ts) ** (1.0 / p) for row in powers])
+
+
+def _box_modes(grid: Grid, box: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    # the signed modes lo..hi of each axis of a spectral box
+    half = grid.n // 2
+    if len(box) != grid.d or not all(-half <= lo <= hi < half for lo, hi in box):
+        raise ValueError(
+            f"a box is one (lo, hi) with -{half} <= lo <= hi < {half} per axis, got {box}"
+        )
+    return tuple(tuple(range(int(lo), int(hi) + 1)) for lo, hi in box)
+
+
+def _even_smooth(w: int) -> int:
+    """The smallest even 2^a 3^b 5^c >= w."""
+    size = max(2, w + w % 2)
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 2
 
 
 def _lattice_index(grid: Grid, xi0: Sequence[float]) -> tuple[int, ...]:

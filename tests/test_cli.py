@@ -456,11 +456,14 @@ class TestFailurePaths:
     @pytest.mark.parametrize(
         "key, value",
         [("kappa", "inf"), ("kappa", "nan"), ("kappa", "abc"), ("horizon", "nan"),
-         ("horizon", "inf")],
+         ("horizon", "inf"), ("tolerance", "inf"), ("tolerance", "nan"),
+         ("tolerance", "-1"), ("tolerance", "0")],
     )
     def test_bad_problem_value_names_its_key(self, tmp_path, capsys, key, value):
-        # |u|^inf is 0 for data below 1, so an infinite kappa would otherwise pass
-        text = (CONFIGS / "solve_quintic.cfg").read_text().replace("horizon = 0.1\n", "")
+        # |u|^inf is 0 for data below 1, so an infinite kappa would otherwise
+        # pass, and so would any run under an infinite tolerance
+        text = (CONFIGS / "solve_quintic.cfg").read_text()
+        text = text.replace("horizon = 0.1\n", "").replace("tolerance = 1e-5\n", "")
         cfg = write(tmp_path, text.replace("[problem]\n", f"[problem]\n{key} = {value}\n"))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
@@ -476,16 +479,20 @@ class TestFailurePaths:
          ("samples_per_unit", "0"), ("samples_per_unit", "nan"), ("samples_per_unit", "inf"),
          ("samples_per_unit", "-1"), ("fixed_scale", "0"), ("fixed_scale", "nan"),
          ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
-         ("cube", "0"), ("trials", "0"), ("trials", "-3")],
+         ("cube", "0"), ("trials", "0"), ("trials", "-3"), ("tolerance", "inf"),
+         ("tolerance", "nan"), ("tolerance", "-1"), ("tolerance", "0")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
         # every key is checked whatever the kind reads: the smoothing sweep
         # has no fixed scale, and samples_per_unit = 0 divided by zero in a
         # decoupling run; cube sits under [grid].  trials is read by the
         # norms and variation drivers alone: a variation run with no trial
-        # passed, and a norms run took max() of no deviation
+        # passed, and a norms run took max() of no deviation.  tolerance is
+        # read by the norms driver alone: inf passed with nothing checked
         section = "[grid]" if key == "cube" else "[sweep]"
-        bases = [NORMS_CFG, VARIATION_CFG] if key == "trials" else [SMOOTHING_CFG]
+        bases = {"trials": [NORMS_CFG, VARIATION_CFG], "tolerance": [NORMS_CFG]}.get(
+            key, [SMOOTHING_CFG]
+        )
         for base in bases:
             lines = [line for line in base.splitlines() if not line.startswith(key)]
             text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")

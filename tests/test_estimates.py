@@ -193,19 +193,26 @@ class TestBilinear:
         assert chain["lhs_sq"] > 0
 
     def test_bits_pinned(self):
-        # float.hex of the sweep and the chain log as the per-cell kernel
-        # measured them, one product per call; the sweep kernel must give
-        # the same bits
+        # float.hex of the sweep and the chain log.  The products run on the
+        # smallest exact grid of their fields' boxes; PADDED holds the bits
+        # they had on the 2x zero-padded grid, and the two grids give the
+        # same exact quadrature, so they agree to round-off
         fit_high, fit_low = bilinear_ratio(self.small_config())
         chain = fit_low.meta["chain"]
-        assert [v.hex() for v in fit_high.lhs] == [
+        lhs = [*fit_high.lhs, chain["lhs_sq"], chain["sampled_product_sq_sum"]]
+        padded = [
             "0x1.2e59a54d9f580p+0", "0x1.a6dc1bd9aaf6dp+1", "0x1.385e1fddd4064p+3",
+            "0x1.7d273b9110146p+6", "0x1.7f6f503be5646p-1",
+        ]
+        for value, old in zip(lhs, padded):
+            assert value == pytest.approx(float.fromhex(old), rel=1e-14, abs=0.0)
+        assert [v.hex() for v in lhs] == [
+            "0x1.2e59a54d9f57dp+0", "0x1.a6dc1bd9aaf70p+1", "0x1.385e1fddd4060p+3",
+            "0x1.7d273b911013fp+6", "0x1.7f6f503be5646p-1",
         ]
         assert [v.hex() for v in fit_low.rhs] == [
             "0x1.ae46809f6e0fap+3", "0x1.48a75d6415245p+5", "0x1.d93901fd44333p+6",
         ]
-        assert chain["lhs_sq"].hex() == "0x1.7d273b9110146p+6"
-        assert chain["sampled_product_sq_sum"].hex() == "0x1.7f6f503be5646p-1"
 
     def test_pairs_checked_before_any_cell(self, monkeypatch):
         # a regime violation in the last high pair, too few scales for the
@@ -259,7 +266,7 @@ class TestBilinear:
         cfg = self.small_config()
         window = cfg.window()
         bands = (4.0, 1.0)
-        [(f1, f2)] = est._bilinear_fields(cfg, cfg.grid(), [bands])
+        [(f1, f2)], _ = est._bilinear_fields(cfg, cfg.grid(), [bands])
         f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
         est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)  # fill the caches
         tracemalloc.start()
@@ -271,6 +278,35 @@ class TestBilinear:
         assert chain["total_boxes"] > 1000
         assert peak < 6 * 2**20
 
+    def test_products_on_their_smallest_exact_grids(self, monkeypatch):
+        # the half cell: band-noise boxes span 3, 7 and 15 of 16 modes per
+        # axis and a ball piece 2, so the five cells take 6, 10, 18, 24 and
+        # 30 points per axis, the chain's products 18 and 4, its L^4 norms
+        # 6 and 4 (first node of each sweep, in product order)
+        import modlab.propagator as prop
+
+        sweeps = []
+        real_sweep, real_inverse = est.free_flow_lp_norms, prop.inverse_pruned
+
+        def sweep(products, *args, **kwargs):
+            sweeps.append([])
+            return real_sweep(products, *args, **kwargs)
+
+        def inverse(grid, coefficients, modes):
+            sweeps[-1].append(grid.n)
+            return real_inverse(grid, coefficients, modes)
+
+        monkeypatch.setattr(est, "free_flow_lp_norms", sweep)
+        monkeypatch.setattr(prop, "inverse_pruned", inverse)
+        cfg = self.small_config(seed=11, time_nodes=5)
+        _, fit_low = bilinear_ratio(cfg)
+        boxes = fit_low.meta["chain"]["sampled_boxes"]
+        assert len(sweeps) == 3
+        cells, products, norms = (s[: len(s) // m] for s, m in zip(sweeps, (5, 33, 33)))
+        assert cells == [6, 6, 10, 10, 18, 18, 24, 24, 30, 30]
+        assert products == [18, 18] + [4] * (boxes + 1)
+        assert norms == [6] + [4] * boxes
+
     def test_high_frequency_slope_flat(self):
         fit_high, _ = bilinear_ratio(self.small_config())
         assert abs(fit_high.slope) <= 0.15
@@ -279,13 +315,13 @@ class TestBilinear:
         # both sweeps use the cell (max scale, fixed scale) = (4, 1)
         calls = []
 
-        def cells(config, window, fields):
+        def cells(config, window, fields, boxes):
             calls.extend(fields)
             norms = {id(band): 1.0 for pair in fields for band in pair}
             return [(n_high * n_low, 1.0) for n_high, n_low in fields], norms
 
         # each cell's "fields" are its bands, so the mock can tell them apart
-        monkeypatch.setattr(est, "_bilinear_fields", lambda config, grid, pairs: pairs)
+        monkeypatch.setattr(est, "_bilinear_fields", lambda config, grid, pairs: (pairs, {}))
         monkeypatch.setattr(est, "_bilinear_cells", cells)
         monkeypatch.setattr(est, "bilinear_chain_log", lambda *args: {})
         fit_high, fit_low = bilinear_ratio(self.small_config())
@@ -319,15 +355,17 @@ class TestBilinear:
             d=4, n=16, length=2 * np.pi, cube=4.0, scales=(2.0,),
             fixed_scale=1.0, family="band_noise", time_nodes=17, seed=3,
         )
-        fields = _bilinear_fields(cfg, cfg.grid(), [(2.0, 1.0)])
-        [(lhs, rhs)], _ = _bilinear_cells(cfg, cfg.window(), fields)
+        fields, boxes = _bilinear_fields(cfg, cfg.grid(), [(2.0, 1.0)])
+        [(lhs, rhs)], _ = _bilinear_cells(cfg, cfg.window(), fields, boxes)
         assert lhs > 0 and rhs > 0 and np.isfinite(lhs / rhs)
 
     def test_galilean_pair_invariance(self):
         # translating both spectra by a common lattice vector moves the
-        # measured ratio by round-off only
+        # measured ratio by round-off only: on the padded grid, and on the
+        # smallest exact grid (10 points per axis) with each field's band
+        # box moved along, where it also agrees with the padded grid
         from modlab.estimates import _band_noise
-        from modlab.modspace import ModNormSpec, make_window, modulation_norm
+        from modlab.modspace import ModNormSpec, band_box, make_window, modulation_norm
         from modlab.propagator import free_flow_lp_norms, galilean_shift
 
         grid = make_grid(3, 16, 2 * np.pi)
@@ -335,17 +373,25 @@ class TestBilinear:
         spec = ModNormSpec(0, 4, 2)
         f1 = _band_noise(grid, 2.0, 5)
         f2 = _band_noise(grid, 1.0, 6)
+        boxes = {f1: band_box(grid, 2.0), f2: band_box(grid, 1.0)}
 
-        def ratio(a, b):
-            lhs = free_flow_lp_norms([[a, b]], 1.0, 33, 2.0, pad=2)[0]
+        def ratio(a, b, boxes=None):
+            lhs = free_flow_lp_norms([[a, b]], 1.0, 33, 2.0, pad=2, boxes=boxes)[0]
             return lhs / (
                 modulation_norm(a, spec, window) * modulation_norm(b, spec, window)
             )
 
-        xi0 = [4.0, 0.0, 0.0]  # one cube over
-        r0 = ratio(f1, f2)
-        r1 = ratio(galilean_shift(f1, xi0), galilean_shift(f2, xi0))
+        shift = 4  # one cube over: xi0 = (4, 0, 0) at dxi = 1
+        g1, g2 = (galilean_shift(f, [shift * grid.dxi, 0.0, 0.0]) for f in (f1, f2))
+        for f, g in ((f1, g1), (f2, g2)):
+            (lo, hi), *rest = boxes[f]
+            boxes[g] = ((lo + shift, hi + shift), *rest)
+        assert boxes[g1] == ((1, 7), (-3, 3), (-3, 3))
+        r0, r1 = ratio(f1, f2), ratio(g1, g2)
         assert abs(r1 - r0) <= 1e-8 * r0
+        b0, b1 = ratio(f1, f2, boxes), ratio(g1, g2, boxes)
+        assert abs(b1 - b0) <= 1e-13 * b0
+        assert abs(b0 - r0) <= 1e-13 * r0
 
 
 class TestV2Bilinear:

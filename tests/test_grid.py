@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from modlab.grid import (
     Field,
+    Grid,
     SpectralField,
     Trajectory,
     fourier_multiply,
@@ -115,7 +116,38 @@ class TestTransforms:
         coarse[2, : n // 4] = 0.0
         embedded = np.zeros((3, *fine.shape), dtype=np.complex128)
         embedded[(slice(None), *np.ix_(*[modes] * d))] = coarse
-        assert np.array_equal(inverse_pruned(fine, coarse, modes), inverse(fine, embedded))
+        assert np.array_equal(inverse_pruned(fine, coarse, [modes] * d), inverse(fine, embedded))
+
+    @pytest.mark.parametrize("d,size", [(1, 6), (2, 18), (3, 10), (3, 30)])
+    def test_pruned_inverse_embeds_signed_modes(self, d, size):
+        # a block of signed modes per axis, some past size / 2 and so not
+        # increasing once embedded at m mod size, on an even length that is
+        # not a power of two: the result is ``inverse`` of the embedded
+        # spectrum, bit for bit, and the trigonometric polynomial itself
+        grid = Grid(d, size, 7.3)
+        modes = [range(-size // 2 - 1, -1), range(2, size // 2 + 3), range(-1, 3)][:d]
+        rng = np.random.default_rng(size)
+        shape = tuple(len(m) for m in modes)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        embedded = np.zeros(grid.shape, dtype=np.complex128)
+        embedded[np.ix_(*[np.array(m) % size for m in modes])] = block
+        out = inverse_pruned(grid, block, modes)
+        assert np.array_equal(out, inverse(grid, embedded))
+        waves = [
+            np.exp(1j * grid.dxi * np.outer(np.array(m), grid.axis_coords())) for m in modes
+        ]
+        poly = block
+        for wave in waves:  # contracts the leading mode axis, appends x last
+            poly = np.tensordot(poly, wave, axes=([0], [0]))
+        poly *= grid.dxi**d * (2 * np.pi) ** (-d / 2)
+        assert np.max(np.abs(out - poly)) <= 1e-13 * np.max(np.abs(poly))
+
+    def test_pruned_inverse_needs_an_even_length_and_distinct_slots(self):
+        block = np.ones(3, dtype=np.complex128)
+        with pytest.raises(ValueError, match="even grid length"):
+            inverse_pruned(Grid(1, 9, 7.3), block, [range(3)])
+        with pytest.raises(ValueError, match="collide"):
+            inverse_pruned(Grid(1, 8, 7.3), block, [[-1, 0, 7]])
 
     def test_pruned_inverse_prunes_by_index(self, monkeypatch):
         # the same 1-d transforms run whatever the values: a spectrum with
@@ -136,7 +168,7 @@ class TestTransforms:
         sparse = full.copy()
         sparse[:, :, 1:] = 0.0
         for coarse in (full, sparse, np.zeros_like(full)):
-            inverse_pruned(fine, coarse, modes)
+            inverse_pruned(fine, coarse, [modes] * 3)
         assert sizes == [(16, 16, 32), (16, 32, 32), (32, 32, 32)] * 3
 
     def test_pruned_inverse_peak_memory(self):
@@ -146,10 +178,10 @@ class TestTransforms:
         fine = make_grid(3, 32, 8 * np.pi)
         modes = (np.fft.fftfreq(16) * 16).astype(int) % 32
         coarse = np.random.default_rng(0).standard_normal((16, 16, 16)) + 0j
-        inverse_pruned(fine, coarse, modes)  # the grid's cached twist is built
+        inverse_pruned(fine, coarse, [modes] * 3)  # the cached twist of these modes is built
         tracemalloc.start()
         try:
-            out = inverse_pruned(fine, coarse, modes)
+            out = inverse_pruned(fine, coarse, [modes] * 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,6 +12,7 @@ from modlab.modspace import (
     ModNormSpec,
     _piece_lp_norms,
     ball_cover_centers,
+    band_box,
     bump,
     dyadic_multiplier,
     low_pass,
@@ -382,6 +383,35 @@ class TestDyadic:
             assert np.array_equal(m, low_pass(g, band) - low_pass(g, band / 2))
             # the same bits as the annulus written with a doubled radius
             assert np.array_equal(m, smooth(r / band) - smooth(2.0 * r / band))
+
+    @pytest.mark.parametrize(
+        "d,n,length,band,reach",
+        [
+            (1, 64, 8 * np.pi, 2.0, 15),  # 2 band / dxi = 16, an integer
+            (1, 64, 7.3, 1.0, 2),  # 2 band / dxi = 2.32
+            (2, 32, 2 * np.pi, 4.0, 7),
+            (2, 16, 3.1, 2.0, 1),  # 2 band / dxi = 1.97
+            (3, 16, 2 * np.pi, 1.0, 1),
+            (3, 16, 2 * np.pi, 4.0, 7),
+            (3, 16, 7.3, 2.0, 4),  # 2 band / dxi = 4.65
+            (3, 16, 2 * np.pi, 8.0, 8),  # the box fills every axis
+        ],
+    )
+    def test_multiplier_is_zero_outside_the_band_box(self, d, n, length, band, reach):
+        g = make_grid(d, n, length)
+        box = band_box(g, band)
+        assert box == ((max(-n // 2, -reach), min(n // 2 - 1, reach)),) * d
+        mult = dyadic_multiplier(g, band)
+        signed = (np.fft.fftfreq(n) * n).astype(int)
+        inside = np.ones(g.shape, dtype=bool)
+        for axis, (lo, hi) in enumerate(box):
+            inside &= ((signed >= lo) & (signed <= hi)).reshape(g._axis_shape(axis))
+        assert np.all(mult[~inside] == 0.0)
+        # the box is tight: each axis's end modes carry the multiplier
+        for axis, (lo, hi) in enumerate(box):
+            for end in (lo, hi):
+                line = np.take(mult, np.flatnonzero(signed == end)[0], axis=axis)
+                assert np.any(line != 0.0)
 
 
 class TestBoxProject:

@@ -269,6 +269,124 @@ class TestFreeFlowNorm:
         assert five <= 1.10 * one + 4 * spectrum
 
 
+def boxed_noise(grid, box, seed):
+    """A field whose spectrum is random on the signed modes of ``box`` and 0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    signed = (np.fft.fftfreq(grid.n) * grid.n).astype(int)
+    inside = np.ones(grid.shape, dtype=bool)
+    for axis, (lo, hi) in enumerate(box):
+        inside &= ((signed >= lo) & (signed <= hi)).reshape(grid._axis_shape(axis))
+    F = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return Field(grid, inverse(grid, inside * F))
+
+
+def record_sizes(monkeypatch):
+    """(grid length, modes) of every pruned inverse the kernel takes, in order."""
+    import modlab.propagator as prop
+
+    calls = []
+
+    def spy(grid, coefficients, modes):
+        calls.append((grid.n, modes))
+        return inverse_pruned(grid, coefficients, modes)
+
+    monkeypatch.setattr(prop, "inverse_pruned", spy)
+    return calls
+
+
+class TestBoxedProducts:
+    # off-centre boxes, some reaching the band edge, on d = 1 and d = 3
+    BOXES = {
+        1: (((5, 20),), ((-30, -12),), ((-3, 4),)),
+        3: (
+            ((2, 6), (-7, -3), (-1, 2)),
+            ((-5, -2), (0, 4), (3, 7)),
+            ((-8, -6), (5, 7), (-2, 0)),
+        ),
+    }
+    GRIDS = {1: (1, 64, 8 * np.pi), 3: (3, 16, 2 * np.pi)}
+
+    def factors(self, d):
+        grid = make_grid(*self.GRIDS[d])
+        a, b, c = self.BOXES[d]
+        f = boxed_noise(grid, a, 1)
+        path = step_path((0.0, 0.4), (boxed_noise(grid, b, 2), boxed_noise(grid, b, 3)))
+        g = boxed_noise(grid, c, 4)
+        return [[f, path], [path, g], [f], [g, f, g]], {f: a, path: b, g: c}
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_box_path_agrees_with_padded_path(self, monkeypatch, d, p):
+        # both quadratures are exact, so they agree to round-off; every
+        # product takes a grid smaller than the padded one
+        products, boxes = self.factors(d)
+        padded = free_flow_lp_norms(products, 1.0, 9, p, pad=2)
+        calls = record_sizes(monkeypatch)
+        boxed = free_flow_lp_norms(products, 1.0, 9, p, pad=2, boxes=boxes)
+        assert max(size for size, _ in calls) < 2 * products[0][0].grid.n
+        assert np.max(np.abs(boxed - padded) / padded) <= 1e-13
+
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_sweep_is_each_product_alone_bitwise(self, pad):
+        # boxed and unboxed factors, the same factor at several sizes
+        products, boxes = self.factors(3)
+        f, path = products[0]
+        bare = complex_noise(f.grid, 5)
+        products += [[bare, f], [f, f], [path]]
+        for p in (2.0, 3.0, 4.0):
+            sweep = free_flow_lp_norms(products, 1.0, 9, p, pad=pad, boxes=boxes)
+            alone = [
+                free_flow_lp_norms([product], 1.0, 9, p, pad=pad, boxes=boxes)[0]
+                for product in products
+            ]
+            assert [v.hex() for v in sweep.tolist()] == [v.hex() for v in alone]
+
+    def test_each_distinct_factor_and_size_transformed_once_per_node(self, monkeypatch):
+        # sizes 6, 16, 16, 6 and 4 on 32 padded points: f enters at 6, 16
+        # and 4, g at 6 and 16, h at 16
+        grid = make_grid(2, 16, 2 * np.pi)
+        boxes = [((-1, 1),) * 2, ((0, 3),) * 2, ((-6, 6),) * 2]
+        f, g, h = (boxed_noise(grid, box, j) for j, box in enumerate(boxes))
+        calls = record_sizes(monkeypatch)
+        products = [[f, g], [f, h], [g, h], [f, g], [f]]
+        free_flow_lp_norms(products, 1.0, 9, 2.0, pad=2, boxes=dict(zip((f, g, h), boxes)))
+        per_node = calls[: len(calls) // 9]
+        assert [size for size, _ in per_node] == [6, 6, 16, 16, 16, 4]
+        assert calls == per_node * 9
+
+    def test_size_rule_falls_back_to_the_padded_grid(self, monkeypatch):
+        grid = make_grid(3, 16, 2 * np.pi)
+        small, wide = ((-1, 1),) * 3, ((-7, 7),) * 3
+        f, g = boxed_noise(grid, small, 1), boxed_noise(grid, wide, 2)
+        bare = complex_noise(grid, 3)
+        boxes = {f: small, g: wide}
+        calls = record_sizes(monkeypatch)
+
+        def sizes(products, p, pad):
+            calls.clear()
+            free_flow_lp_norms(products, 1.0, 2, p, pad=pad, boxes=boxes)
+            return [size for size, _ in calls[: len(calls) // 2]]
+
+        assert sizes([[f, g]], 2.0, 2) == [18, 18]  # W = 2 + 14 + 1 = 17
+        assert sizes([[f, g]], 2.0, 1) == [16, 16]  # W = 17 > 16 points
+        assert sizes([[g, g]], 4.0, 2) == [32]  # W = 2 * 28 + 1 = 57 > 32
+        assert sizes([[f, g]], 3.0, 2) == [32, 32]  # odd p
+        assert sizes([[f]], 2.5, 2) == [32]  # non-integer p / 2
+        assert sizes([[f, bare]], 2.0, 2) == [32, 32]  # a factor without a box
+        assert sizes([[f, f]], 4.0, 1) == [10]  # W = 2 * 4 + 1 = 9
+
+    @pytest.mark.parametrize(
+        "box",
+        [((-1, 1),) * 2, ((-1, 1),) * 3 + ((0, 0),), ((2, 1),) * 3, ((-9, 0),) * 3,
+         ((0, 8),) * 3],
+    )
+    def test_bad_box_rejected(self, box):
+        grid = make_grid(3, 16, 2 * np.pi)
+        f = complex_noise(grid, 1)
+        with pytest.raises(ValueError, match="a box is one"):
+            free_flow_lp_norms([[f]], 1.0, 9, 2.0, boxes={f: box})
+
+
 class TestGalilean:
     def test_zero_shift_identity(self, grid1d):
         f = complex_noise(grid1d, 4)

@@ -13,8 +13,8 @@ once, and a field that several products share is built once and shared by
 identity, so it is transformed once per node.  Linear sweeps sample on the
 grid itself.  The bilinear sweeps pass each field's spectral box, known by
 construction (``modspace.band_box`` of its band, or a chain-log ball's mode
-range cut to f1's box), and the kernel measures each product on the
-smallest even 5-smooth grid that holds the product's support without
+range cut to f1's box), and the kernel works out from p and the boxes the
+smallest even 5-smooth grid that holds each product's support without
 wrap-around, so the quadrature of |u v|^2 is exact, which makes the
 Galilean invariance of measured bilinear ratios hold to near round-off.
 Decoupling cells and the extension norm share the streamed ball quadrature
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -111,6 +111,10 @@ class ExperimentConfig:
             raise ValueError(f"time_nodes must be at least 2, got {self.time_nodes}")
         if not math.isfinite(self.margin):
             raise ValueError(f"margin must be finite, got {self.margin}")
+        if self.atoms < 1:
+            raise ValueError(f"atoms must be at least 1, got {self.atoms}")
+        if self.mesh < 0:
+            raise ValueError(f"mesh must be 0 (sized from R) or positive, got {self.mesh}")
         for name in ("fixed_scale", "samples_per_unit"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -331,9 +335,7 @@ def _bilinear_cells(
         for f in pair:
             if id(f) not in norms:
                 norms[id(f)] = modulation_norm(f, spec, window)
-    lhs = free_flow_lp_norms(
-        fields, config.horizon, config.time_nodes, 2.0, pad=2, boxes=boxes
-    )
+    lhs = free_flow_lp_norms(fields, config.horizon, config.time_nodes, 2.0, boxes)
     cells = [(v, norms[id(f1)] * norms[id(f2)]) for v, (f1, f2) in zip(lhs.tolist(), fields)]
     return cells, norms
 
@@ -416,16 +418,18 @@ def bilinear_chain_log(
     covering bounds) are asserted; empirical constants are recorded.  The
     per-ball space-time norms are the expensive part, so they run on a
     capped box sample and a reduced time mesh, in two kernel sweeps that
-    share the low field f2: the pad-2 products (f1 f2 and each sampled
-    piece times f2) and the L^4 norms (f2 and each piece).  The kernel
-    sizes each product's grid from the factors' spectral boxes: f1 and f2
-    take their bands' boxes, a piece its ball's mode range cut to f1's box;
-    a piece whose ball misses that box holds round-off only and takes none.
+    share the low field f2: the L^2 norms of the products (f1 f2 and each
+    sampled piece times f2) and the L^4 norms (f2 and each piece).  The
+    kernel sizes each product's grid from the factors' spectral boxes: f1
+    and f2 take their bands' boxes, a piece its ball's mode range cut to
+    f1's box; a piece whose ball misses that box holds round-off only and
+    takes none.
 
     A cover ball is occupied when the energy of F1 = f1^ on it is
     ``e > 0.0``, an exact-zero test, so balls holding only round-off count
-    (``total_boxes``).  Only the occupied centers are kept; a sampled ball's
-    mask is rebuilt from its center.
+    (``total_boxes``); only their centers are kept.  A ball's energy is
+    summed over the block of its per-axis reaches, in a full-grid mask's
+    order; only a sampled ball builds that mask.
     """
     grid = window.grid
     n_high, n_low = bands
@@ -433,21 +437,29 @@ def bilinear_chain_log(
     m = max(33, config.time_nodes // 4 + 1)
 
     F1 = forward(grid, f1.values)
-    freqs = grid.freqs()
+    xi = grid.axis_freqs()
+
+    @cache
+    def reach(ci):
+        # the indices of one axis within n_low of ci, and their squared distances
+        dist_sq = (xi - ci) ** 2
+        idx = np.flatnonzero(dist_sq <= n_low**2)
+        return idx, dist_sq[idx]
 
     def ball(c):
-        return reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(freqs, c)]) <= n_low**2
+        # the ball's index block and which of its points lie in the ball
+        idx, dist_sq = zip(*map(reach, c))
+        return np.ix_(*idx), reduce(np.add.outer, dist_sq) <= n_low**2
 
-    signed = (np.fft.fftfreq(grid.n) * grid.n).astype(int)
     box1 = band_box(grid, n_high)
 
     def ball_box(c):
         # the ball's per-axis mode range (each axis term bounds the sum) cut
         # to f1's box; None, no box, when the two do not meet
-        box, xi = [], grid.axis_freqs()
+        box = []
         for ci, (lo, hi) in zip(c, box1):
-            reach = signed[(xi - ci) ** 2 <= n_low**2]
-            lo, hi = max(lo, reach.min()), min(hi, reach.max())
+            signed = (reach(ci)[0] + grid.n // 2) % grid.n - grid.n // 2
+            lo, hi = max(lo, signed.min()), min(hi, signed.max())
             if lo > hi:
                 return None
             box.append((int(lo), int(hi)))
@@ -459,7 +471,8 @@ def bilinear_chain_log(
     e_boxes = 0.0
     occupied = []
     for c in ball_cover_centers(grid.d, n_high, n_low):
-        e = float(np.sum(energy[ball(c)]))
+        block, inside = ball(c)
+        e = float(np.sum(energy[block][inside]))
         e_boxes += e
         if e > 0.0:
             occupied.append(c)
@@ -475,13 +488,15 @@ def bilinear_chain_log(
     boxes = {f1: box1, f2: band_box(grid, n_low)}
     pieces = []
     for c in sample:
-        pieces.append(Field(grid, inverse(grid, ball(c) * F1)))
+        block, inside = ball(c)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[block] = inside
+        pieces.append(Field(grid, inverse(grid, mask * F1)))
         box = ball_box(c)
         if box is not None:
             boxes[pieces[-1]] = box
     lhs, *prods = free_flow_lp_norms(
-        [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, pad=2,
-        boxes=boxes,
+        [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, boxes
     ).tolist()
     l4_low, *l4_pieces = free_flow_lp_norms(
         [[f2], *([piece] for piece in pieces)], config.horizon, m, 4.0, boxes=boxes
@@ -517,12 +532,11 @@ def _atomic_path(config: ExperimentConfig, grid: Grid, band: float, seed: int) -
     """The profile step path of ``config.atoms`` free-trajectory atoms tiling
     [0, horizon], on linspace(0, horizon, atoms + 1); the last profile repeats
     at the horizon, so that one atom still has the two nodes of a variation."""
-    k = max(1, config.atoms)
-    profiles = [_band_noise(grid, band, seed + 101 * j) for j in range(k)]
+    profiles = [_band_noise(grid, band, seed + 101 * j) for j in range(config.atoms)]
     if any(lp_norm(f, 2) == 0.0 for f in profiles):
         raise ValueError("zero path piece in atomic data")
     values = np.stack([f.values for f in profiles + profiles[-1:]])
-    return Trajectory(grid, np.linspace(0.0, config.horizon, k + 1), values)
+    return Trajectory(grid, np.linspace(0.0, config.horizon, config.atoms + 1), values)
 
 
 def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
@@ -554,9 +568,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     products = [[hi, lo] for lo in los]
     boxes = {lo: band_box(grid, n_low) for lo, n_low in zip(los, config.scales)}
     boxes[hi] = band_box(grid, n_high)
-    lhs = free_flow_lp_norms(
-        products, config.horizon, config.time_nodes, 2.0, pad=2, boxes=boxes
-    )
+    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, 2.0, boxes)
     v2_high = v2(hi)
     rhs = [v2_high * v2(lo) for lo in los]
     meta = {"window": window.describe(), "s_input": s_input, "atoms": config.atoms}

@@ -11,13 +11,14 @@ kernel.
   contraction factors depend on to the last bit.
 - Space-time L^p norms of products of free flows (``free_flow_lp_norms``)
   take each factor as a Field or as the step ``Trajectory`` of its profiles
-  and sample a whole sweep of products node by node.  A product whose
-  factors come with spectral boxes runs on the smallest even 5-smooth grid
-  on which its quadrature is exact; any other on the zero-padded grid.  Per
-  node the phase is built once per set of modes and each distinct factor
-  object is transformed once per grid size, however many products share
-  it.  The phase, the twist and the multiply act on the embedded modes
-  only, and ``grid.inverse_pruned`` does the padding.
+  and sample a whole sweep of products node by node.  A boxed factor keeps
+  the modes of its spectral box; a product of boxed factors at an even p
+  runs on the smallest even 5-smooth grid on which its quadrature is
+  exact, any other on the factors' own grid.  Each distinct factor object
+  is gathered once, and per node the phase is built once per set of modes
+  and the factor is transformed once per grid size, however many products
+  share it.  The phase, the twist and the multiply act on the kept modes
+  only, and ``grid.inverse_pruned`` does the embedding.
 - The paraboloid extension operator is measured only by its ball norms:
   midpoint quadrature over a frequency mesh of the unit ball, time-blocked
   GEMMs of about nmesh * m * |ball shadow| multiply-adds, restricted to
@@ -73,7 +74,6 @@ def free_flow_lp_norms(
     horizon: float,
     m: int,
     p: float,
-    pad: int = 1,
     boxes: Mapping[Field | Trajectory, Sequence[tuple[int, int]]] | None = None,
 ) -> np.ndarray:
     """L^p norms over [0, horizon] x torus of products of piecewise free flows,
@@ -85,46 +85,38 @@ def free_flow_lp_norms(
     runs to the horizon.  Factors share one grid of n points per axis.  The
     trapezoid rule over m uniform nodes integrates the spatial L^p^p in time.
 
-    Each product is sampled on ``Grid(d, M, L)``, where each spectrum keeps
-    its modes' frequencies and every other mode is zero.  ``boxes`` maps a
-    factor object to its spectral box, one signed mode range (lo, hi) per
-    axis outside which its spectrum is zero by construction (round-off
-    aside); the caller knows it, it is never read from values.  For p = 2k,
-    k an integer, and every factor boxed, |product|^p = |product^k|^2 and
-    product^k spans W = k max_a sum_i (hi_ia - lo_ia) + 1 modes per axis,
-    so its Riemann sum is exact on any M >= W points: M is the smallest even
-    2^a 3^b 5^c >= W, the factors' box modes embedded at m mod M, provided
-    M < pad * n.  Every other product (odd or non-integer p, a factor
-    without a box, or M >= pad * n) takes M = pad * n and all n^d modes, so
-    pad 2 makes the quadrature of a product of two band-limited flows
-    alias-free (Orszag's rule).
+    ``boxes`` maps a factor object to its spectral box, one signed mode range
+    (lo, hi) per axis outside which its spectrum is zero by construction
+    (round-off aside); the caller knows it, it is never read from values.  A
+    boxed factor keeps the modes of its box, any other factor all n^d modes.
+    For p = 2k, k an integer, and every factor boxed, |product|^p =
+    |product^k|^2 and product^k spans W = k max_a sum_i (hi_ia - lo_ia) + 1
+    modes per axis, so its Riemann sum is exact on any M >= W points: the
+    product is sampled on ``Grid(d, M, L)``, M the smallest even 2^a 3^b 5^c
+    >= W, with each factor's modes embedded at m mod M.  Every other product
+    (odd or non-integer p, or a factor without a box) is sampled on the
+    factors' own grid.
 
-    Only the embedded modes are ever touched: the phase exp(-i t|xi|^2) is
-    taken on the |xi|^2 of ``Grid(d, pad * n, L)``, which holds every mode
-    at its own frequency, gathered at those modes (the n-point grid's own
-    |xi|^2 can differ in the last bit), multiplies the coefficients, and
-    ``inverse_pruned`` does the padding.  On M = pad * n a flow is bit for
-    bit the inverse of the zero-padded spectrum times the refined grid's
-    ``free_multiplier``.
+    Only the kept modes are ever touched: each factor's spectrum is gathered
+    once at its modes, the phase exp(-i t|xi|^2), taken on the grid's own
+    |xi|^2 at those modes, multiplies the coefficients, and
+    ``inverse_pruned`` does the embedding.
 
-    At each node the phase is built once per set of embedded modes, and a
-    factor that several products of one size share, the same object (``is``,
-    never equal values), is transformed once at that size: its flow is
-    taken at its first use and dropped after its last use at that size in
-    product order.  So a product's value has the same bits whether it is
-    measured alone or in a sweep.  Empty ``products`` or an empty product, a
-    horizon that is not finite and positive, an ``m`` that is not an integer
-    >= 2, a ``pad`` that is not a positive integer, p < 1 or p = inf, and a
-    box that is not one range -n/2 <= lo <= hi < n/2 per axis raise
-    ``ValueError``.
+    At each node the phase is built once per set of kept modes, and a factor
+    that several products of one size share, the same object (``is``, never
+    equal values), is transformed once at that size: its flow is taken at
+    its first use and dropped after its last use at that size in product
+    order.  So a product's value has the same bits whether it is measured
+    alone or in a sweep.  Empty ``products`` or an empty product, a horizon
+    that is not finite and positive, an ``m`` that is not an integer >= 2,
+    p < 1 or p = inf, and a box that is not one range -n/2 <= lo <= hi < n/2
+    per axis raise ``ValueError``.
     """
     if not products:
         raise ValueError("products must hold at least one product of factors")
     for k, factors in enumerate(products):
         if not factors:
             raise ValueError(f"products[{k}] holds no factors: give a Field or Trajectory")
-    if not isinstance(pad, (int, np.integer)) or pad < 1:
-        raise ValueError(f"pad must be a positive integer, got {pad!r}")
     if not 1 <= p < np.inf:
         raise ValueError(f"p must be >= 1 and finite, got {p}")
     if not 0 < horizon < np.inf:
@@ -133,9 +125,9 @@ def free_flow_lp_norms(
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
     boxes = boxes or {}
     g = products[0][0].grid
-    padded = pad * g.n
+    full = (tuple((np.fft.fftfreq(g.n) * g.n).astype(int).tolist()),) * g.d
     slots: dict[int, int] = {}  # id of each distinct factor -> its index in paths
-    paths, box_modes, rows, sizes = [], [], [], []
+    paths, modes, rows, sizes = [], [], [], []
     for factors in products:
         for f in factors:
             if id(f) not in slots:
@@ -148,33 +140,21 @@ def free_flow_lp_norms(
                     )
                 slots[id(f)] = len(paths)
                 paths.append(path)
-                box_modes.append(_box_modes(g, boxes[f]) if f in boxes else None)
+                modes.append(_box_modes(g, boxes[f]) if f in boxes else full)
         row = [slots[id(f)] for f in factors]
-        size = padded
-        if p % 2 == 0 and all(box_modes[j] is not None for j in row):
-            spans = [[len(axis) - 1 for axis in box_modes[j]] for j in row]
-            size = min(padded, _even_smooth(int(p // 2) * max(map(sum, zip(*spans))) + 1))
+        size = g.n
+        if p % 2 == 0 and all(f in boxes for f in factors):
+            spans = [[len(axis) - 1 for axis in modes[j]] for j in row]
+            size = _even_smooth(int(p // 2) * max(map(sum, zip(*spans))) + 1)
         rows.append(row)
         sizes.append(size)
-    # each (factor, size) used: its embedded modes, spectrum and last use
-    full = (tuple((np.fft.fftfreq(g.n) * g.n).astype(int).tolist()),) * g.d
-    modes, last_use = {}, {}
-    for k, (row, size) in enumerate(zip(rows, sizes)):
-        for j in row:
-            modes[j, size] = full if size == padded else box_modes[j]
-            last_use[j, size] = k
-    spectra = {}  # (factor, size) -> profile times, profile spectra at the modes
-    for j, path in enumerate(paths):
-        F = forward(g, path.values)
-        for (j_, size), embedded in modes.items():
-            if j_ == j:
-                block = np.ix_(*[np.array(axis) % g.n for axis in embedded])
-                spectra[j, size] = path.times, F[(slice(None), *block)]
-    grids = {size: Grid(g.d, size, g.length) for size in {*sizes, padded}}
-    freq_sq = {}  # on the padded grid, which holds every mode at its frequency
-    for embedded in set(modes.values()):
-        block = np.ix_(*[np.array(axis) % padded for axis in embedded])
-        freq_sq[embedded] = grids[padded].freq_sq()[block]
+    last_use = {(j, size): k for k, (row, size) in enumerate(zip(rows, sizes)) for j in row}
+    spectra, freq_sq = [], {}  # per factor: profile times, profile spectra at its modes
+    for path, kept in zip(paths, modes):
+        block = np.ix_(*[np.array(axis) % g.n for axis in kept])
+        spectra.append((path.times, forward(g, path.values)[(slice(None), *block)]))
+        freq_sq[kept] = g.freq_sq()[block]
+    grids = {size: Grid(g.d, size, g.length) for size in set(sizes)}
     ts = np.linspace(0.0, horizon, m)
     powers = np.empty((len(rows), m))
     for i, t in enumerate(ts):
@@ -182,14 +162,12 @@ def free_flow_lp_norms(
         for k, (row, size) in enumerate(zip(rows, sizes)):
             for j in row:
                 if (j, size) not in flows:
-                    embedded = modes[j, size]
-                    if embedded not in phases:
-                        phases[embedded] = _flow_phase(freq_sq[embedded], t)
-                    times, F = spectra[j, size]
+                    kept = modes[j]
+                    if kept not in phases:
+                        phases[kept] = _flow_phase(freq_sq[kept], t)
+                    times, F = spectra[j]
                     piece = F[np.searchsorted(times, t, "right") - 1]
-                    flows[j, size] = inverse_pruned(
-                        grids[size], phases[embedded] * piece, embedded
-                    )
+                    flows[j, size] = inverse_pruned(grids[size], phases[kept] * piece, kept)
             phys = np.abs(reduce(np.multiply, [flows[j, size] for j in row]))
             powers[k, i] = grids[size].cell * np.sum(np.power(phys, p, out=phys))
             for j in row:

@@ -263,6 +263,12 @@ def splitstep_solve(
     is conserved to round-off.  Raises ``BlowUp`` when the sup norm exceeds
     ``guard_factor`` times its initial value or is not finite.
 
+    The linear step writes the free-flow phase exp(-i dt |xi|^2) out on
+    purpose instead of calling ``propagator._flow_phase``: this solver is
+    the independent oracle that ``cross_validate`` holds the Picard solver
+    to, and a sign error in a shared phase would move both solvers alike and
+    pass that check.
+
     ``store``: "nodes" records the state at the problem's time nodes,
     "final" only at the horizon.
     """

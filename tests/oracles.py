@@ -5,6 +5,12 @@ computes another way, or a helper that builds test inputs:
 
 - ``duhamel``: the Duhamel integral at one node, the oracle for
   ``propagator.duhamel_path``;
+- ``scanned_piece_norm``: a space-time norm of a product of step paths
+  from the zero-padded spectra, node by node, the oracle for
+  ``propagator.free_flow_lp_norms``;
+- ``chain_cover_energy``: the chain log's cover energy ratio and occupied
+  ball count, each ball summed under a full-grid mask, the oracle for
+  ``estimates.bilinear_chain_log``'s per-axis reaches;
 - ``extension_values``: dense samples of the extension operator, from which
   ``conftest.direct_ball_norm`` checks ``propagator.extension_ball_norms``;
 - ``iso_piece``: one window piece, for the partition identity of
@@ -25,9 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, Trajectory, fourier_multiply
-from modlab.modspace import Window, dyadic_multiplier
-from modlab.propagator import free_evolve, gradient_sq_integral
+from modlab.grid import Field, Grid, Trajectory, forward, fourier_multiply, inverse, trapezoid
+from modlab.modspace import Window, ball_cover_centers, dyadic_multiplier
+from modlab.propagator import free_evolve, free_multiplier, gradient_sq_integral
 from modlab.variation import duality_pairing, vp_norm
 
 
@@ -49,6 +55,52 @@ def duhamel(forcing: Trajectory, t: float) -> Field:
         evolved = free_evolve(forcing[j][1], t - times[j])
         acc = acc + wj * evolved.values
     return Field(forcing.grid, acc)
+
+
+def scanned_piece_norm(
+    factors: Sequence[Trajectory], horizon: float, m: int, p: float, pad: int = 1
+) -> float:
+    """Space-time L^p norm of the product of step-path factors over
+    [0, horizon], trapezoid rule on m nodes: each profile's spectrum is
+    zero-padded into ``Grid(d, pad * n, L)`` and evolved by that grid's
+    ``free_multiplier``, and the piece at t is found by scanning for the
+    last start <= t."""
+    g = factors[0].grid
+    fine = Grid(g.d, pad * g.n, g.length)
+    modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
+    starts, spectra = [], []
+    for path in factors:
+        starts.append(list(path.times))
+        spectra.append([])
+        for _, f in path:
+            F = np.zeros(fine.shape, dtype=np.complex128)
+            F[modes] = forward(g, f.values)
+            spectra[-1].append(F)
+    ts = np.linspace(0.0, horizon, m)
+    powers = np.empty(m)
+    for i, t in enumerate(ts):
+        mult = free_multiplier(fine, t)
+        flows = []
+        for a, F in zip(starts, spectra):
+            k = [j for j, start in enumerate(a) if start <= t][-1]
+            flows.append(inverse(fine, mult * F[k]))
+        powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
+    return float(trapezoid(powers, ts) ** (1.0 / p))
+
+
+def chain_cover_energy(f1: Field, n_high: float, n_low: float) -> tuple[float, int]:
+    """(sum of the energies of f1^ on the radius-n_low cover balls of the
+    n_high annulus over its total energy, number of balls with energy > 0),
+    each ball's energy summed under its full-grid mask."""
+    grid = f1.grid
+    energy = np.abs(forward(grid, f1.values)) ** 2
+    e_balls, occupied = 0.0, 0
+    for c in ball_cover_centers(grid.d, n_high, n_low):
+        dist_sq = reduce(np.add, [(xi - ci) ** 2 for xi, ci in zip(grid.freqs(), c)])
+        e = float(np.sum(energy[dist_sq <= n_low**2]))
+        e_balls += e
+        occupied += e > 0.0
+    return e_balls / float(np.sum(energy)), occupied
 
 
 def extension_values(

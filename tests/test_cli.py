@@ -480,7 +480,8 @@ class TestFailurePaths:
          ("samples_per_unit", "-1"), ("fixed_scale", "0"), ("fixed_scale", "nan"),
          ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
          ("cube", "0"), ("trials", "0"), ("trials", "-3"), ("tolerance", "inf"),
-         ("tolerance", "nan"), ("tolerance", "-1"), ("tolerance", "0")],
+         ("tolerance", "nan"), ("tolerance", "-1"), ("tolerance", "0"), ("atoms", "0"),
+         ("atoms", "-1"), ("mesh", "-3")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
         # every key is checked whatever the kind reads: the smoothing sweep

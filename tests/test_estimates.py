@@ -278,6 +278,22 @@ class TestBilinear:
         assert chain["total_boxes"] > 1000
         assert peak < 6 * 2**20
 
+    def test_chain_energy_matches_full_mask_oracle(self):
+        # each ball's energy summed over its per-axis reaches has the bits of
+        # the full-grid mask's sum, so the ratio and the count keep theirs
+        from modlab.modspace import ModNormSpec, modulation_norm
+        from tests.oracles import chain_cover_energy
+
+        cfg = self.small_config(seed=11)
+        window = cfg.window()
+        bands = (4.0, 1.0)
+        [(f1, f2)], _ = est._bilinear_fields(cfg, cfg.grid(), [bands])
+        f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
+        chain = est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)
+        ratio, occupied = chain_cover_energy(f1, *bands)
+        assert chain["cover_energy_ratio"].hex() == ratio.hex()
+        assert chain["total_boxes"] == occupied > 1000
+
     def test_products_on_their_smallest_exact_grids(self, monkeypatch):
         # the half cell: band-noise boxes span 3, 7 and 15 of 16 modes per
         # axis and a ball piece 2, so the five cells take 6, 10, 18, 24 and
@@ -361,12 +377,15 @@ class TestBilinear:
 
     def test_galilean_pair_invariance(self):
         # translating both spectra by a common lattice vector moves the
-        # measured ratio by round-off only: on the padded grid, and on the
-        # smallest exact grid (10 points per axis) with each field's band
-        # box moved along, where it also agrees with the padded grid
+        # measured ratio by round-off only: on the 2x zero-padded grid of
+        # the oracle, and on the smallest exact grid (10 points per axis)
+        # with each field's band box moved along, where it also agrees with
+        # the padded grid
         from modlab.estimates import _band_noise
+        from modlab.grid import Trajectory
         from modlab.modspace import ModNormSpec, band_box, make_window, modulation_norm
         from modlab.propagator import free_flow_lp_norms, galilean_shift
+        from tests.oracles import scanned_piece_norm
 
         grid = make_grid(3, 16, 2 * np.pi)
         window = make_window(grid, 4.0)
@@ -376,7 +395,11 @@ class TestBilinear:
         boxes = {f1: band_box(grid, 2.0), f2: band_box(grid, 1.0)}
 
         def ratio(a, b, boxes=None):
-            lhs = free_flow_lp_norms([[a, b]], 1.0, 33, 2.0, pad=2, boxes=boxes)[0]
+            if boxes is None:
+                paths = [Trajectory(grid, [0.0], f.values[None]) for f in (a, b)]
+                lhs = scanned_piece_norm(paths, 1.0, 33, 2.0, pad=2)
+            else:
+                lhs = free_flow_lp_norms([[a, b]], 1.0, 33, 2.0, boxes)[0]
             return lhs / (
                 modulation_norm(a, spec, window) * modulation_norm(b, spec, window)
             )

@@ -1,13 +1,9 @@
-from functools import reduce
-
 import numpy as np
 import pytest
 
 from modlab.grid import (
     Field,
-    Grid,
     Trajectory,
-    forward,
     inverse,
     inverse_pruned,
     lp_norm,
@@ -21,14 +17,13 @@ from modlab.propagator import (
     extension_ball_norms,
     free_evolve,
     free_flow_lp_norms,
-    free_multiplier,
     galilean_shift,
     gradient_sq_integral,
     mass,
     unit_ball_mesh,
 )
 from tests.conftest import complex_noise, direct_ball_norm, gaussian_field
-from tests.oracles import duhamel, energy, extension_values
+from tests.oracles import duhamel, energy, extension_values, scanned_piece_norm
 
 
 class TestFreeEvolve:
@@ -80,39 +75,13 @@ def step_path(times, fields):
     return Trajectory(fields[0].grid, times, np.stack([f.values for f in fields]))
 
 
-def scanned_piece_norm(factors, horizon, m, p, pad=1):
-    """Reference space-time norm of step-path factors: each spectrum embedded
-    node by node, and the piece at t found by scanning for the last start <= t."""
-    g = factors[0].grid
-    fine = Grid(g.d, pad * g.n, g.length)
-    modes = np.ix_(*[(np.fft.fftfreq(g.n) * g.n).astype(int) % fine.n] * g.d)
-    starts, spectra = [], []
-    for path in factors:
-        starts.append(list(path.times))
-        spectra.append([])
-        for _, f in path:
-            F = np.zeros(fine.shape, dtype=np.complex128)
-            F[modes] = forward(g, f.values)
-            spectra[-1].append(F)
-    ts = np.linspace(0.0, horizon, m)
-    powers = np.empty(m)
-    for i, t in enumerate(ts):
-        mult = free_multiplier(fine, t)
-        flows = []
-        for a, F in zip(starts, spectra):
-            k = [j for j, start in enumerate(a) if start <= t][-1]
-            flows.append(inverse(fine, mult * F[k]))
-        powers[i] = fine.cell * np.sum(np.abs(reduce(np.multiply, flows)) ** p)
-    return float(trapezoid(powers, ts) ** (1.0 / p))
-
-
 class TestFreeFlowNorm:
     def test_repeated_piece_equals_one_piece(self, grid3d):
         f = complex_noise(grid3d, 4)
         g = complex_noise(grid3d, 5)
-        one = free_flow_lp_norms([[f, g]], 1.0, 9, 2.0, pad=2)[0]
+        one = free_flow_lp_norms([[f, g]], 1.0, 9, 2.0)[0]
         split = step_path((0.0, 0.3, 0.5), (f, f, f))
-        two = free_flow_lp_norms([[split, g]], 1.0, 9, 2.0, pad=2)[0]
+        two = free_flow_lp_norms([[split, g]], 1.0, 9, 2.0)[0]
         assert two == pytest.approx(one, rel=1e-13)
 
     def test_piece_j_used_on_half_open_interval(self, grid1d):
@@ -130,50 +99,57 @@ class TestFreeFlowNorm:
         value = free_flow_lp_norms([factors], 1.0, 9, 3.0)[0]
         assert value == pytest.approx(expect, rel=1e-13)
 
-    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_equal_to_scanned_pieces(self, pad, seed):
+    def test_bitwise_equal_to_scanned_pieces(self, d, seed):
         # random cut times, some on a sample node (multiples of 1/8), and a
         # factor whose last profile repeats at the horizon, which must read
-        # the same bits as the same path without that node; on Grid(2, 16,
-        # 7.3) at pad 3 the coarse grid's |xi|^2 differs in the last bit from
-        # the refined grid's at the embedded modes, so only the refined one
-        # gives the oracle's bits
-        grids = {
-            1: [make_grid(2, 8, 2 * np.pi)],
-            2: [make_grid(2, 8, 2 * np.pi), make_grid(3, 8, 2 * np.pi)],
-            3: [Grid(2, 16, 7.3)],
-        }
-        for grid in grids[pad]:
-            rng = np.random.default_rng(seed)
-            f, g, h = (complex_noise(grid, 10 * seed + j) for j in range(3))
-            between = np.sort(rng.uniform(0.05, 0.95, 2))
-            on_node = rng.integers(1, 8) / 8
-            paths = [step_path((0.0, *between), (f, g, h)), step_path((0.0, on_node), (h, f))]
-            repeated = step_path((0.0, 0.5, 1.0), (f, g, g))
-            trimmed = step_path((0.0, 0.5), (f, g))
-            plain = step_path((0.0,), (f,))
-            for factors, reference in [
-                ([*paths, f], [*paths, plain]),
-                ([repeated, paths[0]], [trimmed, paths[0]]),
-            ]:
-                value = free_flow_lp_norms([factors], 1.0, 9, 2.0, pad=pad)[0]
-                assert value == scanned_piece_norm(reference, 1.0, 9, 2.0, pad=pad)
+        # the same bits as the same path without that node.  Unboxed, a
+        # product runs on the n-point grid; every factor boxed with the
+        # whole band, k factors at p = 2 run on k n points, the oracle's pad k
+        grid = make_grid(d, 8, 2 * np.pi)
+        rng = np.random.default_rng(seed)
+        f, g, h = (complex_noise(grid, 10 * seed + j) for j in range(3))
+        between = np.sort(rng.uniform(0.05, 0.95, 2))
+        on_node = rng.integers(1, 8) / 8
+        paths = [step_path((0.0, *between), (f, g, h)), step_path((0.0, on_node), (h, f))]
+        repeated = step_path((0.0, 0.5, 1.0), (f, g, g))
+        trimmed = step_path((0.0, 0.5), (f, g))
+        plain = step_path((0.0,), (f,))
+        for factors, reference in [
+            ([*paths, f], [*paths, plain]),
+            ([repeated, paths[0]], [trimmed, paths[0]]),
+        ]:
+            value = free_flow_lp_norms([factors], 1.0, 9, 2.0)[0]
+            assert value == scanned_piece_norm(reference, 1.0, 9, 2.0)
+            boxes = dict.fromkeys(factors, ((-4, 3),) * d)
+            value = free_flow_lp_norms([factors], 1.0, 9, 2.0, boxes)[0]
+            padded = scanned_piece_norm(reference, 1.0, 9, 2.0, pad=len(factors))
+            if len(factors) == 2:
+                assert value == padded  # 2n points: the n grid's |xi|^2 is 2n's
+            else:  # on 3n points the oracle's |xi|^2 may differ in the last bit
+                assert value == pytest.approx(padded, rel=1e-13, abs=0.0)
 
-    def test_coarse_grid_phase_differs_at_pad_3(self):
-        # the trap the bitwise test above guards: n * (L/n) does not round
-        # back to L, so the coarse |xi|^2 is not the refined one's
-        g = Grid(2, 16, 7.3)
-        fine = Grid(2, 48, 7.3)
-        modes = np.ix_(*[(np.fft.fftfreq(16) * 16).astype(int) % 48] * 2)
-        assert not np.array_equal(g.freq_sq(), fine.freq_sq()[modes])
+    @pytest.mark.parametrize(
+        "d, n, length",
+        [(3, 32, 4 * np.pi), (3, 16, 2 * np.pi), (3, 16, 8 * np.pi), (1, 2048, 8 * np.pi),
+         (1, 256, 16 * np.pi), (2, 16, 7.3)],
+    )
+    def test_phase_modes_carry_the_2n_grids_frequencies(self, d, n, length):
+        # make_grid keeps n a power of two, so L/(2n) is L/n halved exactly:
+        # the n grid's |xi|^2, which the kernel's phase reads on any grid
+        # size, is the 2n grid's at every embedded mode, bit for bit
+        g = make_grid(d, n, length)
+        fine = make_grid(d, 2 * n, length)
+        modes = np.ix_(*[(np.fft.fftfreq(n) * n).astype(int) % (2 * n)] * d)
+        assert np.array_equal(g.freq_sq(), fine.freq_sq()[modes])
 
     @pytest.mark.parametrize(
         "kwargs,match",
         [
-            ({"pad": 0}, "pad"),
-            ({"pad": -1}, "pad"),
-            ({"pad": 1.5}, "pad"),
+            ({"p": -np.inf}, "p must be >= 1"),
+            ({"m": 0}, "m must be an integer >= 2"),
+            ({"horizon": -np.inf}, "horizon must be finite and positive"),
             ({"p": 0.5}, "p must be >= 1"),
             ({"p": np.nan}, "p must be >= 1"),
             ({"p": np.inf}, "finite"),
@@ -211,18 +187,18 @@ class TestFreeFlowNorm:
         with pytest.raises(ValueError, match="t = 0"):
             free_flow_lp_norms([[complex_noise(grid1d, 3), late]], 1.0, 9, 2.0)
 
-    @pytest.mark.parametrize("pad", [1, 2, 3])
-    def test_sweep_is_each_product_alone_bitwise(self, pad):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sweep_is_each_product_alone_bitwise(self, d):
         # Fields and a step Trajectory, the shared factor f first and last,
         # a repeated factor, and a copy of f that is another object
-        grid = Grid(2, 16, 7.3) if pad == 3 else make_grid(2, 8, 2 * np.pi)
+        grid = make_grid(d, 8, 2 * np.pi)
         f, g, h = (complex_noise(grid, 40 + j) for j in range(3))
         path = step_path((0.0, 0.3, 0.625), (g, h, f))
         twin = Field(grid, f.values.copy())
         products = [[f, g], [path, f], [f], [h, path, f], [path], [g, g], [twin, h]]
         for p in (2.0, 3.0):
-            sweep = free_flow_lp_norms(products, 1.0, 9, p, pad=pad)
-            alone = [free_flow_lp_norms([product], 1.0, 9, p, pad=pad)[0] for product in products]
+            sweep = free_flow_lp_norms(products, 1.0, 9, p)
+            alone = [free_flow_lp_norms([product], 1.0, 9, p)[0] for product in products]
             assert [v.hex() for v in sweep.tolist()] == [v.hex() for v in alone]
 
     def test_each_distinct_factor_transformed_once_per_node(self, monkeypatch):
@@ -241,25 +217,27 @@ class TestFreeFlowNorm:
         twin = Field(grid, f.values.copy())
         path = step_path((0.0, 0.5), (g, f))
         products = [[f, g], [g, f], [twin, g], [path, f], [f], [f, f]]
-        free_flow_lp_norms(products, 1.0, 9, 2.0, pad=2)
+        free_flow_lp_norms(products, 1.0, 9, 2.0)
         assert len(calls) == 4 * 9  # f, g, twin and path at each of 9 nodes
 
     def test_bilinear_sweep_peaks_like_one_cell(self):
         # the five cells of the bilinear sweep, three high and three low
-        # fields, in the order the sweep measures them: the sweep keeps at
-        # most two padded flows live, as one cell does, and holds each of
+        # fields, in the order the sweep measures them, each boxed with the
+        # whole band so that every cell runs on 2n points: the sweep keeps
+        # at most two such flows live, as one cell does, and holds each of
         # its six distinct spectra (one cell: two) through the whole sweep
         import tracemalloc
 
         grid = make_grid(3, 16, 2 * np.pi)
         h1, h2, h4, l1, l2, l4 = (complex_noise(grid, j) for j in range(6))
         cells = [[h1, l1], [h2, l1], [h4, l1], [h4, l2], [h4, l4]]
+        boxes = dict.fromkeys((h1, h2, h4, l1, l2, l4), ((-8, 7),) * 3)
         spectrum = grid.size * np.dtype(np.complex128).itemsize
 
         def peak(products):
             tracemalloc.start()
             try:
-                free_flow_lp_norms(products, 1.0, 3, 2.0, pad=2)
+                free_flow_lp_norms(products, 1.0, 3, 2.0, boxes)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -298,13 +276,14 @@ class TestBoxedProducts:
     # off-centre boxes, some reaching the band edge, on d = 1 and d = 3
     BOXES = {
         1: (((5, 20),), ((-30, -12),), ((-3, 4),)),
+        2: (((2, 6), (-7, -3)), ((-5, -2), (0, 4)), ((-8, -6), (5, 7))),
         3: (
             ((2, 6), (-7, -3), (-1, 2)),
             ((-5, -2), (0, 4), (3, 7)),
             ((-8, -6), (5, 7), (-2, 0)),
         ),
     }
-    GRIDS = {1: (1, 64, 8 * np.pi), 3: (3, 16, 2 * np.pi)}
+    GRIDS = {1: (1, 64, 8 * np.pi), 2: (2, 16, 2 * np.pi), 3: (3, 16, 2 * np.pi)}
 
     def factors(self, d):
         grid = make_grid(*self.GRIDS[d])
@@ -318,43 +297,45 @@ class TestBoxedProducts:
     @pytest.mark.parametrize("d", [1, 3])
     def test_box_path_agrees_with_padded_path(self, monkeypatch, d, p):
         # both quadratures are exact, so they agree to round-off; every
-        # product takes a grid smaller than the padded one
+        # product takes a grid smaller than the oracle's padded one
         products, boxes = self.factors(d)
-        padded = free_flow_lp_norms(products, 1.0, 9, p, pad=2)
         calls = record_sizes(monkeypatch)
-        boxed = free_flow_lp_norms(products, 1.0, 9, p, pad=2, boxes=boxes)
+        boxed = free_flow_lp_norms(products, 1.0, 9, p, boxes)
         assert max(size for size, _ in calls) < 2 * products[0][0].grid.n
+        paths = [[f if isinstance(f, Trajectory) else step_path((0.0,), (f,)) for f in product]
+                 for product in products]
+        padded = np.array([scanned_piece_norm(path, 1.0, 9, p, pad=2) for path in paths])
         assert np.max(np.abs(boxed - padded) / padded) <= 1e-13
 
-    @pytest.mark.parametrize("pad", [1, 2])
-    def test_sweep_is_each_product_alone_bitwise(self, pad):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sweep_is_each_product_alone_bitwise(self, d):
         # boxed and unboxed factors, the same factor at several sizes
-        products, boxes = self.factors(3)
+        products, boxes = self.factors(d)
         f, path = products[0]
         bare = complex_noise(f.grid, 5)
         products += [[bare, f], [f, f], [path]]
         for p in (2.0, 3.0, 4.0):
-            sweep = free_flow_lp_norms(products, 1.0, 9, p, pad=pad, boxes=boxes)
-            alone = [
-                free_flow_lp_norms([product], 1.0, 9, p, pad=pad, boxes=boxes)[0]
-                for product in products
-            ]
+            sweep = free_flow_lp_norms(products, 1.0, 9, p, boxes)
+            alone = [free_flow_lp_norms([product], 1.0, 9, p, boxes)[0] for product in products]
             assert [v.hex() for v in sweep.tolist()] == [v.hex() for v in alone]
 
     def test_each_distinct_factor_and_size_transformed_once_per_node(self, monkeypatch):
-        # sizes 6, 16, 16, 6 and 4 on 32 padded points: f enters at 6, 16
-        # and 4, g at 6 and 16, h at 16
+        # sizes 6, 16, 16, 6 and 4: f enters at 6, 16 and 4, g at 6 and 16,
+        # h at 16
         grid = make_grid(2, 16, 2 * np.pi)
         boxes = [((-1, 1),) * 2, ((0, 3),) * 2, ((-6, 6),) * 2]
         f, g, h = (boxed_noise(grid, box, j) for j, box in enumerate(boxes))
         calls = record_sizes(monkeypatch)
         products = [[f, g], [f, h], [g, h], [f, g], [f]]
-        free_flow_lp_norms(products, 1.0, 9, 2.0, pad=2, boxes=dict(zip((f, g, h), boxes)))
+        free_flow_lp_norms(products, 1.0, 9, 2.0, dict(zip((f, g, h), boxes)))
         per_node = calls[: len(calls) // 9]
         assert [size for size, _ in per_node] == [6, 6, 16, 16, 16, 4]
         assert calls == per_node * 9
 
-    def test_size_rule_falls_back_to_the_padded_grid(self, monkeypatch):
+    def test_size_rule_follows_p_and_the_boxes(self, monkeypatch):
+        # an even p with every factor boxed: the smallest even 5-smooth M
+        # >= W, also beyond n; any other product: the n-point grid.  A
+        # boxed factor keeps its box's modes on either
         grid = make_grid(3, 16, 2 * np.pi)
         small, wide = ((-1, 1),) * 3, ((-7, 7),) * 3
         f, g = boxed_noise(grid, small, 1), boxed_noise(grid, wide, 2)
@@ -362,18 +343,25 @@ class TestBoxedProducts:
         boxes = {f: small, g: wide}
         calls = record_sizes(monkeypatch)
 
-        def sizes(products, p, pad):
+        def sizes(products, p):
             calls.clear()
-            free_flow_lp_norms(products, 1.0, 2, p, pad=pad, boxes=boxes)
+            free_flow_lp_norms(products, 1.0, 2, p, boxes)
             return [size for size, _ in calls[: len(calls) // 2]]
 
-        assert sizes([[f, g]], 2.0, 2) == [18, 18]  # W = 2 + 14 + 1 = 17
-        assert sizes([[f, g]], 2.0, 1) == [16, 16]  # W = 17 > 16 points
-        assert sizes([[g, g]], 4.0, 2) == [32]  # W = 2 * 28 + 1 = 57 > 32
-        assert sizes([[f, g]], 3.0, 2) == [32, 32]  # odd p
-        assert sizes([[f]], 2.5, 2) == [32]  # non-integer p / 2
-        assert sizes([[f, bare]], 2.0, 2) == [32, 32]  # a factor without a box
-        assert sizes([[f, f]], 4.0, 1) == [10]  # W = 2 * 4 + 1 = 9
+        assert sizes([[f, g]], 2.0) == [18, 18]  # W = 2 + 14 + 1 = 17 > 16
+        assert sizes([[g, g]], 4.0) == [60]  # W = 2 * 28 + 1 = 57
+        assert sizes([[f, g]], 3.0) == [16, 16]  # odd p
+        assert sizes([[f]], 2.5) == [16]  # non-integer p / 2
+        assert sizes([[f, bare]], 2.0) == [16, 16]  # a factor without a box
+        full = tuple((np.fft.fftfreq(16) * 16).astype(int).tolist())
+        assert [modes for _, modes in calls[:2]] == [(tuple(range(-1, 2)),) * 3, (full,) * 3]
+        assert sizes([[f, f]], 4.0) == [10]  # W = 2 * 4 + 1 = 9
+        # the product of W = 57 > n on 60 points against the oracle on 64
+        value = free_flow_lp_norms([[g, g]], 1.0, 3, 4.0, boxes)[0]
+        path = step_path((0.0,), (g,))
+        assert value == pytest.approx(
+            scanned_piece_norm([path, path], 1.0, 3, 4.0, pad=4), rel=1e-13, abs=0.0
+        )
 
     @pytest.mark.parametrize(
         "box",

@@ -115,6 +115,13 @@ def _positive_float(raw: str) -> float:
     return value
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     raw = cfg.get("sweep", {}).get("scales")
     if raw is None:
@@ -283,13 +290,13 @@ def _problem_from_config(cfg, xcfg):
 
     grid = xcfg.grid()
     data = _get(cfg, "problem", "data", str, "gaussian")
-    amplitude = _get(cfg, "problem", "amplitude", float, 0.2)
+    amplitude = _get(cfg, "problem", "amplitude", _finite_float, 0.2)
     if data == "gaussian":
         coords = grid.coords()
         r_sq = sum(x**2 for x in coords)
         u0 = Field(grid, amplitude * np.exp(-r_sq / 2.0).astype(complex))
     elif data == "mollified":
-        n_radius = _get(cfg, "problem", "n_radius", float, 2.0)
+        n_radius = _get(cfg, "problem", "n_radius", _positive_float, 2.0)
         u0, _ = mollified_indicator(n_radius, grid)
         u0 = amplitude * u0 if amplitude != 1.0 else u0
     elif data == "random":
@@ -342,8 +349,8 @@ def _run_largedata(cfg, xcfg, out_dir):
     from modlab.solver import CertificateViolation, large_data_protocol
 
     problem = _problem_from_config(cfg, xcfg)
-    c0 = _get(cfg, "problem", "c0", float, 0.1)
-    c1 = _get(cfg, "problem", "c1", float, 0.1)
+    c0 = _get(cfg, "problem", "c0", _positive_float, 0.1)
+    c1 = _get(cfg, "problem", "c1", _positive_float, 0.1)
     s = _get(cfg, "problem", "s", float, 1.1)
     try:
         path, report = large_data_protocol(

@@ -603,6 +603,8 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     """
     if config.d not in (1, 2):
         raise ValueError("decoupling harness supports d in {1, 2}")
+    if not 2 <= config.p < math.inf:
+        raise ValueError(f"decoupling needs 2 <= p < inf, got p = {config.p}")
     lhs, rhs = [], []
     caps_seen = []
     for R in config.scales:
@@ -624,7 +626,8 @@ def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
     """(||Ef||_{L^p(B_R)}, sum over caps of ||Ef_cap||_{L^p(B_R)}^2).
 
     Caps are the disjoint cubes of the given width partitioning [-1, 1]^d;
-    sorting the mesh by cap makes each cap a contiguous slice of it.
+    sorting the mesh by cap makes each cap a contiguous run of it, cut at
+    ``bounds``.
     """
     mesh = config.mesh if config.mesh > 0 else int(math.ceil(2.6 * R))
     points, weight = unit_ball_mesh(config.d, mesh)
@@ -632,9 +635,8 @@ def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
     order = np.lexsort(caps.T[::-1])
     points = points[order]
     bounds = [*np.unique(caps[order], axis=0, return_index=True)[1], len(points)]
-    slices = [(0, len(points)), *zip(bounds[:-1], bounds[1:])]
     profile = _decoupling_profile(config.profile, points, width)
     norms = extension_ball_norms(
-        profile, points, weight, R, config.p, config.samples_per_unit, slices
+        profile, points, weight, R, config.p, config.samples_per_unit, bounds
     )
     return float(norms[0]), sum(float(v) ** 2 for v in norms[1:])

@@ -19,10 +19,12 @@ kernel.
   and the factor is transformed once per grid size, however many products
   share it.  The phase, the twist and the multiply act on the kept modes
   only, and ``grid.inverse_pruned`` does the embedding.
-- The paraboloid extension operator is measured only by its ball norms:
-  midpoint quadrature over a frequency mesh of the unit ball, time-blocked
-  GEMMs of about nmesh * m * |ball shadow| multiply-adds, restricted to
-  d <= 2 since that cost grows like mesh^(2d+1).
+- The paraboloid extension operator is measured only by its ball norms,
+  of Ef and of each cap's piece: midpoint quadrature over a frequency mesh
+  of the unit ball.  Blocks of shadow points of similar |x| take one GEMM
+  per cap over the times their ball mask keeps, and Ef is the sum of the
+  cap blocks, so the work is about nmesh * |ball| multiply-adds; it is
+  restricted to d <= 2 since that cost grows like mesh^(2d+1).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
     "mass",
 ]
 
-_CHUNK_ROWS = 256  # spatial points of the ball's shadow in one block of GEMMs
+_CHUNK_ROWS = 64  # shadow points of similar |x| in one block of cap GEMMs
 
 
 def _flow_phase(freq_sq: np.ndarray, t: float) -> np.ndarray:
@@ -271,37 +273,80 @@ def extension_ball_norms(
     radius: float,
     p: float,
     samples_per_unit: float,
-    slices: Sequence[tuple[int, int]],
+    cuts: Sequence[int],
 ) -> np.ndarray:
-    """L^p norms over B_{d+1}(0, radius) of E(f 1_S), one per mesh slice S.
+    """L^p norms over B_{d+1}(0, radius) of Ef and of each cap's E(f 1_S).
 
-    Slice (a, b) keeps the frequency mesh points a..b-1, so a mesh sorted by
-    cap gives every cap's extension from one pass.  Only the ball mask
-    depends on t: C[xi, t] = f(xi) exp(i t |xi|^2) is built once, the shadow
-    |x| <= radius is walked in blocks of ``_CHUNK_ROWS`` points, whose plane
-    waves are products of per-axis tables exp(i x_a xi_a), and each slice
-    takes one GEMM with C for all m times, keeping the samples in the ball.
+    The mesh is sorted by cap and cap j keeps the points cuts[j]..cuts[j+1]-1,
+    with 0 = cuts[0] < ... < cuts[-1] = len(points); the result holds the
+    whole mesh's norm first, then one per cap.  C[xi, t] = f(xi) exp(i t|xi|^2)
+    is built once.  The ball's shadow |x| <= radius is sorted by |x| and
+    walked in blocks of ``_CHUNK_ROWS`` points, whose plane waves are
+    products of per-axis tables exp(i x_a xi_a).  Each block multiplies only
+    the contiguous run of time columns that its rows' ball mask keeps: one
+    GEMM per cap, and Ef is the sum of the cap blocks, so no GEMM spans the
+    whole mesh.  The power sums weigh |.|^p by the block's float ball mask,
+    so they cover exactly the samples in the ball.
     """
     d = points.shape[1]
     m = int(math.ceil(2.0 * radius * samples_per_unit))
     step = 2.0 * radius / m
     axis = -radius + step * (np.arange(m) + 0.5)
-    tables = [np.exp(1j * np.outer(axis, points[:, a])) for a in range(d)]
+    tables = [_expi(axis, points[:, a]) for a in range(d)]
     index = np.indices((m,) * d).reshape(d, -1)
     r_sq = reduce(np.add, [axis[i] ** 2 for i in index])
-    shadow = np.flatnonzero(r_sq <= radius**2)
-    quad_sq = np.sum(points**2, axis=1)
-    coeff = profile[:, None] * np.exp(1j * np.outer(quad_sq, axis))
-    sums = np.zeros(len(slices))
-    for start in range(0, shadow.size, _CHUNK_ROWS):
-        rows = shadow[start : start + _CHUNK_ROWS]
+    coeff = _expi(np.sum(points**2, axis=1), axis)
+    coeff *= profile[:, None]
+    caps = list(zip(cuts[:-1], cuts[1:]))
+    sums = np.zeros(1 + len(caps))
+    for rows, lo, hi, mask in _ball_blocks(axis, r_sq, radius):
         waves = tables[0][index[0][rows]]
         for table, i in zip(tables[1:], index[1:]):
             waves *= table[i[rows]]
-        inside = axis**2 + r_sq[rows, None] <= radius**2
-        for k, (a, b) in enumerate(slices):
-            sums[k] += np.sum(np.abs(waves[:, a:b] @ coeff[a:b])[inside] ** p)
+        ef = np.zeros((rows.size, hi - lo), complex)
+        for k, (a, b) in enumerate(caps, 1):
+            block = waves[:, a:b] @ coeff[a:b, lo:hi]
+            ef += block
+            sums[k] += _power_sum(block, p, mask)
+        sums[0] += _power_sum(ef, p, mask)
     return (weight**p * step ** (d + 1) * sums) ** (1.0 / p)
+
+
+def _expi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # exp(i a_j b_k), the outer product written into the imaginary part and
+    # exponentiated in place
+    out = np.zeros((a.size, b.size), complex)
+    np.multiply.outer(a, b, out=out.imag)
+    return np.exp(out, out=out)
+
+
+def _ball_blocks(axis: np.ndarray, r_sq: np.ndarray, radius: float):
+    """(rows, lo, hi, mask) per block of at most ``_CHUNK_ROWS`` shadow points
+    sorted by |x|^2: the times lo..hi-1 are the columns the rows' ball mask
+    t^2 + |x|^2 <= radius^2 keeps, found by index, and ``mask`` is that mask
+    on them as floats.
+
+    No window is empty: every shadow point keeps the times nearest 0.  With
+    m odd the midpoint axis holds t = 0; with m even |x|^2 and radius^2 are
+    (step/2)^2 times sums of d <= 2 odd squares and m^2, which differ by 2
+    or more, so |x|^2 <= radius^2 leaves room for t^2 = (step/2)^2.
+    """
+    shadow = np.flatnonzero(r_sq <= radius**2)
+    shadow = shadow[np.argsort(r_sq[shadow], kind="stable")]
+    for start in range(0, shadow.size, _CHUNK_ROWS):
+        rows = shadow[start : start + _CHUNK_ROWS]
+        inside = axis**2 + r_sq[rows, None] <= radius**2
+        kept = np.flatnonzero(inside.any(axis=0))
+        lo, hi = kept[0], kept[-1] + 1
+        yield rows, lo, hi, inside[:, lo:hi].astype(float)
+
+
+def _power_sum(z: np.ndarray, p: float, mask: np.ndarray) -> float:
+    # sum of |z|^p over the samples the float mask keeps, as one dot product;
+    # einsum, not BLAS ddot, whose threads split the sum, so the bits would
+    # depend on OPENBLAS_NUM_THREADS
+    mags = np.abs(z)
+    return float(np.einsum("ij,ij->", np.power(mags, p, out=mags), mask))
 
 
 # ---------------------------------------------------------------------------

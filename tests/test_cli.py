@@ -1,6 +1,7 @@
 import configparser
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,19 +458,58 @@ class TestFailurePaths:
         "key, value",
         [("kappa", "inf"), ("kappa", "nan"), ("kappa", "abc"), ("horizon", "nan"),
          ("horizon", "inf"), ("tolerance", "inf"), ("tolerance", "nan"),
-         ("tolerance", "-1"), ("tolerance", "0")],
+         ("tolerance", "-1"), ("tolerance", "0"), ("amplitude", "inf"),
+         ("amplitude", "nan"), ("c0", "nan"), ("c0", "-1"), ("c0", "0"), ("c1", "inf"),
+         ("c1", "nan"), ("c1", "-1"), ("n_radius", "nan"), ("n_radius", "-2")],
     )
     def test_bad_problem_value_names_its_key(self, tmp_path, capsys, key, value):
         # |u|^inf is 0 for data below 1, so an infinite kappa would otherwise
-        # pass, and so would any run under an infinite tolerance
-        text = (CONFIGS / "solve_quintic.cfg").read_text()
-        text = text.replace("horizon = 0.1\n", "").replace("tolerance = 1e-5\n", "")
+        # pass, and so would any run under an infinite tolerance, or a
+        # large-data run whose c1 = inf let the protocol take the whole
+        # horizon; an infinite amplitude read as non-finite samples after a
+        # numpy warning, a NaN or negative c0 as a missing dyadic cutoff, a
+        # NaN n_radius ended in a ZeroDivisionError traceback, and -2 ran as 2
+        base = "largedata_d3.cfg" if key in ("c0", "c1", "n_radius") else "solve_quintic.cfg"
+        lines = (CONFIGS / base).read_text().splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(f"{key} ="))
         cfg = write(tmp_path, text.replace("[problem]\n", f"[problem]\n{key} = {value}\n"))
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err and "already exists" not in err
         assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
+        assert not out.exists()
+
+    def test_negative_amplitude_is_legal(self):
+        from modlab.cli import _experiment_config, _parse_config, _problem_from_config
+
+        cfg = _parse_config(CONFIGS / "solve_quintic.cfg")
+        cfg["problem"]["amplitude"] = "-0.2"
+        problem = _problem_from_config(cfg, _experiment_config(cfg, None))
+        cfg["problem"]["amplitude"] = "0.2"
+        positive = _problem_from_config(cfg, _experiment_config(cfg, None))
+        assert np.array_equal(problem.u0.values, -positive.u0.values)
+
+    @pytest.mark.parametrize("p", ["inf", "nan", "1.5", "-6"])
+    def test_bad_decoupling_p_names_its_key(self, tmp_path, capsys, monkeypatch, p):
+        # p = inf read lhs 1.0 at every scale and passed with an overflow
+        # warning, and p < 2 was caught by sdec only after every cell ran:
+        # the check comes before the first cell
+        from modlab import estimates
+
+        def no_cell(*args):
+            raise AssertionError("a decoupling cell ran")
+
+        monkeypatch.setattr(estimates, "_decoupling_cell", no_cell)
+        text = (CONFIGS / "decoupling_d1_p6.cfg").read_text()
+        cfg = write(tmp_path, text.replace("p = 6\n", f"p = {p}\n"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:") and "p = " in line]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -480,7 +480,7 @@ class TestDecoupling:
 
     @pytest.mark.parametrize("profile", ["constant", "bump"])
     def test_d2_cell_matches_direct_quadrature(self, monkeypatch, profile):
-        # every slice the cell hands to the ball quadrature (the full mesh,
+        # every norm the cell gets from the ball quadrature (the full mesh,
         # then one per cap) against direct extension sums on the masked ball
         calls = []
         ball_norms = est.extension_ball_norms
@@ -492,19 +492,37 @@ class TestDecoupling:
         monkeypatch.setattr(est, "extension_ball_norms", spy)
         cfg = ExperimentConfig(d=2, scales=(4.0,), p=4.0, mesh=12, profile=profile)
         value, cap_sq = est._decoupling_cell(cfg, 4.0, 0.5)
-        ((profile_, pts, w, R, p, spu, slices), norms) = calls[0]
-        # slice 0 is the whole mesh, then one slice per cap of width 0.5
-        assert len(slices) == 1 + 16 and slices[0] == (0, len(pts))
-        cuts = [a for a, _ in slices[1:]] + [len(pts)]
-        assert cuts[0] == 0 and slices[1:] == list(zip(cuts[:-1], cuts[1:]))
+        ((profile_, pts, w, R, p, spu, cuts), norms) = calls[0]
+        # 16 caps of width 0.5 cut the cap-sorted mesh into contiguous runs
+        assert len(cuts) == 1 + 16 and cuts[0] == 0 and cuts[-1] == len(pts)
+        assert np.all(np.diff(cuts) > 0) and len(norms) == len(cuts)
         caps = np.floor((pts + 1.0) / 0.5)
-        assert all((caps[a:b] == caps[a]).all() for a, b in slices[1:])
-        assert len({tuple(caps[a]) for a, _ in slices[1:]}) == 16
-        for (a, b), norm in zip(slices, norms):
+        runs = list(zip(cuts[:-1], cuts[1:]))
+        assert all((caps[a:b] == caps[a]).all() for a, b in runs)
+        assert len({tuple(caps[a]) for a, _ in runs}) == 16
+        for (a, b), norm in zip([(0, len(pts)), *runs], norms):
             direct = direct_ball_norm(profile_[a:b], pts[a:b], w, R, p, spu)
             assert norm == pytest.approx(direct, rel=1e-12)
         assert value == norms[0]
         assert cap_sq == pytest.approx(np.sum(norms[1:] ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("R", [16.0, 64.0])
+    def test_single_cap_whole_mesh_is_its_cap_bit_for_bit(self, monkeypatch, R):
+        # Ef is the sum of the cap blocks, and every cap but the first holds
+        # an exact zero profile, so the whole mesh's norm is that cap's
+        calls = []
+        ball_norms = est.extension_ball_norms
+
+        def spy(*args):
+            calls.append(ball_norms(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(est, "extension_ball_norms", spy)
+        cfg = ExperimentConfig(d=1, scales=(R,), p=6.0, profile="single_cap")
+        est._decoupling_cell(cfg, R, R**-0.5)
+        [norms] = calls
+        assert norms[1] > 0 and np.all(norms[2:] == 0.0)
+        assert norms[0] == norms[1]
 
     def test_d1_p6_constant_profile(self):
         cfg = ExperimentConfig(

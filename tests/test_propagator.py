@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -515,7 +520,7 @@ class TestExtension:
         R, spu = 4.0, 2.0
         pts, w = unit_ball_mesh(1, 48)
         profile = np.ones(len(pts))
-        [norm] = extension_ball_norms(profile, pts, w, R, 4.0, spu, [(0, len(pts))])
+        norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, spu, [0, len(pts)])
         m = int(np.ceil(2 * R * spu))
         step = 2 * R / m
         axis = -R + step * (np.arange(m) + 0.5)
@@ -529,7 +534,7 @@ class TestExtension:
         # must pair every mesh point with its own coordinates
         pts, w = unit_ball_mesh(2, 12)
         profile = np.cos(2.0 * pts[:, 0]) + 0.5j * pts[:, 1] + 0.3
-        [norm] = extension_ball_norms(profile, pts, w, R, 4.0, spu, [(0, len(pts))])
+        norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, spu, [0, len(pts)])
         assert norm == pytest.approx(
             direct_ball_norm(profile, pts, w, R, 4.0, spu), rel=1e-12
         )
@@ -538,8 +543,8 @@ class TestExtension:
     @pytest.mark.parametrize("d, mesh, R, spu", [(1, 48, 6.0, 2.0), (2, 12, 4.0, 1.5)])
     def test_ball_norms_in_blocks_match_direct(self, monkeypatch, d, mesh, R, spu, budget):
         # the row budget splits the ball's shadow into single points, or into
-        # blocks whose last one is partial; every slice (the whole mesh, then
-        # three caps) must match the per-row oracle on f 1_S.  The profile is
+        # blocks whose last one is partial; the whole mesh and each of three
+        # caps must match the per-row oracle on f 1_S.  The profile is
         # complex and has no symmetry, so t -> -t changes every norm.
         from modlab import propagator
 
@@ -553,17 +558,69 @@ class TestExtension:
         assert shadow > 2 * rows  # three blocks or more, the last one short
         monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
         n = len(pts)
-        slices = [(0, n), (0, n // 5), (n // 5, n // 2), (n // 2, n)]
-        norms = propagator.extension_ball_norms(profile, pts, w, R, 3.0, spu, slices)
-        for (a, b), norm in zip(slices, norms):
+        cuts = [0, n // 5, n // 2, n]
+        norms = propagator.extension_ball_norms(profile, pts, w, R, 3.0, spu, cuts)
+        assert len(norms) == len(cuts)
+        for (a, b), norm in zip([(0, n), *zip(cuts[:-1], cuts[1:])], norms):
             piece = np.where((np.arange(n) >= a) & (np.arange(n) < b), profile, 0.0)
             direct = direct_ball_norm(piece, pts, w, R, 3.0, spu)
             assert norm == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("d, R, spu", [(1, 40.0, 2.0), (2, 12.0, 1.5)])
+    def test_block_windows_keep_exactly_the_ball(self, monkeypatch, d, R, spu, rows):
+        # each block's time window and float mask hold exactly the samples
+        # t^2 + |x|^2 <= R^2 of its rows, so the blocks together keep the
+        # full mask's count, while the windows cover less than the box; every
+        # shadow point is walked once and keeps at least one time
+        from modlab import propagator
+
+        monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
+        m = int(np.ceil(2 * R * spu))
+        axis = -R + 2 * R / m * (np.arange(m) + 0.5)
+        r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij")).ravel()
+        full = axis**2 + r_sq[:, None] <= R**2
+        kept, area, walked = 0, 0, []
+        for idx, lo, hi, mask in propagator._ball_blocks(axis, r_sq, R):
+            assert 1 <= idx.size <= rows
+            assert not full[idx, :lo].any() and not full[idx, hi:].any()
+            assert mask.dtype == float and np.array_equal(mask, full[idx, lo:hi])
+            assert mask.any(axis=1).all()
+            kept += int(mask.sum())
+            area += mask.size
+            walked.extend(idx.tolist())
+        assert kept == np.count_nonzero(full)
+        assert sorted(walked) == np.flatnonzero(r_sq <= R**2).tolist()
+        assert area < np.count_nonzero(r_sq <= R**2) * m
+
+    def test_masked_power_sum_keeps_its_bits_at_any_blas_thread_count(self):
+        # BLAS ddot splits a long sum over its threads; the masked power sum
+        # must not, so OPENBLAS_NUM_THREADS cannot move its last bit
+        code = (
+            "import numpy as np\n"
+            "from modlab import propagator\n"
+            "rng = np.random.default_rng(5)\n"
+            "for w in (300, 1000):\n"
+            "    z = rng.standard_normal((64, w)) + 1j * rng.standard_normal((64, w))\n"
+            "    mask = (rng.random((64, w)) < 0.9).astype(float)\n"
+            "    print(repr(propagator._power_sum(z, 6.0, mask)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout)
+        assert len(outs) == 1
+
     def test_ball_norm_d2_runs(self):
         pts, w = unit_ball_mesh(2, 12)
         profile = np.ones(len(pts))
-        [value] = extension_ball_norms(profile, pts, w, 4.0, 2.0, 1.0, [(0, len(pts))])
+        value, _ = extension_ball_norms(profile, pts, w, 4.0, 2.0, 1.0, [0, len(pts)])
         assert value > 0
 
 

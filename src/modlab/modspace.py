@@ -6,7 +6,8 @@ product of a 1-d bump, which makes the normalization separable per axis and
 the square partition identity exact to round-off on every representable
 frequency.  Consequently the (s=0, p=2, q=2) modulation norm coincides with
 the L^2 norm up to round-off, not just up to a constant.  Pieces are computed
-axis by axis, as the windows are separable, and skipped under an energy floor.
+axis by axis, as the windows are separable, and skipped under an energy floor;
+each piece's |.|^p is ``grid.abs_power``'s, which squares at the usual p = 4.
 
 A ``cube`` parameter scales the side length of the decomposition cubes.  Unit
 cubes are the default; small desk-scale grids use larger cubes so that each
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, forward
+from modlab.grid import Field, Grid, abs_power, forward
 
 __all__ = [
     "ModNormSpec",
@@ -200,7 +201,8 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
     p = 2 contracts |F|^2 axis by axis (Parseval); other p walk the prefix
     tree of the shifts, each level one profile multiply and one batched 1-d
     inverse FFT along its axis, splitting shifts past ``_CHUNK_POINTS``, and
-    reduce each leaf block in one float buffer (abs, scale, power, row sum).
+    reduce each leaf block in one float buffer (``grid.abs_power``, then the
+    row sum).
     The budget is L2-sized, so those passes read a block of a few MiB, not
     the whole tree; no intermediate holds more than max(``_CHUNK_POINTS``,
     ``grid.size``) samples, and every budget gives the same bits, as the
@@ -219,11 +221,10 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
     def descend(stack: np.ndarray, a: int) -> np.ndarray:
         # norms of every piece below the prefixes in ``stack`` (axes < a done)
         if a == g.d:
-            phys = np.abs(stack.reshape(len(stack), -1))
-            phys *= g.inverse_scale
-            if np.isinf(p):
-                return phys.max(axis=1)
-            np.power(phys, p, out=phys)
+            block = stack.reshape(len(stack), -1)
+            if np.isinf(p):  # a positive scale commutes with max, bit for bit
+                return np.abs(block).max(axis=1) * g.inverse_scale
+            phys = abs_power(block, p, g.inverse_scale)
             return (g.cell * np.sum(phys, axis=1)) ** (1.0 / p)
         # a stack of several prefixes came from a budget-sized group, so its
         # shifts fit in one group here too: groups split only single prefixes

@@ -25,6 +25,8 @@ kernel.
   per cap over the times their ball mask keeps, and Ef is the sum of the
   cap blocks, so the work is about nmesh * |ball| multiply-adds; it is
   restricted to d <= 2 since that cost grows like mesh^(2d+1).
+- Both kernels sum |.|^p through ``grid.abs_power``, which squares at even
+  p, the p of every product and decoupling estimate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from modlab.grid import (
-    Field, Grid, Trajectory, forward, fourier_multiply, inverse, inverse_pruned, trapezoid
+    Field, Grid, Trajectory, abs_power, forward, fourier_multiply, inverse, inverse_pruned,
+    trapezoid,
 )
 
 __all__ = [
@@ -170,8 +173,8 @@ def free_flow_lp_norms(
                     times, F = spectra[j]
                     piece = F[np.searchsorted(times, t, "right") - 1]
                     flows[j, size] = inverse_pruned(grids[size], phases[kept] * piece, kept)
-            phys = np.abs(reduce(np.multiply, [flows[j, size] for j in row]))
-            powers[k, i] = grids[size].cell * np.sum(np.power(phys, p, out=phys))
+            product = reduce(np.multiply, [flows[j, size] for j in row])
+            powers[k, i] = grids[size].cell * np.sum(abs_power(product, p))
             for j in row:
                 if last_use[j, size] == k:
                     flows.pop((j, size), None)
@@ -343,10 +346,11 @@ def _ball_blocks(axis: np.ndarray, r_sq: np.ndarray, radius: float):
 
 def _power_sum(z: np.ndarray, p: float, mask: np.ndarray) -> float:
     # sum of |z|^p over the samples the float mask keeps, as one dot product;
-    # einsum, not BLAS ddot, whose threads split the sum, so the bits would
-    # depend on OPENBLAS_NUM_THREADS
-    mags = np.abs(z)
-    return float(np.einsum("ij,ij->", np.power(mags, p, out=mags), mask))
+    # einsum, not BLAS ddot, whose threads would split the sum.  That keeps
+    # the sum's bits independent of OPENBLAS_NUM_THREADS, but not z's: the
+    # cap GEMMs give the same bits at 1 and 2 threads only while a cap holds
+    # fewer than about 222 mesh points
+    return float(np.einsum("ij,ij->", abs_power(z, p), mask))
 
 
 # ---------------------------------------------------------------------------

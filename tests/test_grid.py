@@ -9,6 +9,7 @@ from modlab.grid import (
     Grid,
     SpectralField,
     Trajectory,
+    abs_power,
     fourier_multiply,
     inverse,
     inverse_pruned,
@@ -255,6 +256,36 @@ class TestLpNorm:
             assert lp_norm(f + h, p) <= lp_norm(f, p) + lp_norm(h, p) + 1e-12
 
 
+class TestAbsPower:
+    # magnitudes over 2^-40..2^40, well inside the float range at p = 14
+    z = complex_noise(make_grid(1, 4096, 1.0), 0).values * np.exp2(
+        np.linspace(-40.0, 40.0, 4096)
+    )
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 5.0, 1.5, 2.5])
+    def test_np_power_bits_for_p_2_odd_and_non_integer(self, p, scale):
+        expect = np.power(np.abs(self.z) * scale, p)
+        assert np.array_equal(abs_power(self.z, p, scale), expect)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7])
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0, 10.0, 14.0])
+    def test_even_p_within_p_ulps(self, p, scale):
+        # k = p/2 of 2 and 4 squares in place, 3, 5 and 7 keep a second array
+        expect = np.power(np.abs(self.z) * scale, p)
+        ulps = np.abs(abs_power(self.z, p, scale) - expect) / np.spacing(expect)
+        assert ulps.max() <= p
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
+    def test_new_float_array_input_untouched(self, p):
+        z = self.z.copy()
+        z.flags.writeable = False
+        out = abs_power(z, p, 3.7)
+        assert np.array_equal(z, self.z)
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert not np.shares_memory(out, z)
+
+
 class TestSpacetime:
     def test_constant_trajectory(self):
         g = make_grid(1, 64, 8.0)
@@ -375,8 +406,10 @@ class TestTrajectory:
         path = self.make(grid, m=200)
         norms = path.lp_norms(p)
         for j, (_, f) in enumerate(path):
-            a = np.abs(f.values)
-            expect = a.max() if np.isinf(p) else (grid.cell * np.sum(a**p)) ** (1.0 / p)
+            if np.isinf(p):
+                expect = np.abs(f.values).max()
+            else:
+                expect = (grid.cell * np.sum(abs_power(f.values, p))) ** (1.0 / p)
             assert norms[j] == expect == lp_norm(f, p)
 
     def test_fourier_multiply_is_nodewise(self, grid3d):

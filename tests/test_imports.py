@@ -3,9 +3,9 @@
 module's private (underscore) name, and neither do the test oracles; every
 public name imported from a modlab module is in that module's ``__all__``;
 a run reaches every ``__all__`` name and every public method; every default
-of a public function is both set and left to itself by a run; and only
+of a public function is both set and left to itself by a run; only
 ``grid`` and the package's re-exports touch the frozen ``SpectralField``
-view."""
+view; and ``np.power`` appears only in ``grid.abs_power``."""
 
 import ast
 from pathlib import Path
@@ -91,6 +91,29 @@ def test_spectrum_view_stays_in_grid(path):
     # inside the package, spectra are plain arrays from grid.forward/inverse
     view = [name for _, name in _modlab_imports(path) if name in ("SpectralField", "to_spectrum")]
     assert not view, f"{path.name} imports {view}; use grid.forward/inverse"
+
+
+def test_power_sums_go_through_abs_power():
+    # every |z|^p array of a norm kernel is grid.abs_power's, where even p
+    # squares; a kernel spelling np.power itself would miss that
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Attribute)
+                and node.attr == "power"
+                and getattr(node.value, "id", None) == "np"
+            ):
+                continue
+            scope = parent[node]
+            while not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                scope = parent[scope]
+            where = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+            if where != "grid.abs_power":
+                calls.append(f"{where} (line {node.lineno})")
+    assert not calls, f"np.power outside grid.abs_power: {calls}"
 
 
 def _references(path: Path, module: str | None = None) -> set:

@@ -282,17 +282,18 @@ class TestPieceKernel:
     @pytest.mark.parametrize(
         "p,bits,pieces",
         [
-            (4.0, "0x1.8197d9cc5d9f8p+5", "69bca4015598252b"),
+            (4.0, "0x1.8197d9cc5d9f8p+5", "967fb675176f0694"),
             (3.0, "0x1.905754471badcp+6", "2a95fe0e26669ba7"),
             (np.inf, "0x1.31bd0dfa8807dp+3", "4ee6d3c01ba72bd3"),
         ],
     )
     def test_pinned_bits(self, grid3d, p, bits, pieces):
         # M^1.1_{p,2} of seeded noise on 16^3 and a digest of its piece norms
-        # over the whole lattice, recorded before the leaf was reduced in
-        # place; the bits are those of numpy 2.4's pocketfft.  The digest
-        # catches a 1-ulp leaf change, such as |z|^4 as square(square(|z|)),
-        # that the aggregated norm rounds away.
+        # over the whole lattice; the bits are those of numpy 2.4's pocketfft.
+        # The digest catches a 1-ulp leaf change that the aggregated norm
+        # rounds away: |z|^4 as square(square(|z|)) rather than
+        # np.power(|z|, 4) moved the p = 4 digest (from 69bca4015598252b) and
+        # left the norm's bits.
         f, w = complex_noise(grid3d, 0), make_window(grid3d)
         assert modulation_norm(f, ModNormSpec(1.1, p, 2.0), w).hex() == bits
         norms = _piece_lp_norms(forward(grid3d, f.values), lattice(w), w, p)

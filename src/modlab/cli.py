@@ -429,7 +429,7 @@ EXPERIMENTS = {
 }
 
 
-def run(config_path: str, out: str, seed: int | None = None) -> int:
+def run(config_path: str, out: str, seed: int | None) -> int:
     out_dir = Path(out)
     try:
         cfg = _parse_config(Path(config_path))

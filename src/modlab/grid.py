@@ -291,8 +291,7 @@ def inverse_pruned(
         shape[axis] = grid.n
         embedded = np.zeros(shape, dtype=out.dtype)
         embedded[(..., slots[axis], *[slice(None)] * (-axis - 1))] = out
-        del out  # released before the transform allocates its result
-        out = np.fft.ifft(embedded, axis=axis)
+        out = np.fft.ifft(embedded, axis=axis, out=embedded)
     out *= grid.inverse_scale
     return out
 

@@ -235,14 +235,20 @@ def duhamel_path(forcing: Trajectory) -> Trajectory:
     rule in one sweep, acc_j = S(dt) acc_{j-1} + (S(dt) F_{j-1} + F_j) dt/2
     with S(dt) the free flow over dt = t_j - t_{j-1}; agrees with the
     per-node trapezoid sum to round-off.  The sweep runs node by node, so it never
-    holds a stack of per-node multipliers.
+    holds a stack of per-node multipliers: S(dt) is built once per distinct
+    dt (uniform nodes repeat a few), and each node's pair (F_{j-1},
+    acc_{j-1}) fills one buffer.
     """
     grid, times, F = forcing.grid, forcing.times, forcing.values
     acc = np.zeros_like(F)
+    pair = np.empty((2, *F.shape[1:]), dtype=acc.dtype)
+    flows: dict[float, np.ndarray] = {}
     for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
-        pair = np.stack([F[j - 1], acc[j - 1]])
-        evolved = inverse(grid, free_multiplier(grid, dt) * forward(grid, pair))
+        if dt not in flows:
+            flows[dt] = free_multiplier(grid, dt)
+        pair[0], pair[1] = F[j - 1], acc[j - 1]
+        evolved = inverse(grid, flows[dt] * forward(grid, pair))
         step = (evolved[0] + F[j]) * (0.5 * dt)
         acc[j] = evolved[1] + step
     return Trajectory(grid, times, acc)

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from modlab.grid import (
-    Field, Grid, Trajectory, forward, fourier_multiply, inverse, lp_norm, spacetime_lp_norm
+    Field, Grid, Trajectory, abs_power, forward, fourier_multiply, inverse, lp_norm,
+    spacetime_lp_norm,
 )
 from modlab.modspace import ModNormSpec, Window, low_pass, make_window, modulation_norm
 from modlab.propagator import duhamel_path, free_multiplier, mass
@@ -259,9 +260,20 @@ def splitstep_solve(
 ) -> Trajectory:
     """Strang splitting: half nonlinear phase, full linear step, half phase.
 
+    The phase N_tau(v) = v exp(-i sign tau |v|^kappa) leaves |v| unchanged,
+    so the closing half phase of one step and the opening half phase of the
+    next are one phase over dt.  The scheme runs in that merged form: it
+    opens with N_{dt/2}, then each step takes the linear step and N_dt, and
+    the last step closes with N_{dt/2} instead.  A step that ends on a
+    stored node takes N_{dt/2} of its state once, for the record, and goes
+    on from the unsynchronised state, so the run is the same whatever is
+    stored.  |u|^kappa comes from ``grid.abs_power`` of the |u| the guard
+    has just measured.
+
     Each substep is either unitary or a pointwise phase rotation, so the mass
-    is conserved to round-off.  Raises ``BlowUp`` when the sup norm exceeds
-    ``guard_factor`` times its initial value or is not finite.
+    is conserved to round-off.  Raises ``BlowUp`` when the sup norm after a
+    linear step exceeds ``guard_factor`` times its initial value or is not
+    finite; the phase leaves it unchanged.
 
     The linear step writes the free-flow phase exp(-i dt |xi|^2) out on
     purpose instead of calling ``propagator._flow_phase``: this solver is
@@ -284,30 +296,43 @@ def splitstep_solve(
     u = problem.u0.values
     w2 = grid.freq_sq()
     linear = np.exp(-1j * dt * w2)
-    guard = guard_factor * max(float(np.max(np.abs(u))), 1e-300)
+    modulus = np.abs(u)
+    guard = guard_factor * max(float(modulus.max()), 1e-300)
     times, values = [0.0], [u]
     next_node = 1
 
-    def phase_halfstep(v):
-        return v * np.exp(-1j * problem.sign * 0.5 * dt * np.abs(v) ** problem.kappa)
+    def phase(v, power, tau):
+        # N_tau(v) from power = |v|^kappa
+        z = power * (-1j * problem.sign * tau)
+        np.exp(z, out=z)
+        z *= v
+        return z
 
-    fft, ifft = np.fft.fftn, np.fft.ifftn
+    # the same transforms; on a line the n-d wrappers add about 2.5 us a
+    # call, a tenth of a 256-point step
+    fft, ifft = (np.fft.fft, np.fft.ifft) if grid.d == 1 else (np.fft.fftn, np.fft.ifftn)
+    u = phase(u, abs_power(modulus, problem.kappa), 0.5 * dt)
     for step in range(n_steps):
-        u = phase_halfstep(u)
         u = ifft(linear * fft(u))
-        u = phase_halfstep(u)
         t = (step + 1) * dt
-        sup = float(np.max(np.abs(u)))
+        modulus = np.abs(u)
+        sup = float(modulus.max())
         if not sup <= guard:  # a NaN sup fails every comparison
             raise BlowUp(t, sup, guard_factor)
-        if store == "nodes":
-            while next_node < len(nodes) and nodes[next_node] <= t + 1e-12:
-                times.append(nodes[next_node])
-                values.append(u)
-                next_node += 1
+        power = abs_power(modulus, problem.kappa)
+        last = step == n_steps - 1
+        stored = store == "nodes" and next_node < len(nodes) and nodes[next_node] <= t + 1e-12
+        if last or stored:
+            synced = phase(u, power, 0.5 * dt)
+        if not last:
+            u = phase(u, power, dt)
+        while stored and next_node < len(nodes) and nodes[next_node] <= t + 1e-12:
+            times.append(nodes[next_node])
+            values.append(synced)
+            next_node += 1
     if store == "final":
         times.append(problem.horizon)
-        values.append(u)
+        values.append(synced)
     return Trajectory(grid, np.array(times), np.stack(values))
 
 

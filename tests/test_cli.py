@@ -100,7 +100,7 @@ class TestRun:
     def test_smoothing_run_outputs(self, tmp_path):
         cfg = write(tmp_path, SMOOTHING_CFG)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         csv = (out / "smoothing.csv").read_text().strip().splitlines()
         assert csv[0] == "experiment,scale,lhs,rhs,ratio"
         assert len(csv) == 4  # header + 3 scales
@@ -121,35 +121,35 @@ class TestRun:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write(tmp_path, SMOOTHING_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(str(cfg), str(out1)) == EXIT_PASS
-        assert run(str(cfg), str(out2)) == EXIT_PASS
+        assert run(str(cfg), str(out1), seed=None) == EXIT_PASS
+        assert run(str(cfg), str(out2), seed=None) == EXIT_PASS
         assert (out1 / "smoothing.json").read_bytes() == (out2 / "smoothing.json").read_bytes()
         assert (out1 / "smoothing.csv").read_bytes() == (out2 / "smoothing.csv").read_bytes()
 
     def test_malformed_config_no_partial_output(self, tmp_path):
         cfg = write(tmp_path, "not an ini file [ [ [")
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_CONFIG
+        assert run(str(cfg), str(out), seed=None) == EXIT_CONFIG
         assert not out.exists()
 
     def test_missing_kind_rejected(self, tmp_path):
         cfg = write(tmp_path, "[experiment]\nseed = 1\n")
-        assert run(str(cfg), str(tmp_path / "out")) == EXIT_CONFIG
+        assert run(str(cfg), str(tmp_path / "out"), seed=None) == EXIT_CONFIG
 
     def test_unknown_experiment(self, tmp_path):
         cfg = write(tmp_path, "[experiment]\nkind = frobnicate\n")
-        assert run(str(cfg), str(tmp_path / "out")) == EXIT_UNKNOWN
+        assert run(str(cfg), str(tmp_path / "out"), seed=None) == EXIT_UNKNOWN
 
     def test_invalid_scales(self, tmp_path):
         bad = SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 3 5 7")
         cfg = write(tmp_path, bad)
-        assert run(str(cfg), str(tmp_path / "out")) == EXIT_SCALES
+        assert run(str(cfg), str(tmp_path / "out"), seed=None) == EXIT_SCALES
 
     def test_threads_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODLAB_THREADS", "abc")
         cfg = write(tmp_path, SMOOTHING_CFG)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         assert (out / "smoothing.csv").is_file()
         summary = json.loads((out / "smoothing.json").read_text())
         assert summary["config"]["threads"] is None
@@ -157,21 +157,21 @@ class TestRun:
     def test_out_of_band_scales(self, tmp_path):
         bad = SMOOTHING_CFG.replace("scales = 2 4 8", "scales = 2 4 64")
         cfg = write(tmp_path, bad)
-        assert run(str(cfg), str(tmp_path / "out")) == EXIT_SCALES
+        assert run(str(cfg), str(tmp_path / "out"), seed=None) == EXIT_SCALES
 
 
 class TestExperiments:
     def test_norms(self, tmp_path):
         cfg = write(tmp_path, NORMS_CFG)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         summary = json.loads((out / "norms.json").read_text())
         assert summary["max_rel_deviation"] <= 1e-10
 
     def test_variation(self, tmp_path):
         cfg = write(tmp_path, VARIATION_CFG)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         summary = json.loads((out / "variation.json").read_text())
         assert summary["dp_matches_bruteforce"]
         assert summary["duality_inequality"]
@@ -185,7 +185,7 @@ class TestExperiments:
     def test_variation_bad_p_is_a_config_error(self, tmp_path, capsys, p):
         cfg = write(tmp_path, VARIATION_CFG.replace("p = 2", f"p = {p}"))
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_CONFIG
+        assert run(str(cfg), str(out), seed=None) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
@@ -212,7 +212,7 @@ tolerance = 1e-5
 """,
         )
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         summary = json.loads((out / "solve.json").read_text())
         assert summary["cross_validation"]["agrees"]
         assert summary["sum_space_smallness"]["bound"] > 0
@@ -220,7 +220,7 @@ tolerance = 1e-5
     def test_largedata(self, tmp_path):
         cfg = write(tmp_path, LARGEDATA_CFG)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         summary = json.loads((out / "largedata.json").read_text())
         assert summary["report"]["certificate"]["holds"]
 
@@ -243,7 +243,7 @@ family = mollified
 """,
         )
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         f = load_field(out / "field_mollified_2.bin")
         assert f.grid.n == 512
         summary = json.loads((out / "datagen.json").read_text())
@@ -257,7 +257,7 @@ class TestResolvedConfig:
 
         cfg = write(tmp_path, "[experiment]\nkind = norms\n\n[sweep]\ntrials = 2\n")
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         resolved = json.loads((out / "norms.json").read_text())["config"]["resolved"]
         assert resolved == ExperimentConfig().to_dict()
 
@@ -285,7 +285,7 @@ class TestResolvedConfig:
         # no experiment reads [sweep] sweep, so the config does not set it
         text += "trials = 2\nsweep = high\n"
         out = tmp_path / "out"
-        assert run(str(write(tmp_path, text)), str(out)) == EXIT_PASS
+        assert run(str(write(tmp_path, text)), str(out), seed=None) == EXIT_PASS
         resolved = json.loads((out / "norms.json").read_text())["config"]["resolved"]
         fields = {k: v for values in sections.values() for k, v in values.items()}
         assert resolved == replace(ExperimentConfig(), **fields).to_dict()
@@ -304,7 +304,7 @@ class TestResolvedConfig:
         monkeypatch.setattr(variation, "vp_norm", recording)
         text = "[experiment]\nkind = variation\n[grid]\nn = 8\nlength = 1.0\n"
         out = tmp_path / "out"
-        run(str(write(tmp_path, text + "[sweep]\ntrials = 3\n")), str(out))
+        run(str(write(tmp_path, text + "[sweep]\ntrials = 3\n")), str(out), seed=None)
         resolved = json.loads((out / "variation.json").read_text())["config"]["resolved"]
         assert seen[0] == resolved["p"]
 
@@ -312,7 +312,7 @@ class TestResolvedConfig:
         text = (CONFIGS / "datagen_mollified.cfg").read_text()
         cfg = write(tmp_path, text.replace("length = 64.0", "length = inf"))
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_CONFIG
+        assert run(str(cfg), str(out), seed=None) == EXIT_CONFIG
         assert "period length" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
@@ -340,7 +340,7 @@ time_nodes = 33
 """,
         )
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         assert (out / "strichartz.json").exists()
 
     def test_bilinear(self, tmp_path):
@@ -366,7 +366,7 @@ min_separation = 1
 """,
         )
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         rows = (out / "bilinear.csv").read_text().strip().splitlines()
         assert len(rows) == 7  # header + two 3-point sweeps
         summary = json.loads((out / "bilinear.json").read_text())
@@ -396,7 +396,7 @@ atoms = 2
 """,
         )
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
 
     def test_decoupling(self, tmp_path):
         cfg = write(
@@ -417,7 +417,7 @@ margin = 0.2
 """,
         )
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_PASS
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
 
 
 class TestFailurePaths:
@@ -426,7 +426,7 @@ class TestFailurePaths:
         bad = SMOOTHING_CFG.replace("margin = 0.15", "margin = -10")
         cfg = write(tmp_path, bad)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_FAIL
+        assert run(str(cfg), str(out), seed=None) == EXIT_FAIL
         summary = json.loads((out / "smoothing.json").read_text())
         assert summary["pass"] is False
 
@@ -436,7 +436,7 @@ class TestFailurePaths:
         cfg = write(tmp_path, SMOOTHING_CFG)
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
-        assert run(str(cfg), str(blocker / "out")) == EXIT_IO
+        assert run(str(cfg), str(blocker / "out"), seed=None) == EXIT_IO
 
     def test_certificate_violation_is_reported(self, tmp_path, capsys):
         # a horizon far past the smallness bound: the iterates leave the ball
@@ -641,7 +641,7 @@ class TestConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "fuzz.cfg"
             cfg.write_text(text, encoding="utf-8")
-            code = run(str(cfg), str(Path(tmp) / "out"))
+            code = run(str(cfg), str(Path(tmp) / "out"), seed=None)
         assert isinstance(code, int) and 0 <= code <= 5
 
 
@@ -668,7 +668,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(est, SWEEP_FUNCTIONS[kind], broken)
         cfg = write(tmp_path, SMOOTHING_CFG.replace("kind = smoothing", f"kind = {kind}"))
-        assert run(str(cfg), str(tmp_path / "out")) == EXIT_CONFIG
+        assert run(str(cfg), str(tmp_path / "out"), seed=None) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: rescale failed\n"
 
     @pytest.mark.parametrize(
@@ -714,7 +714,7 @@ family = random_phase
     def test_run_time_scale_errors_exit_scales(self, tmp_path, text):
         cfg = write(tmp_path, text)
         out = tmp_path / "out"
-        assert run(str(cfg), str(out)) == EXIT_SCALES
+        assert run(str(cfg), str(out), seed=None) == EXIT_SCALES
         assert not out.exists()
 
 

@@ -5,7 +5,8 @@ public name imported from a modlab module is in that module's ``__all__``;
 a run reaches every ``__all__`` name and every public method; every default
 of a public function is both set and left to itself by a run; only
 ``grid`` and the package's re-exports touch the frozen ``SpectralField``
-view; and ``np.power`` appears only in ``grid.abs_power``."""
+view; ``np.power`` appears only in ``grid.abs_power``; and the split-step
+oracle reaches none of the Picard path's flows or transforms."""
 
 import ast
 from pathlib import Path
@@ -114,6 +115,24 @@ def test_power_sums_go_through_abs_power():
             if where != "grid.abs_power":
                 calls.append(f"{where} (line {node.lineno})")
     assert not calls, f"np.power outside grid.abs_power: {calls}"
+
+
+def test_splitstep_oracle_shares_no_flow_with_picard():
+    # cross_validate holds the Picard run to the split-step solver; a free
+    # flow or transform they shared would move both alike, so the split step
+    # spells its own phase and calls numpy's FFT directly
+    shared = {
+        "_flow_phase", "free_multiplier", "free_evolve", "duhamel_path",
+        "forward", "inverse", "inverse_pruned", "fourier_multiply",
+    }
+    tree = ast.parse((SRC / "solver.py").read_text())
+    (split,) = [n for n in tree.body if getattr(n, "name", None) == "splitstep_solve"]
+    used = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(split)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert not used & shared, f"splitstep_solve uses {sorted(used & shared)}"
 
 
 def _references(path: Path, module: str | None = None) -> set:

@@ -466,11 +466,17 @@ class TestDuhamel:
     @pytest.mark.parametrize(
         "grid", [make_grid(1, 256, 64 * np.pi), make_grid(3, 16, 8 * np.pi)], ids=["d1", "d3"]
     )
-    def test_path_is_the_free_evolve_recurrence(self, grid):
+    @pytest.mark.parametrize("nodes", ["random", "linspace"])
+    def test_path_is_the_free_evolve_recurrence(self, grid, nodes):
         # exact, not to round-off: the summation order of the sweep is what
-        # the solver's recorded contraction factors depend on
-        rng = np.random.default_rng(5)
-        ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, 8))])
+        # the solver's recorded contraction factors depend on; uniform nodes
+        # repeat a few dt values, whose flows the sweep builds once
+        if nodes == "random":
+            rng = np.random.default_rng(5)
+            ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, 8))])
+        else:
+            ts = np.linspace(0.0, 0.3, 17)
+            assert len(set(np.diff(ts))) < len(ts) - 1
         fields = [complex_noise(grid, 40 + j) for j in range(len(ts))]
         path = duhamel_path(Trajectory(grid, ts, np.stack([f.values for f in fields])))
         acc = Field(grid, np.zeros(grid.shape, complex))

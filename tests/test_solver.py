@@ -19,6 +19,7 @@ from modlab.solver import (
     sum_space_smallness,
 )
 from tests.conftest import bandlimited, complex_noise, gaussian_field
+from tests.oracles import strang
 
 
 def small_quintic(amplitude=0.2, nodes=65):
@@ -186,6 +187,44 @@ class TestSplitStep:
             splitstep_solve(prob, dt=dt, guard_factor=factor)
         assert info.value.t == dt
         assert np.isnan(info.value.sup) == (state == "nan")
+
+
+def twisted_gaussian(d, sign, kappa, time_nodes=17):
+    # a moving Gaussian, so both the phase and the linear step act
+    g = make_grid(1, 128, 16 * np.pi) if d == 1 else make_grid(3, 16, 8 * np.pi)
+    r_sq = sum(c**2 for c in g.coords())
+    u0 = Field(g, 0.8 * np.exp(-r_sq / 2 + 1j * sum(g.coords())))
+    return NLSProblem(u0=u0, horizon=0.1, time_nodes=time_nodes, kappa=kappa, sign=sign)
+
+
+class TestMergedPhases:
+    # the run merges the closing half phase of each step with the opening
+    # one of the next; the textbook form takes both
+    @pytest.mark.parametrize("kappa", [4.0, 2.0, 3.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_textbook_strang(self, d, sign, kappa):
+        prob = twisted_gaussian(d, sign, kappa)
+        dt = prob.horizon / 256
+        path, ref = splitstep_solve(prob, dt), strang(prob, dt)
+        assert np.array_equal(path.times, ref.times) and len(path) == prob.time_nodes
+        for (_, a), (_, b) in zip(path, ref):
+            assert lp_norm(a - b, 2) <= 1e-13 * lp_norm(b, 2)
+        final = splitstep_solve(prob, dt, store="final")
+        assert np.array_equal(final.values[-1], path.values[-1])
+
+    @pytest.mark.parametrize(
+        "time_nodes, steps", [(129, 64), (17, 100)], ids=["two per step", "between steps"]
+    )
+    def test_nodes_off_the_step_grid(self, time_nodes, steps):
+        # several nodes on one step, and nodes between steps, taken at the
+        # first step past them
+        prob = twisted_gaussian(1, -1, 4.0, time_nodes)
+        dt = prob.horizon / steps
+        path, ref = splitstep_solve(prob, dt), strang(prob, dt)
+        assert np.array_equal(path.times, ref.times)
+        for (_, a), (_, b) in zip(path, ref):
+            assert lp_norm(a - b, 2) <= 1e-13 * lp_norm(b, 2)
 
 
 class TestCrossValidate:

@@ -64,6 +64,8 @@ class NLSProblem:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not isinstance(self.time_nodes, (int, np.integer)) or self.time_nodes < 2:
+            raise ValueError(f"time_nodes must be an integer >= 2, got {self.time_nodes!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         if self.kappa is None:
@@ -255,7 +257,6 @@ class BlowUp(RuntimeError):
 def splitstep_solve(
     problem: NLSProblem,
     dt: float,
-    store: str = "nodes",
     guard_factor: float = 1e6,
 ) -> Trajectory:
     """Strang splitting: half nonlinear phase, full linear step, half phase.
@@ -264,11 +265,17 @@ def splitstep_solve(
     so the closing half phase of one step and the opening half phase of the
     next are one phase over dt.  The scheme runs in that merged form: it
     opens with N_{dt/2}, then each step takes the linear step and N_dt, and
-    the last step closes with N_{dt/2} instead.  A step that ends on a
-    stored node takes N_{dt/2} of its state once, for the record, and goes
-    on from the unsynchronised state, so the run is the same whatever is
-    stored.  |u|^kappa comes from ``grid.abs_power`` of the |u| the guard
-    has just measured.
+    the last step closes with N_{dt/2} instead.  |u|^kappa comes from
+    ``grid.abs_power`` of the |u| the guard has just measured.
+
+    The state is recorded at the problem's time nodes, found by step count:
+    the ``time_nodes - 1`` node intervals must split the steps into equal
+    strides, else ``ValueError``.  The last step of each stride takes
+    N_{dt/2} of its state once, for the record, and the run goes on from
+    the unsynchronised state, so the run is the same whatever is recorded;
+    the horizon is always the last record.  The times are
+    ``np.linspace(0, horizon, time_nodes)``, the floats ``picard_solve``
+    uses.
 
     Each substep is either unitary or a pointwise phase rotation, so the mass
     is conserved to round-off.  Raises ``BlowUp`` when the sup norm after a
@@ -280,26 +287,22 @@ def splitstep_solve(
     the independent oracle that ``cross_validate`` holds the Picard solver
     to, and a sign error in a shared phase would move both solvers alike and
     pass that check.
-
-    ``store``: "nodes" records the state at the problem's time nodes,
-    "final" only at the horizon.
     """
-    if store not in ("nodes", "final"):
-        raise ValueError(f"store must be 'nodes' or 'final', got {store!r}")
     if dt > problem.horizon / 64:
         raise ValueError(f"dt={dt} too coarse; need dt <= horizon/64")
     grid = problem.grid
     n_steps = int(round(problem.horizon / dt))
     if abs(n_steps * dt - problem.horizon) > 1e-9 * problem.horizon:
         raise ValueError("dt must divide the horizon")
-    nodes = np.linspace(0.0, problem.horizon, problem.time_nodes)
+    stride, rest = divmod(n_steps, problem.time_nodes - 1)
+    if rest:
+        raise ValueError(f"time_nodes - 1 = {problem.time_nodes - 1} does not divide {n_steps} steps")
     u = problem.u0.values
     w2 = grid.freq_sq()
     linear = np.exp(-1j * dt * w2)
     modulus = np.abs(u)
     guard = guard_factor * max(float(modulus.max()), 1e-300)
-    times, values = [0.0], [u]
-    next_node = 1
+    values = [u]
 
     def phase(v, power, tau):
         # N_tau(v) from power = |v|^kappa
@@ -312,28 +315,19 @@ def splitstep_solve(
     # call, a tenth of a 256-point step
     fft, ifft = (np.fft.fft, np.fft.ifft) if grid.d == 1 else (np.fft.fftn, np.fft.ifftn)
     u = phase(u, abs_power(modulus, problem.kappa), 0.5 * dt)
-    for step in range(n_steps):
+    for step in range(1, n_steps + 1):
         u = ifft(linear * fft(u))
-        t = (step + 1) * dt
         modulus = np.abs(u)
         sup = float(modulus.max())
         if not sup <= guard:  # a NaN sup fails every comparison
-            raise BlowUp(t, sup, guard_factor)
+            raise BlowUp(step * dt, sup, guard_factor)
         power = abs_power(modulus, problem.kappa)
-        last = step == n_steps - 1
-        stored = store == "nodes" and next_node < len(nodes) and nodes[next_node] <= t + 1e-12
-        if last or stored:
-            synced = phase(u, power, 0.5 * dt)
-        if not last:
+        if step % stride == 0:
+            values.append(phase(u, power, 0.5 * dt))
+        if step < n_steps:
             u = phase(u, power, dt)
-        while stored and next_node < len(nodes) and nodes[next_node] <= t + 1e-12:
-            times.append(nodes[next_node])
-            values.append(synced)
-            next_node += 1
-    if store == "final":
-        times.append(problem.horizon)
-        values.append(synced)
-    return Trajectory(grid, np.array(times), np.stack(values))
+    times = np.linspace(0.0, problem.horizon, problem.time_nodes)
+    return Trajectory(grid, times, np.stack(values))
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +490,28 @@ def cross_validate(problem: NLSProblem, tol: float) -> dict:
     The two solvers discretize the same spatial spectral system with
     independent second-order time integrators, so their distance bounds the
     time-integration error of either.  Disagreement beyond ``tol`` is
-    reported with both convergence histories.
+    reported with both convergence histories.  The coarse Picard run takes
+    half the node intervals and needs 16 nodes, so ``time_nodes`` must be
+    at least 31.
     """
+    coarse_nodes = (problem.time_nodes - 1) // 2 + 1
+    if coarse_nodes < 16:
+        raise ValueError(f"cross-validation needs time_nodes >= 31, got {problem.time_nodes}")
     dt = problem.horizon / max(1024, 16 * (problem.time_nodes - 1))
     path, report = picard_solve(problem, tol=_CROSS_VALIDATION_PICARD_TOL)
-    ss = splitstep_solve(problem, dt, store="final")
+    horizon_only = replace(problem, time_nodes=2)
     u_picard = path[-1][1]
-    u_split = ss[-1][1]
+    u_split = splitstep_solve(horizon_only, dt)[-1][1]
     denom = max(lp_norm(u_split, 2), 1e-300)
     distance = lp_norm(u_picard - u_split, 2) / denom
 
     # convergence orders: halve both resolutions once
-    coarse_nodes = (problem.time_nodes - 1) // 2 + 1
-    coarse_problem = replace(
-        problem, time_nodes=coarse_nodes if coarse_nodes >= 16 else problem.time_nodes
+    coarse_path, _ = picard_solve(
+        replace(problem, time_nodes=coarse_nodes), tol=_CROSS_VALIDATION_PICARD_TOL
     )
-    coarse_path, _ = picard_solve(coarse_problem, tol=_CROSS_VALIDATION_PICARD_TOL)
     picard_step_err = lp_norm(coarse_path[-1][1] - u_picard, 2) / denom
-    ss_coarse = splitstep_solve(problem, 2 * dt, store="final")
-    split_step_err = lp_norm(ss_coarse[-1][1] - u_split, 2) / denom
+    u_split_coarse = splitstep_solve(horizon_only, 2 * dt)[-1][1]
+    split_step_err = lp_norm(u_split_coarse - u_split, 2) / denom
     return {
         "distance": distance,
         "tolerance": tol,

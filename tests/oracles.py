@@ -224,7 +224,8 @@ def strang(problem: NLSProblem, dt: float) -> Trajectory:
     """Strang splitting as the textbook writes it: per step, the phase
     v exp(-i sign dt/2 |v|^kappa), the linear step exp(-i dt |xi|^2) in
     Fourier space, and the half phase again; the state is recorded at the
-    problem's time nodes, each at the first step that reaches it."""
+    problem's time nodes, each at the first step that reaches it.  On nodes
+    that fall on steps this is the solver's rule by step count."""
     n_steps = int(round(problem.horizon / dt))
     nodes = np.linspace(0.0, problem.horizon, problem.time_nodes)
     linear = np.exp(-1j * dt * problem.grid.freq_sq())

@@ -556,6 +556,15 @@ class TestFailurePaths:
         assert summary["cross_validation"]["picard_report"]["diverged"] is True
         assert summary["cross_validation"]["agrees"] is False
 
+    def test_too_few_nodes_to_cross_validate_exits_2(self, tmp_path, capsys):
+        text = (CONFIGS / "solve_quintic.cfg").read_text()
+        cfg = write(tmp_path, text.replace("time_nodes = 129", "time_nodes = 17"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "time_nodes >= 31, got 17" in err
+        assert not out.exists()
+
     def test_empty_kappa_is_the_critical_power(self, tmp_path):
         from modlab.cli import _experiment_config, _parse_config, _problem_from_config
 
@@ -566,7 +575,7 @@ class TestFailurePaths:
     def test_split_step_blow_up_is_reported(self, tmp_path, capsys, monkeypatch):
         import modlab.solver as solver
 
-        def blows_up(problem, dt, store="nodes", guard_factor=1e6):
+        def blows_up(problem, dt, guard_factor=1e6):
             raise solver.BlowUp(0.05, float("nan"), guard_factor)
 
         monkeypatch.setattr(solver, "splitstep_solve", blows_up)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,11 @@ class TestPicard:
         with pytest.raises(ValueError, match="16 time nodes"):
             picard_solve(small_quintic(nodes=8))
 
+    @pytest.mark.parametrize("nodes", [0, 1, 2.5])
+    def test_time_nodes_must_be_an_integer_of_two_or_more(self, nodes):
+        with pytest.raises(ValueError, match="time_nodes"):
+            small_quintic(nodes=nodes)
+
 
 class TestSplitStep:
     def test_mass_conserved(self):
@@ -122,17 +129,17 @@ class TestSplitStep:
 
     def test_linear_limit_matches_free_evolution(self):
         prob = small_quintic(amplitude=1e-5)
-        out = splitstep_solve(prob, dt=prob.horizon / 128, store="final")[-1][1]
+        out = splitstep_solve(replace(prob, time_nodes=2), dt=prob.horizon / 128)[-1][1]
         free = free_evolve(prob.u0, prob.horizon)
         rel = lp_norm(out - free, 2) / lp_norm(free, 2)
         assert rel <= 1e-12
 
     def test_second_order_in_dt(self):
-        prob = small_quintic(amplitude=1.0)
-        ref = splitstep_solve(prob, dt=prob.horizon / 4096, store="final")[-1][1]
+        prob = small_quintic(amplitude=1.0, nodes=2)
+        ref = splitstep_solve(prob, dt=prob.horizon / 4096)[-1][1]
         e = []
         for steps in (128, 256):
-            out = splitstep_solve(prob, dt=prob.horizon / steps, store="final")[-1][1]
+            out = splitstep_solve(prob, dt=prob.horizon / steps)[-1][1]
             e.append(lp_norm(out - ref, 2))
         assert 3.5 <= e[0] / e[1] <= 4.5
 
@@ -155,12 +162,6 @@ class TestSplitStep:
         prob = small_quintic()
         with pytest.raises(ValueError, match="dt"):
             splitstep_solve(prob, dt=prob.horizon / 8)
-
-    def test_unknown_store_rejected(self):
-        # any other value used to return the t = 0 node alone
-        prob = small_quintic()
-        with pytest.raises(ValueError, match="store"):
-            splitstep_solve(prob, dt=prob.horizon / 256, store="all")
 
     def test_blowup_guard_trips(self):
         # focusing quintic above the small-data regime: the peak grows past
@@ -210,30 +211,61 @@ class TestMergedPhases:
         assert np.array_equal(path.times, ref.times) and len(path) == prob.time_nodes
         for (_, a), (_, b) in zip(path, ref):
             assert lp_norm(a - b, 2) <= 1e-13 * lp_norm(b, 2)
-        final = splitstep_solve(prob, dt, store="final")
+        final = splitstep_solve(replace(prob, time_nodes=2), dt)
+        assert len(final) == 2 and final.times[-1] == prob.horizon
         assert np.array_equal(final.values[-1], path.values[-1])
 
+    # the synchronised states are recorded at nodes found by step count: the
+    # node intervals split the steps into equal strides
     @pytest.mark.parametrize(
-        "time_nodes, steps", [(129, 64), (17, 100)], ids=["two per step", "between steps"]
+        "time_nodes, steps",
+        [(129, 64), (17, 100), (34, 1024)],
+        ids=["two per step", "between steps", "one node in 33 steps"],
     )
     def test_nodes_off_the_step_grid(self, time_nodes, steps):
-        # several nodes on one step, and nodes between steps, taken at the
-        # first step past them
+        # node 1 of 34, at H/33, falls between steps 31 and 32 of 1024
         prob = twisted_gaussian(1, -1, 4.0, time_nodes)
-        dt = prob.horizon / steps
-        path, ref = splitstep_solve(prob, dt), strang(prob, dt)
-        assert np.array_equal(path.times, ref.times)
-        for (_, a), (_, b) in zip(path, ref):
-            assert lp_norm(a - b, 2) <= 1e-13 * lp_norm(b, 2)
+        with pytest.raises(ValueError, match=f"{time_nodes - 1} does not divide {steps} steps"):
+            splitstep_solve(prob, prob.horizon / steps)
+
+    def test_horizon_kept_when_the_steps_fall_short_of_it(self):
+        # 64 steps pass the relative check that dt divides the horizon but
+        # end 5e-11 short of it
+        prob = twisted_gaussian(1, 1, 4.0, 17)
+        dt = prob.horizon / 64 * (1 - 5e-10)
+        path = splitstep_solve(prob, dt)
+        assert len(path) == 17
+        assert np.array_equal(path.times, np.linspace(0.0, prob.horizon, 17))
+        exact = splitstep_solve(prob, prob.horizon / 64)
+        assert lp_norm(path[-1][1] - exact[-1][1], 2) <= 1e-8 * lp_norm(exact[-1][1], 2)
+
+    @pytest.mark.parametrize("time_nodes", [17, 33, 65])
+    def test_times_are_picards(self, time_nodes):
+        prob = small_quintic(nodes=time_nodes)
+        picard, _ = picard_solve(prob, max_iters=1)
+        assert np.array_equal(splitstep_solve(prob, prob.horizon / 1024).times, picard.times)
 
 
 class TestCrossValidate:
     def test_zero_data_exact(self):
         g = make_grid(1, 64, 8 * np.pi)
-        prob = NLSProblem(u0=Field(g, np.zeros(g.shape, complex)), horizon=0.1, time_nodes=17)
+        prob = NLSProblem(u0=Field(g, np.zeros(g.shape, complex)), horizon=0.1, time_nodes=33)
         out = cross_validate(prob, tol=1e-5)
         assert out["distance"] == 0.0
         assert out["agrees"]
+
+    @pytest.mark.parametrize("nodes", [17, 30])
+    def test_too_few_nodes_to_halve_rejected(self, nodes, monkeypatch):
+        # the coarse Picard run would have fewer than 16 nodes; no run starts
+        import modlab.solver as solver
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(solver, "picard_solve", no_run)
+        monkeypatch.setattr(solver, "splitstep_solve", no_run)
+        with pytest.raises(ValueError, match=f"time_nodes >= 31, got {nodes}"):
+            cross_validate(small_quintic(nodes=nodes), tol=1e-5)
 
     def test_d1_quintic_agreement(self):
         out = cross_validate(small_quintic(nodes=129), tol=1e-5)

@@ -330,9 +330,8 @@ def _run_solve(cfg, xcfg, out_dir):
         # the split-step oracle stopped, so there is no solution to compare
         summary = _summary(tol, False, violation=str(exc), sum_space_smallness=smallness)
         return [], summary, False
+    passed = report["agrees"] and report["contracting"]
     factors = report["picard_report"]["contraction_factors"]
-    contracting = all(f < 0.5 for f in factors[1:]) if len(factors) > 1 else True
-    passed = report["agrees"] and contracting
     padded = itertools.zip_longest(report["picard_report"]["residuals"], factors, fillvalue=0.0)
     rows = [(j, r, tol, f) for j, (r, f) in enumerate(padded)]
     summary = _summary(
@@ -378,13 +377,8 @@ def _run_largedata(cfg, xcfg, out_dir):
 
 
 def _run_datagen(cfg, xcfg, out_dir):
-    from modlab.datagen import (
-        boundary_decay,
-        focusing_data,
-        mollified_indicator,
-        random_phase_data,
-        save_field,
-    )
+    from modlab.datagen import boundary_decay, mollified_indicator, save_field
+    from modlab.estimates import scale_family
 
     grid = xcfg.grid()
     window = xcfg.window()
@@ -394,14 +388,8 @@ def _run_datagen(cfg, xcfg, out_dir):
     for scale in xcfg.scales:
         if family == "mollified":
             f, rep = mollified_indicator(scale, grid, window=window)
-        elif family == "focusing":
-            f = focusing_data(scale, grid)
-            rep = {"n_radius": scale}
-        elif family == "random_phase":
-            f = random_phase_data(scale, xcfg.seed, grid)
-            rep = {"scale": scale}
         else:
-            raise ConfigError(f"unknown datagen family {family!r}")
+            f, rep = scale_family(xcfg, scale, grid), {"scale": scale}
         decay = boundary_decay(f)
         rep["boundary_decay"] = decay
         rep["boundary_flagged"] = bool(decay > 1e-10)

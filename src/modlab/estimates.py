@@ -59,6 +59,7 @@ __all__ = [
     "FitResult",
     "sdec",
     "fit_exponent",
+    "scale_family",
     "smoothing_ratio",
     "strichartz_l4_ratio",
     "bilinear_ratio",

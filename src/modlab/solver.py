@@ -96,10 +96,25 @@ class Certificate:
     total_norms: list = field(default_factory=list)
     tail_norms: list = field(default_factory=list)
 
+    def violation(self) -> str | None:
+        """The first recorded iterate outside the ball, named with its failed
+        inequality, or None.  A norm that is not <= its bound (NaN included)
+        is outside."""
+        for j, (total, tail) in enumerate(zip(self.total_norms, self.tail_norms)):
+            if not total <= 2.0 * self.A + 1e-12:
+                return (
+                    f"certificate violation at iterate {j}: "
+                    f"||u||_{{M^s_{{4,2}}}} = {total:.6g} > 2A = {2 * self.A:.6g}"
+                )
+            if not tail <= 2.0 * self.delta + 1e-12:
+                return (
+                    f"certificate violation at iterate {j}: "
+                    f"||P_>N u||_{{M^s_{{4,2}}}} = {tail:.6g} > 2 delta = {2 * self.delta:.6g}"
+                )
+        return None
+
     def holds(self) -> bool:
-        return all(x <= 2.0 * self.A + 1e-12 for x in self.total_norms) and all(
-            x <= 2.0 * self.delta + 1e-12 for x in self.tail_norms
-        )
+        return self.violation() is None
 
     def to_dict(self) -> dict:
         return {**asdict(self), "holds": self.holds()}
@@ -128,6 +143,10 @@ class SolverReport:
     mass_drift: float
     certificate: Certificate | None = None
 
+    def contracting(self) -> bool:
+        """No divergence, and every contraction factor below 1/2."""
+        return not self.diverged and all(f < 0.5 for f in self.contraction_factors)
+
     def to_dict(self) -> dict:
         out = asdict(self)
         del out["certificate"]
@@ -146,6 +165,11 @@ def nonlinearity(u: Field | Trajectory, kappa: float, sign: int) -> Field | Traj
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
+
+
+def _sup_m42(path: Trajectory, spec: ModNormSpec, window: Window) -> float:
+    """Sup over the nodes of ``path`` of the M^s_{4,2} norm in ``spec``."""
+    return max(modulation_norm(f, spec, window) for _, f in path)
 
 
 def picard_solve(
@@ -184,7 +208,7 @@ def picard_solve(
         spec = ModNormSpec(s, 4.0, 2.0)
         window = window if window is not None else make_window(grid)
         def path_norm(path):
-            return max(modulation_norm(f, spec, window) for _, f in path)
+            return _sup_m42(path, spec, window)
     ts = np.linspace(0.0, problem.horizon, problem.time_nodes)
     spectrum = forward(grid, problem.u0.values)  # one transform of u0 for every node
     nodes = [inverse(grid, free_multiplier(grid, float(t)) * spectrum) for t in ts[1:]]
@@ -268,12 +292,14 @@ def splitstep_solve(
     the last step closes with N_{dt/2} instead.  |u|^kappa comes from
     ``grid.abs_power`` of the |u| the guard has just measured.
 
-    The state is recorded at the problem's time nodes, found by step count:
-    the ``time_nodes - 1`` node intervals must split the steps into equal
-    strides, else ``ValueError``.  The last step of each stride takes
-    N_{dt/2} of its state once, for the record, and the run goes on from
-    the unsynchronised state, so the run is the same whatever is recorded;
-    the horizon is always the last record.  The times are
+    The run takes n = round(horizon / dt) steps of horizon / n, so it ends
+    on the horizon; ``dt`` must give n to 1e-9 relative, else
+    ``ValueError``.  The state is recorded at the problem's time nodes,
+    found by step count: the ``time_nodes - 1`` node intervals must split
+    the steps into equal strides, else ``ValueError``.  The last step of
+    each stride takes N_{dt/2} of its state once, for the record, and the
+    run goes on from the unsynchronised state, so the run is the same
+    whatever is recorded; the horizon is always the last record.  The times are
     ``np.linspace(0, horizon, time_nodes)``, the floats ``picard_solve``
     uses.
 
@@ -294,6 +320,7 @@ def splitstep_solve(
     n_steps = int(round(problem.horizon / dt))
     if abs(n_steps * dt - problem.horizon) > 1e-9 * problem.horizon:
         raise ValueError("dt must divide the horizon")
+    dt = problem.horizon / n_steps  # a dt within 1e-9 of it would end short of the horizon
     stride, rest = divmod(n_steps, problem.time_nodes - 1)
     if rest:
         raise ValueError(f"time_nodes - 1 = {problem.time_nodes - 1} does not divide {n_steps} steps")
@@ -335,11 +362,6 @@ def splitstep_solve(
 # ---------------------------------------------------------------------------
 
 
-def _tail_field(u: Field | Trajectory, cutoff: float) -> Field | Trajectory:
-    """High-pass part above the cutoff (complement of the smooth low-pass)."""
-    return fourier_multiply(u, 1.0 - low_pass(u.grid, cutoff))
-
-
 def large_data_protocol(
     problem: NLSProblem,
     window: Window,
@@ -352,11 +374,13 @@ def large_data_protocol(
     Chooses A = ||u0||_{M^s_{4,2}} in ``window``, the tail budget
     delta = c0 * A^{-(6-d)/(d-2)}, the smallest dyadic cutoff N with
     ||P_{>N} u0|| <= delta, and the horizon
-    T <= c1 * min(N^{-6/(d-2)}, N^{-2d/(d-2)}) * A^{-4/(d-2)}.  Runs the
-    Picard iteration on [0, T] (at most 25 iterates, residual tolerance
-    1e-9) and verifies the ball conditions ||u^(j)|| <= 2A and
-    ||P_{>N} u^(j)|| <= 2 delta at every iterate, raising
-    ``CertificateViolation`` with the failing inequality named.
+    T = c1 * N^{-2d/(d-2)} * A^{-4/(d-2)} (the problem's horizon if that is
+    shorter).  Since N >= 1, N^{-2d/(d-2)} <= N^{-6/(d-2)}, so this T is
+    the smaller of the two scalings.  Runs the Picard iteration on [0, T]
+    (at most 25 iterates, residual tolerance 1e-9) and verifies the ball
+    conditions ||u^(j)|| <= 2A and ||P_{>N} u^(j)|| <= 2 delta at every
+    iterate, raising ``CertificateViolation`` with the inequality
+    ``Certificate.violation`` names.
     """
     d = problem.d
     if d not in (3, 4):
@@ -370,39 +394,25 @@ def large_data_protocol(
 
     cutoff = 1.0
     while True:
-        tail = modulation_norm(_tail_field(problem.u0, cutoff), spec, window)
+        high_pass = 1.0 - low_pass(grid, cutoff)  # P_>N, the complement of the smooth low-pass
+        tail = modulation_norm(fourier_multiply(problem.u0, high_pass), spec, window)
         if tail <= delta or cutoff > grid.xi_max:
             break
         cutoff *= 2.0
     if cutoff > grid.xi_max:
         raise ValueError("no dyadic cutoff within the band meets the tail budget")
 
-    t_bound = c1 * min(
-        cutoff ** (-6.0 / (d - 2.0)), cutoff ** (-2.0 * d / (d - 2.0))
-    ) * A ** (-4.0 / (d - 2.0))
+    t_bound = c1 * cutoff ** (-2.0 * d / (d - 2.0)) * A ** (-4.0 / (d - 2.0))
     horizon = min(problem.horizon, t_bound)
     run = replace(problem, horizon=horizon)
     cert = Certificate(A=A, delta=delta, cutoff=cutoff, horizon=horizon, c0=c0, c1=c1)
 
     def verify_ball(j: int, trajectory: Trajectory) -> None:
-        total = max(modulation_norm(f, spec, window) for _, f in trajectory)
-        tail = max(
-            modulation_norm(f, spec, window) for _, f in _tail_field(trajectory, cutoff)
-        )
-        cert.total_norms.append(total)
-        cert.tail_norms.append(tail)
-        if total > 2.0 * A + 1e-12:
-            raise CertificateViolation(
-                f"certificate violation at iterate {j}: "
-                f"||u||_{{M^s_{{4,2}}}} = {total:.6g} > 2A = {2 * A:.6g}",
-                cert,
-            )
-        if tail > 2.0 * delta + 1e-12:
-            raise CertificateViolation(
-                f"certificate violation at iterate {j}: "
-                f"||P_>N u||_{{M^s_{{4,2}}}} = {tail:.6g} > 2 delta = {2 * delta:.6g}",
-                cert,
-            )
+        cert.total_norms.append(_sup_m42(trajectory, spec, window))
+        cert.tail_norms.append(_sup_m42(fourier_multiply(trajectory, high_pass), spec, window))
+        violation = cert.violation()
+        if violation is not None:
+            raise CertificateViolation(violation, cert)
 
     path, report = picard_solve(
         run,
@@ -458,11 +468,7 @@ def small_data_threshold(
     largest = None
     for amp in sorted(amplitudes):
         _, rep = picard_solve(make_problem(amp), max_iters=12)
-        contracting = (
-            rep.converged
-            and not rep.diverged
-            and all(f < 0.5 for f in rep.contraction_factors)
-        )
+        contracting = rep.converged and rep.contracting()
         rows.append(
             {
                 "amplitude": amp,
@@ -509,13 +515,15 @@ def cross_validate(problem: NLSProblem, tol: float) -> dict:
     coarse_path, _ = picard_solve(
         replace(problem, time_nodes=coarse_nodes), tol=_CROSS_VALIDATION_PICARD_TOL
     )
-    picard_step_err = lp_norm(coarse_path[-1][1] - u_picard, 2) / denom
+    # each solver's step error is relative to its own solution
+    picard_step_err = lp_norm(coarse_path[-1][1] - u_picard, 2) / max(lp_norm(u_picard, 2), 1e-300)
     u_split_coarse = splitstep_solve(horizon_only, 2 * dt)[-1][1]
     split_step_err = lp_norm(u_split_coarse - u_split, 2) / denom
     return {
         "distance": distance,
         "tolerance": tol,
         "agrees": bool(distance <= tol),
+        "contracting": report.contracting(),
         "dt": dt,
         "time_nodes": problem.time_nodes,
         "picard_coarse_vs_fine": picard_step_err,

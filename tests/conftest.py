@@ -21,6 +21,25 @@ def grid3d():
     return make_grid(3, 16, 8 * np.pi)
 
 
+@pytest.fixture
+def nan_tail_norm(monkeypatch):
+    """Every tail norm the large-data certificate measures on an iterate
+    reads NaN; the cutoff search on u0 and the total norms are untouched."""
+    import modlab.solver as solver
+    from modlab.grid import Trajectory
+
+    multiply, sup = solver.fourier_multiply, solver._sup_m42
+
+    def tail_marker(u, multiplier):
+        return "tail" if isinstance(u, Trajectory) else multiply(u, multiplier)
+
+    def nan_on_marker(path, spec, window):
+        return float("nan") if isinstance(path, str) else sup(path, spec, window)
+
+    monkeypatch.setattr(solver, "fourier_multiply", tail_marker)
+    monkeypatch.setattr(solver, "_sup_m42", nan_on_marker)
+
+
 def gaussian_field(grid, width=1.0, amplitude=1.0):
     r_sq = sum(x**2 for x in grid.coords())
     return Field(grid, amplitude * np.exp(-r_sq / (2.0 * width**2)).astype(complex))

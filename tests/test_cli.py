@@ -250,6 +250,41 @@ family = mollified
         assert len(summary["reports"]) == 2
         assert summary["reports"][0]["boundary_flagged"] is False
 
+    @pytest.mark.parametrize("family", ["focusing", "random_phase"])
+    def test_datagen_scale_families(self, tmp_path, family):
+        # every family but the mollified one is the sweeps' scale family,
+        # reported by its scale
+        from modlab.datagen import focusing_data, random_phase_data, save_field
+        from modlab.grid import make_grid
+
+        text = (CONFIGS / "datagen_mollified.cfg").read_text()
+        cfg = write(tmp_path, text.replace("family = mollified", f"family = {family}")
+                    .replace("2 4 8 16", "2 4"))
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), seed=None) == EXIT_PASS
+        summary = json.loads((out / "datagen.json").read_text())
+        assert [sorted(rep) for rep in summary["reports"]] == [
+            ["boundary_decay", "boundary_flagged", "scale"]
+        ] * 2
+        assert [rep["scale"] for rep in summary["reports"]] == [2.0, 4.0]
+        grid = make_grid(1, 512, 64.0)
+        for scale in (2.0, 4.0):
+            if family == "focusing":
+                f = focusing_data(scale, grid)
+            else:
+                f = random_phase_data(scale, 2, grid)
+            save_field(f, tmp_path / "direct.bin")
+            written = out / f"field_{family}_{scale:g}.bin"
+            assert written.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
+    def test_unknown_datagen_family_is_a_config_error(self, tmp_path, capsys):
+        text = (CONFIGS / "datagen_mollified.cfg").read_text()
+        cfg = write(tmp_path, text.replace("family = mollified", "family = comb"))
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), seed=None) == EXIT_CONFIG
+        assert "unknown data family 'comb'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestResolvedConfig:
     def test_defaults_are_those_of_experiment_config(self, tmp_path):
@@ -454,6 +489,17 @@ class TestFailurePaths:
         rows = (out / "largedata.csv").read_text().splitlines()
         assert len(rows) == 1 + len(cert["total_norms"])
 
+    def test_nan_tail_norm_is_reported_as_a_violation(self, tmp_path, capsys, nan_tail_norm):
+        # a NaN tail failed holds() but passed the hook: pass was false with
+        # no violation named
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "largedata_d3.cfg"), "--out", str(out)]) == EXIT_FAIL
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "largedata.json").read_text())
+        assert summary["pass"] is False
+        assert summary["violation"].startswith("certificate violation at iterate 0: ||P_>N u||")
+        assert summary["report"]["certificate"]["tail_norms"] == ["nan"]
+
     @pytest.mark.parametrize(
         "key, value",
         [("kappa", "inf"), ("kappa", "nan"), ("kappa", "abc"), ("horizon", "nan"),
@@ -556,6 +602,25 @@ class TestFailurePaths:
         assert summary["cross_validation"]["picard_report"]["diverged"] is True
         assert summary["cross_validation"]["agrees"] is False
 
+    @pytest.mark.parametrize("factors", [[0.6], [0.6, 1e-3]], ids=["only", "first"])
+    def test_a_factor_of_a_half_or_more_fails(self, tmp_path, monkeypatch, factors):
+        # the oracle agrees, but the Picard run does not contract; the only
+        # factor of a run, and its first, count like the others
+        import modlab.solver as solver
+
+        real = solver.picard_solve
+
+        def slow_start(*args, **kwargs):
+            path, report = real(*args, **kwargs)
+            report.contraction_factors = factors
+            return path, report
+
+        monkeypatch.setattr(solver, "picard_solve", slow_start)
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "solve_quintic.cfg"), "--out", str(out)]) == EXIT_FAIL
+        validation = json.loads((out / "solve.json").read_text())["cross_validation"]
+        assert validation["agrees"] is True and validation["contracting"] is False
+
     def test_too_few_nodes_to_cross_validate_exits_2(self, tmp_path, capsys):
         text = (CONFIGS / "solve_quintic.cfg").read_text()
         cfg = write(tmp_path, text.replace("time_nodes = 129", "time_nodes = 17"))
@@ -598,7 +663,7 @@ def _sections(text):
 
 
 # the configs a fuzzed config starts from: two shipped ones and a small
-# variation run, the one kind no shipped config covers
+# variation run
 _FUZZ_BASES = [
     (CONFIGS / "solve_quintic.cfg").read_text(),
     (CONFIGS / "datagen_mollified.cfg").read_text(),

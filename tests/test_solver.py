@@ -11,8 +11,10 @@ from modlab.datagen import mollified_indicator
 from modlab.propagator import free_evolve, mass
 from modlab.solver import (
     BlowUp,
+    Certificate,
     CertificateViolation,
     NLSProblem,
+    SolverReport,
     cross_validate,
     large_data_protocol,
     nonlinearity,
@@ -113,6 +115,21 @@ class TestPicard:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="16 time nodes"):
             picard_solve(small_quintic(nodes=8))
+
+    @pytest.mark.parametrize(
+        "factors, diverged, contracting",
+        [([], False, True), ([0.6], False, False), ([0.1, 0.49], False, True),
+         ([], True, False), ([0.1], True, False), ([0.1, 0.5], False, False)],
+        ids=["no factors", "one factor of 0.6", "all below", "diverged", "diverged, one factor",
+             "one at 1/2"],
+    )
+    def test_contracting(self, factors, diverged, contracting):
+        report = SolverReport(
+            iterations=len(factors) + 1, contraction_factors=factors, residuals=[],
+            final_residual=0.0, converged=not diverged, diverged=diverged,
+            iteration_norm="strichartz", mass_drift=0.0,
+        )
+        assert report.contracting() is contracting
 
     @pytest.mark.parametrize("nodes", [0, 1, 2.5])
     def test_time_nodes_must_be_an_integer_of_two_or_more(self, nodes):
@@ -229,15 +246,21 @@ class TestMergedPhases:
             splitstep_solve(prob, prob.horizon / steps)
 
     def test_horizon_kept_when_the_steps_fall_short_of_it(self):
-        # 64 steps pass the relative check that dt divides the horizon but
-        # end 5e-11 short of it
+        # a dt that gives 64 steps to within the 1e-9 check runs the steps
+        # of horizon / 64, not 64 steps that end 5e-11 short of the horizon
         prob = twisted_gaussian(1, 1, 4.0, 17)
         dt = prob.horizon / 64 * (1 - 5e-10)
         path = splitstep_solve(prob, dt)
         assert len(path) == 17
         assert np.array_equal(path.times, np.linspace(0.0, prob.horizon, 17))
-        exact = splitstep_solve(prob, prob.horizon / 64)
-        assert lp_norm(path[-1][1] - exact[-1][1], 2) <= 1e-8 * lp_norm(exact[-1][1], 2)
+        assert np.array_equal(path.values, splitstep_solve(prob, prob.horizon / 64).values)
+
+    def test_blow_up_time_is_on_the_step_grid(self):
+        # a guard below the initial peak trips on the first step, at H/256
+        prob = small_quintic()
+        with pytest.raises(BlowUp) as info:
+            splitstep_solve(prob, prob.horizon / 256 * (1 - 5e-10), guard_factor=0.5)
+        assert info.value.t == prob.horizon / 256
 
     @pytest.mark.parametrize("time_nodes", [17, 33, 65])
     def test_times_are_picards(self, time_nodes):
@@ -266,6 +289,25 @@ class TestCrossValidate:
         monkeypatch.setattr(solver, "splitstep_solve", no_run)
         with pytest.raises(ValueError, match=f"time_nodes >= 31, got {nodes}"):
             cross_validate(small_quintic(nodes=nodes), tol=1e-5)
+
+    def test_picard_step_error_is_relative_to_picards_own_solution(self, monkeypatch):
+        # a round-off change in the oracle moves the distance between the
+        # solvers but not Picard's own coarse-vs-fine error
+        import modlab.solver as solver
+
+        prob = small_quintic(nodes=33)
+        base = cross_validate(prob, tol=1e-5)
+        real = solver.splitstep_solve
+
+        def perturbed(problem, dt):
+            path = real(problem, dt)
+            return replace(path, values=path.values * (1 + 1e-15))
+
+        monkeypatch.setattr(solver, "splitstep_solve", perturbed)
+        moved = cross_validate(prob, tol=1e-5)
+        assert moved["picard_coarse_vs_fine"] == base["picard_coarse_vs_fine"]
+        assert moved["distance"] != base["distance"]
+        assert base["contracting"] is True
 
     def test_d1_quintic_agreement(self):
         out = cross_validate(small_quintic(nodes=129), tol=1e-5)
@@ -411,6 +453,8 @@ class TestLargeData:
         assert cert.cutoff >= 2.0
         assert cert.horizon < 1.0
         assert len(cert.total_norms) == report.iterations + 1
+        # T = c1 N^{-2d/(d-2)} A^{-4/(d-2)} at d = 3
+        assert cert.horizon == cert.c1 * cert.cutoff ** -6.0 * cert.A ** -4.0
 
     def test_adversarial_tail_still_certified(self):
         # extra rough mass beyond the cutoff: the measured tail grows, the
@@ -450,7 +494,57 @@ class TestLargeData:
         assert all(v <= 2.0 * cert.A for v in cert.total_norms[:-1])
         assert len(cert.tail_norms) == len(cert.total_norms)
 
+    def test_nan_tail_norm_is_a_violation(self, nan_tail_norm):
+        # NaN > 2 delta is False, so a hook that tests for a breach let a
+        # NaN tail through while holds() rejected it
+        prob = NLSProblem(u0=self.data, horizon=1.0, time_nodes=17)
+        with pytest.raises(CertificateViolation, match="iterate 0: .* = nan > 2 delta") as info:
+            large_data_protocol(prob, window=self.window, c0=0.4)
+        cert = info.value.certificate
+        assert len(cert.tail_norms) == 1 and info.value.inequality == cert.violation()
+
     def test_unreachable_tail_budget_rejected(self):
         prob = NLSProblem(u0=self.data, horizon=1.0, time_nodes=17)
         with pytest.raises(ValueError, match="tail budget"):
             large_data_protocol(prob, window=self.window, c0=1e-4)
+
+
+def ball(total_norms, tail_norms):
+    return Certificate(
+        A=1.0, delta=0.25, cutoff=2.0, horizon=0.01, c0=0.4, c1=0.1,
+        total_norms=total_norms, tail_norms=tail_norms,
+    )
+
+
+class TestCertificate:
+    def test_total_breach_named(self):
+        assert ball([1.5, 2.5, 3.0], [0.1, 0.1, 0.9]).violation() == (
+            "certificate violation at iterate 1: ||u||_{M^s_{4,2}} = 2.5 > 2A = 2"
+        )
+
+    def test_tail_breach_named(self):
+        assert ball([1.5, 1.9], [0.1, 0.75]).violation() == (
+            "certificate violation at iterate 1: ||P_>N u||_{M^s_{4,2}} = 0.75 > 2 delta = 0.5"
+        )
+
+    @pytest.mark.parametrize(
+        "total, tail, inside",
+        [(2.0, 0.5, True), (2.0 + 1e-12, 0.5 + 1e-12, True),
+         (np.nextafter(2.0 + 1e-12, 3.0), 0.5, False), (np.nan, 0.1, False),
+         (1.0, np.nan, False), (np.inf, 0.1, False), (1.0, np.inf, False)],
+    )
+    def test_holds_is_no_violation(self, total, tail, inside):
+        cert = ball([1.0, total], [0.1, tail])
+        assert cert.holds() is inside
+        assert cert.holds() == (cert.violation() is None)
+
+    def test_horizon_formula_is_the_min_form(self):
+        # for N >= 1, N^{-2d/(d-2)} <= N^{-6/(d-2)}, so the min of the two
+        # scalings is always the first, bit for bit
+        A, c1 = 0.9124, 0.1
+        for d in (3, 4):
+            for cutoff in [2.0**k for k in range(12)]:
+                scaling = cutoff ** (-2.0 * d / (d - 2.0))
+                assert c1 * scaling * A ** (-4.0 / (d - 2.0)) == c1 * min(
+                    cutoff ** (-6.0 / (d - 2.0)), scaling
+                ) * A ** (-4.0 / (d - 2.0))

@@ -377,28 +377,28 @@ def _run_largedata(cfg, xcfg, out_dir):
 
 
 def _run_datagen(cfg, xcfg, out_dir):
-    from modlab.datagen import boundary_decay, mollified_indicator, save_field
+    from modlab.datagen import boundary_decay, mollified_indicator, norm_report, save_field
     from modlab.estimates import scale_family
 
     grid = xcfg.grid()
     window = xcfg.window()
     family = xcfg.family
-    rows = []
-    reports = []
-    for scale in xcfg.scales:
+    fields, rows, reports = [], [], []
+    for scale in xcfg.scales:  # every scale is built before any file is written
         if family == "mollified":
             f, rep = mollified_indicator(scale, grid, window=window)
         else:
-            f, rep = scale_family(xcfg, scale, grid), {"scale": scale}
+            f = scale_family(xcfg, scale, grid)
+            rep = {"scale": scale, **norm_report(f, window)}
         decay = boundary_decay(f)
         rep["boundary_decay"] = decay
         rep["boundary_flagged"] = bool(decay > 1e-10)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_field(f, out_dir / f"field_{family}_{scale:g}.bin")
+        fields.append(f)
         reports.append(rep)
-        rows.append(
-            (scale, rep.get("m_norm", 0.0), rep.get("h1", 0.0), decay)
-        )
+        rows.append((scale, rep["m_norm"], rep["h1"], decay))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for scale, f in zip(xcfg.scales, fields):
+        save_field(f, out_dir / f"field_{family}_{scale:g}.bin")
     return rows, _summary(0.0, True, reports=reports, window=window.describe()), True
 
 
@@ -466,10 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.config, args.out, args.seed)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_CONFIG
+    return run(args.config, args.out, args.seed)
 
 
 if __name__ == "__main__":

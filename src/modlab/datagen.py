@@ -23,6 +23,7 @@ from modlab.propagator import gradient_sq_integral
 
 __all__ = [
     "mollified_indicator",
+    "norm_report",
     "random_phase_data",
     "focusing_data",
     "random_field",
@@ -38,9 +39,8 @@ def mollified_indicator(
     """Smooth unit-scale mollifier convolved with the ball indicator 1_B(0,n),
     normalized to unit L^4 norm.
 
-    Returns the field and a norm report: the modulation norm M^{1+eps}_{4,2}
-    with eps = 0.1 (when a window is supplied), the spectral H^1 norm, and
-    the L^2 norm.
+    Returns the field and its ``norm_report``, with the radius under
+    ``n_radius``.
     """
     if n_radius + 2 > grid.length / 2:
         raise ValueError(
@@ -54,19 +54,18 @@ def mollified_indicator(
     conv = (2.0 * np.pi) ** (grid.d / 2.0) * forward(grid, chi) * forward(grid, indicator)
     f = Field(grid, inverse(grid, conv))
     f = (1.0 / lp_norm(f, 4)) * f
+    return f, {"n_radius": float(n_radius), **norm_report(f, window)}
 
+
+def norm_report(f: Field, window: Window | None) -> dict:
+    """The L^4, L^2 and spectral H^1 norms of a field and, when a window is
+    supplied, its modulation norm M^{1+eps}_{4,2} with eps = 0.1."""
     l2 = lp_norm(f, 2)
     h1 = float(np.sqrt(l2**2 + gradient_sq_integral(f)))
-    report = {
-        "n_radius": float(n_radius),
-        "l4": lp_norm(f, 4),
-        "l2": l2,
-        "h1": h1,
-        "eps": 0.1,
-    }
+    report = {"l4": lp_norm(f, 4), "l2": l2, "h1": h1, "eps": 0.1}
     if window is not None:
         report["m_norm"] = modulation_norm(f, ModNormSpec(1.1, 4.0, 2.0), window)
-    return f, report
+    return report
 
 
 def random_phase_data(scale: float, seed: int, grid: Grid) -> Field:

@@ -7,17 +7,14 @@ tolerances of the estimates being measured.  Coordinates are centered,
 
     F(xi) = (2 pi)^{-d/2} \\int f(x) e^{-i x.xi} dx,
 
-realized by an FFT with a per-axis ``(-1)^m`` phase twist.  With this
-normalization the discrete Parseval identity ``h^d sum |f|^2 =
-dxi^d sum |F|^2`` holds to round-off, which the modulation-norm layer relies
-on for exact Plancherel checks.
+realized by an FFT with a per-axis ``(-1)^m`` phase twist.
 The pair ``forward``/``inverse`` acts on the trailing d axes and batches
 leading ones: a ``Trajectory`` transforms in one call, bit for bit as its
 nodes would one at a time.
 ``abs_power`` is the one power sum's summand |scale z|^p, shared by every
-L^p kernel of the package.  Their p is even in every estimate, and an even
-p squares instead of calling ``np.power``, whose ``pow`` costs about ten
-multiplies.
+L^p kernel of the package, each defined for finite p >= 1.  Their p is even
+in every estimate, and an even p squares instead of calling ``np.power``,
+whose ``pow`` costs about ten multiplies.
 """
 
 from __future__ import annotations
@@ -334,13 +331,13 @@ def abs_power(values: np.ndarray, p: float, scale: float = 1.0) -> np.ndarray:
     k keeps one more array, the product of the odd steps' factors (for
     k = 3, the square times its own square).  The result is within p ulps of
     ``np.power``, whose transcendental ``pow`` costs about ten multiplies;
-    p = 2 is ``np.square``, which equals ``np.power`` bit for bit.  Odd,
-    non-integer and infinite p take ``np.power``.
+    p = 2 is ``np.square``, which equals ``np.power`` bit for bit.  Odd and
+    non-integer p take ``np.power``.
     """
     out = np.abs(values)
     if scale != 1.0:
         out *= scale
-    if p % 2 != 0:  # odd, non-integer, or inf (nan)
+    if p % 2 != 0:  # odd or non-integer
         return np.power(out, p, out=out)
     np.square(out, out=out)
     k, odd = int(p) // 2, None
@@ -357,19 +354,16 @@ def abs_power(values: np.ndarray, p: float, scale: float = 1.0) -> np.ndarray:
 
 def _lp_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
     """L^p quadrature over the trailing d axes, one norm per leading index."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    axes = tuple(range(-grid.d, 0))
-    if np.isinf(p):
-        return np.abs(values).max(axis=axes)
-    sums = grid.cell * np.sum(abs_power(values, p), axis=axes)
+    if not 1 <= p < np.inf:  # NaN fails every comparison
+        raise ValueError(f"p must be finite and >= 1, got p={p}")
+    sums = grid.cell * np.sum(abs_power(values, p), axis=tuple(range(-grid.d, 0)))
     # scalar powers on purpose: numpy's vectorized power differs from them in
     # the last bit for a few percent of inputs, which would move every norm
     return np.array([s ** (1.0 / p) for s in sums])
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """Riemann-sum L^p quadrature, (h^d sum |f|^p)^(1/p); p = inf gives sup."""
+    """Riemann-sum L^p quadrature, (h^d sum |f|^p)^(1/p), for finite p >= 1."""
     return float(_lp_norms(f.grid, f.values[None], p)[0])
 
 
@@ -390,11 +384,7 @@ def trapezoid(values: np.ndarray, nodes: np.ndarray) -> float:
 def spacetime_lp_norm(path: Trajectory, p: float) -> float:
     """Space-time L^p norm of a sampled trajectory.
 
-    Trapezoid rule in time applied to t -> ||u(t)||_p^p; for p = inf the sup
-    over all nodes is returned.
+    Trapezoid rule in time applied to t -> ||u(t)||_p^p, for finite p >= 1.
     """
-    norms = path.lp_norms(p)
-    if np.isinf(p):
-        return float(norms.max())
-    powers = np.array([v**p for v in norms])
+    powers = np.array([v**p for v in path.lp_norms(p)])
     return float(trapezoid(powers, path.times) ** (1.0 / p))

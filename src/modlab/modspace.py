@@ -5,9 +5,9 @@ normalized so the translated squares sum to one.  The profile is a tensor
 product of a 1-d bump, which makes the normalization separable per axis and
 the square partition identity exact to round-off on every representable
 frequency.  Consequently the (s=0, p=2, q=2) modulation norm coincides with
-the L^2 norm up to round-off, not just up to a constant.  Pieces are computed
-axis by axis, as the windows are separable, and skipped under an energy floor;
-each piece's |.|^p is ``grid.abs_power``'s, which squares at the usual p = 4.
+the L^2 norm up to round-off, not just up to a constant.  For finite p, q >= 1,
+pieces are computed axis by axis, as the windows are separable, and skipped
+under an energy floor; each piece's |.|^p is ``grid.abs_power``'s.
 
 A ``cube`` parameter scales the side length of the decomposition cubes.  Unit
 cubes are the default; small desk-scale grids use larger cubes so that each
@@ -52,7 +52,8 @@ _CHUNK_POINTS = 2**17
 
 @dataclass(frozen=True)
 class ModNormSpec:
-    """Modulation-norm parameters: bracket weight s, spatial p, lattice q."""
+    """Modulation-norm parameters: bracket weight s, spatial p and lattice q,
+    all finite, with p, q >= 1."""
 
     s: float
     p: float
@@ -63,8 +64,8 @@ class ModNormSpec:
             raise ValueError(f"s must be finite, got s={self.s}")
         for name in ("p", "q"):
             value = getattr(self, name)
-            if not value >= 1:  # NaN fails every comparison; inf is legal
-                raise ValueError(f"{name} must be >= 1, got {name}={value}")
+            if not 1 <= value < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and >= 1, got {name}={value}")
 
 
 def _flat(x: np.ndarray) -> np.ndarray:
@@ -197,12 +198,11 @@ def make_window(grid: Grid, cube: float = 1.0) -> Window:
 
 def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.ndarray:
     """L^p norms of the pieces ``ks`` of a spectrum F (a non-empty product of
-    per-axis shift ranges in ``itertools.product`` order), in that order.
-    p = 2 contracts |F|^2 axis by axis (Parseval); other p walk the prefix
-    tree of the shifts, each level one profile multiply and one batched 1-d
-    inverse FFT along its axis, splitting shifts past ``_CHUNK_POINTS``, and
-    reduce each leaf block in one float buffer (``grid.abs_power``, then the
-    row sum).
+    per-axis shift ranges in ``itertools.product`` order), in that order,
+    for a finite p >= 1.  The kernel walks the prefix tree of the shifts,
+    each level one profile multiply and one batched 1-d inverse FFT along its
+    axis, splitting shifts past ``_CHUNK_POINTS``, and reduces each leaf
+    block in one float buffer (``grid.abs_power``, then the row sum).
     The budget is L2-sized, so those passes read a block of a few MiB, not
     the whole tree; no intermediate holds more than max(``_CHUNK_POINTS``,
     ``grid.size``) samples, and every budget gives the same bits, as the
@@ -213,17 +213,11 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
     if not ks or list(itertools.product(*ranges)) != list(ks):
         raise ValueError("windows must be a product of per-axis shift ranges, in order")
     rows = [window.axis_profiles()[np.array(r) + window.kmax] for r in ranges]
-    if p == 2:
-        piece = np.abs(F) ** 2
-        for r in rows:  # contracts axis 0, appends the shift axis last
-            piece = np.tensordot(piece, r**2, axes=([0], [1]))
-        return np.sqrt(g.dxi**g.d * piece.ravel())
+
     def descend(stack: np.ndarray, a: int) -> np.ndarray:
         # norms of every piece below the prefixes in ``stack`` (axes < a done)
         if a == g.d:
             block = stack.reshape(len(stack), -1)
-            if np.isinf(p):  # a positive scale commutes with max, bit for bit
-                return np.abs(block).max(axis=1) * g.inverse_scale
             phys = abs_power(block, p, g.inverse_scale)
             return (g.cell * np.sum(phys, axis=1)) ** (1.0 / p)
         # a stack of several prefixes came from a budget-sized group, so its
@@ -243,7 +237,7 @@ def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
     """Weighted l^q aggregation of per-cube L^p norms.
 
     ||f|| = ( sum_k <k>^(s q) ||sigma_k(D) f||_p^q )^(1/q), with <k> the
-    Japanese bracket of the lattice index and q = inf giving the sup.
+    Japanese bracket of the lattice index.
     """
     if f.grid != window.grid:
         raise ValueError("field and window live on different grids")
@@ -255,8 +249,6 @@ def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
     norms = _piece_lp_norms(F, ks, window, spec.p)
     brackets = np.sqrt(1.0 + np.sum(np.square(ks), axis=1))
     weighted = brackets**spec.s * norms
-    if np.isinf(spec.q):
-        return float(weighted.max())
     return float(np.sum(weighted**spec.q) ** (1.0 / spec.q))
 
 

@@ -253,9 +253,10 @@ family = mollified
     @pytest.mark.parametrize("family", ["focusing", "random_phase"])
     def test_datagen_scale_families(self, tmp_path, family):
         # every family but the mollified one is the sweeps' scale family,
-        # reported by its scale
-        from modlab.datagen import focusing_data, random_phase_data, save_field
+        # reported by its scale and the mollified family's norm report
+        from modlab.datagen import focusing_data, norm_report, random_phase_data, save_field
         from modlab.grid import make_grid
+        from modlab.modspace import make_window
 
         text = (CONFIGS / "datagen_mollified.cfg").read_text()
         cfg = write(tmp_path, text.replace("family = mollified", f"family = {family}")
@@ -264,11 +265,12 @@ family = mollified
         assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         summary = json.loads((out / "datagen.json").read_text())
         assert [sorted(rep) for rep in summary["reports"]] == [
-            ["boundary_decay", "boundary_flagged", "scale"]
+            ["boundary_decay", "boundary_flagged", "eps", "h1", "l2", "l4", "m_norm", "scale"]
         ] * 2
         assert [rep["scale"] for rep in summary["reports"]] == [2.0, 4.0]
+        rows = (out / "datagen.csv").read_text().splitlines()[1:]
         grid = make_grid(1, 512, 64.0)
-        for scale in (2.0, 4.0):
+        for scale, rep, row in zip((2.0, 4.0), summary["reports"], rows):
             if family == "focusing":
                 f = focusing_data(scale, grid)
             else:
@@ -276,6 +278,9 @@ family = mollified
             save_field(f, tmp_path / "direct.bin")
             written = out / f"field_{family}_{scale:g}.bin"
             assert written.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+            direct = norm_report(f, make_window(grid))
+            assert {key: rep[key] for key in direct} == direct
+            assert row.split(",")[2:4] == [repr(direct["m_norm"]), repr(direct["h1"])]
 
     def test_unknown_datagen_family_is_a_config_error(self, tmp_path, capsys):
         text = (CONFIGS / "datagen_mollified.cfg").read_text()
@@ -567,7 +572,7 @@ class TestFailurePaths:
          ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
          ("cube", "0"), ("trials", "0"), ("trials", "-3"), ("tolerance", "inf"),
          ("tolerance", "nan"), ("tolerance", "-1"), ("tolerance", "0"), ("atoms", "0"),
-         ("atoms", "-1"), ("mesh", "-3")],
+         ("atoms", "-1"), ("mesh", "-3"), ("p", "inf"), ("p", "nan")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
         # every key is checked whatever the kind reads: the smoothing sweep
@@ -782,8 +787,13 @@ length = 64.0
 scales = 32
 family = random_phase
 """,
+            # focusing data beyond xi_max/4 = 6.28 from the third scale on:
+            # the first two scales must leave no file behind either
+            (CONFIGS / "datagen_mollified.cfg").read_text().replace(
+                "family = mollified", "family = focusing"
+            ),
         ],
-        ids=["fit", "inf", "nan", "bilinear_band", "datagen_band"],
+        ids=["fit", "inf", "nan", "bilinear_band", "datagen_band", "datagen_later_scale"],
     )
     def test_run_time_scale_errors_exit_scales(self, tmp_path, text):
         cfg = write(tmp_path, text)

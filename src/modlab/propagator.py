@@ -290,28 +290,26 @@ def extension_ball_norms(
     with 0 = cuts[0] < ... < cuts[-1] = len(points); the result holds the
     whole mesh's norm first, then one per cap.  C[xi, t] = f(xi) exp(i t|xi|^2)
     is built once.  The ball's shadow |x| <= radius is sorted by |x| and
-    walked in blocks of ``_CHUNK_ROWS`` points, whose plane waves are
-    products of per-axis tables exp(i x_a xi_a).  Each block multiplies only
-    the contiguous run of time columns that its rows' ball mask keeps: one
-    GEMM per cap, and Ef is the sum of the cap blocks, so no GEMM spans the
-    whole mesh.  The power sums weigh |.|^p by the block's float ball mask,
-    so they cover exactly the samples in the ball.
+    walked in blocks of ``_CHUNK_ROWS`` points.  Each block builds the plane
+    waves exp(i x.xi) of its own rows, so beside C (mesh x m) the cell holds
+    one block's waves at a time.  Each block multiplies only the contiguous
+    run of time columns that its rows' ball mask keeps: one GEMM per cap,
+    and Ef is the sum of the cap blocks, so no GEMM spans the whole mesh.
+    The power sums weigh |.|^p by the block's float ball mask, so they cover
+    exactly the samples in the ball.
     """
     d = points.shape[1]
     m = int(math.ceil(2.0 * radius * samples_per_unit))
     step = 2.0 * radius / m
     axis = -radius + step * (np.arange(m) + 0.5)
-    tables = [_expi(axis, points[:, a]) for a in range(d)]
     index = np.indices((m,) * d).reshape(d, -1)
     r_sq = reduce(np.add, [axis[i] ** 2 for i in index])
-    coeff = _expi(np.sum(points**2, axis=1), axis)
+    coeff = _expi(np.sum(points**2, axis=1)[:, None], axis[:, None])
     coeff *= profile[:, None]
     caps = list(zip(cuts[:-1], cuts[1:]))
     sums = np.zeros(1 + len(caps))
     for rows, lo, hi, mask in _ball_blocks(axis, r_sq, radius):
-        waves = tables[0][index[0][rows]]
-        for table, i in zip(tables[1:], index[1:]):
-            waves *= table[i[rows]]
+        waves = _expi(axis[index[:, rows]].T, points)
         ef = np.zeros((rows.size, hi - lo), complex)
         for k, (a, b) in enumerate(caps, 1):
             block = waves[:, a:b] @ coeff[a:b, lo:hi]
@@ -322,10 +320,12 @@ def extension_ball_norms(
 
 
 def _expi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # exp(i a_j b_k), the outer product written into the imaginary part and
-    # exponentiated in place
-    out = np.zeros((a.size, b.size), complex)
-    np.multiply.outer(a, b, out=out.imag)
+    # exp(i a_j.b_k) for a of shape (J, d) and b of shape (K, d): the phase
+    # summed over the d axes into the imaginary part, exponentiated in place
+    out = np.zeros((len(a), len(b)), complex)
+    np.multiply.outer(a[:, 0], b[:, 0], out=out.imag)
+    for a_axis, b_axis in zip(a.T[1:], b.T[1:]):
+        out.imag += np.multiply.outer(a_axis, b_axis)
     return np.exp(out, out=out)
 
 

@@ -1,5 +1,6 @@
 import configparser
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -530,7 +531,7 @@ class TestFailurePaths:
             assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err and "already exists" not in err
-        assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
+        assert re.search(rf"^error: (bad config: bad value for \[\w+\] )?{key}\b", err, re.M)
         assert not out.exists()
 
     def test_negative_amplitude_is_legal(self):
@@ -593,7 +594,9 @@ class TestFailurePaths:
             assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "Traceback" not in err
-            assert [line for line in err.splitlines() if line.startswith("error:") and key in line]
+            assert re.search(
+                rf"^error: (bad config: bad value for \[\w+\] )?{key}\b", err, re.M
+            )
             assert not out.exists()
 
     def test_picard_divergence_is_reported(self, tmp_path, capsys):

@@ -536,8 +536,8 @@ class TestExtension:
         direct = (step**2 * np.sum(np.abs(vals[inside]) ** 4)) ** 0.25
         assert norm == pytest.approx(direct, rel=1e-12)
 
-        # d = 2: a non-symmetric profile, so the per-axis plane-wave tables
-        # must pair every mesh point with its own coordinates
+        # d = 2: a non-symmetric profile, so each block's plane waves must
+        # pair every mesh point with its own coordinates on both axes
         pts, w = unit_ball_mesh(2, 12)
         profile = np.cos(2.0 * pts[:, 0]) + 0.5j * pts[:, 1] + 0.3
         norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, spu, [0, len(pts)])
@@ -628,6 +628,34 @@ class TestExtension:
         profile = np.ones(len(pts))
         value, _ = extension_ball_norms(profile, pts, w, 4.0, 2.0, 1.0, [0, len(pts)])
         assert value > 0
+
+    def test_ball_norms_peak_memory(self):
+        # the R = 256 cell of decoupling_d1_p6.cfg: 666 mesh points in 32
+        # caps, m = 1024 times.  Beside the mesh x m coefficient matrix the
+        # cell holds one block's waves (rows x mesh) and four complex rows x m
+        # arrays: Ef, a cap's product, its |.|^p, and the float ball mask with
+        # the sum t^2 + |x|^2 it is cut from; a table of the whole shadow's
+        # waves would add a second m x mesh array
+        import tracemalloc
+
+        from modlab import propagator
+
+        R, width = 256.0, 256.0**-0.5
+        pts, w = unit_ball_mesh(1, 666)
+        caps = np.floor((pts[:, 0] + 1.0) / width).astype(int)
+        cuts = [*np.unique(caps, return_index=True)[1], len(pts)]
+        assert len(cuts) == 33
+        profile = np.ones(len(pts))
+        m, item = 1024, np.dtype(complex).itemsize
+        extension_ball_norms(profile, pts, w, 16.0, 6.0, 2.0, cuts)
+        tracemalloc.start()
+        try:
+            extension_ball_norms(profile, pts, w, R, 6.0, 2.0, cuts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coeff = len(pts) * m * item
+        assert peak <= coeff + propagator._CHUNK_ROWS * item * (len(pts) + 4 * m)
 
 
 class TestEnergyMass:

@@ -16,8 +16,9 @@ scale, lhs, rhs, ratio) and a JSON summary carrying the fit keys (slope,
 intercept, residual, predicted, margin, pass) plus the fully resolved config
 for provenance.  Its ``config.threads`` leaf is a fixed provenance field,
 always null: modlab has no worker setting, and recorded outputs keep the
-leaf.  The process exit code is 0 only when every pass criterion of the
-experiment holds.
+leaf.  Each experiment returns its CSV rows and JSON summary, and the
+process exit code is 0 only when the summary's ``pass``, every pass
+criterion of the experiment, holds.
 
 Exit codes: 0 pass, 1 criteria failed, 2 bad config or value (overflow too),
 3 unknown experiment, 4 invalid scales, 5 I/O failure.  A large-data run
@@ -232,10 +233,9 @@ def _run_norms(cfg, xcfg, out_dir):
         rows.append((trial, lhs, rhs, lhs / rhs))
         devs.append(abs(lhs - rhs) / rhs)
     passed = max(devs) <= tol
-    summary = _summary(
+    return rows, _summary(
         tol, passed, predicted=1.0, max_rel_deviation=max(devs), window=window.describe()
     )
-    return rows, summary, passed
 
 
 def _run_sweep(kind, cfg, xcfg, out_dir):
@@ -243,12 +243,12 @@ def _run_sweep(kind, cfg, xcfg, out_dir):
 
     result = getattr(estimates, SWEEPS[kind])(xcfg)
     if kind != "bilinear":
-        return _fit_rows(result), result.to_dict(), result.passed
+        return _fit_rows(result), result.to_dict()
     high, low = result
     passed = high.passed and low.passed
     fit = {key: getattr(low, key) for key in ("slope", "intercept", "residual", "predicted")}
     summary = _summary(low.margin, passed, **fit, high=high.to_dict(), low=low.to_dict())
-    return _fit_rows(high) + _fit_rows(low), summary, passed
+    return _fit_rows(high) + _fit_rows(low), summary
 
 
 def _run_variation(cfg, xcfg, out_dir):
@@ -280,7 +280,7 @@ def _run_variation(cfg, xcfg, out_dir):
             duality_ok = duality_ok and abs(duality_pairing(atom, path)) <= bound
     passed = exact and duality_ok
     summary = _summary(0.0, passed, dp_matches_bruteforce=exact, duality_inequality=duality_ok)
-    return rows, summary, passed
+    return rows, summary
 
 
 def _problem_from_config(cfg, xcfg):
@@ -298,7 +298,7 @@ def _problem_from_config(cfg, xcfg):
     elif data == "mollified":
         n_radius = _get(cfg, "problem", "n_radius", _positive_float, 2.0)
         u0, _ = mollified_indicator(n_radius, grid)
-        u0 = amplitude * u0 if amplitude != 1.0 else u0
+        u0 = amplitude * u0
     elif data == "random":
         u0 = amplitude * random_field(grid, xcfg.seed, band=grid.xi_max / 4)
     else:
@@ -329,19 +329,18 @@ def _run_solve(cfg, xcfg, out_dir):
     except BlowUp as exc:
         # the split-step oracle stopped, so there is no solution to compare
         summary = _summary(tol, False, violation=str(exc), sum_space_smallness=smallness)
-        return [], summary, False
-    passed = report["agrees"] and report["contracting"]
+        return [], summary
     factors = report["picard_report"]["contraction_factors"]
     padded = itertools.zip_longest(report["picard_report"]["residuals"], factors, fillvalue=0.0)
     rows = [(j, r, tol, f) for j, (r, f) in enumerate(padded)]
     summary = _summary(
         tol,
-        passed,
+        report["agrees"] and report["contracting"],
         residual=report["distance"],
         cross_validation=report,
         sum_space_smallness=smallness,
     )
-    return rows, summary, passed
+    return rows, summary
 
 
 def _run_largedata(cfg, xcfg, out_dir):
@@ -373,7 +372,7 @@ def _run_largedata(cfg, xcfg, out_dir):
         (j, tot, tail, tot / (2 * cert.A))
         for j, (tot, tail) in enumerate(zip(cert.total_norms, cert.tail_norms))
     ]
-    return rows, summary, summary["pass"]
+    return rows, summary
 
 
 def _run_datagen(cfg, xcfg, out_dir):
@@ -399,7 +398,7 @@ def _run_datagen(cfg, xcfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     for scale, f in zip(xcfg.scales, fields):
         save_field(f, out_dir / f"field_{family}_{scale:g}.bin")
-    return rows, _summary(0.0, True, reports=reports, window=window.describe()), True
+    return rows, _summary(0.0, True, reports=reports, window=window.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ def run(config_path: str, out: str, seed: int | None) -> int:
         if kind not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment kind {kind!r}")
         xcfg = _experiment_config(cfg, seed)
-        rows, summary, passed = EXPERIMENTS[kind](cfg, xcfg, out_dir)
+        rows, summary = EXPERIMENTS[kind](cfg, xcfg, out_dir)
     except InvalidScales as exc:
         print(f"error: invalid scales: {exc}", file=sys.stderr)
         return EXIT_SCALES
@@ -454,8 +453,8 @@ def run(config_path: str, out: str, seed: int | None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"{kind}: {'pass' if passed else 'FAIL'} -> {out_dir}")
-    return EXIT_PASS if passed else EXIT_FAIL
+    print(f"{kind}: {'pass' if summary['pass'] else 'FAIL'} -> {out_dir}")
+    return EXIT_PASS if summary["pass"] else EXIT_FAIL
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -299,46 +299,15 @@ def strichartz_l4_ratio(config: ExperimentConfig) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_fields(
-    config: ExperimentConfig, grid: Grid, pairs: Sequence[tuple[float, float]]
-) -> tuple[list[tuple[Field, Field]], dict[Field, tuple]]:
-    """The band-noise fields (f1, f2) of each (N1, N2) cell, one object per
-    distinct field, so the kernel transforms it once, and the spectral box
-    of each field; none may be 0."""
-    built = {}
-
-    def field(band: float, seed: int) -> Field:
-        if (band, seed) not in built:
-            f = _band_noise(grid, band, seed)
-            if lp_norm(f, 2) == 0.0:
-                raise ValueError("zero field in bilinear data")
-            built[band, seed] = f
-        return built[band, seed]
-
-    fields = [(field(n1, config.seed), field(n2, config.seed + 1)) for n1, n2 in pairs]
-    boxes = {f: band_box(grid, band) for (band, _), f in built.items()}
-    return fields, boxes
-
-
-def _bilinear_cells(
-    config: ExperimentConfig,
-    window: Window,
-    fields: Sequence[tuple[Field, Field]],
-    boxes: dict[Field, tuple],
-) -> tuple[list[tuple[float, float]], dict[int, float]]:
-    """(lhs, rhs) of each cell (f1, f2): the product L^2 over [0, horizon]
-    and the product of the two M_{4,2} norms; and those norms by field id.
-    Each distinct field takes one norm, and one kernel sweep measures every
-    product, each on the smallest exact grid its fields' ``boxes`` allow."""
-    spec = ModNormSpec(0.0, 4.0, 2.0)
-    norms = {}
-    for pair in fields:
-        for f in pair:
-            if id(f) not in norms:
-                norms[id(f)] = modulation_norm(f, spec, window)
-    lhs = free_flow_lp_norms(fields, config.horizon, config.time_nodes, 2.0, boxes)
-    cells = [(v, norms[id(f1)] * norms[id(f2)]) for v, (f1, f2) in zip(lhs.tolist(), fields)]
-    return cells, norms
+def _bilinear_grid(config: ExperimentConfig) -> Grid:
+    """The grid of a bilinear sweep, d in {3, 4}, on which every scale, the
+    fixed one too, is at most xi_max/2."""
+    if config.d not in (3, 4):
+        raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
+    grid = config.grid()
+    if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
+        raise InvalidScales("bilinear scales exceed xi_max/2")
+    return grid
 
 
 def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
@@ -348,17 +317,15 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
     frequency should carry no loss (predicted exponent 0); the low one at
     most (d-2)/2.  Every pair is checked before any cell is measured, and
     the cells of both sweeps, which share (max scale, fixed scale), are
-    measured once each in one kernel sweep.  The low fit's ``meta["chain"]``
-    is the proof-chain log of the cell (max scale, smallest low scale); it
-    reuses the fields and the high field's norm of that cell.
+    measured once each in one kernel sweep.  Each (band, seed) is one
+    band-noise Field, none of them 0, and a field is its own key: its box,
+    its one M_{4,2} norm and the kernel's table key on the object, so a
+    field that several cells share is built, normed and transformed once.
+    The low fit's ``meta["chain"]`` is the proof-chain log of the cell (max
+    scale, smallest low scale); it reuses that cell's fields and f1's norm.
     """
-    if config.d not in (3, 4):
-        raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
-    grid = config.grid()
+    grid = _bilinear_grid(config)
     window = config.window()
-    if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
-        raise InvalidScales("bilinear scales exceed xi_max/2")
-
     high = [(n1, config.fixed_scale) for n1 in config.scales]
     for n_high, n_low in high:
         if n_low * config.min_separation > n_high:
@@ -372,28 +339,30 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
         raise InvalidScales("fewer than 3 admissible low scales in the sweep")
     low = [(n1_fixed, n2) for n2 in low_scales]
     pairs = list(dict.fromkeys(high + low))
-    built, boxes = _bilinear_fields(config, grid, pairs)
-    fields = dict(zip(pairs, built))
-    measured, norms = _bilinear_cells(config, window, built, boxes)
-    cells = dict(zip(pairs, measured))
+
+    fields = {}  # (band, seed) -> Field, in pair order
+    for pair in pairs:
+        for key in zip(pair, (config.seed, config.seed + 1)):
+            if key not in fields:
+                fields[key] = _band_noise(grid, *key)
+                if lp_norm(fields[key], 2) == 0.0:
+                    raise ValueError("zero field in bilinear data")
+    boxes = {f: band_box(grid, band) for (band, _), f in fields.items()}
+    spec = ModNormSpec(0.0, 4.0, 2.0)
+    norms = {f: modulation_norm(f, spec, window) for f in fields.values()}
+    products = [(fields[n1, config.seed], fields[n2, config.seed + 1]) for n1, n2 in pairs]
+    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, 2.0, boxes)
+    rhs = [norms[f1] * norms[f2] for f1, f2 in products]
+    cells = dict(zip(pairs, zip(lhs.tolist(), rhs)))
 
     lhs_hi, rhs_hi = zip(*(cells[pair] for pair in high))
-    fit_high = _make_fit(
-        config.scales, lhs_hi, rhs_hi, 0.0, config.margin, "bilinear_high"
-    )
+    fit_high = _make_fit(config.scales, lhs_hi, rhs_hi, 0.0, config.margin, "bilinear_high")
     lhs_lo, rhs_lo = zip(*(cells[pair] for pair in low))
-    chain_pair = (n1_fixed, low_scales[0])
-    f1, f2 = fields[chain_pair]
-    chain = bilinear_chain_log(config, window, chain_pair, f1, f2, norms[id(f1)])
+    f1, f2 = fields[n1_fixed, config.seed], fields[low_scales[0], config.seed + 1]
+    chain = bilinear_chain_log(config, window, (n1_fixed, low_scales[0]), f1, f2, norms[f1])
     meta = {"window": window.describe(), "fixed_high": n1_fixed, "chain": chain}
     fit_low = _make_fit(
-        low_scales,
-        lhs_lo,
-        rhs_lo,
-        (config.d - 2) / 2.0,
-        config.margin,
-        "bilinear_low",
-        meta,
+        low_scales, lhs_lo, rhs_lo, (config.d - 2) / 2.0, config.margin, "bilinear_low", meta
     )
     return fit_high, fit_low
 
@@ -550,9 +519,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     """
     from modlab.variation import vp_norm
 
-    if config.d not in (3, 4):
-        raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
-    grid = config.grid()
+    grid = _bilinear_grid(config)
     window = config.window()
     n_high = config.fixed_scale
     s_input = config.s if config.s > 0 else 2.0 * sdec(4.0, config.d) + 0.01

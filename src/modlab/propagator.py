@@ -107,15 +107,18 @@ def free_flow_lp_norms(
     |xi|^2 at those modes, multiplies the coefficients, and
     ``inverse_pruned`` does the embedding.
 
-    At each node the phase is built once per set of kept modes, and a factor
-    that several products of one size share, the same object (``is``, never
-    equal values), is transformed once at that size: its flow is taken at
-    its first use and dropped after its last use at that size in product
-    order.  So a product's value has the same bits whether it is measured
-    alone or in a sweep.  Empty ``products`` or an empty product, a horizon
-    that is not finite and positive, an ``m`` that is not an integer >= 2,
-    p < 1 or p = inf, and a box that is not one range -n/2 <= lo <= hi < n/2
-    per axis raise ``ValueError``.
+    A factor is its own key: Field and Trajectory hash by identity
+    (``eq=False``), so one table keyed by the factor objects holds each
+    distinct factor's profile times, spectra and kept modes, and equal
+    values in two objects are two entries.  At each node the phase is built
+    once per set of kept modes, and a factor that several products of one
+    size share is transformed once at that size: its flow, keyed by
+    (factor, size), is taken at its first use and dropped after its last
+    use at that size in product order.  So a product's value has the same
+    bits whether it is measured alone or in a sweep.  Empty ``products`` or
+    an empty product, a horizon that is not finite and positive, an ``m``
+    that is not an integer >= 2, p < 1 or p = inf, and a box that is not one
+    range -n/2 <= lo <= hi < n/2 per axis raise ``ValueError``.
     """
     if not products:
         raise ValueError("products must hold at least one product of factors")
@@ -131,11 +134,11 @@ def free_flow_lp_norms(
     boxes = boxes or {}
     g = products[0][0].grid
     full = (tuple((np.fft.fftfreq(g.n) * g.n).astype(int).tolist()),) * g.d
-    slots: dict[int, int] = {}  # id of each distinct factor -> its index in paths
-    paths, modes, rows, sizes = [], [], [], []
+    table: dict[Field | Trajectory, tuple] = {}  # factor -> times, spectra, kept modes
+    freq_sq, sizes = {}, []
     for factors in products:
         for f in factors:
-            if id(f) not in slots:
+            if f not in table:
                 if f.grid != g:
                     raise ValueError(f"factors live on different grids: {g} vs {f.grid}")
                 path = f if isinstance(f, Trajectory) else Trajectory(g, [0.0], f.values[None])
@@ -143,41 +146,36 @@ def free_flow_lp_norms(
                     raise ValueError(
                         f"a piecewise free flow starts at t = 0, not {path.times[0]}"
                     )
-                slots[id(f)] = len(paths)
-                paths.append(path)
-                modes.append(_box_modes(g, boxes[f]) if f in boxes else full)
-        row = [slots[id(f)] for f in factors]
+                kept = _box_modes(g, boxes[f]) if f in boxes else full
+                block = np.ix_(*[np.array(axis) % g.n for axis in kept])
+                table[f] = (path.times, forward(g, path.values)[(slice(None), *block)], kept)
+                freq_sq[kept] = g.freq_sq()[block]
         size = g.n
         if p % 2 == 0 and all(f in boxes for f in factors):
-            spans = [[len(axis) - 1 for axis in modes[j]] for j in row]
+            spans = [[len(axis) - 1 for axis in table[f][2]] for f in factors]
             size = _even_smooth(int(p // 2) * max(map(sum, zip(*spans))) + 1)
-        rows.append(row)
         sizes.append(size)
-    last_use = {(j, size): k for k, (row, size) in enumerate(zip(rows, sizes)) for j in row}
-    spectra, freq_sq = [], {}  # per factor: profile times, profile spectra at its modes
-    for path, kept in zip(paths, modes):
-        block = np.ix_(*[np.array(axis) % g.n for axis in kept])
-        spectra.append((path.times, forward(g, path.values)[(slice(None), *block)]))
-        freq_sq[kept] = g.freq_sq()[block]
+    last_use = {
+        (f, size): k for k, (factors, size) in enumerate(zip(products, sizes)) for f in factors
+    }
     grids = {size: Grid(g.d, size, g.length) for size in set(sizes)}
     ts = np.linspace(0.0, horizon, m)
-    powers = np.empty((len(rows), m))
+    powers = np.empty((len(products), m))
     for i, t in enumerate(ts):
         phases, flows = {}, {}
-        for k, (row, size) in enumerate(zip(rows, sizes)):
-            for j in row:
-                if (j, size) not in flows:
-                    kept = modes[j]
+        for k, (factors, size) in enumerate(zip(products, sizes)):
+            for f in factors:
+                if (f, size) not in flows:
+                    times, F, kept = table[f]
                     if kept not in phases:
                         phases[kept] = _flow_phase(freq_sq[kept], t)
-                    times, F = spectra[j]
                     piece = F[np.searchsorted(times, t, "right") - 1]
-                    flows[j, size] = inverse_pruned(grids[size], phases[kept] * piece, kept)
-            product = reduce(np.multiply, [flows[j, size] for j in row])
+                    flows[f, size] = inverse_pruned(grids[size], phases[kept] * piece, kept)
+            product = reduce(np.multiply, [flows[f, size] for f in factors])
             powers[k, i] = grids[size].cell * np.sum(abs_power(product, p))
-            for j in row:
-                if last_use[j, size] == k:
-                    flows.pop((j, size), None)
+            for f in factors:
+                if last_use[f, size] == k:
+                    flows.pop((f, size), None)
     return np.array([trapezoid(row, ts) ** (1.0 / p) for row in powers])
 
 

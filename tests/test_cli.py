@@ -776,6 +776,21 @@ cube = 4.0
 scales = 1 2 8
 family = band_noise
 """,
+            # v2 bilinear fixed band 2 beyond xi_max/2 = 1: the shipped
+            # v2bilinear_d3 config on its old default 8 pi box
+            """
+[experiment]
+kind = v2bilinear
+
+[grid]
+d = 3
+n = 16
+
+[sweep]
+scales = 0.5 1 2
+fixed_scale = 2
+atoms = 2
+""",
             # random-phase data beyond the band, xi_max = 8 pi
             """
 [experiment]
@@ -796,7 +811,10 @@ family = random_phase
                 "family = mollified", "family = focusing"
             ),
         ],
-        ids=["fit", "inf", "nan", "bilinear_band", "datagen_band", "datagen_later_scale"],
+        ids=[
+            "fit", "inf", "nan", "bilinear_band", "v2bilinear_band", "datagen_band",
+            "datagen_later_scale",
+        ],
     )
     def test_run_time_scale_errors_exit_scales(self, tmp_path, text):
         cfg = write(tmp_path, text)

@@ -217,8 +217,9 @@ class TestBilinear:
     def test_pairs_checked_before_any_cell(self, monkeypatch):
         # a regime violation in the last high pair, too few scales for the
         # high fit, or too few low scales is reported before a single cell
-        # is measured
-        monkeypatch.setattr(est, "_bilinear_cells", pytest.fail)
+        # is measured, or a single field built
+        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        monkeypatch.setattr(est, "_band_noise", pytest.fail)
         cfg = self.small_config(scales=(4.0, 2.0, 1.0), min_separation=2.0)
         with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=1.0"):
             bilinear_ratio(cfg)
@@ -266,7 +267,7 @@ class TestBilinear:
         cfg = self.small_config()
         window = cfg.window()
         bands = (4.0, 1.0)
-        [(f1, f2)], _ = est._bilinear_fields(cfg, cfg.grid(), [bands])
+        f1, f2 = (est._band_noise(cfg.grid(), b, cfg.seed + j) for j, b in enumerate(bands))
         f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
         est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)  # fill the caches
         tracemalloc.start()
@@ -287,7 +288,7 @@ class TestBilinear:
         cfg = self.small_config(seed=11)
         window = cfg.window()
         bands = (4.0, 1.0)
-        [(f1, f2)], _ = est._bilinear_fields(cfg, cfg.grid(), [bands])
+        f1, f2 = (est._band_noise(cfg.grid(), b, cfg.seed + j) for j, b in enumerate(bands))
         f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
         chain = est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)
         ratio, occupied = chain_cover_energy(f1, *bands)
@@ -329,19 +330,25 @@ class TestBilinear:
 
     def test_shared_cell_measured_once(self, monkeypatch):
         # both sweeps use the cell (max scale, fixed scale) = (4, 1)
-        calls = []
+        calls, bands, real_noise = [], {}, est._band_noise
 
-        def cells(config, window, fields, boxes):
-            calls.extend(fields)
-            norms = {id(band): 1.0 for pair in fields for band in pair}
-            return [(n_high * n_low, 1.0) for n_high, n_low in fields], norms
+        def noise(grid, band, seed):
+            f = real_noise(grid, band, seed)
+            bands[f] = band  # a field is its own key
+            return f
 
-        # each cell's "fields" are its bands, so the mock can tell them apart
-        monkeypatch.setattr(est, "_bilinear_fields", lambda config, grid, pairs: (pairs, {}))
-        monkeypatch.setattr(est, "_bilinear_cells", cells)
+        def sweep(products, *args):
+            calls.extend(products)
+            return np.array([bands[f1] * bands[f2] for f1, f2 in products])
+
+        # each cell's lhs is the product of its bands, so cells tell apart
+        monkeypatch.setattr(est, "_band_noise", noise)
+        monkeypatch.setattr(est, "modulation_norm", lambda *args: 1.0)
+        monkeypatch.setattr(est, "free_flow_lp_norms", sweep)
         monkeypatch.setattr(est, "bilinear_chain_log", lambda *args: {})
         fit_high, fit_low = bilinear_ratio(self.small_config())
         assert len(calls) == len(set(calls)) == 5
+        assert list(fit_high.rhs) == list(fit_low.rhs) == [1.0] * 3
         assert list(fit_high.lhs) == [1.0, 2.0, 4.0]
         assert list(fit_low.lhs) == [4.0, 8.0, 16.0]
 
@@ -365,14 +372,17 @@ class TestBilinear:
     def test_d4_cell_runs_on_tiny_grid(self):
         # the d = 4 machinery stays exercised at demo scale: one measured
         # cell, no sweep
-        from modlab.estimates import _bilinear_cells, _bilinear_fields
+        from modlab.modspace import ModNormSpec, band_box, modulation_norm
 
         cfg = ExperimentConfig(
             d=4, n=16, length=2 * np.pi, cube=4.0, scales=(2.0,),
             fixed_scale=1.0, family="band_noise", time_nodes=17, seed=3,
         )
-        fields, boxes = _bilinear_fields(cfg, cfg.grid(), [(2.0, 1.0)])
-        [(lhs, rhs)], _ = _bilinear_cells(cfg, cfg.window(), fields, boxes)
+        grid, window, spec = cfg.grid(), cfg.window(), ModNormSpec(0.0, 4.0, 2.0)
+        f1, f2 = est._band_noise(grid, 2.0, 3), est._band_noise(grid, 1.0, 4)
+        boxes = {f1: band_box(grid, 2.0), f2: band_box(grid, 1.0)}
+        [lhs] = est.free_flow_lp_norms([(f1, f2)], cfg.horizon, cfg.time_nodes, 2.0, boxes)
+        rhs = modulation_norm(f1, spec, window) * modulation_norm(f2, spec, window)
         assert lhs > 0 and rhs > 0 and np.isfinite(lhs / rhs)
 
     def test_galilean_pair_invariance(self):

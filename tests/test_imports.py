@@ -5,8 +5,9 @@ public name imported from a modlab module is in that module's ``__all__``;
 a run reaches every ``__all__`` name and every public method; every default
 of a public function is both set and left to itself by a run; only
 ``grid`` and the package's re-exports touch the frozen ``SpectralField``
-view; ``np.power`` appears only in ``grid.abs_power``; and the split-step
-oracle reaches none of the Picard path's flows or transforms."""
+view; ``np.power`` appears only in ``grid.abs_power``; no module calls the
+builtin ``id``; and the split-step oracle reaches none of the Picard path's
+flows or transforms."""
 
 import ast
 from pathlib import Path
@@ -115,6 +116,19 @@ def test_power_sums_go_through_abs_power():
             if where != "grid.abs_power":
                 calls.append(f"{where} (line {node.lineno})")
     assert not calls, f"np.power outside grid.abs_power: {calls}"
+
+
+def test_shared_factors_are_keyed_by_themselves():
+    # Field and Trajectory hash by identity, so a table of shared factors
+    # keys on the objects; a second table keyed by id(f) is a second rule
+    # for the same thing, and an id outlives the object it named
+    calls = [
+        f"{path.stem} line {node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+    ]
+    assert not calls, f"calls of the builtin id: {calls}"
 
 
 def test_splitstep_oracle_shares_no_flow_with_picard():

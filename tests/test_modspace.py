@@ -330,6 +330,20 @@ class TestPieceKernel:
             with pytest.raises(ValueError, match="product"):
                 _piece_lp_norms(F.coefficients, bad, w, 4.0)
 
+    def test_marginal_just_above_the_floor_stays_active(self):
+        # tau = 1e-24 / (d n N): a lone mode at the top of the band whose
+        # energy is 2 tau E activates the two windows that meet it, and one
+        # at tau E / 2 activates none
+        g = make_grid(1, *KERNEL_GRIDS[1])
+        w = make_window(g)
+        F = np.zeros(g.shape, complex)
+        F[0] = 1.0
+        tau = 1e-24 / (g.d * g.n * g.size)
+        assert w.active_lattice(F) == [(0,)]
+        for share, active in ((2.0, [(0,), (7,), (8,)]), (0.5, [(0,)])):
+            F[g.n // 2 - 1] = np.sqrt(share * tau)
+            assert w.active_lattice(F) == active
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_round_off_residue_activates_nothing(self, d):
         # a compact bump spectrum plus a ~3e-17 residue on every coefficient:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modlab.grid import (
-    Field, SpectralField, Trajectory, inverse, lp_norm, make_grid, to_spectrum
+    Field, SpectralField, Trajectory, fourier_multiply, inverse, lp_norm, make_grid, to_spectrum
 )
 from modlab.modspace import ModNormSpec, low_pass, make_window, modulation_norm
 from modlab.datagen import mollified_indicator
@@ -86,6 +86,25 @@ class TestPicard:
         path, report = picard_solve(prob, max_iters=12)
         assert report.diverged
         assert not report.converged
+
+    @pytest.mark.parametrize("factor, diverged", [(1.0, True), (0.999, False)])
+    def test_three_factors_of_one_flag_divergence(self, factor, diverged, monkeypatch):
+        # zero data leaves the path norm's sup-L^2 term 0, so the scripted
+        # space-time norms 8, 8f, 8f^2, ... are the residuals: three factors
+        # of exactly 1 stop the run as diverged, three of 0.999 do not
+        import modlab.solver as solver
+
+        residuals = iter([8.0 * factor**j for j in range(6)])
+        monkeypatch.setattr(solver, "spacetime_lp_norm", lambda path, p: next(residuals))
+        g = make_grid(1, 64, 8 * np.pi)
+        prob = NLSProblem(u0=Field(g, np.zeros(g.shape, complex)), horizon=0.1, time_nodes=17)
+        _, report = picard_solve(prob, max_iters=6)
+        assert report.diverged is diverged and not report.converged
+        assert report.iterations == (4 if diverged else 6)
+        if diverged:
+            assert report.contraction_factors == [1.0, 1.0, 1.0]
+        else:
+            assert all(0.998 < f < 1.0 for f in report.contraction_factors)
 
     def test_free_start_is_u0_itself(self):
         prob = small_quintic()
@@ -502,6 +521,29 @@ class TestLargeData:
             large_data_protocol(prob, window=self.window, c0=0.4)
         cert = info.value.certificate
         assert len(cert.tail_norms) == 1 and info.value.inequality == cert.violation()
+
+    def test_cutoff_is_the_smallest_that_meets_the_budget(self, monkeypatch):
+        # tail(2) <= delta < tail(1) <= 1.5 delta: N = 1 misses the budget by
+        # less than half of it, and N = 2, the first to meet it, is chosen
+        from types import SimpleNamespace
+
+        import modlab.solver as solver
+
+        spec = ModNormSpec(1.1, 4.0, 2.0)
+        A = modulation_norm(self.data, spec, self.window)
+        tail = {
+            N: modulation_norm(
+                fourier_multiply(self.data, 1.0 - low_pass(self.grid, N)), spec, self.window
+            )
+            for N in (1.0, 2.0)
+        }
+        delta = tail[1.0] / 1.25
+        assert tail[2.0] <= delta < tail[1.0] <= 1.5 * delta
+        monkeypatch.setattr(solver, "picard_solve", lambda run, **kw: (None, SimpleNamespace()))
+        prob = NLSProblem(u0=self.data, horizon=1.0, time_nodes=17)
+        _, report = large_data_protocol(prob, window=self.window, c0=delta * A**3)
+        assert report.certificate.delta == pytest.approx(delta, rel=1e-12)
+        assert report.certificate.cutoff == 2.0
 
     def test_unreachable_tail_budget_rejected(self):
         prob = NLSProblem(u0=self.data, horizon=1.0, time_nodes=17)

@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from modlab.datagen import mollified_indicator
+from modlab.datagen import mollified_indicator, norm_report
 from modlab.grid import make_grid
 from modlab.modspace import make_window
 from modlab.solver import NLSProblem, large_data_protocol, picard_solve, splitstep_solve
@@ -25,8 +25,13 @@ def main():
 
     grid = make_grid(3, args.n, 8 * np.pi)
     window = make_window(grid)
-    u0, rep = mollified_indicator(args.n_radius, grid, window=window)
-    print("data:", {k: round(v, 4) for k, v in rep.items()})
+    u0 = mollified_indicator(args.n_radius, grid)
+    rep = norm_report(u0, window)
+    print(
+        f"data: n_radius={args.n_radius:g} l4={rep['l4']:.4f} l2={rep['l2']:.4f} "
+        f"h1={rep['h1']:.4f} m_norm={rep['m_norm']:.4f} "
+        f"boundary_decay={rep['boundary_decay']:.1e}"
+    )
 
     problem = NLSProblem(u0=u0, horizon=1.0, time_nodes=17, sign=1)
     path, report = large_data_protocol(

@@ -17,26 +17,4 @@ Subpackages build on each other roughly bottom-up:
 - ``cli``: batch experiment runner
 """
 
-from modlab.grid import (
-    Field,
-    Grid,
-    SpectralField,
-    Trajectory,
-    lp_norm,
-    make_grid,
-    spacetime_lp_norm,
-    to_spectrum,
-)
-
-__all__ = [
-    "Field",
-    "Grid",
-    "SpectralField",
-    "lp_norm",
-    "make_grid",
-    "spacetime_lp_norm",
-    "Trajectory",
-    "to_spectrum",
-]
-
 __version__ = "0.1.0"

@@ -284,7 +284,7 @@ def _run_variation(cfg, xcfg, out_dir):
 
 
 def _problem_from_config(cfg, xcfg):
-    from modlab.datagen import mollified_indicator, random_field
+    from modlab.datagen import mollified_indicator
     from modlab.grid import Field
     from modlab.solver import NLSProblem
 
@@ -297,10 +297,7 @@ def _problem_from_config(cfg, xcfg):
         u0 = Field(grid, amplitude * np.exp(-r_sq / 2.0).astype(complex))
     elif data == "mollified":
         n_radius = _get(cfg, "problem", "n_radius", _positive_float, 2.0)
-        u0, _ = mollified_indicator(n_radius, grid)
-        u0 = amplitude * u0
-    elif data == "random":
-        u0 = amplitude * random_field(grid, xcfg.seed, band=grid.xi_max / 4)
+        u0 = amplitude * mollified_indicator(n_radius, grid)
     else:
         raise ConfigError(f"unknown problem data {data!r}")
     return NLSProblem(
@@ -376,25 +373,22 @@ def _run_largedata(cfg, xcfg, out_dir):
 
 
 def _run_datagen(cfg, xcfg, out_dir):
-    from modlab.datagen import boundary_decay, mollified_indicator, norm_report, save_field
+    from modlab.datagen import mollified_indicator, norm_report, save_field
     from modlab.estimates import scale_family
 
     grid = xcfg.grid()
     window = xcfg.window()
     family = xcfg.family
-    fields, rows, reports = [], [], []
-    for scale in xcfg.scales:  # every scale is built before any file is written
-        if family == "mollified":
-            f, rep = mollified_indicator(scale, grid, window=window)
-        else:
-            f = scale_family(xcfg, scale, grid)
-            rep = {"scale": scale, **norm_report(f, window)}
-        decay = boundary_decay(f)
-        rep["boundary_decay"] = decay
-        rep["boundary_flagged"] = bool(decay > 1e-10)
-        fields.append(f)
-        reports.append(rep)
-        rows.append((scale, rep["m_norm"], rep["h1"], decay))
+    # every scale is built before any file is written
+    fields = [
+        mollified_indicator(scale, grid) if family == "mollified"
+        else scale_family(xcfg, scale, grid)
+        for scale in xcfg.scales
+    ]
+    reports = [
+        {"scale": scale, **norm_report(f, window)} for scale, f in zip(xcfg.scales, fields)
+    ]
+    rows = [(r["scale"], r["m_norm"], r["h1"], r["boundary_decay"]) for r in reports]
     out_dir.mkdir(parents=True, exist_ok=True)
     for scale, f in zip(xcfg.scales, fields):
         save_field(f, out_dir / f"field_{family}_{scale:g}.bin")

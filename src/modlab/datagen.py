@@ -33,15 +33,9 @@ __all__ = [
 ]
 
 
-def mollified_indicator(
-    n_radius: float, grid: Grid, window: Window | None = None
-) -> tuple[Field, dict]:
+def mollified_indicator(n_radius: float, grid: Grid) -> Field:
     """Smooth unit-scale mollifier convolved with the ball indicator 1_B(0,n),
-    normalized to unit L^4 norm.
-
-    Returns the field and its ``norm_report``, with the radius under
-    ``n_radius``.
-    """
+    normalized to unit L^4 norm."""
     if n_radius + 2 > grid.length / 2:
         raise ValueError(
             f"ball of radius {n_radius}+1 does not fit the torus of period {grid.length}"
@@ -53,19 +47,24 @@ def mollified_indicator(
     # convolution via the transform pair: (f*g)^ = (2 pi)^{d/2} f^ g^
     conv = (2.0 * np.pi) ** (grid.d / 2.0) * forward(grid, chi) * forward(grid, indicator)
     f = Field(grid, inverse(grid, conv))
-    f = (1.0 / lp_norm(f, 4)) * f
-    return f, {"n_radius": float(n_radius), **norm_report(f, window)}
+    return (1.0 / lp_norm(f, 4)) * f
 
 
-def norm_report(f: Field, window: Window | None) -> dict:
-    """The L^4, L^2 and spectral H^1 norms of a field and, when a window is
-    supplied, its modulation norm M^{1+eps}_{4,2} with eps = 0.1."""
+def norm_report(f: Field, window: Window) -> dict:
+    """The L^4, L^2 and spectral H^1 norms of a field, its modulation norm
+    M^{1+eps}_{4,2} with eps = 0.1 in ``window``, and its ``boundary_decay``,
+    flagged when it exceeds 1e-10."""
     l2 = lp_norm(f, 2)
-    h1 = float(np.sqrt(l2**2 + gradient_sq_integral(f)))
-    report = {"l4": lp_norm(f, 4), "l2": l2, "h1": h1, "eps": 0.1}
-    if window is not None:
-        report["m_norm"] = modulation_norm(f, ModNormSpec(1.1, 4.0, 2.0), window)
-    return report
+    decay = boundary_decay(f)
+    return {
+        "l4": lp_norm(f, 4),
+        "l2": l2,
+        "h1": float(np.sqrt(l2**2 + gradient_sq_integral(f))),
+        "eps": 0.1,
+        "m_norm": modulation_norm(f, ModNormSpec(1.1, 4.0, 2.0), window),
+        "boundary_decay": decay,
+        "boundary_flagged": bool(decay > 1e-10),
+    }
 
 
 def random_phase_data(scale: float, seed: int, grid: Grid) -> Field:

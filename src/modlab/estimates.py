@@ -262,6 +262,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
     Passes when the fitted slope does not exceed twice the decoupling
     exponent plus the margin.
     """
+    _require_fit_size(len(config.scales))
     grid = config.grid()
     window = config.window()
     if max(config.scales) > grid.xi_max / 4:
@@ -519,6 +520,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     """
     from modlab.variation import vp_norm
 
+    _require_fit_size(len(config.scales))
     grid = _bilinear_grid(config)
     window = config.window()
     n_high = config.fixed_scale
@@ -573,16 +575,16 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
         raise ValueError("decoupling harness supports d in {1, 2}")
     if not 2 <= config.p < math.inf:
         raise ValueError(f"decoupling needs 2 <= p < inf, got p = {config.p}")
-    lhs, rhs = [], []
-    caps_seen = []
+    _require_fit_size(len(config.scales))
+    lhs, rhs, caps_seen = [], [], []
     for R in config.scales:
         width = R**-0.5
         if (2.0 / width) ** config.d < 4:
             raise ValueError(f"R={R} yields fewer than 4 caps")
-        value, cap_sq = _decoupling_cell(config, R, width)
+        value, cap_sq, caps = _decoupling_cell(config, R, width)
         lhs.append(value)
         rhs.append(math.sqrt(cap_sq))
-        caps_seen.append(int(round((2.0 / width) ** config.d)))
+        caps_seen.append(caps)
     predicted = sdec(config.p, config.d)
     meta = {"caps": caps_seen, "profile": config.profile}
     return _make_fit(
@@ -591,11 +593,11 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
 
 
 def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
-    """(||Ef||_{L^p(B_R)}, sum over caps of ||Ef_cap||_{L^p(B_R)}^2).
+    """(||Ef||_{L^p(B_R)}, sum over caps of ||Ef_cap||_{L^p(B_R)}^2, caps).
 
     Caps are the disjoint cubes of the given width partitioning [-1, 1]^d;
     sorting the mesh by cap makes each cap a contiguous run of it, cut at
-    ``bounds``.
+    ``bounds``.  Only caps that hold mesh points are measured and counted.
     """
     mesh = config.mesh if config.mesh > 0 else int(math.ceil(2.6 * R))
     points, weight = unit_ball_mesh(config.d, mesh)
@@ -607,4 +609,4 @@ def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
     norms = extension_ball_norms(
         profile, points, weight, R, config.p, config.samples_per_unit, bounds
     )
-    return float(norms[0]), sum(float(v) ** 2 for v in norms[1:])
+    return float(norms[0]), sum(float(v) ** 2 for v in norms[1:]), len(bounds) - 1

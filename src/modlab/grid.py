@@ -165,9 +165,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
 
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class SpectralField:

@@ -223,13 +223,13 @@ def picard_solve(
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iters):
-            iterations = it + 1
             # iterates of non-contracting runs grow super-exponentially; bail
             # out as a reported divergence before the power overflows the
             # field samples themselves (norms may still report inf)
             if np.max(np.abs(current.values)) > 1e50:
                 diverged = True
                 break
+            iterations = it + 1
             integrals = duhamel_path(nonlinearity(current, problem.kappa, problem.sign))
             new = replace(free, values=free.values - integrals.values * 1j)
             res = path_norm(replace(new, values=new.values - current.values))

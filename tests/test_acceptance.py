@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from modlab.datagen import mollified_indicator, random_field
+from modlab.datagen import mollified_indicator, norm_report, random_field
 from modlab.estimates import (
     ExperimentConfig,
     bilinear_ratio,
@@ -194,7 +194,7 @@ class TestAcceptance:
         t0 = time.time()
         grid = make_grid(3, 16, 8 * np.pi)
         window = make_window(grid)
-        u0, _ = mollified_indicator(2.0, grid, window=window)
+        u0 = mollified_indicator(2.0, grid)
         problem = NLSProblem(u0=u0, horizon=1.0, time_nodes=17, sign=1)
         _, rep = large_data_protocol(problem, window=window, c0=0.4)
         cert = rep.certificate
@@ -215,7 +215,7 @@ class TestAcceptance:
         radii = (2.0, 4.0, 8.0, 16.0)
         m_norms, h1_norms = [], []
         for nr in radii:
-            _, rep = mollified_indicator(nr, grid, window=window)
+            rep = norm_report(mollified_indicator(nr, grid), window)
             m_norms.append(rep["m_norm"])
             h1_norms.append(rep["h1"])
         ratio = max(m_norms) / min(m_norms)

@@ -251,11 +251,13 @@ family = mollified
         assert len(summary["reports"]) == 2
         assert summary["reports"][0]["boundary_flagged"] is False
 
-    @pytest.mark.parametrize("family", ["focusing", "random_phase"])
+    @pytest.mark.parametrize("family", ["mollified", "focusing", "random_phase"])
     def test_datagen_scale_families(self, tmp_path, family):
-        # every family but the mollified one is the sweeps' scale family,
-        # reported by its scale and the mollified family's norm report
-        from modlab.datagen import focusing_data, norm_report, random_phase_data, save_field
+        # every family, the mollified one and the sweeps' scale families, is
+        # reported by its scale and the one norm report
+        from modlab.datagen import (
+            focusing_data, mollified_indicator, norm_report, random_phase_data, save_field,
+        )
         from modlab.grid import make_grid
         from modlab.modspace import make_window
 
@@ -272,7 +274,9 @@ family = mollified
         rows = (out / "datagen.csv").read_text().splitlines()[1:]
         grid = make_grid(1, 512, 64.0)
         for scale, rep, row in zip((2.0, 4.0), summary["reports"], rows):
-            if family == "focusing":
+            if family == "mollified":
+                f = mollified_indicator(scale, grid)
+            elif family == "focusing":
                 f = focusing_data(scale, grid)
             else:
                 f = random_phase_data(scale, 2, grid)
@@ -532,6 +536,15 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "already exists" not in err
         assert re.search(rf"^error: (bad config: bad value for \[\w+\] )?{key}\b", err, re.M)
+        assert not out.exists()
+
+    def test_unknown_problem_data_is_a_config_error(self, tmp_path, capsys):
+        # gaussian and mollified are the problem data; random is not one
+        text = (CONFIGS / "solve_quintic.cfg").read_text()
+        cfg = write(tmp_path, text.replace("data = gaussian", "data = random"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown problem data 'random'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_amplitude_is_legal(self):

@@ -8,6 +8,7 @@ from modlab.datagen import (
     focusing_data,
     load_field,
     mollified_indicator,
+    norm_report,
     random_field,
     random_phase_data,
     save_field,
@@ -23,20 +24,21 @@ class TestMollifiedIndicator:
         self.window = make_window(self.grid)
 
     def test_l4_normalization(self):
-        f, report = mollified_indicator(4.0, self.grid, window=self.window)
+        f = mollified_indicator(4.0, self.grid)
+        report = norm_report(f, self.window)
         assert report["l4"] == pytest.approx(1.0, rel=1e-12)
         assert lp_norm(f, 4) == pytest.approx(1.0, rel=1e-12)
 
     def test_bounded_modulation_family(self):
         norms = [
-            mollified_indicator(nr, self.grid, window=self.window)[1]["m_norm"]
+            norm_report(mollified_indicator(nr, self.grid), self.window)["m_norm"]
             for nr in (2.0, 4.0, 8.0, 16.0)
         ]
         assert max(norms) / min(norms) <= 2.0
 
     def test_h1_growth_exponent(self):
         radii = (2.0, 4.0, 8.0, 16.0)
-        h1s = [mollified_indicator(nr, self.grid)[1]["h1"] for nr in radii]
+        h1s = [norm_report(mollified_indicator(nr, self.grid), self.window)["h1"] for nr in radii]
         slope, _, _ = fit_exponent(radii, h1s)
         assert abs(slope - 0.25) <= 0.1
 
@@ -45,8 +47,11 @@ class TestMollifiedIndicator:
             mollified_indicator(31.0, self.grid)
 
     def test_boundary_decay_clean(self):
-        f, _ = mollified_indicator(4.0, self.grid)
+        f = mollified_indicator(4.0, self.grid)
         assert boundary_decay(f) <= 1e-10
+        report = norm_report(f, self.window)
+        assert report["boundary_decay"] == boundary_decay(f)
+        assert report["boundary_flagged"] is False
 
 
 class TestRandomPhase:

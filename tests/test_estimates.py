@@ -117,6 +117,13 @@ class TestSmoothing:
         with pytest.raises(ValueError, match="family"):
             smoothing_ratio(cfg)
 
+    def test_scale_count_checked_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(est, "scale_family", pytest.fail)
+        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        cfg = ExperimentConfig(d=1, n=256, length=8 * np.pi, scales=(2.0, 4.0), family="focusing")
+        with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
+            smoothing_ratio(cfg)
+
 
 class TestStrichartz:
     def test_dimension_guard(self):
@@ -471,7 +478,7 @@ class TestV2Bilinear:
 
     def test_zero_piece_rejected(self, monkeypatch):
         cfg = ExperimentConfig(
-            d=3, n=16, length=2 * np.pi, cube=4.0, scales=(1.0,),
+            d=3, n=16, length=2 * np.pi, cube=4.0, scales=(1.0, 2.0, 4.0),
             fixed_scale=4.0, time_nodes=65, min_separation=1.0, atoms=1,
         )
         grid = cfg.grid()
@@ -480,12 +487,22 @@ class TestV2Bilinear:
         with pytest.raises(ValueError, match="zero path"):
             v2_bilinear_ratio(cfg)
 
+    def test_scale_count_checked_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(est, "_band_noise", pytest.fail)
+        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        cfg = ExperimentConfig(
+            d=3, n=16, length=2 * np.pi, cube=4.0, scales=(1.0,),
+            fixed_scale=4.0, time_nodes=65, min_separation=1.0, atoms=1,
+        )
+        with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 1"):
+            v2_bilinear_ratio(cfg)
+
 
 class TestDecoupling:
     def test_single_cap_profile_ratio_is_one(self):
         for R in (16.0, 64.0):
             cfg = ExperimentConfig(d=1, scales=(R,), p=6.0, profile="single_cap")
-            value, cap_sq = est._decoupling_cell(cfg, R, R**-0.5)
+            value, cap_sq, _ = est._decoupling_cell(cfg, R, R**-0.5)
             assert value == pytest.approx(np.sqrt(cap_sq), rel=1e-12)
 
     @pytest.mark.parametrize("profile", ["constant", "bump"])
@@ -501,7 +518,7 @@ class TestDecoupling:
 
         monkeypatch.setattr(est, "extension_ball_norms", spy)
         cfg = ExperimentConfig(d=2, scales=(4.0,), p=4.0, mesh=12, profile=profile)
-        value, cap_sq = est._decoupling_cell(cfg, 4.0, 0.5)
+        value, cap_sq, caps_measured = est._decoupling_cell(cfg, 4.0, 0.5)
         ((profile_, pts, w, R, p, spu, cuts), norms) = calls[0]
         # 16 caps of width 0.5 cut the cap-sorted mesh into contiguous runs
         assert len(cuts) == 1 + 16 and cuts[0] == 0 and cuts[-1] == len(pts)
@@ -509,7 +526,7 @@ class TestDecoupling:
         caps = np.floor((pts + 1.0) / 0.5)
         runs = list(zip(cuts[:-1], cuts[1:]))
         assert all((caps[a:b] == caps[a]).all() for a, b in runs)
-        assert len({tuple(caps[a]) for a, _ in runs}) == 16
+        assert len({tuple(caps[a]) for a, _ in runs}) == 16 == caps_measured
         for (a, b), norm in zip([(0, len(pts)), *runs], norms):
             direct = direct_ball_norm(profile_[a:b], pts[a:b], w, R, p, spu)
             assert norm == pytest.approx(direct, rel=1e-12)
@@ -559,8 +576,28 @@ class TestDecoupling:
         assert fit.passed
 
     def test_too_few_caps_rejected(self):
-        cfg = ExperimentConfig(d=1, scales=(2.0,), p=6.0)
+        cfg = ExperimentConfig(d=1, scales=(2.0, 4.0, 8.0), p=6.0)
         with pytest.raises(ValueError, match="caps"):
+            decoupling_ratio(cfg)
+
+    def test_d2_reports_the_caps_it_measured(self):
+        # (2/width)^2 counts 32 and 64 cubes at R = 8 and 16, but the
+        # 12-point mesh of the unit disc falls in 28 and 54 of them, and only
+        # those are measured
+        from modlab.propagator import unit_ball_mesh
+
+        cfg = ExperimentConfig(d=2, scales=(4.0, 8.0, 16.0), p=4.0, mesh=12)
+        points, _ = unit_ball_mesh(2, 12)
+        occupied = [
+            len(np.unique(np.floor((points + 1.0) / R**-0.5), axis=0)) for R in cfg.scales
+        ]
+        assert occupied == [16, 28, 54]
+        assert decoupling_ratio(cfg).meta["caps"] == occupied
+
+    def test_scale_count_checked_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(est, "extension_ball_norms", pytest.fail)
+        cfg = ExperimentConfig(d=2, scales=(16.0,), p=4.0, mesh=12)
+        with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 1"):
             decoupling_ratio(cfg)
 
     def test_dimension_guard(self):

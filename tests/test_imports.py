@@ -4,8 +4,8 @@ module's private (underscore) name, and neither do the test oracles; every
 public name imported from a modlab module is in that module's ``__all__``;
 a run reaches every ``__all__`` name and every public method; every default
 of a public function is both set and left to itself by a run; only
-``grid`` and the package's re-exports touch the frozen ``SpectralField``
-view; ``np.power`` appears only in ``grid.abs_power``; no module calls the
+``grid`` touches the frozen ``SpectralField`` view, the package root
+included; ``np.power`` appears only in ``grid.abs_power``; no module calls the
 builtin ``id``; and the split-step oracle reaches none of the Picard path's
 flows or transforms."""
 
@@ -86,11 +86,12 @@ def test_imported_names_are_exported(path):
 
 @pytest.mark.parametrize(
     "path",
-    [p for p in sorted(SRC.glob("*.py")) if p.name not in ("grid.py", "__init__.py")],
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "grid.py"],
     ids=lambda p: p.name,
 )
 def test_spectrum_view_stays_in_grid(path):
-    # inside the package, spectra are plain arrays from grid.forward/inverse
+    # inside the package, spectra are plain arrays from grid.forward/inverse,
+    # and the package root re-exports no second path to the view
     view = [name for _, name in _modlab_imports(path) if name in ("SpectralField", "to_spectrum")]
     assert not view, f"{path.name} imports {view}; use grid.forward/inverse"
 

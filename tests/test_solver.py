@@ -87,6 +87,21 @@ class TestPicard:
         assert report.diverged
         assert not report.converged
 
+    def test_overflow_guard_counts_only_computed_iterates(self):
+        # the iterates of 50 exp(-x^2/2) pass 1e50 after three Duhamel maps,
+        # so the guard stops the run before a fourth: three iterates, three
+        # residuals, and the hook sees u0 and each of them
+        g = make_grid(1, 64, 16 * np.pi)
+        u0 = Field(g, 50.0 * np.exp(-g.axis_coords() ** 2 / 2).astype(complex))
+        seen = []
+        _, report = picard_solve(
+            NLSProblem(u0=u0, horizon=1.0, time_nodes=17),
+            iterate_hook=lambda j, path: seen.append(j),
+        )
+        assert report.diverged and not report.converged
+        assert len(report.residuals) == report.iterations == 3
+        assert seen == [0, 1, 2, 3]
+
     @pytest.mark.parametrize("factor, diverged", [(1.0, True), (0.999, False)])
     def test_three_factors_of_one_flag_divergence(self, factor, diverged, monkeypatch):
         # zero data leaves the path norm's sup-L^2 term 0, so the scripted
@@ -453,7 +468,7 @@ class TestLargeData:
     def setup_method(self):
         self.grid = make_grid(3, 16, 8 * np.pi)
         self.window = make_window(self.grid)
-        self.data, _ = mollified_indicator(2.0, self.grid, window=self.window)
+        self.data = mollified_indicator(2.0, self.grid)
 
     def test_small_data_reduces_to_unit_cutoff(self):
         prob = NLSProblem(u0=0.05 * self.data, horizon=1.0, time_nodes=17)

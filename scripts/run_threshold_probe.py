@@ -10,7 +10,8 @@ import argparse
 
 import numpy as np
 
-from modlab.grid import Field, make_grid
+from modlab.datagen import gaussian
+from modlab.grid import make_grid
 from modlab.modspace import make_window
 from modlab.solver import NLSProblem, small_data_threshold, sum_space_smallness
 
@@ -28,12 +29,11 @@ def main():
 
     grid = make_grid(1, args.n, args.length)
     window = make_window(grid)
-    x = grid.axis_coords()
-    profile = np.exp(-(x**2) / 2).astype(complex)
+    profile = gaussian(grid)
 
     def make_problem(amp):
         return NLSProblem(
-            u0=Field(grid, amp * profile),
+            u0=amp * profile,
             horizon=args.horizon,
             time_nodes=65,
             sign=1,

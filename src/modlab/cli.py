@@ -284,17 +284,14 @@ def _run_variation(cfg, xcfg, out_dir):
 
 
 def _problem_from_config(cfg, xcfg):
-    from modlab.datagen import mollified_indicator
-    from modlab.grid import Field
+    from modlab.datagen import gaussian, mollified_indicator
     from modlab.solver import NLSProblem
 
     grid = xcfg.grid()
     data = _get(cfg, "problem", "data", str, "gaussian")
     amplitude = _get(cfg, "problem", "amplitude", _finite_float, 0.2)
     if data == "gaussian":
-        coords = grid.coords()
-        r_sq = sum(x**2 for x in coords)
-        u0 = Field(grid, amplitude * np.exp(-r_sq / 2.0).astype(complex))
+        u0 = amplitude * gaussian(grid)
     elif data == "mollified":
         n_radius = _get(cfg, "problem", "n_radius", _positive_float, 2.0)
         u0 = amplitude * mollified_indicator(n_radius, grid)
@@ -373,18 +370,13 @@ def _run_largedata(cfg, xcfg, out_dir):
 
 
 def _run_datagen(cfg, xcfg, out_dir):
-    from modlab.datagen import mollified_indicator, norm_report, save_field
-    from modlab.estimates import scale_family
+    from modlab.datagen import norm_report, save_field, scale_family
 
     grid = xcfg.grid()
     window = xcfg.window()
     family = xcfg.family
     # every scale is built before any file is written
-    fields = [
-        mollified_indicator(scale, grid) if family == "mollified"
-        else scale_family(xcfg, scale, grid)
-        for scale in xcfg.scales
-    ]
+    fields = [scale_family(family, scale, xcfg.seed, xcfg.cube, grid) for scale in xcfg.scales]
     reports = [
         {"scale": scale, **norm_report(f, window)} for scale, f in zip(xcfg.scales, fields)
     ]

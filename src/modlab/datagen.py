@@ -1,7 +1,8 @@
 """Reproducible initial-data families and field serialization.
 
-Every generator is a pure function of (parameters, seed, grid).  The headline
-family is the mollified ball indicator: after L^4 normalization its
+Every generator is a pure function of (parameters, seed, grid), and every
+run builds its data by scale through the one table ``scale_family``.  The
+headline family is the mollified ball indicator: after L^4 normalization its
 modulation norm stays bounded along the radius sweep while the H^1 norm grows
 like radius^(d/4), which is the infinite-energy mechanism the solvers are fed
 with.
@@ -18,10 +19,14 @@ import numpy as np
 from modlab.grid import (
     Field, Grid, InvalidScales, forward, fourier_multiply, inverse, lp_norm, make_grid,
 )
-from modlab.modspace import ModNormSpec, Window, bump, modulation_norm
+from modlab.modspace import (
+    ModNormSpec, Window, bump, dyadic_multiplier, modulation_norm,
+)
 from modlab.propagator import gradient_sq_integral
 
 __all__ = [
+    "scale_family",
+    "gaussian",
     "mollified_indicator",
     "norm_report",
     "random_phase_data",
@@ -31,6 +36,41 @@ __all__ = [
     "save_field",
     "load_field",
 ]
+
+
+def scale_family(family: str, scale: float, seed: int, cube: float, grid: Grid) -> Field:
+    """The datum of a family at one scale: ``focusing``, ``random_phase`` and
+    ``band_noise`` concentrate at frequency ``scale``, ``bump`` is a spectral
+    bump of width 0.45 ``cube`` centered at ``scale`` on axis 0, and
+    ``mollified`` is ``mollified_indicator`` of radius ``scale``.  A zero
+    field is refused."""
+    if family == "focusing":
+        f = focusing_data(scale, grid)
+    elif family == "random_phase":
+        f = random_phase_data(scale, seed, grid)
+    elif family == "bump":
+        arg = reduce(np.add, [
+            ((xi - c) / (0.45 * cube)) ** 2
+            for xi, c in zip(grid.freqs(), [scale] + [0.0] * (grid.d - 1))
+        ])
+        f = Field(grid, inverse(grid, bump(arg)))
+    elif family == "band_noise":  # Gaussian white noise through the annulus at scale
+        rng = np.random.default_rng([int(seed), int(round(scale * 16))])
+        white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        f = Field(grid, inverse(grid, dyadic_multiplier(grid, scale) * white))
+    elif family == "mollified":
+        f = mollified_indicator(scale, grid)
+    else:
+        raise ValueError(f"unknown data family {family!r}")
+    if lp_norm(f, 2) == 0.0:
+        raise ValueError(f"{family} data at scale {scale:g} is a zero field")
+    return f
+
+
+def gaussian(grid: Grid) -> Field:
+    """The unit Gaussian exp(-|x|^2 / 2)."""
+    r_sq = reduce(np.add, [x**2 for x in grid.coords()])
+    return Field(grid, np.exp(-r_sq / 2.0).astype(complex))
 
 
 def mollified_indicator(n_radius: float, grid: Grid) -> Field:

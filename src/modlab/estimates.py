@@ -37,7 +37,6 @@ from modlab.grid import (
     Trajectory,
     forward,
     inverse,
-    lp_norm,
     make_grid,
 )
 from modlab.modspace import (
@@ -46,7 +45,6 @@ from modlab.modspace import (
     ball_cover_centers,
     band_box,
     bump,
-    dyadic_multiplier,
     make_window,
     modulation_norm,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "FitResult",
     "sdec",
     "fit_exponent",
-    "scale_family",
     "smoothing_ratio",
     "strichartz_l4_ratio",
     "bilinear_ratio",
@@ -177,7 +174,7 @@ def fit_exponent(
     """
     scales = np.asarray(scales, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
-    _require_fit_size(scales.size)
+    _require_fit_size(scales)
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive for a log-log fit")
     x = np.log(scales)
@@ -191,9 +188,11 @@ def fit_exponent(
     return slope, intercept, resid
 
 
-def _require_fit_size(count: int) -> None:
+def _require_fit_size(scales: Sequence[float]) -> None:
+    # repeated scales add no column: three equal ones leave a rank-1 fit
+    count = len(set(scales))
     if count < 3:
-        raise InvalidScales(f"need at least 3 scales for a fit, got {count}")
+        raise InvalidScales(f"need at least 3 scales for a fit, got {count} distinct")
 
 
 def _make_fit(scales, lhs, rhs, predicted, margin, label, meta=None) -> FitResult:
@@ -216,42 +215,6 @@ def _make_fit(scales, lhs, rhs, predicted, margin, label, meta=None) -> FitResul
 
 
 # ---------------------------------------------------------------------------
-# Data families and evolution helpers
-# ---------------------------------------------------------------------------
-
-
-def _bump_at(grid: Grid, center: Sequence[float], width: float) -> Field:
-    """Smooth spectral bump of the given width centered at a frequency."""
-    arg = reduce(
-        np.add, [((xi - c) / width) ** 2 for xi, c in zip(grid.freqs(), center)]
-    )
-    return Field(grid, inverse(grid, bump(arg)))
-
-
-def _band_noise(grid: Grid, band: float, seed: int) -> Field:
-    """Gaussian white noise through the dyadic annulus multiplier at ``band``."""
-    rng = np.random.default_rng([int(seed), int(round(band * 16))])
-    white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    mult = dyadic_multiplier(grid, band)
-    return Field(grid, inverse(grid, mult * white))
-
-
-def scale_family(config: ExperimentConfig, scale: float, grid: Grid) -> Field:
-    """Initial data concentrated at frequency ``scale`` per the config family."""
-    if config.family == "focusing":
-        return datagen.focusing_data(scale, grid)
-    if config.family == "random_phase":
-        return datagen.random_phase_data(scale, config.seed, grid)
-    if config.family == "bump":
-        center = [0.0] * grid.d
-        center[0] = scale
-        return _bump_at(grid, center, 0.45 * config.cube)
-    if config.family == "band_noise":
-        return _band_noise(grid, scale, config.seed)
-    raise ValueError(f"unknown data family {config.family!r}")
-
-
-# ---------------------------------------------------------------------------
 # Linear smoothing / Strichartz sweeps
 # ---------------------------------------------------------------------------
 
@@ -262,7 +225,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
     Passes when the fitted slope does not exceed twice the decoupling
     exponent plus the margin.
     """
-    _require_fit_size(len(config.scales))
+    _require_fit_size(config.scales)
     grid = config.grid()
     window = config.window()
     if max(config.scales) > grid.xi_max / 4:
@@ -270,12 +233,10 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
             f"largest scale {max(config.scales)} exceeds xi_max/4 = {grid.xi_max / 4}"
         )
     spec = ModNormSpec(0.0, config.p, 2.0)
-    data = []
-    for N in config.scales:
-        u0 = scale_family(config, N, grid)
-        if lp_norm(u0, 2) == 0.0:
-            raise ValueError("degenerate data family: zero field")
-        data.append(u0)
+    data = [
+        datagen.scale_family(config.family, N, config.seed, config.cube, grid)
+        for N in config.scales
+    ]
     products = [[u0] for u0 in data]
     lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, config.p)
     rhs = [modulation_norm(u0, spec, window) for u0 in data]
@@ -333,7 +294,7 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
             raise ValueError(
                 f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
             )
-    _require_fit_size(len(config.scales))
+    _require_fit_size(config.scales)
     n1_fixed = max(config.scales)
     low_scales = tuple(s for s in config.scales if s * config.min_separation <= n1_fixed)
     if len(low_scales) < 3:
@@ -341,13 +302,11 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
     low = [(n1_fixed, n2) for n2 in low_scales]
     pairs = list(dict.fromkeys(high + low))
 
-    fields = {}  # (band, seed) -> Field, in pair order
-    for pair in pairs:
-        for key in zip(pair, (config.seed, config.seed + 1)):
-            if key not in fields:
-                fields[key] = _band_noise(grid, *key)
-                if lp_norm(fields[key], 2) == 0.0:
-                    raise ValueError("zero field in bilinear data")
+    seeds = (config.seed, config.seed + 1)
+    fields = {  # (band, seed) -> Field, in pair order
+        key: datagen.scale_family("band_noise", *key, config.cube, grid)
+        for key in dict.fromkeys(key for pair in pairs for key in zip(pair, seeds))
+    }
     boxes = {f: band_box(grid, band) for (band, _), f in fields.items()}
     spec = ModNormSpec(0.0, 4.0, 2.0)
     norms = {f: modulation_norm(f, spec, window) for f in fields.values()}
@@ -503,9 +462,10 @@ def _atomic_path(config: ExperimentConfig, grid: Grid, band: float, seed: int) -
     """The profile step path of ``config.atoms`` free-trajectory atoms tiling
     [0, horizon], on linspace(0, horizon, atoms + 1); the last profile repeats
     at the horizon, so that one atom still has the two nodes of a variation."""
-    profiles = [_band_noise(grid, band, seed + 101 * j) for j in range(config.atoms)]
-    if any(lp_norm(f, 2) == 0.0 for f in profiles):
-        raise ValueError("zero path piece in atomic data")
+    profiles = [
+        datagen.scale_family("band_noise", band, seed + 101 * j, config.cube, grid)
+        for j in range(config.atoms)
+    ]
     values = np.stack([f.values for f in profiles + profiles[-1:]])
     return Trajectory(grid, np.linspace(0.0, config.horizon, config.atoms + 1), values)
 
@@ -520,7 +480,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     """
     from modlab.variation import vp_norm
 
-    _require_fit_size(len(config.scales))
+    _require_fit_size(config.scales)
     grid = _bilinear_grid(config)
     window = config.window()
     n_high = config.fixed_scale
@@ -575,20 +535,16 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
         raise ValueError("decoupling harness supports d in {1, 2}")
     if not 2 <= config.p < math.inf:
         raise ValueError(f"decoupling needs 2 <= p < inf, got p = {config.p}")
-    _require_fit_size(len(config.scales))
-    lhs, rhs, caps_seen = [], [], []
-    for R in config.scales:
-        width = R**-0.5
-        if (2.0 / width) ** config.d < 4:
-            raise ValueError(f"R={R} yields fewer than 4 caps")
-        value, cap_sq, caps = _decoupling_cell(config, R, width)
-        lhs.append(value)
-        rhs.append(math.sqrt(cap_sq))
-        caps_seen.append(caps)
-    predicted = sdec(config.p, config.d)
-    meta = {"caps": caps_seen, "profile": config.profile}
+    _require_fit_size(config.scales)
+    # the cap count (2 R^{1/2})^d grows with R: the smallest scale has fewest
+    smallest = min(config.scales)
+    if (2.0 / smallest**-0.5) ** config.d < 4:
+        raise ValueError(f"R={smallest} yields fewer than 4 caps")
+    lhs, cap_sq, caps = zip(*(_decoupling_cell(config, R, R**-0.5) for R in config.scales))
+    rhs = [math.sqrt(v) for v in cap_sq]
+    meta = {"caps": list(caps), "profile": config.profile}
     return _make_fit(
-        config.scales, lhs, rhs, predicted, config.margin, "decoupling", meta
+        config.scales, lhs, rhs, sdec(config.p, config.d), config.margin, "decoupling", meta
     )
 
 

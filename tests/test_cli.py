@@ -251,15 +251,17 @@ family = mollified
         assert len(summary["reports"]) == 2
         assert summary["reports"][0]["boundary_flagged"] is False
 
-    @pytest.mark.parametrize("family", ["mollified", "focusing", "random_phase"])
+    @pytest.mark.parametrize(
+        "family", ["mollified", "focusing", "random_phase", "bump", "band_noise"]
+    )
     def test_datagen_scale_families(self, tmp_path, family):
-        # every family, the mollified one and the sweeps' scale families, is
-        # reported by its scale and the one norm report
+        # every family of the one table is reported by its scale and the one
+        # norm report
         from modlab.datagen import (
             focusing_data, mollified_indicator, norm_report, random_phase_data, save_field,
         )
-        from modlab.grid import make_grid
-        from modlab.modspace import make_window
+        from modlab.grid import Field, inverse, make_grid
+        from modlab.modspace import bump, dyadic_multiplier, make_window
 
         text = (CONFIGS / "datagen_mollified.cfg").read_text()
         cfg = write(tmp_path, text.replace("family = mollified", f"family = {family}")
@@ -278,8 +280,16 @@ family = mollified
                 f = mollified_indicator(scale, grid)
             elif family == "focusing":
                 f = focusing_data(scale, grid)
-            else:
+            elif family == "random_phase":
                 f = random_phase_data(scale, 2, grid)
+            elif family == "bump":
+                # width 0.45 cube, centered at the scale; cube defaults to 1
+                f = Field(grid, inverse(grid, bump(((grid.freqs()[0] - scale) / 0.45) ** 2)))
+            else:
+                # complex white noise of seed (2, 16 scale) through the annulus
+                rng = np.random.default_rng([2, int(16 * scale)])
+                white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                f = Field(grid, inverse(grid, dyadic_multiplier(grid, scale) * white))
             save_field(f, tmp_path / "direct.bin")
             written = out / f"field_{family}_{scale:g}.bin"
             assert written.read_bytes() == (tmp_path / "direct.bin").read_bytes()
@@ -575,6 +585,18 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:") and "p = " in line]
+        assert not out.exists()
+
+    def test_repeated_decoupling_scales_exit_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # three equal scales make a rank-1 fit, which passed with a slope
+        from modlab import estimates
+
+        monkeypatch.setattr(estimates, "extension_ball_norms", pytest.fail)
+        text = (CONFIGS / "decoupling_d1_p6.cfg").read_text()
+        cfg = write(tmp_path, text.replace("scales = 16 64 256", "scales = 16 16 16"))
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), seed=None) == EXIT_SCALES
+        assert "need at least 3 scales for a fit, got 1 distinct" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

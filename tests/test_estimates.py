@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import modlab.estimates as est
+from modlab import datagen
 from modlab.estimates import (
     ExperimentConfig,
     bilinear_ratio,
@@ -12,7 +13,7 @@ from modlab.estimates import (
     strichartz_l4_ratio,
     v2_bilinear_ratio,
 )
-from modlab.grid import Field, make_grid
+from modlab.grid import make_grid
 from tests.conftest import direct_ball_norm
 
 
@@ -50,6 +51,14 @@ class TestFitExponent:
     def test_two_samples_rejected(self):
         with pytest.raises(ValueError, match="3 scales"):
             fit_exponent((1.0, 2.0), (1.0, 2.0))
+
+    def test_repeated_scales_count_once(self):
+        # three equal scales leave a rank-1 system, whose minimum-norm
+        # solution is no slope at all
+        with pytest.raises(est.InvalidScales, match="got 1 distinct"):
+            fit_exponent((16.0, 16.0, 16.0), (1.0, 2.0, 4.0))
+        with pytest.raises(est.InvalidScales, match="got 2 distinct"):
+            fit_exponent((2.0, 4.0, 4.0, 2.0), (1.0, 2.0, 2.0, 1.0))
 
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -102,13 +111,17 @@ class TestSmoothing:
             smoothing_ratio(cfg)
 
     def test_zero_family_degenerate(self, monkeypatch):
+        # the table refuses a zero datum: a bump centered past the band, and
+        # every band-noise datum once the annulus multiplier is zeroed, before
+        # any cell is measured
+        grid = make_grid(1, 256, 8 * np.pi)
+        with pytest.raises(ValueError, match="zero field"):
+            datagen.scale_family("bump", 64.0, 0, 1.0, grid)
         cfg = ExperimentConfig(
-            d=1, n=256, length=8 * np.pi, scales=(2.0, 4.0, 8.0), family="focusing"
+            d=1, n=256, length=8 * np.pi, scales=(2.0, 4.0, 8.0), family="band_noise"
         )
-        grid = cfg.grid()
-        monkeypatch.setattr(
-            est, "scale_family", lambda c, s, g: Field(grid, np.zeros(grid.shape, complex))
-        )
+        monkeypatch.setattr(datagen, "dyadic_multiplier", lambda g, b: np.zeros(g.shape))
+        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
         with pytest.raises(ValueError, match="zero field"):
             smoothing_ratio(cfg)
 
@@ -118,7 +131,7 @@ class TestSmoothing:
             smoothing_ratio(cfg)
 
     def test_scale_count_checked_before_any_cell(self, monkeypatch):
-        monkeypatch.setattr(est, "scale_family", pytest.fail)
+        monkeypatch.setattr(datagen, "scale_family", pytest.fail)
         monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
         cfg = ExperimentConfig(d=1, n=256, length=8 * np.pi, scales=(2.0, 4.0), family="focusing")
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
@@ -138,13 +151,12 @@ class TestStrichartz:
         # two scales: compare the measured ratios directly instead of a fit
         grid = cfg.grid()
         window = cfg.window()
-        from modlab.estimates import scale_family
         from modlab.modspace import ModNormSpec, modulation_norm
         from modlab.propagator import free_flow_lp_norms
 
         ratios = []
         for N in cfg.scales:
-            u0 = scale_family(cfg, N, grid)
+            u0 = datagen.scale_family(cfg.family, N, cfg.seed, cfg.cube, grid)
             lhs = free_flow_lp_norms([[u0]], 1.0, cfg.time_nodes, 4.0)[0]
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
@@ -168,13 +180,12 @@ class TestStrichartz:
         )
         grid = cfg.grid()
         window = cfg.window()
-        from modlab.estimates import scale_family
         from modlab.modspace import ModNormSpec, modulation_norm
         from modlab.propagator import free_flow_lp_norms
 
         ratios = []
         for N in cfg.scales:
-            u0 = scale_family(cfg, N, grid)
+            u0 = datagen.scale_family(cfg.family, N, cfg.seed, cfg.cube, grid)
             lhs = free_flow_lp_norms([[u0]], 1.0, cfg.time_nodes, 4.0)[0]
             rhs = modulation_norm(u0, ModNormSpec(0, 4, 2), window)
             ratios.append(lhs / rhs)
@@ -226,11 +237,11 @@ class TestBilinear:
         # high fit, or too few low scales is reported before a single cell
         # is measured, or a single field built
         monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
-        monkeypatch.setattr(est, "_band_noise", pytest.fail)
+        monkeypatch.setattr(datagen, "scale_family", pytest.fail)
         cfg = self.small_config(scales=(4.0, 2.0, 1.0), min_separation=2.0)
         with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=1.0"):
             bilinear_ratio(cfg)
-        cfg = self.small_config(scales=(2.0, 4.0, 4.0), min_separation=2.0)
+        cfg = self.small_config(scales=(1.0, 2.0, 4.0), min_separation=2.0, fixed_scale=0.5)
         with pytest.raises(est.InvalidScales, match="fewer than 3 admissible"):
             bilinear_ratio(cfg)
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
@@ -241,23 +252,24 @@ class TestBilinear:
         # one M_{4,2} norm, and is the same object in every product it enters
         built, normed, sweeps = [], [], []
 
-        def spy(name, record):
-            real = getattr(est, name)
+        def spy(module, name, record):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 record(args)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(est, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        spy("_band_noise", lambda args: built.append(args[1:]))
-        spy("modulation_norm", lambda args: normed.append(args[0]))
-        spy("free_flow_lp_norms", lambda args: sweeps.append(args[0]))
+        spy(datagen, "scale_family", lambda args: built.append(args[:3]))
+        spy(est, "modulation_norm", lambda args: normed.append(args[0]))
+        spy(est, "free_flow_lp_norms", lambda args: sweeps.append(args[0]))
         _, fit_low = bilinear_ratio(self.small_config())
         # the chain log builds no field of its own: it adds one norm per sampled
         # piece and two sweeps
         boxes = fit_low.meta["chain"]["sampled_boxes"]
         assert len(built) == len(set(built)) == 6
+        assert {family for family, _, _ in built} == {"band_noise"}
         assert len(normed) == len({id(f) for f in normed}) == 6 + boxes
         products = sweeps[0]
         assert len(products) == 5
@@ -274,7 +286,10 @@ class TestBilinear:
         cfg = self.small_config()
         window = cfg.window()
         bands = (4.0, 1.0)
-        f1, f2 = (est._band_noise(cfg.grid(), b, cfg.seed + j) for j, b in enumerate(bands))
+        f1, f2 = (
+            datagen.scale_family("band_noise", b, cfg.seed + j, cfg.cube, cfg.grid())
+            for j, b in enumerate(bands)
+        )
         f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
         est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)  # fill the caches
         tracemalloc.start()
@@ -295,7 +310,10 @@ class TestBilinear:
         cfg = self.small_config(seed=11)
         window = cfg.window()
         bands = (4.0, 1.0)
-        f1, f2 = (est._band_noise(cfg.grid(), b, cfg.seed + j) for j, b in enumerate(bands))
+        f1, f2 = (
+            datagen.scale_family("band_noise", b, cfg.seed + j, cfg.cube, cfg.grid())
+            for j, b in enumerate(bands)
+        )
         f1_norm = modulation_norm(f1, ModNormSpec(0.0, 4.0, 2.0), window)
         chain = est.bilinear_chain_log(cfg, window, bands, f1, f2, f1_norm)
         ratio, occupied = chain_cover_energy(f1, *bands)
@@ -337,10 +355,10 @@ class TestBilinear:
 
     def test_shared_cell_measured_once(self, monkeypatch):
         # both sweeps use the cell (max scale, fixed scale) = (4, 1)
-        calls, bands, real_noise = [], {}, est._band_noise
+        calls, bands, real_family = [], {}, datagen.scale_family
 
-        def noise(grid, band, seed):
-            f = real_noise(grid, band, seed)
+        def noise(family, band, seed, cube, grid):
+            f = real_family(family, band, seed, cube, grid)
             bands[f] = band  # a field is its own key
             return f
 
@@ -349,7 +367,7 @@ class TestBilinear:
             return np.array([bands[f1] * bands[f2] for f1, f2 in products])
 
         # each cell's lhs is the product of its bands, so cells tell apart
-        monkeypatch.setattr(est, "_band_noise", noise)
+        monkeypatch.setattr(datagen, "scale_family", noise)
         monkeypatch.setattr(est, "modulation_norm", lambda *args: 1.0)
         monkeypatch.setattr(est, "free_flow_lp_norms", sweep)
         monkeypatch.setattr(est, "bilinear_chain_log", lambda *args: {})
@@ -365,10 +383,14 @@ class TestBilinear:
             bilinear_ratio(cfg)
 
     def test_zero_input_rejected(self, monkeypatch):
+        # band noise past the grid's band is zero, and so is every band once
+        # the annulus multiplier is zeroed: refused before any cell
         cfg = self.small_config()
-        grid = cfg.grid()
-        zero = Field(grid, np.zeros(grid.shape, complex))
-        monkeypatch.setattr(est, "_band_noise", lambda g, b, s: zero)
+        with pytest.raises(ValueError, match="zero field"):
+            datagen.scale_family("band_noise", 32.0, cfg.seed, cfg.cube, cfg.grid())
+        monkeypatch.setattr(datagen, "dyadic_multiplier", lambda g, b: np.zeros(g.shape))
+        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        monkeypatch.setattr(est, "modulation_norm", pytest.fail)
         with pytest.raises(ValueError, match="zero field"):
             bilinear_ratio(cfg)
 
@@ -386,7 +408,8 @@ class TestBilinear:
             fixed_scale=1.0, family="band_noise", time_nodes=17, seed=3,
         )
         grid, window, spec = cfg.grid(), cfg.window(), ModNormSpec(0.0, 4.0, 2.0)
-        f1, f2 = est._band_noise(grid, 2.0, 3), est._band_noise(grid, 1.0, 4)
+        f1 = datagen.scale_family("band_noise", 2.0, 3, cfg.cube, grid)
+        f2 = datagen.scale_family("band_noise", 1.0, 4, cfg.cube, grid)
         boxes = {f1: band_box(grid, 2.0), f2: band_box(grid, 1.0)}
         [lhs] = est.free_flow_lp_norms([(f1, f2)], cfg.horizon, cfg.time_nodes, 2.0, boxes)
         rhs = modulation_norm(f1, spec, window) * modulation_norm(f2, spec, window)
@@ -398,7 +421,6 @@ class TestBilinear:
         # the oracle, and on the smallest exact grid (10 points per axis)
         # with each field's band box moved along, where it also agrees with
         # the padded grid
-        from modlab.estimates import _band_noise
         from modlab.grid import Trajectory
         from modlab.modspace import ModNormSpec, band_box, make_window, modulation_norm
         from modlab.propagator import free_flow_lp_norms, galilean_shift
@@ -407,8 +429,8 @@ class TestBilinear:
         grid = make_grid(3, 16, 2 * np.pi)
         window = make_window(grid, 4.0)
         spec = ModNormSpec(0, 4, 2)
-        f1 = _band_noise(grid, 2.0, 5)
-        f2 = _band_noise(grid, 1.0, 6)
+        f1 = datagen.scale_family("band_noise", 2.0, 5, 4.0, grid)
+        f2 = datagen.scale_family("band_noise", 1.0, 6, 4.0, grid)
         boxes = {f1: band_box(grid, 2.0), f2: band_box(grid, 1.0)}
 
         def ratio(a, b, boxes=None):
@@ -472,7 +494,7 @@ class TestV2Bilinear:
         path = est._atomic_path(cfg, grid, 2.0, 4)
         assert np.array_equal(path.times, np.linspace(0.0, 0.5, atoms + 1))
         for j in range(atoms):
-            profile = est._band_noise(grid, 2.0, 4 + 101 * j)
+            profile = datagen.scale_family("band_noise", 2.0, 4 + 101 * j, cfg.cube, grid)
             assert np.array_equal(path.values[j], profile.values)
         assert np.array_equal(path.values[-1], path.values[-2])
 
@@ -481,14 +503,15 @@ class TestV2Bilinear:
             d=3, n=16, length=2 * np.pi, cube=4.0, scales=(1.0, 2.0, 4.0),
             fixed_scale=4.0, time_nodes=65, min_separation=1.0, atoms=1,
         )
-        grid = cfg.grid()
-        zero = Field(grid, np.zeros(grid.shape, complex))
-        monkeypatch.setattr(est, "_band_noise", lambda g, b, s: zero)
-        with pytest.raises(ValueError, match="zero path"):
+        with pytest.raises(ValueError, match="zero field"):
+            datagen.scale_family("band_noise", 32.0, cfg.seed + 7, cfg.cube, cfg.grid())
+        monkeypatch.setattr(datagen, "dyadic_multiplier", lambda g, b: np.zeros(g.shape))
+        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        with pytest.raises(ValueError, match="zero field"):
             v2_bilinear_ratio(cfg)
 
     def test_scale_count_checked_before_any_cell(self, monkeypatch):
-        monkeypatch.setattr(est, "_band_noise", pytest.fail)
+        monkeypatch.setattr(datagen, "scale_family", pytest.fail)
         monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
         cfg = ExperimentConfig(
             d=3, n=16, length=2 * np.pi, cube=4.0, scales=(1.0,),
@@ -578,6 +601,13 @@ class TestDecoupling:
     def test_too_few_caps_rejected(self):
         cfg = ExperimentConfig(d=1, scales=(2.0, 4.0, 8.0), p=6.0)
         with pytest.raises(ValueError, match="caps"):
+            decoupling_ratio(cfg)
+
+    def test_caps_checked_before_any_cell(self, monkeypatch):
+        # the smallest scale has the fewest caps, wherever it sits in the list
+        monkeypatch.setattr(est, "extension_ball_norms", pytest.fail)
+        cfg = ExperimentConfig(d=1, scales=(64.0, 16.0, 2.0), p=6.0)
+        with pytest.raises(ValueError, match="R=2.0 yields fewer than 4 caps"):
             decoupling_ratio(cfg)
 
     def test_d2_reports_the_caps_it_measured(self):

@@ -6,8 +6,8 @@ a run reaches every ``__all__`` name and every public method; every default
 of a public function is both set and left to itself by a run; only
 ``grid`` touches the frozen ``SpectralField`` view, the package root
 included; ``np.power`` appears only in ``grid.abs_power``; no module calls the
-builtin ``id``; and the split-step oracle reaches none of the Picard path's
-flows or transforms."""
+builtin ``id``; no module but ``datagen`` draws random data; and the
+split-step oracle reaches none of the Picard path's flows or transforms."""
 
 import ast
 from pathlib import Path
@@ -130,6 +130,20 @@ def test_shared_factors_are_keyed_by_themselves():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
     ]
     assert not calls, f"calls of the builtin id: {calls}"
+
+
+def test_random_data_is_drawn_in_datagen():
+    # every random datum is a family of datagen.scale_family or another
+    # datagen builder, so that a seed means the same field in every run
+    calls = [
+        f"{path.stem} line {node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "datagen.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("standard_normal", "uniform")
+    ]
+    assert not calls, f"random data drawn outside datagen: {calls}"
 
 
 def test_splitstep_oracle_shares_no_flow_with_picard():

@@ -2,7 +2,7 @@
 """Large-data frequency-cutoff contraction demo on mollified-indicator data.
 
 Shows the certified run next to the divergence of the naive iteration on the
-full horizon, and a focusing run guarded against blow-up.
+full horizon.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import numpy as np
 from modlab.datagen import mollified_indicator, norm_report
 from modlab.grid import make_grid
 from modlab.modspace import make_window
-from modlab.solver import NLSProblem, large_data_protocol, picard_solve, splitstep_solve
+from modlab.solver import NLSProblem, large_data_protocol, picard_solve
 
 
 def main():
@@ -50,15 +50,6 @@ def main():
         f"naive large-amplitude run on [0,1]: diverged={naive_report.diverged} "
         f"factors={['%.2e' % c for c in naive_report.contraction_factors[:4]]}"
     )
-
-    # focusing data with negative energy need not stay bounded; the guard
-    # turns a runaway focusing run into a clean abort
-    focusing = NLSProblem(u0=2.5 * u0, horizon=1.0, time_nodes=17, sign=-1)
-    try:
-        splitstep_solve(focusing, dt=1.0 / 256, guard_factor=10.0)
-        print("focusing demo: no blow-up within the horizon")
-    except RuntimeError as exc:
-        print(f"focusing demo: {exc}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ in one pass over the time nodes: each sweep hands it all its products at
 once, and a field that several products share is built once and shared by
 identity, so it is transformed once per node.  Linear sweeps sample on the
 grid itself.  The bilinear sweeps pass each field's spectral box, known by
-construction (``modspace.band_box`` of its band, or a chain-log ball's mode
-range cut to f1's box), and the kernel works out from p and the boxes the
+construction (``modspace.band_box`` of its band, or a chain-log ball's own
+mode range), and the kernel works out from p and the boxes the
 smallest even 5-smooth grid that holds each product's support without
 wrap-around, so the quadrature of |u v|^2 is exact, which makes the
 Galilean invariance of measured bilinear ratios hold to near round-off.
@@ -261,14 +261,20 @@ def strichartz_l4_ratio(config: ExperimentConfig) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_grid(config: ExperimentConfig) -> Grid:
+def _bilinear_grid(config: ExperimentConfig, pairs: Sequence[tuple[float, float]]) -> Grid:
     """The grid of a bilinear sweep, d in {3, 4}, on which every scale, the
-    fixed one too, is at most xi_max/2."""
+    fixed one too, is at most xi_max/2, and each (high, low) of ``pairs``
+    keeps low * min_separation <= high."""
     if config.d not in (3, 4):
         raise ValueError(f"bilinear harness expects d in {{3,4}}, got {config.d}")
     grid = config.grid()
     if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
         raise InvalidScales("bilinear scales exceed xi_max/2")
+    for n_high, n_low in pairs:
+        if n_low * config.min_separation > n_high:
+            raise ValueError(
+                f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
+            )
     return grid
 
 
@@ -286,14 +292,9 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
     The low fit's ``meta["chain"]`` is the proof-chain log of the cell (max
     scale, smallest low scale); it reuses that cell's fields and f1's norm.
     """
-    grid = _bilinear_grid(config)
-    window = config.window()
     high = [(n1, config.fixed_scale) for n1 in config.scales]
-    for n_high, n_low in high:
-        if n_low * config.min_separation > n_high:
-            raise ValueError(
-                f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
-            )
+    grid = _bilinear_grid(config, high)
+    window = config.window()
     _require_fit_size(config.scales)
     n1_fixed = max(config.scales)
     low_scales = tuple(s for s in config.scales if s * config.min_separation <= n1_fixed)
@@ -351,9 +352,8 @@ def bilinear_chain_log(
     share the low field f2: the L^2 norms of the products (f1 f2 and each
     sampled piece times f2) and the L^4 norms (f2 and each piece).  The
     kernel sizes each product's grid from the factors' spectral boxes: f1
-    and f2 take their bands' boxes, a piece its ball's mode range cut to
-    f1's box; a piece whose ball misses that box holds round-off only and
-    takes none.
+    and f2 take their bands' boxes, a piece its ball's own mode range, since
+    its spectrum mask * F1 is zero outside the ball.
 
     A cover ball is occupied when the energy of F1 = f1^ on it is
     ``e > 0.0``, an exact-zero test, so balls holding only round-off count
@@ -381,19 +381,11 @@ def bilinear_chain_log(
         idx, dist_sq = zip(*map(reach, c))
         return np.ix_(*idx), reduce(np.add.outer, dist_sq) <= n_low**2
 
-    box1 = band_box(grid, n_high)
-
     def ball_box(c):
-        # the ball's per-axis mode range (each axis term bounds the sum) cut
-        # to f1's box; None, no box, when the two do not meet
-        box = []
-        for ci, (lo, hi) in zip(c, box1):
-            signed = (reach(ci)[0] + grid.n // 2) % grid.n - grid.n // 2
-            lo, hi = max(lo, signed.min()), min(hi, signed.max())
-            if lo > hi:
-                return None
-            box.append((int(lo), int(hi)))
-        return tuple(box)
+        # the ball's signed mode range per axis (each axis term bounds the
+        # sum); an occupied ball reaches at least one mode on every axis
+        signed = [(reach(ci)[0] + grid.n // 2) % grid.n - grid.n // 2 for ci in c]
+        return tuple((int(s.min()), int(s.max())) for s in signed)
 
     # L^2 covering bounds are exact: sum of localized energies vs energy
     energy = np.abs(F1) ** 2
@@ -415,16 +407,14 @@ def bilinear_chain_log(
         occupied[i]
         for i in sorted(rng.choice(len(occupied), size=_CHAIN_BOXES, replace=False))
     ]
-    boxes = {f1: box1, f2: band_box(grid, n_low)}
+    boxes = {f1: band_box(grid, n_high), f2: band_box(grid, n_low)}
     pieces = []
     for c in sample:
         block, inside = ball(c)
         mask = np.zeros(grid.shape, dtype=bool)
         mask[block] = inside
         pieces.append(Field(grid, inverse(grid, mask * F1)))
-        box = ball_box(c)
-        if box is not None:
-            boxes[pieces[-1]] = box
+        boxes[pieces[-1]] = ball_box(c)
     lhs, *prods = free_flow_lp_norms(
         [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, boxes
     ).tolist()
@@ -481,18 +471,13 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     from modlab.variation import vp_norm
 
     _require_fit_size(config.scales)
-    grid = _bilinear_grid(config)
-    window = config.window()
     n_high = config.fixed_scale
+    grid = _bilinear_grid(config, [(n_high, n_low) for n_low in config.scales])
+    window = config.window()
     s_input = config.s if config.s > 0 else 2.0 * sdec(4.0, config.d) + 0.01
     norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
     v2 = partial(vp_norm, p=2.0, norm=norm, terminal_zero=True)
 
-    for n_low in config.scales:
-        if n_low * config.min_separation > n_high:
-            raise ValueError(
-                f"regime violated: K={n_low} > N/{config.min_separation}={n_high}"
-            )
     hi = _atomic_path(config, grid, n_high, config.seed)
     los = [_atomic_path(config, grid, n_low, config.seed + 7) for n_low in config.scales]
     products = [[hi, lo] for lo in los]

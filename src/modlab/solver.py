@@ -17,7 +17,7 @@ inequality if an iterate leaves the ball.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "splitstep_solve",
     "large_data_protocol",
     "sum_space_smallness",
-    "small_data_threshold",
     "cross_validate",
 ]
 
@@ -265,9 +264,12 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 
 
+_BLOWUP_GUARD = 1e6  # the split step stops past this many times its initial sup|u|
+
+
 class BlowUp(RuntimeError):
-    """The split-step state at time ``t`` has sup|u| = ``sup`` past the
-    guard, or not finite."""
+    """The split-step state at time ``t`` has sup|u| = ``sup`` past
+    ``guard_factor`` times its initial value, or not finite."""
 
     def __init__(self, t: float, sup: float, guard_factor: float):
         super().__init__(
@@ -278,11 +280,7 @@ class BlowUp(RuntimeError):
         self.sup = sup
 
 
-def splitstep_solve(
-    problem: NLSProblem,
-    dt: float,
-    guard_factor: float = 1e6,
-) -> Trajectory:
+def splitstep_solve(problem: NLSProblem, dt: float) -> Trajectory:
     """Strang splitting: half nonlinear phase, full linear step, half phase.
 
     The phase N_tau(v) = v exp(-i sign tau |v|^kappa) leaves |v| unchanged,
@@ -305,8 +303,8 @@ def splitstep_solve(
 
     Each substep is either unitary or a pointwise phase rotation, so the mass
     is conserved to round-off.  Raises ``BlowUp`` when the sup norm after a
-    linear step exceeds ``guard_factor`` times its initial value or is not
-    finite; the phase leaves it unchanged.
+    linear step exceeds ``_BLOWUP_GUARD`` (1e6) times its initial value or is
+    not finite; the phase leaves it unchanged.
 
     The linear step writes the free-flow phase exp(-i dt |xi|^2) out on
     purpose instead of calling ``propagator._flow_phase``: this solver is
@@ -328,7 +326,7 @@ def splitstep_solve(
     w2 = grid.freq_sq()
     linear = np.exp(-1j * dt * w2)
     modulus = np.abs(u)
-    guard = guard_factor * max(float(modulus.max()), 1e-300)
+    guard = _BLOWUP_GUARD * max(float(modulus.max()), 1e-300)
     values = [u]
 
     def phase(v, power, tau):
@@ -347,7 +345,7 @@ def splitstep_solve(
         modulus = np.abs(u)
         sup = float(modulus.max())
         if not sup <= guard:  # a NaN sup fails every comparison
-            raise BlowUp(step * dt, sup, guard_factor)
+            raise BlowUp(step * dt, sup, _BLOWUP_GUARD)
         power = abs_power(modulus, problem.kappa)
         if step % stride == 0:
             values.append(phase(u, power, 0.5 * dt))
@@ -452,33 +450,6 @@ def sum_space_smallness(u0: Field, window: Window, s: float = 0.5) -> dict:
         table.append([float(thr), m + l2])
     threshold, bound = min(table, key=lambda row: row[1])
     return {"bound": bound, "threshold": threshold, "p": p, "s": s, "table": table}
-
-
-def small_data_threshold(
-    make_problem: Callable[[float], NLSProblem], amplitudes: Sequence[float]
-) -> dict:
-    """Measured stand-in for the unquantified smallness constant: the largest
-    amplitude in the sweep whose Picard run (at most 12 iterates, residual
-    tolerance 1e-10) keeps every contraction factor below 1/2.
-
-    ``make_problem`` maps an amplitude to the problem instance; the sweep is
-    probed in increasing order and reported with per-amplitude factors.
-    """
-    rows = []
-    largest = None
-    for amp in sorted(amplitudes):
-        _, rep = picard_solve(make_problem(amp), max_iters=12)
-        contracting = rep.converged and rep.contracting()
-        rows.append(
-            {
-                "amplitude": amp,
-                "contracting": contracting,
-                "factors": list(rep.contraction_factors),
-            }
-        )
-        if contracting:
-            largest = amp
-    return {"largest_contracting": largest, "sweep": rows}
 
 
 # ---------------------------------------------------------------------------

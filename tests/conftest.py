@@ -5,6 +5,16 @@ from modlab.grid import Field, inverse, make_grid
 from tests.oracles import extension_values
 
 
+def unreached(breach):
+    """A stand-in for a kernel that a test patches out because it must not
+    be reached: it takes any arguments and fails naming ``breach``."""
+
+    def stand_in(*args, **kwargs):
+        pytest.fail(breach)
+
+    return stand_in
+
+
 @pytest.fixture
 def grid1d():
     return make_grid(1, 256, 64 * np.pi)

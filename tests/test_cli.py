@@ -19,6 +19,7 @@ from modlab.cli import (
     run,
 )
 from modlab.datagen import load_field
+from tests.conftest import unreached
 
 
 LARGEDATA_CFG = """
@@ -591,7 +592,9 @@ class TestFailurePaths:
         # three equal scales make a rank-1 fit, which passed with a slope
         from modlab import estimates
 
-        monkeypatch.setattr(estimates, "extension_ball_norms", pytest.fail)
+        monkeypatch.setattr(
+            estimates, "extension_ball_norms", unreached("a cell was measured")
+        )
         text = (CONFIGS / "decoupling_d1_p6.cfg").read_text()
         cfg = write(tmp_path, text.replace("scales = 16 64 256", "scales = 16 16 16"))
         out = tmp_path / "out"
@@ -683,8 +686,8 @@ class TestFailurePaths:
     def test_split_step_blow_up_is_reported(self, tmp_path, capsys, monkeypatch):
         import modlab.solver as solver
 
-        def blows_up(problem, dt, guard_factor=1e6):
-            raise solver.BlowUp(0.05, float("nan"), guard_factor)
+        def blows_up(problem, dt):
+            raise solver.BlowUp(0.05, float("nan"), solver._BLOWUP_GUARD)
 
         monkeypatch.setattr(solver, "splitstep_solve", blows_up)
         out = tmp_path / "out"

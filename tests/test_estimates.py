@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from modlab.estimates import (
     v2_bilinear_ratio,
 )
 from modlab.grid import make_grid
-from tests.conftest import direct_ball_norm
+from tests.conftest import direct_ball_norm, unreached
 
 
 class TestSdec:
@@ -121,7 +123,7 @@ class TestSmoothing:
             d=1, n=256, length=8 * np.pi, scales=(2.0, 4.0, 8.0), family="band_noise"
         )
         monkeypatch.setattr(datagen, "dyadic_multiplier", lambda g, b: np.zeros(g.shape))
-        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
         with pytest.raises(ValueError, match="zero field"):
             smoothing_ratio(cfg)
 
@@ -131,8 +133,8 @@ class TestSmoothing:
             smoothing_ratio(cfg)
 
     def test_scale_count_checked_before_any_cell(self, monkeypatch):
-        monkeypatch.setattr(datagen, "scale_family", pytest.fail)
-        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        monkeypatch.setattr(datagen, "scale_family", unreached("a field was built"))
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
         cfg = ExperimentConfig(d=1, n=256, length=8 * np.pi, scales=(2.0, 4.0), family="focusing")
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
             smoothing_ratio(cfg)
@@ -236,8 +238,8 @@ class TestBilinear:
         # a regime violation in the last high pair, too few scales for the
         # high fit, or too few low scales is reported before a single cell
         # is measured, or a single field built
-        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
-        monkeypatch.setattr(datagen, "scale_family", pytest.fail)
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
+        monkeypatch.setattr(datagen, "scale_family", unreached("a field was built"))
         cfg = self.small_config(scales=(4.0, 2.0, 1.0), min_separation=2.0)
         with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=1.0"):
             bilinear_ratio(cfg)
@@ -320,11 +322,14 @@ class TestBilinear:
         assert chain["cover_energy_ratio"].hex() == ratio.hex()
         assert chain["total_boxes"] == occupied > 1000
 
-    def test_products_on_their_smallest_exact_grids(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [11, 3])
+    def test_products_on_their_smallest_exact_grids(self, monkeypatch, seed):
         # the half cell: band-noise boxes span 3, 7 and 15 of 16 modes per
         # axis and a ball piece 2, so the five cells take 6, 10, 18, 24 and
         # 30 points per axis, the chain's products 18 and 4, its L^4 norms
-        # 6 and 4 (first node of each sweep, in product order)
+        # 6 and 4 (first node of each sweep, in product order); at seed 3 a
+        # sampled ball holds round-off only and lies outside f1's box, and
+        # its piece still takes its ball's box
         import modlab.propagator as prop
 
         sweeps = []
@@ -340,7 +345,7 @@ class TestBilinear:
 
         monkeypatch.setattr(est, "free_flow_lp_norms", sweep)
         monkeypatch.setattr(prop, "inverse_pruned", inverse)
-        cfg = self.small_config(seed=11, time_nodes=5)
+        cfg = self.small_config(seed=seed, time_nodes=5)
         _, fit_low = bilinear_ratio(cfg)
         boxes = fit_low.meta["chain"]["sampled_boxes"]
         assert len(sweeps) == 3
@@ -389,8 +394,8 @@ class TestBilinear:
         with pytest.raises(ValueError, match="zero field"):
             datagen.scale_family("band_noise", 32.0, cfg.seed, cfg.cube, cfg.grid())
         monkeypatch.setattr(datagen, "dyadic_multiplier", lambda g, b: np.zeros(g.shape))
-        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
-        monkeypatch.setattr(est, "modulation_norm", pytest.fail)
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
+        monkeypatch.setattr(est, "modulation_norm", unreached("a norm was taken"))
         with pytest.raises(ValueError, match="zero field"):
             bilinear_ratio(cfg)
 
@@ -506,18 +511,24 @@ class TestV2Bilinear:
         with pytest.raises(ValueError, match="zero field"):
             datagen.scale_family("band_noise", 32.0, cfg.seed + 7, cfg.cube, cfg.grid())
         monkeypatch.setattr(datagen, "dyadic_multiplier", lambda g, b: np.zeros(g.shape))
-        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
         with pytest.raises(ValueError, match="zero field"):
             v2_bilinear_ratio(cfg)
 
     def test_scale_count_checked_before_any_cell(self, monkeypatch):
-        monkeypatch.setattr(datagen, "scale_family", pytest.fail)
-        monkeypatch.setattr(est, "free_flow_lp_norms", pytest.fail)
+        # too few scales, or a swept K with K * min_separation > N (the one
+        # regime rule of both bilinear sweeps), is refused before a single
+        # field is built
+        monkeypatch.setattr(datagen, "scale_family", unreached("a field was built"))
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
         cfg = ExperimentConfig(
             d=3, n=16, length=2 * np.pi, cube=4.0, scales=(1.0,),
             fixed_scale=4.0, time_nodes=65, min_separation=1.0, atoms=1,
         )
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 1"):
+            v2_bilinear_ratio(cfg)
+        cfg = replace(cfg, scales=(1.0, 2.0, 4.0), min_separation=2.0)
+        with pytest.raises(ValueError, match="regime violated: N2=4.0 > N1/2.0=4.0"):
             v2_bilinear_ratio(cfg)
 
 
@@ -605,7 +616,7 @@ class TestDecoupling:
 
     def test_caps_checked_before_any_cell(self, monkeypatch):
         # the smallest scale has the fewest caps, wherever it sits in the list
-        monkeypatch.setattr(est, "extension_ball_norms", pytest.fail)
+        monkeypatch.setattr(est, "extension_ball_norms", unreached("a cell was measured"))
         cfg = ExperimentConfig(d=1, scales=(64.0, 16.0, 2.0), p=6.0)
         with pytest.raises(ValueError, match="R=2.0 yields fewer than 4 caps"):
             decoupling_ratio(cfg)
@@ -625,7 +636,7 @@ class TestDecoupling:
         assert decoupling_ratio(cfg).meta["caps"] == occupied
 
     def test_scale_count_checked_before_any_cell(self, monkeypatch):
-        monkeypatch.setattr(est, "extension_ball_norms", pytest.fail)
+        monkeypatch.setattr(est, "extension_ball_norms", unreached("a cell was measured"))
         cfg = ExperimentConfig(d=2, scales=(16.0,), p=4.0, mesh=12)
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 1"):
             decoupling_ratio(cfg)

@@ -1,6 +1,7 @@
 """Smoke test of the exploration scripts: each must import and print its
 help, so that a renamed public name breaks a test rather than a script, and
-the threshold probe runs end to end on a small grid.
+each runs end to end, the threshold probe on a small grid, with the claims
+it prints checked.
 A ratio sweep runs through ``modlab run <config>`` alone, so no script
 builds an ``ExperimentConfig`` or calls a sweep of ``modlab.estimates``."""
 
@@ -51,6 +52,33 @@ def test_threshold_probe_runs():
     assert lines[0].startswith("amplitude   0.10: contracting ")
     assert lines[1].startswith("amplitude   8.00: NOT contracting ")
     assert lines[-1] == "largest contracting amplitude: 0.1"
+
+
+def test_small_data_threshold_monotone_probe():
+    # the amplitudes are probed in increasing order whatever order they come
+    # in; the two small ones contract and the largest contracting is 0.5
+    probe = ROOT / "scripts" / "run_threshold_probe.py"
+    done = _run(probe, "--n", "128", "--amplitudes", "30", "0.1", "0.5")
+    assert done.returncode == 0, done.stderr
+    *rows, last = done.stdout.splitlines()
+    assert [row[:35] for row in rows] == [
+        "amplitude   0.10: contracting      ",
+        "amplitude   0.50: contracting      ",
+        "amplitude  30.00: NOT contracting  ",
+    ]
+    assert last == "largest contracting amplitude: 0.5"
+
+
+def test_large_data_demo_claims_hold():
+    # the certified run holds and converges, and the naive large-amplitude
+    # run diverges: a demo claim that stops holding fails here
+    done = _run(ROOT / "scripts" / "run_large_data_demo.py")
+    assert done.returncode == 0, done.stderr
+    data, cert, picard, naive = done.stdout.splitlines()
+    assert data.startswith("data: n_radius=2 ")
+    assert cert.startswith("certificate: ") and cert.endswith(" holds=True")
+    assert picard.startswith("picard: ") and picard.endswith(" converged=True")
+    assert naive.startswith("naive large-amplitude run on [0,1]: diverged=True ")
 
 
 def test_no_script_forks_the_cli():

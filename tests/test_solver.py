@@ -214,29 +214,35 @@ class TestSplitStep:
         with pytest.raises(ValueError, match="dt"):
             splitstep_solve(prob, dt=prob.horizon / 8)
 
-    def test_blowup_guard_trips(self):
+    def test_blowup_guard_trips(self, monkeypatch):
         # focusing quintic above the small-data regime: the peak grows past
         # 1.5x its initial height well inside the horizon
+        import modlab.solver as solver
+
+        monkeypatch.setattr(solver, "_BLOWUP_GUARD", 1.5)
         g = make_grid(1, 256, 16 * np.pi)
         x = g.axis_coords()
         u0 = Field(g, 2.5 * np.exp(-(x**2) / 2).astype(complex))
         prob = NLSProblem(u0=u0, horizon=0.1, time_nodes=65, sign=-1)
         with pytest.raises(BlowUp, match="guard") as info:
-            splitstep_solve(prob, dt=prob.horizon / 256, guard_factor=1.5)
+            splitstep_solve(prob, dt=prob.horizon / 256)
         assert 0.0 < info.value.t < prob.horizon and info.value.sup > 1.5 * 2.5
 
     @pytest.mark.parametrize("state", ["guard below the initial peak", "nan"])
-    def test_blowup_reports_first_bad_step(self, state):
+    def test_blowup_reports_first_bad_step(self, state, monkeypatch):
         # at amplitude 1e100 the phase |u|^4 dt overflows and the first step
         # leaves NaN everywhere; NaN compares false with the guard, so only an
         # explicit check of the state sees it
+        import modlab.solver as solver
+
         if state == "nan":
-            prob, factor = small_quintic(amplitude=1e100), 1e6
+            prob = small_quintic(amplitude=1e100)
         else:
-            prob, factor = small_quintic(), 0.5
+            prob = small_quintic()
+            monkeypatch.setattr(solver, "_BLOWUP_GUARD", 0.5)
         dt = prob.horizon / 256
         with pytest.raises(BlowUp) as info, np.errstate(over="ignore", invalid="ignore"):
-            splitstep_solve(prob, dt=dt, guard_factor=factor)
+            splitstep_solve(prob, dt=dt)
         assert info.value.t == dt
         assert np.isnan(info.value.sup) == (state == "nan")
 
@@ -289,11 +295,14 @@ class TestMergedPhases:
         assert np.array_equal(path.times, np.linspace(0.0, prob.horizon, 17))
         assert np.array_equal(path.values, splitstep_solve(prob, prob.horizon / 64).values)
 
-    def test_blow_up_time_is_on_the_step_grid(self):
+    def test_blow_up_time_is_on_the_step_grid(self, monkeypatch):
         # a guard below the initial peak trips on the first step, at H/256
+        import modlab.solver as solver
+
+        monkeypatch.setattr(solver, "_BLOWUP_GUARD", 0.5)
         prob = small_quintic()
         with pytest.raises(BlowUp) as info:
-            splitstep_solve(prob, prob.horizon / 256 * (1 - 5e-10), guard_factor=0.5)
+            splitstep_solve(prob, prob.horizon / 256 * (1 - 5e-10))
         assert info.value.t == prob.horizon / 256
 
     @pytest.mark.parametrize("time_nodes", [17, 33, 65])
@@ -445,23 +454,6 @@ class TestSmallnessProbes:
         g = make_grid(3, 16, 8 * np.pi)
         with pytest.raises(ValueError, match="d in"):
             sum_space_smallness(Field(g, np.zeros(g.shape, complex)), make_window(g))
-
-    def test_small_data_threshold_monotone_probe(self):
-        from modlab.solver import small_data_threshold
-
-        g = make_grid(1, 128, 16 * np.pi)
-        x = g.axis_coords()
-        profile = np.exp(-(x**2) / 2).astype(complex)
-
-        def make_problem(amp):
-            return NLSProblem(
-                u0=Field(g, amp * profile), horizon=0.1, time_nodes=33, sign=1
-            )
-
-        out = small_data_threshold(make_problem, (0.1, 0.5, 30.0))
-        assert out["largest_contracting"] == 0.5
-        states = {row["amplitude"]: row["contracting"] for row in out["sweep"]}
-        assert states[0.1] and states[0.5] and not states[30.0]
 
 
 class TestLargeData:

@@ -137,8 +137,8 @@ def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _experiment_config(cfg: dict, seed_override: int | None):
-    """``ExperimentConfig`` from the config, each field cast to the type of
-    its default.  ``sweep`` is not read: no experiment uses it."""
+    """``ExperimentConfig`` from the config, each field cast to its default's
+    type.  ``sweep`` (not read) and ``q`` (unused) are provenance leaves."""
     from modlab.estimates import ExperimentConfig
 
     kwargs = {}
@@ -284,7 +284,7 @@ def _run_variation(cfg, xcfg, out_dir):
 
 
 def _problem_from_config(cfg, xcfg):
-    from modlab.datagen import gaussian, mollified_indicator
+    from modlab.datagen import gaussian, scale_family
     from modlab.solver import NLSProblem
 
     grid = xcfg.grid()
@@ -294,7 +294,7 @@ def _problem_from_config(cfg, xcfg):
         u0 = amplitude * gaussian(grid)
     elif data == "mollified":
         n_radius = _get(cfg, "problem", "n_radius", _positive_float, 2.0)
-        u0 = amplitude * mollified_indicator(n_radius, grid)
+        u0 = amplitude * scale_family("mollified", n_radius, xcfg.seed, xcfg.cube, grid)
     else:
         raise ConfigError(f"unknown problem data {data!r}")
     return NLSProblem(
@@ -338,16 +338,16 @@ def _run_solve(cfg, xcfg, out_dir):
 
 
 def _run_largedata(cfg, xcfg, out_dir):
+    from modlab.datagen import norm_report
     from modlab.solver import CertificateViolation, large_data_protocol
 
     problem = _problem_from_config(cfg, xcfg)
     c0 = _get(cfg, "problem", "c0", _positive_float, 0.1)
     c1 = _get(cfg, "problem", "c1", _positive_float, 0.1)
     s = _get(cfg, "problem", "s", float, 1.1)
+    window = xcfg.window()
     try:
-        path, report = large_data_protocol(
-            problem, window=xcfg.window(), s=s, c0=c0, c1=c1
-        )
+        _, report = large_data_protocol(problem, window=window, s=s, c0=c0, c1=c1)
     except CertificateViolation as exc:
         # the run stopped at the violating iterate: report the partial certificate
         cert = exc.certificate
@@ -362,6 +362,7 @@ def _run_largedata(cfg, xcfg, out_dir):
             residual=report.final_residual,
             report=report.to_dict(),
         )
+    summary["data"] = norm_report(problem.u0, window)
     rows = [
         (j, tot, tail, tot / (2 * cert.A))
         for j, (tot, tail) in enumerate(zip(cert.total_norms, cert.tail_norms))

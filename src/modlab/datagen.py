@@ -29,8 +29,6 @@ __all__ = [
     "gaussian",
     "mollified_indicator",
     "norm_report",
-    "random_phase_data",
-    "focusing_data",
     "random_field",
     "boundary_decay",
     "save_field",
@@ -39,22 +37,33 @@ __all__ = [
 
 
 def scale_family(family: str, scale: float, seed: int, cube: float, grid: Grid) -> Field:
-    """The datum of a family at one scale: ``focusing``, ``random_phase`` and
-    ``band_noise`` concentrate at frequency ``scale``, ``bump`` is a spectral
-    bump of width 0.45 ``cube`` centered at ``scale`` on axis 0, and
-    ``mollified`` is ``mollified_indicator`` of radius ``scale``.  A zero
-    field is refused."""
+    """The datum of a family at one scale: ``focusing`` is the unit spectrum
+    on the box [-scale, scale]^d (its peak, at x = 0, is dxi^d (2 pi)^{-d/2}
+    times the number of coefficients), ``random_phase`` unit-modulus random
+    phases on |xi| <= scale, ``band_noise`` white noise through the annulus
+    at ``scale``, ``bump`` a spectral bump of width 0.45 ``cube`` centered at
+    ``scale`` on axis 0, and ``mollified`` ``mollified_indicator`` of radius
+    ``scale``.  A zero field is refused."""
     if family == "focusing":
-        f = focusing_data(scale, grid)
+        if scale > grid.xi_max / 4:
+            raise InvalidScales(f"scale {scale} exceeds xi_max/4 = {grid.xi_max / 4}")
+        mask = reduce(np.logical_and, [np.abs(xi) <= scale for xi in grid.freqs()])
+        f = Field(grid, inverse(grid, np.where(mask, 1.0 + 0.0j, 0.0)))
     elif family == "random_phase":
-        f = random_phase_data(scale, seed, grid)
+        if scale > grid.xi_max:
+            raise InvalidScales(f"scale {scale} outside the band (xi_max={grid.xi_max})")
+        mask = grid.freq_sq() <= scale**2
+        rng = np.random.default_rng([int(seed), int(round(scale * 16))])
+        coeffs = np.zeros(grid.shape, dtype=np.complex128)
+        coeffs[mask] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=int(mask.sum())))
+        f = Field(grid, inverse(grid, coeffs))
     elif family == "bump":
         arg = reduce(np.add, [
             ((xi - c) / (0.45 * cube)) ** 2
             for xi, c in zip(grid.freqs(), [scale] + [0.0] * (grid.d - 1))
         ])
         f = Field(grid, inverse(grid, bump(arg)))
-    elif family == "band_noise":  # Gaussian white noise through the annulus at scale
+    elif family == "band_noise":
         rng = np.random.default_rng([int(seed), int(round(scale * 16))])
         white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         f = Field(grid, inverse(grid, dyadic_multiplier(grid, scale) * white))
@@ -105,31 +114,6 @@ def norm_report(f: Field, window: Window) -> dict:
         "boundary_decay": decay,
         "boundary_flagged": bool(decay > 1e-10),
     }
-
-
-def random_phase_data(scale: float, seed: int, grid: Grid) -> Field:
-    """Unit-modulus random-phase coefficients on all modes with |xi| <= scale."""
-    if scale > grid.xi_max:
-        raise InvalidScales(f"scale {scale} outside the band (xi_max={grid.xi_max})")
-    mask = grid.freq_sq() <= scale**2
-    rng = np.random.default_rng([int(seed), int(round(scale * 16))])
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=int(mask.sum()))
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[mask] = np.exp(1j * phases)
-    return Field(grid, inverse(grid, coeffs))
-
-
-def focusing_data(scale: float, grid: Grid) -> Field:
-    """Constant unit spectrum on the box [-scale, scale]^d, zero outside.
-
-    The physical peak sits at x = 0 with height
-    dxi^d (2 pi)^{-d/2} * (number of coefficients).
-    """
-    if scale > grid.xi_max / 4:
-        raise InvalidScales(f"scale {scale} exceeds xi_max/4 = {grid.xi_max / 4}")
-    mask = reduce(np.logical_and, [np.abs(xi) <= scale for xi in grid.freqs()])
-    coeffs = np.where(mask, 1.0 + 0.0j, 0.0)
-    return Field(grid, inverse(grid, coeffs))
 
 
 def random_field(grid: Grid, seed: int, band: float | None = None) -> Field:

@@ -75,7 +75,8 @@ class ExperimentConfig:
     """One experiment cell: grid, sweep, data family, and fit parameters.
 
     Bilinear sweeps use ``scales`` for the swept band and ``fixed_scale`` for
-    the frozen one; ``sweep`` says which of the two frequencies is swept.
+    the frozen one.  No experiment uses ``q`` or ``sweep``: they are
+    provenance leaves kept for the benchmark's references.
     """
 
     d: int = 1
@@ -196,6 +197,9 @@ def _require_fit_size(scales: Sequence[float]) -> None:
 
 
 def _make_fit(scales, lhs, rhs, predicted, margin, label, meta=None) -> FitResult:
+    for side, values in (("lhs", lhs), ("rhs", rhs)):
+        if not all(0.0 < v < math.inf for v in values):
+            raise ValueError(f"{label} {side} is not positive and finite: {list(values)}")
     ratios = tuple(a / b for a, b in zip(lhs, rhs))
     slope, intercept, resid = fit_exponent(scales, ratios)
     return FitResult(
@@ -232,6 +236,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
         raise InvalidScales(
             f"largest scale {max(config.scales)} exceeds xi_max/4 = {grid.xi_max / 4}"
         )
+    predicted = 2.0 * sdec(config.p, config.d)
     spec = ModNormSpec(0.0, config.p, 2.0)
     data = [
         datagen.scale_family(config.family, N, config.seed, config.cube, grid)
@@ -240,7 +245,6 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
     products = [[u0] for u0 in data]
     lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, config.p)
     rhs = [modulation_norm(u0, spec, window) for u0 in data]
-    predicted = 2.0 * sdec(config.p, config.d)
     meta = {"window": window.describe()}
     return _make_fit(
         config.scales, lhs.tolist(), rhs, predicted, config.margin, "smoothing", meta
@@ -270,11 +274,10 @@ def _bilinear_grid(config: ExperimentConfig, pairs: Sequence[tuple[float, float]
     grid = config.grid()
     if max((*config.scales, config.fixed_scale)) > grid.xi_max / 2:
         raise InvalidScales("bilinear scales exceed xi_max/2")
+    sep = config.min_separation
     for n_high, n_low in pairs:
-        if n_low * config.min_separation > n_high:
-            raise ValueError(
-                f"regime violated: N2={n_low} > N1/{config.min_separation}={n_high}"
-            )
+        if n_low * sep > n_high:
+            raise ValueError(f"regime violated: N2={n_low} > N1/{sep}={n_high / sep}")
     return grid
 
 

@@ -225,6 +225,12 @@ tolerance = 1e-5
         assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         summary = json.loads((out / "largedata.json").read_text())
         assert summary["report"]["certificate"]["holds"]
+        # the datum's norm report: unit L^4 norm, a clean boundary, and at
+        # s = 1.1 the modulation norm the certificate's A is
+        data = summary["data"]
+        assert data["l4"] == pytest.approx(1.0, rel=1e-12)
+        assert data["boundary_flagged"] is False
+        assert data["m_norm"] == summary["report"]["certificate"]["A"]
 
     def test_datagen_writes_binary_and_report(self, tmp_path):
         cfg = write(
@@ -258,9 +264,7 @@ family = mollified
     def test_datagen_scale_families(self, tmp_path, family):
         # every family of the one table is reported by its scale and the one
         # norm report
-        from modlab.datagen import (
-            focusing_data, mollified_indicator, norm_report, random_phase_data, save_field,
-        )
+        from modlab.datagen import mollified_indicator, norm_report, save_field
         from modlab.grid import Field, inverse, make_grid
         from modlab.modspace import bump, dyadic_multiplier, make_window
 
@@ -280,9 +284,15 @@ family = mollified
             if family == "mollified":
                 f = mollified_indicator(scale, grid)
             elif family == "focusing":
-                f = focusing_data(scale, grid)
+                # unit spectrum on the box [-scale, scale]
+                f = Field(grid, inverse(grid, (np.abs(grid.freqs()[0]) <= scale) + 0j))
             elif family == "random_phase":
-                f = random_phase_data(scale, 2, grid)
+                # unit-modulus phases of seed (2, 16 scale) on |xi| <= scale
+                mask = grid.freq_sq() <= scale**2
+                rng = np.random.default_rng([2, int(16 * scale)])
+                coeffs = np.zeros(grid.shape, dtype=complex)
+                coeffs[mask] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=mask.sum()))
+                f = Field(grid, inverse(grid, coeffs))
             elif family == "bump":
                 # width 0.45 cube, centered at the scale; cube defaults to 1
                 f = Field(grid, inverse(grid, bump(((grid.freqs()[0] - scale) / 0.45) ** 2)))
@@ -507,6 +517,10 @@ class TestFailurePaths:
         assert "> 2A" in summary["violation"]
         cert = summary["report"]["certificate"]
         assert cert["holds"] is False and cert["total_norms"][-1] > 2 * cert["A"]
+        # the datum's report is written on this branch too: amplitude 2 of
+        # the unit-L^4 datum
+        assert summary["data"]["l4"] == pytest.approx(2.0, rel=1e-12)
+        assert summary["data"]["m_norm"] == cert["A"]
         rows = (out / "largedata.csv").read_text().splitlines()
         assert len(rows) == 1 + len(cert["total_norms"])
 
@@ -556,6 +570,20 @@ class TestFailurePaths:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "unknown problem data 'random'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_underflowed_norms_exit_2(self, tmp_path, capsys):
+        # at p = 1e300 every M_{p,2} norm underflows to 0 and the L^p norms
+        # read 0 or inf: the fit divided 0 by 0 and raised ZeroDivisionError
+        text = SMOOTHING_CFG.replace("n = 512", "n = 128").replace("p = 4", "p = 1e300")
+        text = text.replace("scales = 2 4 8", "scales = 1 2 4").replace("= 257", "= 9")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: smoothing lhs is not positive and finite: [0.0, inf, inf]" in err
         assert not out.exists()
 
     def test_negative_amplitude_is_legal(self):

@@ -5,13 +5,12 @@ import pytest
 
 from modlab.datagen import (
     boundary_decay,
-    focusing_data,
     load_field,
     mollified_indicator,
     norm_report,
     random_field,
-    random_phase_data,
     save_field,
+    scale_family,
 )
 from modlab.estimates import fit_exponent
 from modlab.grid import lp_norm, make_grid, to_spectrum
@@ -59,23 +58,23 @@ class TestRandomPhase:
         self.grid = make_grid(1, 256, 8 * np.pi)
 
     def test_seed_determinism(self):
-        a = random_phase_data(4.0, 7, self.grid)
-        b = random_phase_data(4.0, 7, self.grid)
+        a = scale_family("random_phase", 4.0, 7, 1.0, self.grid)
+        b = scale_family("random_phase", 4.0, 7, 1.0, self.grid)
         ha = hashlib.sha256(a.values.tobytes()).hexdigest()
         hb = hashlib.sha256(b.values.tobytes()).hexdigest()
         assert ha == hb
-        c = random_phase_data(4.0, 8, self.grid)
+        c = scale_family("random_phase", 4.0, 8, 1.0, self.grid)
         assert hashlib.sha256(c.values.tobytes()).hexdigest() != ha
 
     def test_plancherel(self):
         w = make_window(self.grid)
-        f = random_phase_data(4.0, 3, self.grid)
+        f = scale_family("random_phase", 4.0, 3, 1.0, self.grid)
         m = modulation_norm(f, ModNormSpec(0, 2, 2), w)
         assert m == pytest.approx(lp_norm(f, 2), rel=1e-10)
 
     def test_support_exactly_in_ball(self):
         N = 4.0
-        f = random_phase_data(N, 5, self.grid)
+        f = scale_family("random_phase", N, 5, 1.0, self.grid)
         F = to_spectrum(f).coefficients
         outside = np.abs(self.grid.axis_freqs()) > N
         peak = np.max(np.abs(F))
@@ -88,7 +87,7 @@ class TestFocusing:
     def test_peak_value_at_origin(self):
         g = make_grid(2, 64, 8 * np.pi)
         N = 2.0
-        f = focusing_data(N, g)
+        f = scale_family("focusing", N, 0, 1.0, g)
         F = to_spectrum(f).coefficients
         count = int(np.sum(np.abs(F) > 0.5))
         expect = g.dxi**2 * count * (2 * np.pi) ** -1.0
@@ -98,7 +97,7 @@ class TestFocusing:
 
     def test_single_cube_at_unit_scale(self):
         g = make_grid(1, 256, 8 * np.pi)
-        f = focusing_data(1.0, g)
+        f = scale_family("focusing", 1.0, 0, 1.0, g)
         F = to_spectrum(f).coefficients
         peak = np.max(np.abs(F))
         assert np.max(np.abs(F[np.abs(g.axis_freqs()) > 1.0])) <= 1e-13 * peak
@@ -106,14 +105,14 @@ class TestFocusing:
     def test_band_guard(self):
         g = make_grid(1, 256, 8 * np.pi)
         with pytest.raises(ValueError, match="xi_max"):
-            focusing_data(g.xi_max, g)
+            scale_family("focusing", g.xi_max, 0, 1.0, g)
 
     def test_m42_scaling_matches_cube_count(self):
         g = make_grid(1, 2048, 8 * np.pi)
         w = make_window(g)
         spec = ModNormSpec(0.0, 4.0, 2.0)
         scales = (4.0, 8.0, 16.0, 32.0)
-        norms = [modulation_norm(focusing_data(N, g), spec, w) for N in scales]
+        norms = [modulation_norm(scale_family("focusing", N, 0, 1.0, g), spec, w) for N in scales]
         slope, _, _ = fit_exponent(scales, norms)
         # cube-counting: ~ (2N)^{1/2} times a fixed per-cube norm in d = 1
         assert abs(slope - 0.5) <= 0.1

@@ -139,6 +139,15 @@ class TestSmoothing:
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 2"):
             smoothing_ratio(cfg)
 
+    def test_p_checked_before_any_cell(self, monkeypatch):
+        # p < 2 has no decoupling exponent: the sweep stops before it builds
+        # a field or measures a cell, not after the whole sweep
+        monkeypatch.setattr(datagen, "scale_family", unreached("a field was built"))
+        monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
+        cfg = ExperimentConfig(d=1, n=256, length=8 * np.pi, family="focusing", p=1.0)
+        with pytest.raises(ValueError, match="need p >= 2, got 1.0"):
+            smoothing_ratio(cfg)
+
 
 class TestStrichartz:
     def test_dimension_guard(self):
@@ -241,7 +250,7 @@ class TestBilinear:
         monkeypatch.setattr(est, "free_flow_lp_norms", unreached("a cell was measured"))
         monkeypatch.setattr(datagen, "scale_family", unreached("a field was built"))
         cfg = self.small_config(scales=(4.0, 2.0, 1.0), min_separation=2.0)
-        with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=1.0"):
+        with pytest.raises(ValueError, match="regime violated: N2=1.0 > N1/2.0=0.5"):
             bilinear_ratio(cfg)
         cfg = self.small_config(scales=(1.0, 2.0, 4.0), min_separation=2.0, fixed_scale=0.5)
         with pytest.raises(est.InvalidScales, match="fewer than 3 admissible"):
@@ -528,7 +537,7 @@ class TestV2Bilinear:
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 1"):
             v2_bilinear_ratio(cfg)
         cfg = replace(cfg, scales=(1.0, 2.0, 4.0), min_separation=2.0)
-        with pytest.raises(ValueError, match="regime violated: N2=4.0 > N1/2.0=4.0"):
+        with pytest.raises(ValueError, match="regime violated: N2=4.0 > N1/2.0=2.0"):
             v2_bilinear_ratio(cfg)
 
 

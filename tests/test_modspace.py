@@ -21,7 +21,7 @@ from modlab.modspace import (
     modulation_norm,
 )
 from modlab.estimates import fit_exponent
-from modlab.datagen import focusing_data
+from modlab.datagen import scale_family
 from modlab.propagator import free_flow_lp_norms
 from modlab.variation import vp_norm
 from tests.conftest import bandlimited, complex_noise
@@ -204,7 +204,7 @@ class TestModulationNorm:
         spec = ModNormSpec(0.0, 4.0, 2.0)
         ratios = []
         for N in scales:
-            f = dyadic_project(focusing_data(N, g), N)
+            f = dyadic_project(scale_family("focusing", N, 0, 1.0, g), N)
             ratios.append(np.abs(f.values).max() / modulation_norm(f, spec, w))
         slope, _, _ = fit_exponent(scales, ratios)
         assert slope <= bound
@@ -215,7 +215,7 @@ class TestModulationNorm:
         spec = ModNormSpec(0.0, 4.0, 2.0)
         vals = []
         for N in (0.5, 1.0):
-            f = focusing_data(N, g)
+            f = scale_family("focusing", N, 0, 1.0, g)
             vals.append(np.abs(f.values).max() / modulation_norm(f, spec, w))
         # two-point slope in log2 against the d/2 = 1.5 prediction
         two_point = np.log2(vals[1] / vals[0])

@@ -1,9 +1,10 @@
 """Smoke test of the exploration scripts: each must import and print its
 help, so that a renamed public name breaks a test rather than a script, and
-each runs end to end, the threshold probe on a small grid, with the claims
-it prints checked.
-A ratio sweep runs through ``modlab run <config>`` alone, so no script
-builds an ``ExperimentConfig`` or calls a sweep of ``modlab.estimates``."""
+the threshold probe runs end to end on a small grid, with the claims it
+prints checked.
+Every run kind runs through ``modlab run <config>`` alone, so no script
+builds an ``ExperimentConfig``, calls a sweep of ``modlab.estimates``, or
+calls the solver's large-data or cross-validation run."""
 
 import ast
 import os
@@ -69,23 +70,13 @@ def test_small_data_threshold_monotone_probe():
     assert last == "largest contracting amplitude: 0.5"
 
 
-def test_large_data_demo_claims_hold():
-    # the certified run holds and converges, and the naive large-amplitude
-    # run diverges: a demo claim that stops holding fails here
-    done = _run(ROOT / "scripts" / "run_large_data_demo.py")
-    assert done.returncode == 0, done.stderr
-    data, cert, picard, naive = done.stdout.splitlines()
-    assert data.startswith("data: n_radius=2 ")
-    assert cert.startswith("certificate: ") and cert.endswith(" holds=True")
-    assert picard.startswith("picard: ") and picard.endswith(" converged=True")
-    assert naive.startswith("naive large-amplitude run on [0,1]: diverged=True ")
-
-
 def test_no_script_forks_the_cli():
-    # a script that builds an ExperimentConfig and runs a sweep repeats what
-    # cli._experiment_config and a config file do; a sweep at another p or d
-    # is the same config with that key changed
-    sweep_names = {"ExperimentConfig", *SWEEPS.values()}
+    # a script that builds an ExperimentConfig and runs a sweep, or runs the
+    # largedata or solve protocol, repeats what cli and a config file do; a
+    # run at another p, d or datum is the same config with that key changed
+    fork_names = {
+        "ExperimentConfig", *SWEEPS.values(), "large_data_protocol", "cross_validate",
+    }
 
     def names(node):
         # imported from modlab, or reached as an attribute of a module
@@ -98,6 +89,6 @@ def test_no_script_forks_the_cli():
         for script in SCRIPTS
         for node in ast.walk(ast.parse(script.read_text()))
         for name in names(node)
-        if name in sweep_names
+        if name in fork_names
     )
     assert not forks, f"scripts that fork `modlab run`: {forks}"

@@ -482,6 +482,13 @@ class TestLargeData:
         # T = c1 N^{-2d/(d-2)} A^{-4/(d-2)} at d = 3
         assert cert.horizon == cert.c1 * cert.cutoff ** -6.0 * cert.A ** -4.0
 
+    def test_naive_large_amplitude_run_diverges(self):
+        # without the frequency cutoff and its short horizon, Picard on the
+        # whole unit horizon diverges on 40 times the certified datum
+        prob = NLSProblem(u0=40.0 * self.data, horizon=1.0, time_nodes=17)
+        _, report = picard_solve(prob, max_iters=10)
+        assert report.diverged and not report.converged
+
     def test_adversarial_tail_still_certified(self):
         # extra rough mass beyond the cutoff: the measured tail grows, the
         # horizon shrinks, and the run stays certified

@@ -5,27 +5,23 @@ Usage: ``modlab run <config> --out <dir> [--seed N]``
 Configs are flat INI key-value files with sections (see configs/ for
 examples).  ``[experiment] kind`` picks one entry of ``EXPERIMENTS``, the
 table of experiment drivers; the five ratio sweeps among them name their
-``modlab.estimates`` function in ``SWEEPS``.  The keys shared by every kind
-are the fields of ``estimates.ExperimentConfig``, with its defaults and
-types: ``d``, ``n``, ``length`` and ``cube`` under ``[grid]``, ``seed`` under
-``[experiment]``, the rest under ``[sweep]``.  Keys a driver alone reads
-(``trials``, ``tolerance``, the ``[problem]`` section) default in the driver.
+``modlab.estimates`` function in ``SWEEPS``.  ``_keys`` is the one table of
+the keys a kind may set: the fields of ``estimates.ExperimentConfig``, with
+its defaults and types (``d``, ``n``, ``length`` and ``cube`` under
+``[grid]``, ``seed`` under ``[experiment]``, the rest under ``[sweep]``),
+and for the solver kinds ``[problem]`` in place of ``[sweep]``.  ``_read``
+casts every key before a driver runs, and refuses any other key first.
 
 Each run writes, atomically, a CSV with the fixed columns (experiment,
 scale, lhs, rhs, ratio) and a JSON summary carrying the fit keys (slope,
 intercept, residual, predicted, margin, pass) plus the fully resolved config
-for provenance.  Its ``config.threads`` leaf is a fixed provenance field,
-always null: modlab has no worker setting, and recorded outputs keep the
-leaf.  Each experiment returns its CSV rows and JSON summary, and the
-process exit code is 0 only when the summary's ``pass``, every pass
-criterion of the experiment, holds.
+for provenance.  Its ``threads`` leaf (null) and ``resolved`` leaves ``q``
+and ``sweep`` are fixed: no run reads them, and recorded outputs keep them.
 
-Exit codes: 0 pass, 1 criteria failed, 2 bad config or value (overflow too),
-3 unknown experiment, 4 invalid scales, 5 I/O failure.  A large-data run
-whose iterate leaves the certificate ball exits 1 with both files written:
-the partial certificate, ``pass: false`` and the violated inequality under
-``violation``.  A solve run whose split-step oracle trips its blow-up guard
-exits 1 the same way, with the guard's message under ``violation``.
+Exit codes: 0 pass; 1 criteria failed (a certificate violation or a solve
+run's blow-up too, both files written, the reason under ``violation``); 2
+bad config: an unknown key, a bad value or seed, an overflow; 3 unknown
+experiment; 4 invalid scales; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -65,6 +61,10 @@ SWEEPS = {
 # config section of each ExperimentConfig field outside [sweep]
 _SECTIONS = {"d": "grid", "n": "grid", "length": "grid", "cube": "grid", "seed": "experiment"}
 
+# fixed leaves of the resolved config, beside the fixed null ``threads``:
+# fields no run read, kept so that recorded outputs keep their keys
+_RETIRED = {"q": 2.0, "sweep": "low"}
+
 
 class ConfigError(ValueError):
     pass
@@ -98,15 +98,10 @@ def _get(cfg: dict, section: str, key: str, cast, default):
         return default
     try:
         return cast(raw)
+    except InvalidScales:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-
-
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value <= 0:
-        raise ValueError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _positive_float(raw: str) -> float:
@@ -123,10 +118,7 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
-    raw = cfg.get("sweep", {}).get("scales")
-    if raw is None:
-        return default
+def _scales(raw: str) -> tuple[float, ...]:
     try:
         vals = tuple(float(v) for v in raw.replace(",", " ").split())
     except ValueError as exc:
@@ -136,21 +128,53 @@ def _scales(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     return vals
 
 
-def _experiment_config(cfg: dict, seed_override: int | None):
-    """``ExperimentConfig`` from the config, each field cast to its default's
-    type.  ``sweep`` (not read) and ``q`` (unused) are provenance leaves."""
+# [problem] key -> (cast, default) of each solver kind; no other kind reads
+# [problem], and the solver kinds read no [sweep] key
+_SOLVER_KEYS = {
+    "data": (str, "gaussian"), "amplitude": (_finite_float, 0.2),
+    "n_radius": (_positive_float, 2.0), "horizon": (float, 0.1), "time_nodes": (int, 65),
+    "kappa": (lambda v: float(v) if v else None, None), "sign": (int, 1),
+}
+_PROBLEM_KEYS = {
+    "solve": {**_SOLVER_KEYS, "tolerance": (_positive_float, 1e-5), "s": (float, 0.5)},
+    "largedata": {
+        **_SOLVER_KEYS, "c0": (_positive_float, 0.1), "c1": (_positive_float, 0.1),
+        "s": (float, 1.1),
+    },
+}
+
+
+def _keys(kind: str) -> dict:
+    """(section, key) -> (cast, default) of every key but ``[experiment]
+    kind`` that a config of ``kind`` may set."""
     from modlab.estimates import ExperimentConfig
 
-    kwargs = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "scales":
-            kwargs[f.name] = _scales(cfg, f.default)
-        elif f.name == "seed" and seed_override is not None:
-            kwargs[f.name] = seed_override
-        elif f.name != "sweep":
-            section = _SECTIONS.get(f.name, "sweep")
-            kwargs[f.name] = _get(cfg, section, f.name, type(f.default), f.default)
-    return ExperimentConfig(**kwargs)
+    keys = {
+        (_SECTIONS.get(f.name, "sweep"), f.name):
+            (_scales if f.name == "scales" else type(f.default), f.default)
+        for f in dataclasses.fields(ExperimentConfig)
+    }
+    if kind not in _PROBLEM_KEYS:
+        return keys
+    problem = {("problem", key): spec for key, spec in _PROBLEM_KEYS[kind].items()}
+    return {sk: spec for sk, spec in keys.items() if sk[0] != "sweep"} | problem
+
+
+def _read(cfg: dict, kind: str, seed: int | None):
+    """The ``ExperimentConfig`` of a config and the ``[problem]`` values of
+    its kind, each cast; a key the kind does not know is refused first."""
+    from modlab.estimates import ExperimentConfig
+
+    keys = _keys(kind)
+    for section, key in ((section, key) for section in cfg for key in cfg[section]):
+        if (section, key) not in keys and (section, key) != ("experiment", "kind"):
+            raise ConfigError(f"unknown key [{section}] {key} for kind {kind!r}")
+    values = {sk: _get(cfg, *sk, *spec) for sk, spec in keys.items()}
+    if seed is not None:
+        values["experiment", "seed"] = seed
+    fields = {key: v for (section, key), v in values.items() if section != "problem"}
+    problem = {key: v for (section, key), v in values.items() if section == "problem"}
+    return ExperimentConfig(**fields), problem
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +239,12 @@ def _summary(margin: float, passed: bool, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_norms(cfg, xcfg, out_dir):
+def _run_norms(xcfg, values, out_dir):
     from modlab.datagen import random_field
     from modlab.grid import lp_norm
     from modlab.modspace import ModNormSpec, modulation_norm
 
-    trials = _get(cfg, "sweep", "trials", _positive_int, 20)
-    tol = _get(cfg, "sweep", "tolerance", _positive_float, 1e-10)
+    trials, tol = 20, 1e-10
     grid = xcfg.grid()
     window = xcfg.window()
     spec = ModNormSpec(0.0, 2.0, 2.0)
@@ -238,7 +261,7 @@ def _run_norms(cfg, xcfg, out_dir):
     )
 
 
-def _run_sweep(kind, cfg, xcfg, out_dir):
+def _run_sweep(kind, xcfg, values, out_dir):
     from modlab import estimates
 
     result = getattr(estimates, SWEEPS[kind])(xcfg)
@@ -251,18 +274,17 @@ def _run_sweep(kind, cfg, xcfg, out_dir):
     return _fit_rows(high) + _fit_rows(low), summary
 
 
-def _run_variation(cfg, xcfg, out_dir):
+def _run_variation(xcfg, values, out_dir):
     from modlab.datagen import random_field
     from modlab.grid import Trajectory, lp_norm
     from modlab.variation import duality_pairing, make_atom, vp_norm, vp_norm_bruteforce
 
-    trials = _get(cfg, "sweep", "trials", _positive_int, 50)
     p = xcfg.p
     grid = xcfg.grid()
     norm = partial(lp_norm, p=2.0)
     rng = np.random.default_rng(xcfg.seed)
     rows, exact, duality_ok = [], True, True
-    for trial in range(trials):
+    for trial in range(50):
         m = int(rng.integers(2, 11))
         fields = tuple(random_field(grid, xcfg.seed + 7 * trial + j) for j in range(m))
         path = Trajectory(grid, np.arange(m), np.stack([f.values for f in fields]))
@@ -283,41 +305,31 @@ def _run_variation(cfg, xcfg, out_dir):
     return rows, summary
 
 
-def _problem_from_config(cfg, xcfg):
+def _problem(xcfg, values):
     from modlab.datagen import gaussian, scale_family
     from modlab.solver import NLSProblem
 
     grid = xcfg.grid()
-    data = _get(cfg, "problem", "data", str, "gaussian")
-    amplitude = _get(cfg, "problem", "amplitude", _finite_float, 0.2)
-    if data == "gaussian":
-        u0 = amplitude * gaussian(grid)
-    elif data == "mollified":
-        n_radius = _get(cfg, "problem", "n_radius", _positive_float, 2.0)
-        u0 = amplitude * scale_family("mollified", n_radius, xcfg.seed, xcfg.cube, grid)
+    if values["data"] == "gaussian":
+        u0 = gaussian(grid)
+    elif values["data"] == "mollified":
+        u0 = scale_family("mollified", values["n_radius"], xcfg.seed, xcfg.cube, grid)
     else:
-        raise ConfigError(f"unknown problem data {data!r}")
-    return NLSProblem(
-        u0=u0,
-        horizon=_get(cfg, "problem", "horizon", float, 0.1),
-        time_nodes=_get(cfg, "problem", "time_nodes", int, 65),
-        kappa=_get(cfg, "problem", "kappa", lambda v: float(v) if v else None, None),
-        sign=_get(cfg, "problem", "sign", int, 1),
-    )
+        raise ConfigError(f"unknown problem data {values['data']!r}")
+    given = {key: values[key] for key in ("horizon", "time_nodes", "kappa", "sign")}
+    return NLSProblem(u0=values["amplitude"] * u0, **given)
 
 
-def _run_solve(cfg, xcfg, out_dir):
+def _run_solve(xcfg, values, out_dir):
     from modlab.solver import BlowUp, cross_validate, sum_space_smallness
 
-    problem = _problem_from_config(cfg, xcfg)
-    tol = _get(cfg, "problem", "tolerance", _positive_float, 1e-5)
+    problem = _problem(xcfg, values)
+    tol = values["tolerance"]
     smallness = None
     if problem.d <= 2:
         # the d <= 2 theory takes sum-space data; record the smallness bound
         # the contraction hypothesis is checked against
-        smallness = sum_space_smallness(
-            problem.u0, xcfg.window(), s=_get(cfg, "problem", "s", float, 0.5)
-        )
+        smallness = sum_space_smallness(problem.u0, xcfg.window(), s=values["s"])
     try:
         report = cross_validate(problem, tol=tol)
     except BlowUp as exc:
@@ -337,17 +349,16 @@ def _run_solve(cfg, xcfg, out_dir):
     return rows, summary
 
 
-def _run_largedata(cfg, xcfg, out_dir):
+def _run_largedata(xcfg, values, out_dir):
     from modlab.datagen import norm_report
     from modlab.solver import CertificateViolation, large_data_protocol
 
-    problem = _problem_from_config(cfg, xcfg)
-    c0 = _get(cfg, "problem", "c0", _positive_float, 0.1)
-    c1 = _get(cfg, "problem", "c1", _positive_float, 0.1)
-    s = _get(cfg, "problem", "s", float, 1.1)
+    problem = _problem(xcfg, values)
     window = xcfg.window()
     try:
-        _, report = large_data_protocol(problem, window=window, s=s, c0=c0, c1=c1)
+        _, report = large_data_protocol(
+            problem, window=window, s=values["s"], c0=values["c0"], c1=values["c1"]
+        )
     except CertificateViolation as exc:
         # the run stopped at the violating iterate: report the partial certificate
         cert = exc.certificate
@@ -370,7 +381,7 @@ def _run_largedata(cfg, xcfg, out_dir):
     return rows, summary
 
 
-def _run_datagen(cfg, xcfg, out_dir):
+def _run_datagen(xcfg, values, out_dir):
     from modlab.datagen import norm_report, save_field, scale_family
 
     grid = xcfg.grid()
@@ -410,8 +421,8 @@ def run(config_path: str, out: str, seed: int | None) -> int:
         kind = cfg["experiment"]["kind"].strip()
         if kind not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment kind {kind!r}")
-        xcfg = _experiment_config(cfg, seed)
-        rows, summary = EXPERIMENTS[kind](cfg, xcfg, out_dir)
+        xcfg, values = _read(cfg, kind, seed)
+        rows, summary = EXPERIMENTS[kind](xcfg, values, out_dir)
     except InvalidScales as exc:
         print(f"error: invalid scales: {exc}", file=sys.stderr)
         return EXIT_SCALES
@@ -430,7 +441,7 @@ def run(config_path: str, out: str, seed: int | None) -> int:
 
     summary["config"] = {
         "experiment": kind,
-        "resolved": xcfg.to_dict(),
+        "resolved": {**xcfg.to_dict(), **_RETIRED},
         "raw": cfg,
         "seed": xcfg.seed,
         "threads": None,

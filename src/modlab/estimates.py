@@ -24,7 +24,7 @@ Decoupling cells and the extension norm share the streamed ball quadrature
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from functools import cache, partial, reduce
 from typing import Sequence
 
@@ -75,8 +75,7 @@ class ExperimentConfig:
     """One experiment cell: grid, sweep, data family, and fit parameters.
 
     Bilinear sweeps use ``scales`` for the swept band and ``fixed_scale`` for
-    the frozen one.  No experiment uses ``q`` or ``sweep``: they are
-    provenance leaves kept for the benchmark's references.
+    the frozen one.
     """
 
     d: int = 1
@@ -87,13 +86,11 @@ class ExperimentConfig:
     seed: int = 0
     p: float = 4.0
     s: float = 0.0
-    q: float = 2.0
     cube: float = 1.0
     horizon: float = 1.0
     time_nodes: int = 129
     margin: float = 0.15
     fixed_scale: float = 1.0
-    sweep: str = "low"
     min_separation: float = 1.0
     atoms: int = 1
     mesh: int = 0
@@ -101,6 +98,8 @@ class ExperimentConfig:
     profile: str = "constant"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for sc in self.scales:
             if not (0 < sc < math.inf) or 2.0 ** round(math.log2(sc)) != sc:
                 raise InvalidScales(f"scales must be finite and dyadic, got {sc}")
@@ -255,7 +254,9 @@ def strichartz_l4_ratio(config: ExperimentConfig) -> FitResult:
     """The p = 4 smoothing sweep in d in {3, 4}; feeds the bilinear layer."""
     if config.d not in (3, 4):
         raise ValueError(f"strichartz harness expects d in {{3,4}}, got {config.d}")
-    out = smoothing_ratio(replace(config, p=4.0))
+    if config.p != 4:
+        raise ValueError(f"strichartz harness measures p = 4, got p = {config.p:g}")
+    out = smoothing_ratio(config)
     out.label = "strichartz_l4"
     return out
 

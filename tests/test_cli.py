@@ -15,6 +15,7 @@ from modlab.cli import (
     EXIT_PASS,
     EXIT_SCALES,
     EXIT_UNKNOWN,
+    EXPERIMENTS,
     main,
     run,
 )
@@ -68,9 +69,6 @@ seed = 3
 d = 2
 n = 32
 length = 25.132741228718345
-
-[sweep]
-trials = 10
 """
 
 VARIATION_CFG = """
@@ -84,12 +82,14 @@ n = 8
 length = 1.0
 
 [sweep]
-trials = 25
 p = 2
 """
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+# the fixed resolved leaves of two retired ExperimentConfig fields
+RETIRED = {"q": 2.0, "sweep": "low"}
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -178,7 +178,7 @@ class TestExperiments:
         assert summary["dp_matches_bruteforce"]
         assert summary["duality_inequality"]
         rows = (out / "variation.csv").read_text().splitlines()[1:]
-        assert len(rows) == 25
+        assert len(rows) == 50  # the variation driver's fixed trial count
         for row in rows:
             for cell in row.split(",")[1:]:
                 float(cell)  # a numeric cell is a plain float literal
@@ -321,11 +321,11 @@ class TestResolvedConfig:
     def test_defaults_are_those_of_experiment_config(self, tmp_path):
         from modlab.estimates import ExperimentConfig
 
-        cfg = write(tmp_path, "[experiment]\nkind = norms\n\n[sweep]\ntrials = 2\n")
+        cfg = write(tmp_path, "[experiment]\nkind = norms\n")
         out = tmp_path / "out"
         assert run(str(cfg), str(out), seed=None) == EXIT_PASS
         resolved = json.loads((out / "norms.json").read_text())["config"]["resolved"]
-        assert resolved == ExperimentConfig().to_dict()
+        assert resolved == {**ExperimentConfig().to_dict(), **RETIRED}
 
     def test_every_key_is_read_from_its_section(self, tmp_path):
         from dataclasses import replace
@@ -337,7 +337,7 @@ class TestResolvedConfig:
             "grid": {"d": 1, "n": 64, "length": 20.0, "cube": 2.0},
             "sweep": {
                 "scales": (1.0, 2.0), "family": "bump", "p": 6.0, "s": 0.5,
-                "q": 3.0, "horizon": 0.5, "time_nodes": 17, "margin": 0.3,
+                "horizon": 0.5, "time_nodes": 17, "margin": 0.3,
                 "fixed_scale": 2.0, "min_separation": 2.0, "atoms": 3, "mesh": 5,
                 "samples_per_unit": 3.0, "profile": "bump",
             },
@@ -348,14 +348,11 @@ class TestResolvedConfig:
             for key, value in values.items():
                 value = " ".join(map(str, value)) if key == "scales" else value
                 text += f"{key} = {value}\n"
-        # no experiment reads [sweep] sweep, so the config does not set it
-        text += "trials = 2\nsweep = high\n"
         out = tmp_path / "out"
         assert run(str(write(tmp_path, text)), str(out), seed=None) == EXIT_PASS
         resolved = json.loads((out / "norms.json").read_text())["config"]["resolved"]
         fields = {k: v for values in sections.values() for k, v in values.items()}
-        assert resolved == replace(ExperimentConfig(), **fields).to_dict()
-        assert resolved["sweep"] == "low"
+        assert resolved == {**replace(ExperimentConfig(), **fields).to_dict(), **RETIRED}
 
     def test_variation_runs_the_recorded_p(self, tmp_path, monkeypatch):
         import modlab.variation as variation
@@ -370,7 +367,7 @@ class TestResolvedConfig:
         monkeypatch.setattr(variation, "vp_norm", recording)
         text = "[experiment]\nkind = variation\n[grid]\nn = 8\nlength = 1.0\n"
         out = tmp_path / "out"
-        run(str(write(tmp_path, text + "[sweep]\ntrials = 3\n")), str(out), seed=None)
+        run(str(write(tmp_path, text)), str(out), seed=None)
         resolved = json.loads((out / "variation.json").read_text())["config"]["resolved"]
         assert seen[0] == resolved["p"]
 
@@ -587,13 +584,13 @@ class TestFailurePaths:
         assert not out.exists()
 
     def test_negative_amplitude_is_legal(self):
-        from modlab.cli import _experiment_config, _parse_config, _problem_from_config
+        from modlab.cli import _parse_config, _problem, _read
 
         cfg = _parse_config(CONFIGS / "solve_quintic.cfg")
         cfg["problem"]["amplitude"] = "-0.2"
-        problem = _problem_from_config(cfg, _experiment_config(cfg, None))
+        problem = _problem(*_read(cfg, "solve", None))
         cfg["problem"]["amplitude"] = "0.2"
-        positive = _problem_from_config(cfg, _experiment_config(cfg, None))
+        positive = _problem(*_read(cfg, "solve", None))
         assert np.array_equal(problem.u0.values, -positive.u0.values)
 
     @pytest.mark.parametrize("p", ["inf", "nan", "1.5", "-6"])
@@ -637,33 +634,81 @@ class TestFailurePaths:
          ("samples_per_unit", "0"), ("samples_per_unit", "nan"), ("samples_per_unit", "inf"),
          ("samples_per_unit", "-1"), ("fixed_scale", "0"), ("fixed_scale", "nan"),
          ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
-         ("cube", "0"), ("trials", "0"), ("trials", "-3"), ("tolerance", "inf"),
-         ("tolerance", "nan"), ("tolerance", "-1"), ("tolerance", "0"), ("atoms", "0"),
-         ("atoms", "-1"), ("mesh", "-3"), ("p", "inf"), ("p", "nan")],
+         ("cube", "0"), ("atoms", "0"), ("atoms", "-1"), ("mesh", "-3"), ("p", "inf"),
+         ("p", "nan")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
         # every key is checked whatever the kind reads: the smoothing sweep
         # has no fixed scale, and samples_per_unit = 0 divided by zero in a
-        # decoupling run; cube sits under [grid].  trials is read by the
-        # norms and variation drivers alone: a variation run with no trial
-        # passed, and a norms run took max() of no deviation.  tolerance is
-        # read by the norms driver alone: inf passed with nothing checked
+        # decoupling run; cube sits under [grid]
         section = "[grid]" if key == "cube" else "[sweep]"
-        bases = {"trials": [NORMS_CFG, VARIATION_CFG], "tolerance": [NORMS_CFG]}.get(
-            key, [SMOOTHING_CFG]
+        lines = [line for line in SMOOTHING_CFG.splitlines() if not line.startswith(key)]
+        text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(rf"^error: (bad config: bad value for \[\w+\] )?{key}\b", err, re.M)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, old, new, key",
+        [
+            # misspellings: a default that still passes loosened the gate or
+            # moved the run unseen, and c_0 = 9 exited 2 naming no key
+            ("largedata_d3.cfg", "c0 = 0.4", "c_0 = 9", "[problem] c_0"),
+            ("solve_quintic.cfg", "time_nodes = 129", "time_node = 65", "[problem] time_node"),
+            ("decoupling_d1_p6.cfg", "margin = 0.2", "margn = 0.0", "[sweep] margn"),
+            ("smoothing_d1_p8.cfg", None, "[Sweep]\np = 4", "[Sweep] p"),
+            # keys of another kind
+            ("solve_quintic.cfg", "[problem]", "[problem]\nc0 = 0.4", "[problem] c0"),
+            ("smoothing_d1_p8.cfg", None, "[problem]\nhorizon = 1.0", "[problem] horizon"),
+            ("largedata_d3.cfg", None, "[sweep]\ntime_nodes = 17", "[sweep] time_nodes"),
+            # retired keys
+            ("norms_d2.cfg", None, "[sweep]\nq = 3", "[sweep] q"),
+            ("norms_d2.cfg", None, "[sweep]\nsweep = high", "[sweep] sweep"),
+            ("variation_d1.cfg", "[sweep]", "[sweep]\ntrials = 10", "[sweep] trials"),
+        ],
+    )
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, config, old, new, key):
+        text = (CONFIGS / config).read_text()
+        text = text + f"\n{new}\n" if old is None else text.replace(old, new)
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        kind = _sections(text)["experiment"]["kind"]
+        assert capsys.readouterr().err == (
+            f"error: bad config: unknown key {key} for kind '{kind}'\n"
         )
-        for base in bases:
-            lines = [line for line in base.splitlines() if not line.startswith(key)]
-            text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
-            cfg = write(tmp_path, text)
-            out = tmp_path / "out"
-            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert "Traceback" not in err
-            assert re.search(
-                rf"^error: (bad config: bad value for \[\w+\] )?{key}\b", err, re.M
-            )
-            assert not out.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, old, new, argv",
+        [
+            ("norms_d2.cfg", "", "", ["--seed", "-1"]),
+            ("datagen_mollified.cfg", "", "", ["--seed", "-3"]),
+            ("v2bilinear_d3.cfg", "seed = 0", "seed = -2", []),
+        ],
+    )
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, config, old, new, argv):
+        # numpy refused the seed without naming it, and datagen took -3
+        text = (CONFIGS / config).read_text().replace(old, new)
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, text)), "--out", str(out), *argv]) == EXIT_CONFIG
+        seed = (argv or [None, "-2"])[1]
+        assert capsys.readouterr().err == f"error: seed must be non-negative, got {seed}\n"
+        assert not out.exists()
+
+    def test_strichartz_p_other_than_4_exits_2(self, tmp_path, capsys, monkeypatch):
+        # p = 6 measured the p = 4 sweep and recorded p = 6.0
+        from modlab import estimates
+
+        monkeypatch.setattr(estimates, "smoothing_ratio", unreached("a sweep ran"))
+        text = (CONFIGS / "strichartz_d3.cfg").read_text() + "p = 6\n"
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: strichartz harness measures p = 4, got p = 6\n"
+        assert not out.exists()
 
     def test_picard_divergence_is_reported(self, tmp_path, capsys):
         text = (CONFIGS / "solve_quintic.cfg").read_text()
@@ -705,11 +750,11 @@ class TestFailurePaths:
         assert not out.exists()
 
     def test_empty_kappa_is_the_critical_power(self, tmp_path):
-        from modlab.cli import _experiment_config, _parse_config, _problem_from_config
+        from modlab.cli import _parse_config, _problem, _read
 
         text = (CONFIGS / "solve_quintic.cfg").read_text()
         cfg = _parse_config(write(tmp_path, text.replace("[problem]\n", "[problem]\nkappa =\n")))
-        assert _problem_from_config(cfg, _experiment_config(cfg, None)).kappa == 4.0
+        assert _problem(*_read(cfg, "solve", None)).kappa == 4.0
 
     def test_split_step_blow_up_is_reported(self, tmp_path, capsys, monkeypatch):
         import modlab.solver as solver
@@ -741,17 +786,15 @@ def _sections(text):
 _FUZZ_BASES = [
     (CONFIGS / "solve_quintic.cfg").read_text(),
     (CONFIGS / "datagen_mollified.cfg").read_text(),
-    VARIATION_CFG.replace("trials = 25", "trials = 4"),
+    VARIATION_CFG,
 ]
 
 
-# sizes stay small or invalid, so no draw allocates more than a few MB or
-# runs more than a few variation trials
+# sizes stay small or invalid, so no draw allocates more than a few MB
 _SIZES = {
     "d": ["1", "2"],
     "n": ["16", "32", "64"],
     "time_nodes": ["3", "16", "17", "33"],
-    "trials": ["1", "4"],
 }
 _BAD = ["", "inf", "-inf", "nan", "0", "-1", "-2.5", "0.5", "1e100", "1e400", "garbage", "%(x)s"]
 
@@ -791,6 +834,54 @@ class TestConfigFuzz:
             cfg.write_text(text, encoding="utf-8")
             code = run(str(cfg), str(Path(tmp) / "out"), seed=None)
         assert isinstance(code, int) and 0 <= code <= 5
+
+
+def _readme_keys():
+    """(kinds, section, key) of every row of the README's two key tables;
+    kinds is None for the first, whose keys every kind but the solver kinds
+    reads."""
+    text = (ROOT / "README.md").read_text()
+    text = text[text.index("## CLI"):text.index("Each run writes, atomically")]
+    rows, column = [], None
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or set(cells[0]) <= set("-"):
+            continue
+        if cells[0] in ("section", "kind"):
+            column = cells.index("key")
+            continue
+        ticked = [re.findall(r"`([^`]+)`", cell) for cell in cells]
+        kinds = ticked[0] if column == 2 else None
+        section = ticked[column - 1][0].strip("[]")
+        rows += [(kinds, section, key) for key in ticked[column]]
+    return rows
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize(
+        "path",
+        sorted(CONFIGS.glob("*.cfg")) + sorted((ROOT / "perfbench" / "configs").glob("*.cfg")),
+        ids=lambda p: p.name,
+    )
+    def test_shipped_config_passes_the_key_check(self, path):
+        # read, not run: no tier-1 test runs configs/bilinear_d3.cfg
+        from modlab.cli import _parse_config, _read
+
+        cfg = _parse_config(path)
+        kind = cfg["experiment"]["kind"]
+        assert kind in EXPERIMENTS
+        _read(cfg, kind, None)
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+    def test_readme_tables_are_the_keys_read(self, kind):
+        from modlab.cli import _keys
+
+        named = {
+            (section, key) for kinds, section, key in _readme_keys()
+            if kind in (kinds or [kind])
+            and not (kinds is None and section == "sweep" and kind in ("solve", "largedata"))
+        }
+        assert named == set(_keys(kind)) | {("experiment", "kind")}
 
 
 # each sweep kind and the modlab.estimates function it runs

@@ -84,6 +84,11 @@ def _parse_config(path: Path) -> dict:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    # configparser copies [DEFAULT] keys into every section, so refuse them
+    # under [DEFAULT], where they are written
+    if cp.defaults():
+        key = next(iter(cp.defaults()))
+        raise ConfigError(f"unknown key [DEFAULT] {key}: a config sets each key in its own section")
     out: dict = {}
     for section in cp.sections():
         out[section] = dict(cp.items(section))

@@ -44,9 +44,14 @@ __all__ = [
     "ball_cover_centers",
 ]
 
-# Complex samples one block of window pieces may hold: 2**17 of them are
-# 2 MiB, one core's L2 cache on current x86 servers.  That bounds the
-# kernel's memory at no cost in time; smaller blocks only add FFT calls.
+# Complex samples the blocks of window pieces in flight may hold together:
+# 2**17 of them are 2 MiB, one core's L2 cache on current x86 servers.  That
+# bounds the kernel's memory; smaller blocks only add FFT calls.  Norms taken
+# on several threads at once split it (``modulation_norm``'s ``in_flight``).
+# Sequential norms keep whole 2 MiB blocks: glibc's malloc raises its
+# mapping threshold only to the largest block freed, and with 1 MiB blocks
+# the bilinear cell's later arrays were mapped and faulted in anew, which
+# cost a quarter more run time in a fresh process.
 _CHUNK_POINTS = 2**17
 
 
@@ -196,23 +201,27 @@ def make_window(grid: Grid, cube: float = 1.0) -> Window:
     return Window(grid=grid, cube=float(cube), kmax=kmax)
 
 
-def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.ndarray:
+def _piece_lp_norms(
+    F: np.ndarray, ks: list, window: Window, p: float, in_flight: int = 1
+) -> np.ndarray:
     """L^p norms of the pieces ``ks`` of a spectrum F (a non-empty product of
     per-axis shift ranges in ``itertools.product`` order), in that order,
     for a finite p >= 1.  The kernel walks the prefix tree of the shifts,
     each level one profile multiply and one batched 1-d inverse FFT along its
-    axis, splitting shifts past ``_CHUNK_POINTS``, and reduces each leaf
-    block in one float buffer (``grid.abs_power``, then the row sum).
-    The budget is L2-sized, so those passes read a block of a few MiB, not
-    the whole tree; no intermediate holds more than max(``_CHUNK_POINTS``,
-    ``grid.size``) samples, and every budget gives the same bits, as the
-    budget only regroups whole 1-d transforms and leaf rows.
+    axis, splitting shifts past ``_CHUNK_POINTS // in_flight``, and reduces
+    each leaf block in one float buffer (``grid.abs_power``, then the row
+    sum).  The budget is an L2 cache shared by the ``in_flight`` norms taken
+    at once, so those passes read a block of a few MiB, not the whole tree;
+    no intermediate holds more than max(budget, ``grid.size``) samples, and
+    every budget gives the same bits, as the budget only regroups whole 1-d
+    transforms and leaf rows.
     |piece| ignores the coordinate twist of ``inverse``."""
     g = window.grid
     ranges = [sorted({k[a] for k in ks}) for a in range(g.d)]
     if not ks or list(itertools.product(*ranges)) != list(ks):
         raise ValueError("windows must be a product of per-axis shift ranges, in order")
     rows = [window.axis_profiles()[np.array(r) + window.kmax] for r in ranges]
+    budget = _CHUNK_POINTS // in_flight
 
     def descend(stack: np.ndarray, a: int) -> np.ndarray:
         # norms of every piece below the prefixes in ``stack`` (axes < a done)
@@ -222,7 +231,7 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
             return (g.cell * np.sum(phys, axis=1)) ** (1.0 / p)
         # a stack of several prefixes came from a budget-sized group, so its
         # shifts fit in one group here too: groups split only single prefixes
-        group = max(1, _CHUNK_POINTS // (math.prod(map(len, rows[a + 1 :])) * g.size))
+        group = max(1, budget // (math.prod(map(len, rows[a + 1 :])) * g.size))
         parts = []
         for start in range(0, len(rows[a]), group):
             r = rows[a][start : start + group].reshape((1, -1) + g._axis_shape(a))
@@ -233,11 +242,13 @@ def _piece_lp_norms(F: np.ndarray, ks: list, window: Window, p: float) -> np.nda
     return descend(F[None], 0)
 
 
-def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
+def modulation_norm(f: Field, spec: ModNormSpec, window: Window, in_flight: int = 1) -> float:
     """Weighted l^q aggregation of per-cube L^p norms.
 
     ||f|| = ( sum_k <k>^(s q) ||sigma_k(D) f||_p^q )^(1/q), with <k> the
-    Japanese bracket of the lattice index.
+    Japanese bracket of the lattice index.  ``in_flight`` is the number of
+    norms the caller takes at once on as many threads; they split the kernel's
+    block budget, and the result has the same bits for every value.
     """
     if f.grid != window.grid:
         raise ValueError("field and window live on different grids")
@@ -246,7 +257,7 @@ def modulation_norm(f: Field, spec: ModNormSpec, window: Window) -> float:
     ks = window.active_lattice(F)
     if not ks:
         return 0.0
-    norms = _piece_lp_norms(F, ks, window, spec.p)
+    norms = _piece_lp_norms(F, ks, window, spec.p, in_flight)
     brackets = np.sqrt(1.0 + np.sum(np.square(ks), axis=1))
     weighted = brackets**spec.s * norms
     return float(np.sum(weighted**spec.q) ** (1.0 / spec.q))

@@ -16,6 +16,8 @@ inequality if an iterate leaves the ball.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -167,8 +169,40 @@ def nonlinearity(u: Field | Trajectory, kappa: float, sign: int) -> Field | Traj
 
 
 def _sup_m42(path: Trajectory, spec: ModNormSpec, window: Window) -> float:
-    """Sup over the nodes of ``path`` of the M^s_{4,2} norm in ``spec``."""
-    return max(modulation_norm(f, spec, window) for _, f in path)
+    """Sup over the nodes of ``path`` of the M^s_{4,2} norm in ``spec``.
+
+    The nodes are independent, so the calling thread takes the even nodes and
+    one helper thread the odd ones, overlapping their FFTs, which release the
+    interpreter lock; the two norms in flight split the window kernel's block
+    budget.  Each node's norm is computed whole by one thread and the norms
+    are maxed in node order, so the result, NaN included, has the bits of the
+    sequential ``max``.  The helper runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` holds there too, and its first exception
+    is raised here once it has been joined.
+    """
+    fields = [f for _, f in path]
+    norms = [0.0] * len(fields)
+    failures: list[BaseException] = []
+
+    def take(first: int) -> None:
+        for i in range(first, len(fields), 2):
+            norms[i] = modulation_norm(fields[i], spec, window, in_flight=2)
+
+    def take_odd() -> None:
+        try:
+            take(1)
+        except BaseException as exc:  # raised again by the caller once joined
+            failures.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(take_odd,))
+    helper.start()
+    try:
+        take(0)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return max(norms)
 
 
 def picard_solve(
@@ -191,7 +225,10 @@ def picard_solve(
     The iteration norm follows from d: ``strichartz`` (d <= 2) is sup-L^2
     plus the space-time L^{kappa+2} norm of the d <= 2 well-posedness
     argument; ``sup_m42`` (d >= 3) is the sup over nodes of M^s_{4,2}, in
-    ``window`` or the grid's default window.
+    ``window`` or the grid's default window, taken on two threads by
+    ``_sup_m42`` with the bits of the sequential sup.  The iterations run
+    under ``np.errstate(over="ignore", invalid="ignore")``, which the helper
+    thread inherits.
     """
     if problem.time_nodes < 16:
         raise ValueError(f"need at least 16 time nodes, got {problem.time_nodes}")

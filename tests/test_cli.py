@@ -682,6 +682,18 @@ class TestFailurePaths:
         )
         assert not out.exists()
 
+    def test_default_section_exits_2_naming_it(self, tmp_path, capsys):
+        # configparser copied [DEFAULT] margin into every section, and the
+        # refusal named [experiment] margin, a key the file does not have
+        text = "[DEFAULT]\nmargin = 0.3\n" + (CONFIGS / "decoupling_d1_p6.cfg").read_text()
+        out = tmp_path / "out"
+        assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bad config: unknown key [DEFAULT] margin: "
+            "a config sets each key in its own section\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "config, old, new, argv",
         [

@@ -300,8 +300,13 @@ class TestPieceKernel:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifft", spy)
-        _piece_lp_norms(F.coefficients, ks, w, 4.0)
+        want = _piece_lp_norms(F.coefficients, ks, w, 4.0)
         assert sizes and max(sizes) <= max(modspace._CHUNK_POINTS, grid3d.size)
+        # two norms in flight split the budget, with the same bits
+        whole = max(sizes)
+        sizes.clear()
+        assert np.array_equal(_piece_lp_norms(F.coefficients, ks, w, 4.0, in_flight=2), want)
+        assert max(sizes) <= max(modspace._CHUNK_POINTS // 2, grid3d.size) < whole
 
     @pytest.mark.parametrize(
         "p,bits,pieces",

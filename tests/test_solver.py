@@ -565,6 +565,85 @@ class TestLargeData:
             large_data_protocol(prob, window=self.window, c0=1e-4)
 
 
+class TestThreadedSup:
+    """``_sup_m42`` takes the odd nodes on a helper thread; it must give the
+    sequential ``max`` bit for bit and hand back what the helper raised."""
+
+    def setup_method(self):
+        self.grid = make_grid(3, 16, 8 * np.pi)
+        self.window = make_window(self.grid)
+        self.spec = ModNormSpec(1.1, 4.0, 2.0)
+        # 17 nodes of growing amplitude with the largest at node 11, in the
+        # helper's half
+        amps = 1.0 + np.arange(17) / 17.0
+        amps[11] = 3.0
+        values = np.stack([a * complex_noise(self.grid, seed=j).values for j, a in enumerate(amps)])
+        self.path = Trajectory(self.grid, np.linspace(0.0, 1.0, 17), values)
+
+    def sequential(self, norm=modulation_norm):
+        return max(norm(f, self.spec, self.window) for _, f in self.path)
+
+    def test_matches_the_sequential_sup(self):
+        import modlab.solver as solver
+
+        sup = solver._sup_m42(self.path, self.spec, self.window)
+        assert sup == self.sequential()
+        assert sup == modulation_norm(self.path[11][1], self.spec, self.window)
+
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_a_nan_norm_is_maxed_in_node_order(self, node, monkeypatch):
+        # max keeps a NaN it starts from and skips a later one, so a NaN at
+        # node 0 is the sup and a NaN at node 1, the helper's, is not
+        import modlab.solver as solver
+
+        def nan_at_node(f, spec, window, **kw):
+            if np.array_equal(f.values, self.path.values[node]):
+                return float("nan")
+            return modulation_norm(f, spec, window, **kw)
+
+        expected = self.sequential(nan_at_node)
+        monkeypatch.setattr(solver, "modulation_norm", nan_at_node)
+        sup = solver._sup_m42(self.path, self.spec, self.window)
+        assert np.isnan(sup) == (node == 0) == np.isnan(expected)
+        assert node == 0 or sup == expected
+
+    def test_a_helper_failure_is_raised_by_the_caller(self, monkeypatch):
+        import threading
+
+        import modlab.solver as solver
+
+        def fail_at_node_1(f, spec, window, **kw):
+            if np.array_equal(f.values, self.path.values[1]):
+                raise RuntimeError("node 1 failed")
+            return modulation_norm(f, spec, window, **kw)
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(solver, "modulation_norm", fail_at_node_1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="node 1 failed"):
+            solver._sup_m42(self.path, self.spec, self.window)
+        assert unhandled == [] and threading.active_count() == before
+
+    def test_the_callers_errstate_holds_in_the_helper(self):
+        # |1e100|^4 overflows at node 1 only; the caller's errstate (picard's,
+        # in a run) must silence it there, and without it the warning,
+        # raised as an error, reaches the caller
+        import warnings
+
+        import modlab.solver as solver
+
+        values = self.path.values.copy()
+        values[1] *= 1e100
+        path = Trajectory(self.grid, self.path.times, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert solver._sup_m42(path, self.spec, self.window) == np.inf
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                solver._sup_m42(path, self.spec, self.window)
+
+
 def ball(total_norms, tail_norms):
     return Certificate(
         A=1.0, delta=0.25, cutoff=2.0, horizon=0.01, c0=0.4, c1=0.1,

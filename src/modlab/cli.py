@@ -10,13 +10,16 @@ the keys a kind may set: the fields of ``estimates.ExperimentConfig``, with
 its defaults and types (``d``, ``n``, ``length`` and ``cube`` under
 ``[grid]``, ``seed`` under ``[experiment]``, the rest under ``[sweep]``),
 and for the solver kinds ``[problem]`` in place of ``[sweep]``.  ``_read``
-casts every key before a driver runs, and refuses any other key first.
+casts every key before a driver runs, and refuses any other key first.  A
+shipped config or acceptance criterion sets each key; a value no run sets
+is a constant of its driver.
 
 Each run writes, atomically, a CSV with the fixed columns (experiment,
 scale, lhs, rhs, ratio) and a JSON summary carrying the fit keys (slope,
 intercept, residual, predicted, margin, pass) plus the fully resolved config
-for provenance.  Its ``threads`` leaf (null) and ``resolved`` leaves ``q``
-and ``sweep`` are fixed: no run reads them, and recorded outputs keep them.
+for provenance.  Its ``threads`` leaf (null) and the ``resolved`` leaves of
+the retired fields in ``_RETIRED`` are fixed, so that recorded outputs keep
+them.
 
 Exit codes: 0 pass; 1 criteria failed (a certificate violation or a solve
 run's blow-up too, both files written, the reason under ``violation``); 2
@@ -61,9 +64,10 @@ SWEEPS = {
 # config section of each ExperimentConfig field outside [sweep]
 _SECTIONS = {"d": "grid", "n": "grid", "length": "grid", "cube": "grid", "seed": "experiment"}
 
-# fixed leaves of the resolved config, beside the fixed null ``threads``:
-# fields no run read, kept so that recorded outputs keep their keys
-_RETIRED = {"q": 2.0, "sweep": "low"}
+# fixed leaves of the resolved config, beside the fixed null ``threads``: no
+# run read q or sweep, and no run set s, horizon, mesh or samples_per_unit,
+# which are now the constants every sweep uses (mesh 0 meant "sized from R")
+_RETIRED = {"q": 2.0, "sweep": "low", "s": 0.0, "horizon": 1.0, "mesh": 0, "samples_per_unit": 2.0}
 
 
 class ConfigError(ValueError):
@@ -134,11 +138,11 @@ def _scales(raw: str) -> tuple[float, ...]:
 
 
 # [problem] key -> (cast, default) of each solver kind; no other kind reads
-# [problem], and the solver kinds read no [sweep] key
+# [problem], and the solver kinds read no [sweep] key.  No key sets kappa, so
+# a solver run solves the critical equation, NLSProblem's default
 _SOLVER_KEYS = {
-    "data": (str, "gaussian"), "amplitude": (_finite_float, 0.2),
+    "data": (str, "gaussian"), "amplitude": (_finite_float, 0.2), "sign": (int, 1),
     "n_radius": (_positive_float, 2.0), "horizon": (float, 0.1), "time_nodes": (int, 65),
-    "kappa": (lambda v: float(v) if v else None, None), "sign": (int, 1),
 }
 _PROBLEM_KEYS = {
     "solve": {**_SOLVER_KEYS, "tolerance": (_positive_float, 1e-5), "s": (float, 0.5)},
@@ -321,7 +325,7 @@ def _problem(xcfg, values):
         u0 = scale_family("mollified", values["n_radius"], xcfg.seed, xcfg.cube, grid)
     else:
         raise ConfigError(f"unknown problem data {values['data']!r}")
-    given = {key: values[key] for key in ("horizon", "time_nodes", "kappa", "sign")}
+    given = {key: values[key] for key in ("horizon", "time_nodes", "sign")}
     return NLSProblem(u0=values["amplitude"] * u0, **given)
 
 

@@ -69,6 +69,9 @@ __all__ = [
 # Configuration and fit plumbing
 # ---------------------------------------------------------------------------
 
+# every sweep measures its free flows on the time interval [0, _HORIZON]
+_HORIZON = 1.0
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -85,16 +88,12 @@ class ExperimentConfig:
     family: str = "focusing"
     seed: int = 0
     p: float = 4.0
-    s: float = 0.0
     cube: float = 1.0
-    horizon: float = 1.0
     time_nodes: int = 129
     margin: float = 0.15
     fixed_scale: float = 1.0
     min_separation: float = 1.0
     atoms: int = 1
-    mesh: int = 0
-    samples_per_unit: float = 2.0
     profile: str = "constant"
 
     def __post_init__(self):
@@ -103,20 +102,16 @@ class ExperimentConfig:
         for sc in self.scales:
             if not (0 < sc < math.inf) or 2.0 ** round(math.log2(sc)) != sc:
                 raise InvalidScales(f"scales must be finite and dyadic, got {sc}")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+            if self.scales.count(sc) > 1:  # it would be measured and fitted twice
+                raise InvalidScales(f"scales must be distinct, got {sc:g} more than once")
         if self.time_nodes < 2:
             raise ValueError(f"time_nodes must be at least 2, got {self.time_nodes}")
         if not math.isfinite(self.margin):
             raise ValueError(f"margin must be finite, got {self.margin}")
         if self.atoms < 1:
             raise ValueError(f"atoms must be at least 1, got {self.atoms}")
-        if self.mesh < 0:
-            raise ValueError(f"mesh must be 0 (sized from R) or positive, got {self.mesh}")
-        for name in ("fixed_scale", "samples_per_unit"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 < self.fixed_scale < math.inf:
+            raise ValueError(f"fixed_scale must be positive and finite, got {self.fixed_scale}")
 
     def grid(self) -> Grid:
         return make_grid(self.d, self.n, self.length)
@@ -242,7 +237,7 @@ def smoothing_ratio(config: ExperimentConfig) -> FitResult:
         for N in config.scales
     ]
     products = [[u0] for u0 in data]
-    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, config.p)
+    lhs = free_flow_lp_norms(products, _HORIZON, config.time_nodes, config.p)
     rhs = [modulation_norm(u0, spec, window) for u0 in data]
     meta = {"window": window.describe()}
     return _make_fit(
@@ -316,7 +311,7 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
     spec = ModNormSpec(0.0, 4.0, 2.0)
     norms = {f: modulation_norm(f, spec, window) for f in fields.values()}
     products = [(fields[n1, config.seed], fields[n2, config.seed + 1]) for n1, n2 in pairs]
-    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, 2.0, boxes)
+    lhs = free_flow_lp_norms(products, _HORIZON, config.time_nodes, 2.0, boxes)
     rhs = [norms[f1] * norms[f2] for f1, f2 in products]
     cells = dict(zip(pairs, zip(lhs.tolist(), rhs)))
 
@@ -420,10 +415,10 @@ def bilinear_chain_log(
         pieces.append(Field(grid, inverse(grid, mask * F1)))
         boxes[pieces[-1]] = ball_box(c)
     lhs, *prods = free_flow_lp_norms(
-        [[f1, f2], *([piece, f2] for piece in pieces)], config.horizon, m, 2.0, boxes
+        [[f1, f2], *([piece, f2] for piece in pieces)], _HORIZON, m, 2.0, boxes
     ).tolist()
     l4_low, *l4_pieces = free_flow_lp_norms(
-        [[f2], *([piece] for piece in pieces)], config.horizon, m, 4.0, boxes=boxes
+        [[f2], *([piece] for piece in pieces)], _HORIZON, m, 4.0, boxes=boxes
     ).tolist()
     sum_products_sq = 0.0
     holder_ok = True
@@ -461,7 +456,7 @@ def _atomic_path(config: ExperimentConfig, grid: Grid, band: float, seed: int) -
         for j in range(config.atoms)
     ]
     values = np.stack([f.values for f in profiles + profiles[-1:]])
-    return Trajectory(grid, np.linspace(0.0, config.horizon, config.atoms + 1), values)
+    return Trajectory(grid, np.linspace(0.0, _HORIZON, config.atoms + 1), values)
 
 
 def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
@@ -470,7 +465,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     Inputs are finite atomic superpositions of free trajectories; their adapted
     V^2 norms are the exact 2-variations of their profile step paths.  Passes
     when the fitted exponent stays below 2s + margin, s the Strichartz input
-    exponent (config.s; 2*sdec(4,d) + epsilon when left at zero).
+    exponent 2*sdec(4,d) + 0.01.
     """
     from modlab.variation import vp_norm
 
@@ -478,7 +473,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     n_high = config.fixed_scale
     grid = _bilinear_grid(config, [(n_high, n_low) for n_low in config.scales])
     window = config.window()
-    s_input = config.s if config.s > 0 else 2.0 * sdec(4.0, config.d) + 0.01
+    s_input = 2.0 * sdec(4.0, config.d) + 0.01
     norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
     v2 = partial(vp_norm, p=2.0, norm=norm, terminal_zero=True)
 
@@ -487,7 +482,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     products = [[hi, lo] for lo in los]
     boxes = {lo: band_box(grid, n_low) for lo, n_low in zip(los, config.scales)}
     boxes[hi] = band_box(grid, n_high)
-    lhs = free_flow_lp_norms(products, config.horizon, config.time_nodes, 2.0, boxes)
+    lhs = free_flow_lp_norms(products, _HORIZON, config.time_nodes, 2.0, boxes)
     v2_high = v2(hi)
     rhs = [v2_high * v2(lo) for lo in los]
     meta = {"window": window.describe(), "s_input": s_input, "atoms": config.atoms}
@@ -517,8 +512,9 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     """Sweep of D(R) = ||Ef||_{L^p(B(0,R))} / (sum_caps ||Ef_cap||^2)^{1/2}.
 
     Caps have width R^{-1/2}; the weight is the sharp ball indicator.  The
-    frequency mesh is sized with R so the Poisson images of the quadrature
-    sit several radii away from the sampled ball.
+    frequency mesh has ceil(2.6 R) points per axis, so the Poisson images of
+    the quadrature sit several radii away from the sampled ball, and the
+    ball is sampled 2 times per unit length.
     """
     if config.d not in (1, 2):
         raise ValueError("decoupling harness supports d in {1, 2}")
@@ -544,14 +540,11 @@ def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
     sorting the mesh by cap makes each cap a contiguous run of it, cut at
     ``bounds``.  Only caps that hold mesh points are measured and counted.
     """
-    mesh = config.mesh if config.mesh > 0 else int(math.ceil(2.6 * R))
-    points, weight = unit_ball_mesh(config.d, mesh)
+    points, weight = unit_ball_mesh(config.d, int(math.ceil(2.6 * R)))
     caps = np.floor((points + 1.0) / width).astype(int)
     order = np.lexsort(caps.T[::-1])
     points = points[order]
     bounds = [*np.unique(caps[order], axis=0, return_index=True)[1], len(points)]
     profile = _decoupling_profile(config.profile, points, width)
-    norms = extension_ball_norms(
-        profile, points, weight, R, config.p, config.samples_per_unit, bounds
-    )
+    norms = extension_ball_norms(profile, points, weight, R, config.p, 2.0, bounds)
     return float(norms[0]), sum(float(v) ** 2 for v in norms[1:]), len(bounds) - 1

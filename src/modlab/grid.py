@@ -12,9 +12,9 @@ The pair ``forward``/``inverse`` acts on the trailing d axes and batches
 leading ones: a ``Trajectory`` transforms in one call, bit for bit as its
 nodes would one at a time.
 ``abs_power`` is the one power sum's summand |scale z|^p, shared by every
-L^p kernel of the package, each defined for finite p >= 1.  Their p is even
-in every estimate, and an even p squares instead of calling ``np.power``,
-whose ``pow`` costs about ten multiplies.
+L^p kernel of the package, each defined for finite p >= 1 (``check_exponent``).
+Their p is even in every estimate, and an even p squares instead of calling
+``np.power``, whose ``pow`` costs about ten multiplies.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "inverse_pruned",
     "fourier_multiply",
     "to_spectrum",
+    "check_exponent",
     "abs_power",
     "lp_norm",
     "spacetime_lp_norm",
@@ -349,10 +350,15 @@ def abs_power(values: np.ndarray, p: float, scale: float = 1.0) -> np.ndarray:
     return out if odd is None else np.multiply(out, odd, out=out)
 
 
+def check_exponent(value: float, name: str = "p") -> None:
+    """The domain 1 <= value < inf of every L^p, modulation and variation exponent."""
+    if not 1 <= value < np.inf:  # NaN fails every comparison
+        raise ValueError(f"{name} must be >= 1 and finite, got {name}={value}")
+
+
 def _lp_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
     """L^p quadrature over the trailing d axes, one norm per leading index."""
-    if not 1 <= p < np.inf:  # NaN fails every comparison
-        raise ValueError(f"p must be finite and >= 1, got p={p}")
+    check_exponent(p)
     sums = grid.cell * np.sum(abs_power(values, p), axis=tuple(range(-grid.d, 0)))
     # scalar powers on purpose: numpy's vectorized power differs from them in
     # the last bit for a few percent of inputs, which would move every norm

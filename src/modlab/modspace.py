@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Grid, abs_power, forward
+from modlab.grid import Field, Grid, abs_power, check_exponent, forward
 
 __all__ = [
     "ModNormSpec",
@@ -67,10 +67,8 @@ class ModNormSpec:
     def __post_init__(self):
         if not math.isfinite(self.s):
             raise ValueError(f"s must be finite, got s={self.s}")
-        for name in ("p", "q"):
-            value = getattr(self, name)
-            if not 1 <= value < math.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be finite and >= 1, got {name}={value}")
+        check_exponent(self.p)
+        check_exponent(self.q, name="q")
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from modlab.grid import (
-    Field, Grid, Trajectory, abs_power, forward, fourier_multiply, inverse, inverse_pruned,
-    trapezoid,
+    Field, Grid, Trajectory, abs_power, check_exponent, forward, fourier_multiply, inverse,
+    inverse_pruned, trapezoid,
 )
 
 __all__ = [
@@ -125,8 +125,7 @@ def free_flow_lp_norms(
     for k, factors in enumerate(products):
         if not factors:
             raise ValueError(f"products[{k}] holds no factors: give a Field or Trajectory")
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must be >= 1 and finite, got {p}")
+    check_exponent(p)
     if not 0 < horizon < np.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not isinstance(m, (int, np.integer)) or m < 2:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from modlab.grid import Field, Trajectory
+from modlab.grid import Field, Trajectory, check_exponent
 
 __all__ = [
     "vp_norm",
@@ -35,12 +35,6 @@ __all__ = [
     "up_norm_upper",
     "duality_pairing",
 ]
-
-
-def _check_p(p: float) -> None:
-    """The exponent check of every p-variation function: 1 <= p < inf."""
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
 
 
 def _root(total, p: float) -> float:
@@ -52,8 +46,9 @@ def _root(total, p: float) -> float:
 
 def _increment_table(path: Trajectory, p: float, norm, terminal_zero: bool):
     """Pairwise increment norms dist[i, j] = ||v_i - v_j|| and, only with
-    ``terminal_zero``, node norms, after the checks ``_check_p`` and two nodes."""
-    _check_p(p)
+    ``terminal_zero``, node norms, after the checks ``check_exponent`` and two
+    nodes."""
+    check_exponent(p)
     m = len(path)
     if m < 2:
         raise ValueError("need at least two nodes")
@@ -86,7 +81,7 @@ def vp_norm(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> fl
 def vp_norm_bruteforce(path: Trajectory, p: float, norm, terminal_zero: bool = False) -> float:
     """Exhaustive enumeration over all node subsequences; oracle for small m.
     It measures its own increments, sharing no table with ``vp_norm``."""
-    _check_p(p)
+    check_exponent(p)
     m = len(path)
     if not 2 <= m <= 16:
         raise ValueError(f"brute force needs 2 to 16 nodes, got {m}")
@@ -121,7 +116,7 @@ def make_atom(partition: Sequence[float], pieces: Sequence[Field], p: float, nor
 def up_norm_upper(u: Trajectory, p: float, norm) -> float:
     """Atomic upper bound from the one-atom decomposition on u's nodes:
     lambda = (sum_k ||u(t_k)||^p)^(1/p)."""
-    _check_p(p)
+    check_exponent(p)
     return _root(sum(norm(f) ** p for _, f in u), p)
 
 

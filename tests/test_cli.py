@@ -1,3 +1,4 @@
+import ast
 import configparser
 import json
 import re
@@ -88,8 +89,10 @@ p = 2
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
-# the fixed resolved leaves of two retired ExperimentConfig fields
-RETIRED = {"q": 2.0, "sweep": "low"}
+# every config file the repository ships: configs/ and the benchmark's own
+SHIPPED = sorted(CONFIGS.glob("*.cfg")) + sorted((ROOT / "perfbench" / "configs").glob("*.cfg"))
+# the fixed resolved leaves of six retired ExperimentConfig fields
+RETIRED = {"q": 2.0, "sweep": "low", "s": 0.0, "horizon": 1.0, "mesh": 0, "samples_per_unit": 2.0}
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -336,10 +339,9 @@ class TestResolvedConfig:
             "experiment": {"seed": 4},
             "grid": {"d": 1, "n": 64, "length": 20.0, "cube": 2.0},
             "sweep": {
-                "scales": (1.0, 2.0), "family": "bump", "p": 6.0, "s": 0.5,
-                "horizon": 0.5, "time_nodes": 17, "margin": 0.3,
-                "fixed_scale": 2.0, "min_separation": 2.0, "atoms": 3, "mesh": 5,
-                "samples_per_unit": 3.0, "profile": "bump",
+                "scales": (1.0, 2.0), "family": "bump", "p": 6.0, "time_nodes": 17,
+                "margin": 0.3, "fixed_scale": 2.0, "min_separation": 2.0, "atoms": 3,
+                "profile": "bump",
             },
         }
         text = "[experiment]\nkind = norms\n"
@@ -534,15 +536,13 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("kappa", "inf"), ("kappa", "nan"), ("kappa", "abc"), ("horizon", "nan"),
-         ("horizon", "inf"), ("tolerance", "inf"), ("tolerance", "nan"),
+        [("horizon", "nan"), ("horizon", "inf"), ("tolerance", "inf"), ("tolerance", "nan"),
          ("tolerance", "-1"), ("tolerance", "0"), ("amplitude", "inf"),
          ("amplitude", "nan"), ("c0", "nan"), ("c0", "-1"), ("c0", "0"), ("c1", "inf"),
          ("c1", "nan"), ("c1", "-1"), ("n_radius", "nan"), ("n_radius", "-2")],
     )
     def test_bad_problem_value_names_its_key(self, tmp_path, capsys, key, value):
-        # |u|^inf is 0 for data below 1, so an infinite kappa would otherwise
-        # pass, and so would any run under an infinite tolerance, or a
+        # any run would pass under an infinite tolerance, and so would a
         # large-data run whose c1 = inf let the protocol take the whole
         # horizon; an infinite amplitude read as non-finite samples after a
         # numpy warning, a NaN or negative c0 as a missing dyadic cutoff, a
@@ -624,23 +624,37 @@ class TestFailurePaths:
         cfg = write(tmp_path, text.replace("scales = 16 64 256", "scales = 16 16 16"))
         out = tmp_path / "out"
         assert run(str(cfg), str(out), seed=None) == EXIT_SCALES
-        assert "need at least 3 scales for a fit, got 1 distinct" in capsys.readouterr().err
+        assert "scales must be distinct, got 16 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, old, new, repeated",
+        [
+            ("smoothing_d1_p8.cfg", "scales = 4 8 16 32", "scales = 1 2 4 4", "4"),
+            ("datagen_mollified.cfg", "scales = 2 4 8 16", "scales = 2 2", "2"),
+        ],
+    )
+    def test_repeated_scale_exits_4_naming_it(self, tmp_path, capsys, config, old, new, repeated):
+        # smoothing measured the repeated cell twice and fitted it twice;
+        # datagen wrote one field file and reported two entries
+        text = (CONFIGS / config).read_text()
+        out = tmp_path / "out"
+        assert run(str(write(tmp_path, text.replace(old, new))), str(out), seed=None) == EXIT_SCALES
+        assert capsys.readouterr().err == (
+            f"error: invalid scales: scales must be distinct, got {repeated} more than once\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
-        [("horizon", "nan"), ("horizon", "inf"), ("horizon", "-1"), ("horizon", "0"),
-         ("time_nodes", "1"), ("time_nodes", "-5"), ("margin", "nan"), ("margin", "inf"),
-         ("samples_per_unit", "0"), ("samples_per_unit", "nan"), ("samples_per_unit", "inf"),
-         ("samples_per_unit", "-1"), ("fixed_scale", "0"), ("fixed_scale", "nan"),
-         ("fixed_scale", "inf"), ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"),
-         ("cube", "0"), ("atoms", "0"), ("atoms", "-1"), ("mesh", "-3"), ("p", "inf"),
-         ("p", "nan")],
+        [("time_nodes", "1"), ("time_nodes", "-5"), ("margin", "nan"), ("margin", "inf"),
+         ("fixed_scale", "0"), ("fixed_scale", "nan"), ("fixed_scale", "inf"),
+         ("fixed_scale", "-1"), ("cube", "nan"), ("cube", "inf"), ("cube", "0"),
+         ("atoms", "0"), ("atoms", "-1"), ("p", "inf"), ("p", "nan")],
     )
     def test_bad_sweep_value_names_its_key(self, tmp_path, capsys, key, value):
         # every key is checked whatever the kind reads: the smoothing sweep
-        # has no fixed scale, and samples_per_unit = 0 divided by zero in a
-        # decoupling run; cube sits under [grid]
+        # has no fixed scale; cube sits under [grid]
         section = "[grid]" if key == "cube" else "[sweep]"
         lines = [line for line in SMOOTHING_CFG.splitlines() if not line.startswith(key)]
         text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
@@ -669,6 +683,15 @@ class TestFailurePaths:
             ("norms_d2.cfg", None, "[sweep]\nq = 3", "[sweep] q"),
             ("norms_d2.cfg", None, "[sweep]\nsweep = high", "[sweep] sweep"),
             ("variation_d1.cfg", "[sweep]", "[sweep]\ntrials = 10", "[sweep] trials"),
+            # s = -1 recorded -1.0 while the sweep measured with its automatic
+            # exponent, mesh = 1 passed on caps [1, 1, 1] with slope 0, and
+            # samples_per_unit = 1e-9 exited 1 as a failed estimate
+            ("v2bilinear_d3.cfg", "[sweep]", "[sweep]\ns = -1", "[sweep] s"),
+            ("smoothing_d1_p8.cfg", "[sweep]", "[sweep]\nhorizon = 0.5", "[sweep] horizon"),
+            ("decoupling_d1_p6.cfg", "[sweep]", "[sweep]\nmesh = 1", "[sweep] mesh"),
+            ("decoupling_d1_p6.cfg", "[sweep]", "[sweep]\nsamples_per_unit = 1e-9",
+             "[sweep] samples_per_unit"),
+            ("solve_quintic.cfg", "[problem]", "[problem]\nkappa = 3", "[problem] kappa"),
         ],
     )
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, config, old, new, key):
@@ -760,13 +783,6 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "time_nodes >= 31, got 17" in err
         assert not out.exists()
-
-    def test_empty_kappa_is_the_critical_power(self, tmp_path):
-        from modlab.cli import _parse_config, _problem, _read
-
-        text = (CONFIGS / "solve_quintic.cfg").read_text()
-        cfg = _parse_config(write(tmp_path, text.replace("[problem]\n", "[problem]\nkappa =\n")))
-        assert _problem(*_read(cfg, "solve", None)).kappa == 4.0
 
     def test_split_step_blow_up_is_reported(self, tmp_path, capsys, monkeypatch):
         import modlab.solver as solver
@@ -869,12 +885,26 @@ def _readme_keys():
     return rows
 
 
+def _keys_written():
+    """(section, key) of every key that a shipped config sets, or that an
+    ``ExperimentConfig(...)`` call of the acceptance suite passes by name."""
+    from modlab.cli import _SECTIONS, _parse_config
+
+    written = {
+        (section, key)
+        for path in SHIPPED
+        for section, keys in _parse_config(path).items()
+        for key in keys
+    }
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExperimentConfig":
+            written |= {(_SECTIONS.get(k.arg, "sweep"), k.arg) for k in node.keywords}
+    return written
+
+
 class TestKeyTable:
-    @pytest.mark.parametrize(
-        "path",
-        sorted(CONFIGS.glob("*.cfg")) + sorted((ROOT / "perfbench" / "configs").glob("*.cfg")),
-        ids=lambda p: p.name,
-    )
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_config_passes_the_key_check(self, path):
         # read, not run: no tier-1 test runs configs/bilinear_d3.cfg
         from modlab.cli import _parse_config, _read
@@ -883,6 +913,15 @@ class TestKeyTable:
         kind = cfg["experiment"]["kind"]
         assert kind in EXPERIMENTS
         _read(cfg, kind, None)
+
+    def test_every_key_is_set_by_a_shipped_run(self):
+        # a key no run sets is a constant in disguise, and one that is read
+        # unchecked is a way to run nonsense: [sweep] s = -1 recorded -1.0
+        # while the v2 bilinear sweep measured with its automatic exponent
+        from modlab.cli import _keys
+
+        unset = sorted({sk for kind in EXPERIMENTS for sk in _keys(kind)} - _keys_written())
+        assert not unset, f"keys no shipped run sets: {[f'[{s}] {k}' for s, k in unset]}"
 
     @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
     def test_readme_tables_are_the_keys_read(self, kind):

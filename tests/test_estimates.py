@@ -425,7 +425,7 @@ class TestBilinear:
         f1 = datagen.scale_family("band_noise", 2.0, 3, cfg.cube, grid)
         f2 = datagen.scale_family("band_noise", 1.0, 4, cfg.cube, grid)
         boxes = {f1: band_box(grid, 2.0), f2: band_box(grid, 1.0)}
-        [lhs] = est.free_flow_lp_norms([(f1, f2)], cfg.horizon, cfg.time_nodes, 2.0, boxes)
+        [lhs] = est.free_flow_lp_norms([(f1, f2)], est._HORIZON, cfg.time_nodes, 2.0, boxes)
         rhs = modulation_norm(f1, spec, window) * modulation_norm(f2, spec, window)
         assert lhs > 0 and rhs > 0 and np.isfinite(lhs / rhs)
 
@@ -500,10 +500,11 @@ class TestV2Bilinear:
         assert two.passed
 
     @pytest.mark.parametrize("atoms", [1, 3])
-    def test_atomic_path_is_a_profile_step_path(self, atoms):
+    def test_atomic_path_is_a_profile_step_path(self, monkeypatch, atoms):
         # one profile per atom on linspace(0, horizon, atoms + 1), the last
         # repeated at the horizon so that even one atom has two nodes
-        cfg = ExperimentConfig(d=3, n=16, length=2 * np.pi, horizon=0.5, atoms=atoms)
+        monkeypatch.setattr(est, "_HORIZON", 0.5)
+        cfg = ExperimentConfig(d=3, n=16, length=2 * np.pi, atoms=atoms)
         grid = cfg.grid()
         path = est._atomic_path(cfg, grid, 2.0, 4)
         assert np.array_equal(path.times, np.linspace(0.0, 0.5, atoms + 1))
@@ -541,6 +542,14 @@ class TestV2Bilinear:
             v2_bilinear_ratio(cfg)
 
 
+@pytest.fixture
+def mesh_12(monkeypatch):
+    """Decoupling cells on the 12-point mesh per axis, whatever R sizes it to."""
+    from modlab.propagator import unit_ball_mesh
+
+    monkeypatch.setattr(est, "unit_ball_mesh", lambda d, m: unit_ball_mesh(d, 12))
+
+
 class TestDecoupling:
     def test_single_cap_profile_ratio_is_one(self):
         for R in (16.0, 64.0):
@@ -549,7 +558,7 @@ class TestDecoupling:
             assert value == pytest.approx(np.sqrt(cap_sq), rel=1e-12)
 
     @pytest.mark.parametrize("profile", ["constant", "bump"])
-    def test_d2_cell_matches_direct_quadrature(self, monkeypatch, profile):
+    def test_d2_cell_matches_direct_quadrature(self, monkeypatch, mesh_12, profile):
         # every norm the cell gets from the ball quadrature (the full mesh,
         # then one per cap) against direct extension sums on the masked ball
         calls = []
@@ -560,7 +569,7 @@ class TestDecoupling:
             return calls[-1][1]
 
         monkeypatch.setattr(est, "extension_ball_norms", spy)
-        cfg = ExperimentConfig(d=2, scales=(4.0,), p=4.0, mesh=12, profile=profile)
+        cfg = ExperimentConfig(d=2, scales=(4.0,), p=4.0, profile=profile)
         value, cap_sq, caps_measured = est._decoupling_cell(cfg, 4.0, 0.5)
         ((profile_, pts, w, R, p, spu, cuts), norms) = calls[0]
         # 16 caps of width 0.5 cut the cap-sorted mesh into contiguous runs
@@ -630,13 +639,13 @@ class TestDecoupling:
         with pytest.raises(ValueError, match="R=2.0 yields fewer than 4 caps"):
             decoupling_ratio(cfg)
 
-    def test_d2_reports_the_caps_it_measured(self):
+    def test_d2_reports_the_caps_it_measured(self, mesh_12):
         # (2/width)^2 counts 32 and 64 cubes at R = 8 and 16, but the
         # 12-point mesh of the unit disc falls in 28 and 54 of them, and only
         # those are measured
         from modlab.propagator import unit_ball_mesh
 
-        cfg = ExperimentConfig(d=2, scales=(4.0, 8.0, 16.0), p=4.0, mesh=12)
+        cfg = ExperimentConfig(d=2, scales=(4.0, 8.0, 16.0), p=4.0)
         points, _ = unit_ball_mesh(2, 12)
         occupied = [
             len(np.unique(np.floor((points + 1.0) / R**-0.5), axis=0)) for R in cfg.scales
@@ -646,7 +655,7 @@ class TestDecoupling:
 
     def test_scale_count_checked_before_any_cell(self, monkeypatch):
         monkeypatch.setattr(est, "extension_ball_norms", unreached("a cell was measured"))
-        cfg = ExperimentConfig(d=2, scales=(16.0,), p=4.0, mesh=12)
+        cfg = ExperimentConfig(d=2, scales=(16.0,), p=4.0)
         with pytest.raises(est.InvalidScales, match="at least 3 scales for a fit, got 1"):
             decoupling_ratio(cfg)
 

@@ -139,16 +139,18 @@ def _scales(raw: str) -> tuple[float, ...]:
 
 # [problem] key -> (cast, default) of each solver kind; no other kind reads
 # [problem], and the solver kinds read no [sweep] key.  No key sets kappa, so
-# a solver run solves the critical equation, NLSProblem's default
+# a solver run solves the critical equation, NLSProblem's default.  No solve
+# run sets s or n_radius: a solve run bounds its sum-space norm at s = 0.5
+# and builds mollified data at radius 2
 _SOLVER_KEYS = {
     "data": (str, "gaussian"), "amplitude": (_finite_float, 0.2), "sign": (int, 1),
-    "n_radius": (_positive_float, 2.0), "horizon": (float, 0.1), "time_nodes": (int, 65),
+    "horizon": (float, 0.1), "time_nodes": (int, 65),
 }
 _PROBLEM_KEYS = {
-    "solve": {**_SOLVER_KEYS, "tolerance": (_positive_float, 1e-5), "s": (float, 0.5)},
+    "solve": {**_SOLVER_KEYS, "tolerance": (_positive_float, 1e-5)},
     "largedata": {
-        **_SOLVER_KEYS, "c0": (_positive_float, 0.1), "c1": (_positive_float, 0.1),
-        "s": (float, 1.1),
+        **_SOLVER_KEYS, "n_radius": (_positive_float, 2.0), "c0": (_positive_float, 0.1),
+        "c1": (_positive_float, 0.1), "s": (float, 1.1),
     },
 }
 
@@ -322,7 +324,8 @@ def _problem(xcfg, values):
     if values["data"] == "gaussian":
         u0 = gaussian(grid)
     elif values["data"] == "mollified":
-        u0 = scale_family("mollified", values["n_radius"], xcfg.seed, xcfg.cube, grid)
+        radius = values.get("n_radius", 2.0)  # a solve run reads no n_radius
+        u0 = scale_family("mollified", radius, xcfg.seed, xcfg.cube, grid)
     else:
         raise ConfigError(f"unknown problem data {values['data']!r}")
     given = {key: values[key] for key in ("horizon", "time_nodes", "sign")}
@@ -338,7 +341,7 @@ def _run_solve(xcfg, values, out_dir):
     if problem.d <= 2:
         # the d <= 2 theory takes sum-space data; record the smallness bound
         # the contraction hypothesis is checked against
-        smallness = sum_space_smallness(problem.u0, xcfg.window(), s=values["s"])
+        smallness = sum_space_smallness(problem.u0, xcfg.window(), s=0.5)
     try:
         report = cross_validate(problem, tol=tol)
     except BlowUp as exc:

@@ -15,13 +15,18 @@ nodes would one at a time.
 L^p kernel of the package, each defined for finite p >= 1 (``check_exponent``).
 Their p is even in every estimate, and an even p squares instead of calling
 ``np.power``, whose ``pow`` costs about ten multiplies.
+``two_thread_map`` is the one place that runs work on a second thread: the
+kernels whose items are independent (the certificate's sup norms, the
+decoupling cell's shadow blocks) hand their items to it.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "lp_norm",
     "spacetime_lp_norm",
     "trapezoid",
+    "two_thread_map",
 ]
 
 
@@ -391,3 +397,39 @@ def spacetime_lp_norm(path: Trajectory, p: float) -> float:
     """
     powers = np.array([v**p for v in path.lp_norms(p)])
     return float(trapezoid(powers, path.times) ** (1.0 / p))
+
+
+def two_thread_map(work: Callable[[int], object], count: int) -> list:
+    """``[work(0), ..., work(count - 1)]``, computed on two threads.
+
+    The calling thread takes the even items and one helper thread the odd
+    ones, so two items overlap where ``work`` spends its time in numpy calls
+    that release the interpreter lock.  Each item is computed whole by one
+    thread and the results come back in item order, so a caller that reduces
+    them in that order gets bits that do not depend on how the threads are
+    scheduled.  The helper runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too, and its first exception is
+    raised here once it has been joined.
+    """
+    results = [None] * count
+    failures: list[BaseException] = []
+
+    def take(first: int) -> None:
+        for i in range(first, count, 2):
+            results[i] = work(i)
+
+    def take_odd() -> None:
+        try:
+            take(1)
+        except BaseException as exc:  # raised again by the caller once joined
+            failures.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(take_odd,))
+    helper.start()
+    try:
+        take(0)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results

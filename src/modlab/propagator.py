@@ -24,7 +24,10 @@ kernel.
   of the unit ball.  Blocks of shadow points of similar |x| take one GEMM
   per cap over the times their ball mask keeps, and Ef is the sum of the
   cap blocks, so the work is about nmesh * |ball| multiply-adds; it is
-  restricted to d <= 2 since that cost grows like mesh^(2d+1).
+  restricted to d <= 2 since that cost grows like mesh^(2d+1).  The blocks
+  are independent and run two at a time on ``grid.two_thread_map``; each
+  block's power sums are kept apart and added in block order, so the norms
+  do not depend on how the threads are scheduled.
 - Both kernels sum |.|^p through ``grid.abs_power``, which squares at even
   p, the p of every product and decoupling estimate.
 """
@@ -39,7 +42,7 @@ import numpy as np
 
 from modlab.grid import (
     Field, Grid, Trajectory, abs_power, check_exponent, forward, fourier_multiply, inverse,
-    inverse_pruned, trapezoid,
+    inverse_pruned, trapezoid, two_thread_map,
 )
 
 __all__ = [
@@ -54,7 +57,9 @@ __all__ = [
     "mass",
 ]
 
-_CHUNK_ROWS = 64  # shadow points of similar |x| in one block of cap GEMMs
+# shadow points of similar |x| in one block of cap GEMMs; two blocks are in
+# flight, one per thread
+_CHUNK_ROWS = 32
 
 
 def _flow_phase(freq_sq: np.ndarray, t: float) -> np.ndarray:
@@ -279,14 +284,17 @@ def extension_ball_norms(
     The mesh is sorted by cap and cap j keeps the points cuts[j]..cuts[j+1]-1,
     with 0 = cuts[0] < ... < cuts[-1] = len(points); the result holds the
     whole mesh's norm first, then one per cap.  C[xi, t] = f(xi) exp(i t|xi|^2)
-    is built once.  The ball's shadow |x| <= radius is sorted by |x| and
-    walked in blocks of ``_CHUNK_ROWS`` points.  Each block builds the plane
-    waves exp(i x.xi) of its own rows, so beside C (mesh x m) the cell holds
-    one block's waves at a time.  Each block multiplies only the contiguous
-    run of time columns that its rows' ball mask keeps: one GEMM per cap,
-    and Ef is the sum of the cap blocks, so no GEMM spans the whole mesh.
-    The power sums weigh |.|^p by the block's float ball mask, so they cover
-    exactly the samples in the ball.
+    is built once.  The ball's shadow |x| <= radius is sorted by |x| and cut
+    into blocks of ``_CHUNK_ROWS`` points, which ``two_thread_map`` runs two
+    at a time.  Each block builds its ball mask and the plane waves
+    exp(i x.xi) of its own rows, so beside C (mesh x m) the cell holds two
+    blocks' waves at a time.  Each block multiplies only the contiguous run
+    of time columns that its rows' ball mask keeps: one GEMM per cap, and Ef
+    is the sum of the cap blocks, so no GEMM spans the whole mesh.  The
+    power sums weigh |.|^p by the block's float ball mask, so they cover
+    exactly the samples in the ball.  Each block returns its own sums, and
+    they are added in block order: the partition into blocks is fixed, so
+    the norms have the same bits whichever thread ran a block, and when.
     """
     d = points.shape[1]
     m = int(math.ceil(2.0 * radius * samples_per_unit))
@@ -297,15 +305,23 @@ def extension_ball_norms(
     coeff = _expi(np.sum(points**2, axis=1)[:, None], axis[:, None])
     coeff *= profile[:, None]
     caps = list(zip(cuts[:-1], cuts[1:]))
-    sums = np.zeros(1 + len(caps))
-    for rows, lo, hi, mask in _ball_blocks(axis, r_sq, radius):
+    blocks = _ball_blocks(r_sq, radius)
+
+    def block_sums(j: int) -> np.ndarray:
+        # the power sums of Ef, then of each cap, over block j's samples
+        rows = blocks[j]
+        lo, hi, mask = _ball_window(axis, r_sq[rows], radius)
         waves = _expi(axis[index[:, rows]].T, points)
+        sums = np.empty(1 + len(caps))
         ef = np.zeros((rows.size, hi - lo), complex)
         for k, (a, b) in enumerate(caps, 1):
             block = waves[:, a:b] @ coeff[a:b, lo:hi]
             ef += block
-            sums[k] += _power_sum(block, p, mask)
-        sums[0] += _power_sum(ef, p, mask)
+            sums[k] = _power_sum(block, p, mask)
+        sums[0] = _power_sum(ef, p, mask)
+        return sums
+
+    sums = sum(two_thread_map(block_sums, len(blocks)), np.zeros(1 + len(caps)))
     return (weight**p * step ** (d + 1) * sums) ** (1.0 / p)
 
 
@@ -319,9 +335,17 @@ def _expi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _ball_blocks(axis: np.ndarray, r_sq: np.ndarray, radius: float):
-    """(rows, lo, hi, mask) per block of at most ``_CHUNK_ROWS`` shadow points
-    sorted by |x|^2: the times lo..hi-1 are the columns the rows' ball mask
+def _ball_blocks(r_sq: np.ndarray, radius: float) -> list[np.ndarray]:
+    """The shadow points |x|^2 <= radius^2, sorted by |x|^2, in blocks of at
+    most ``_CHUNK_ROWS``; only the last block can be short."""
+    shadow = np.flatnonzero(r_sq <= radius**2)
+    shadow = shadow[np.argsort(r_sq[shadow], kind="stable")]
+    return [shadow[start : start + _CHUNK_ROWS] for start in range(0, shadow.size, _CHUNK_ROWS)]
+
+
+def _ball_window(axis: np.ndarray, r_sq: np.ndarray, radius: float):
+    """(lo, hi, mask) of a block of shadow points with squared radii
+    ``r_sq``: the times lo..hi-1 are the columns the block's ball mask
     t^2 + |x|^2 <= radius^2 keeps, found by index, and ``mask`` is that mask
     on them as floats.
 
@@ -330,14 +354,10 @@ def _ball_blocks(axis: np.ndarray, r_sq: np.ndarray, radius: float):
     (step/2)^2 times sums of d <= 2 odd squares and m^2, which differ by 2
     or more, so |x|^2 <= radius^2 leaves room for t^2 = (step/2)^2.
     """
-    shadow = np.flatnonzero(r_sq <= radius**2)
-    shadow = shadow[np.argsort(r_sq[shadow], kind="stable")]
-    for start in range(0, shadow.size, _CHUNK_ROWS):
-        rows = shadow[start : start + _CHUNK_ROWS]
-        inside = axis**2 + r_sq[rows, None] <= radius**2
-        kept = np.flatnonzero(inside.any(axis=0))
-        lo, hi = kept[0], kept[-1] + 1
-        yield rows, lo, hi, inside[:, lo:hi].astype(float)
+    inside = axis**2 + r_sq[:, None] <= radius**2
+    kept = np.flatnonzero(inside.any(axis=0))
+    lo, hi = kept[0], kept[-1] + 1
+    return lo, hi, inside[:, lo:hi].astype(float)
 
 
 def _power_sum(z: np.ndarray, p: float, mask: np.ndarray) -> float:

@@ -16,8 +16,6 @@ inequality if an iterate leaves the ball.
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -25,7 +23,7 @@ import numpy as np
 
 from modlab.grid import (
     Field, Grid, Trajectory, abs_power, forward, fourier_multiply, inverse, lp_norm,
-    spacetime_lp_norm,
+    spacetime_lp_norm, two_thread_map,
 )
 from modlab.modspace import ModNormSpec, Window, low_pass, make_window, modulation_norm
 from modlab.propagator import duhamel_path, free_multiplier, mass
@@ -171,38 +169,18 @@ def nonlinearity(u: Field | Trajectory, kappa: float, sign: int) -> Field | Traj
 def _sup_m42(path: Trajectory, spec: ModNormSpec, window: Window) -> float:
     """Sup over the nodes of ``path`` of the M^s_{4,2} norm in ``spec``.
 
-    The nodes are independent, so the calling thread takes the even nodes and
-    one helper thread the odd ones, overlapping their FFTs, which release the
-    interpreter lock; the two norms in flight split the window kernel's block
-    budget.  Each node's norm is computed whole by one thread and the norms
-    are maxed in node order, so the result, NaN included, has the bits of the
-    sequential ``max``.  The helper runs in a copy of the caller's context,
-    so the caller's ``np.errstate`` holds there too, and its first exception
-    is raised here once it has been joined.
+    The nodes are independent, so ``two_thread_map`` takes them on two
+    threads, overlapping their FFTs, which release the interpreter lock; the
+    two norms in flight split the window kernel's block budget.  The norms
+    come back in node order and are maxed in that order, so the result, NaN
+    included, has the bits of the sequential ``max``.
     """
     fields = [f for _, f in path]
-    norms = [0.0] * len(fields)
-    failures: list[BaseException] = []
-
-    def take(first: int) -> None:
-        for i in range(first, len(fields), 2):
-            norms[i] = modulation_norm(fields[i], spec, window, in_flight=2)
-
-    def take_odd() -> None:
-        try:
-            take(1)
-        except BaseException as exc:  # raised again by the caller once joined
-            failures.append(exc)
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(take_odd,))
-    helper.start()
-    try:
-        take(0)
-    finally:
-        helper.join()
-    if failures:
-        raise failures[0]
-    return max(norms)
+    return max(
+        two_thread_map(
+            lambda i: modulation_norm(fields[i], spec, window, in_flight=2), len(fields)
+        )
+    )
 
 
 def picard_solve(
@@ -460,7 +438,7 @@ def large_data_protocol(
     return path, report
 
 
-def sum_space_smallness(u0: Field, window: Window, s: float = 0.5) -> dict:
+def sum_space_smallness(u0: Field, window: Window, s: float) -> dict:
     """Smallness data for sum-space initial values in the d <= 2 theory.
 
     Bounds inf{ ||g||_{M^s_{p,2}} + ||h||_{L^2} : u0 = g + h } (p = 6 for d = 1,

@@ -692,6 +692,10 @@ class TestFailurePaths:
             ("decoupling_d1_p6.cfg", "[sweep]", "[sweep]\nsamples_per_unit = 1e-9",
              "[sweep] samples_per_unit"),
             ("solve_quintic.cfg", "[problem]", "[problem]\nkappa = 3", "[problem] kappa"),
+            # largedata keys that no solve run sets: the sum-space bound is at
+            # s = 0.5 and mollified data at radius 2
+            ("solve_quintic.cfg", "[problem]", "[problem]\ns = 0.5", "[problem] s"),
+            ("solve_quintic.cfg", "[problem]", "[problem]\nn_radius = 2", "[problem] n_radius"),
         ],
     )
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, config, old, new, key):
@@ -886,20 +890,20 @@ def _readme_keys():
 
 
 def _keys_written():
-    """(section, key) of every key that a shipped config sets, or that an
-    ``ExperimentConfig(...)`` call of the acceptance suite passes by name."""
+    """(kind, section, key) of every key that a shipped config of ``kind``
+    sets, or that an ``ExperimentConfig(...)`` call of the acceptance suite
+    passes by name (kind None: the call names no kind)."""
     from modlab.cli import _SECTIONS, _parse_config
 
-    written = {
-        (section, key)
-        for path in SHIPPED
-        for section, keys in _parse_config(path).items()
-        for key in keys
-    }
+    written = set()
+    for path in SHIPPED:
+        cfg = _parse_config(path)
+        kind = cfg["experiment"]["kind"]
+        written |= {(kind, section, key) for section, keys in cfg.items() for key in keys}
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExperimentConfig":
-            written |= {(_SECTIONS.get(k.arg, "sweep"), k.arg) for k in node.keywords}
+            written |= {(None, _SECTIONS.get(k.arg, "sweep"), k.arg) for k in node.keywords}
     return written
 
 
@@ -917,11 +921,22 @@ class TestKeyTable:
     def test_every_key_is_set_by_a_shipped_run(self):
         # a key no run sets is a constant in disguise, and one that is read
         # unchecked is a way to run nonsense: [sweep] s = -1 recorded -1.0
-        # while the v2 bilinear sweep measured with its automatic exponent
+        # while the v2 bilinear sweep measured with its automatic exponent.
+        # A [problem] key counts per kind: solve and largedata share names
+        # but not runs, and [problem] s = 1.1 of largedata_d3.cfg set no
+        # solve run's s
         from modlab.cli import _keys
 
-        unset = sorted({sk for kind in EXPERIMENTS for sk in _keys(kind)} - _keys_written())
-        assert not unset, f"keys no shipped run sets: {[f'[{s}] {k}' for s, k in unset]}"
+        written = _keys_written()
+        by_name = {(section, key) for _, section, key in written}
+        unset = sorted({
+            f"[{section}] {key}" + (f" of {kind}" if section == "problem" else "")
+            for kind in EXPERIMENTS
+            for section, key in _keys(kind)
+            if ((kind, section, key) not in written if section == "problem"
+                else (section, key) not in by_name)
+        })
+        assert not unset, f"keys no shipped run sets: {unset}"
 
     @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
     def test_readme_tables_are_the_keys_read(self, kind):

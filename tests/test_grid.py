@@ -18,6 +18,7 @@ from modlab.grid import (
     spacetime_lp_norm,
     to_spectrum,
     trapezoid,
+    two_thread_map,
 )
 from tests.conftest import complex_noise, gaussian_field
 
@@ -409,3 +410,55 @@ class TestTrajectory:
         for j, (_, f) in enumerate(path):
             expect = Field(grid3d, inverse(grid3d, mult * to_spectrum(f).coefficients))
             assert np.array_equal(out.values[j], expect.values)
+
+
+class TestTwoThreadMap:
+    """The caller takes the even items and a helper thread the odd ones; the
+    results must come back in item order, and what the helper raised, or the
+    caller's errstate it ran under, must reach the caller."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 17])
+    def test_results_come_back_in_item_order(self, count):
+        import threading
+
+        threads = {}
+
+        def work(i):
+            threads[i] = threading.get_ident()
+            return i * i
+
+        assert two_thread_map(work, count) == [i * i for i in range(count)]
+        caller = threading.get_ident()
+        assert all((threads[i] == caller) == (i % 2 == 0) for i in range(count))
+        assert len({threads[i] for i in range(1, count, 2)}) == (count > 1)
+
+    def test_an_odd_item_failure_is_raised_by_the_caller(self, monkeypatch):
+        import threading
+
+        def fail_at_item_1(i):
+            if i == 1:
+                raise RuntimeError("item 1 failed")
+            return i
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            two_thread_map(fail_at_item_1, 17)
+        assert unhandled == [] and threading.active_count() == before
+
+    def test_the_callers_errstate_holds_in_the_helper(self):
+        # 1e300^2 overflows at item 1 only, on the helper; the caller's
+        # errstate must silence it there, and without it the warning, raised
+        # as an error, reaches the caller
+        import warnings
+
+        def square(i):
+            return float(np.square(np.float64(1e300 if i == 1 else 2.0)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert two_thread_map(square, 3) == [4.0, np.inf, 4.0]
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                two_thread_map(square, 3)

@@ -7,7 +7,7 @@ of a public function is both set and left to itself by a run; only
 ``grid`` touches the frozen ``SpectralField`` view, the package root
 included; ``np.power`` appears only in ``grid.abs_power``; no module calls the
 builtin ``id``; no module but ``datagen`` draws random data, and none but
-``solver`` names ``threading`` or ``contextvars``; and the
+``grid`` names ``threading`` or ``contextvars``; and the
 split-step oracle reaches none of the Picard path's flows or transforms."""
 
 import ast
@@ -147,19 +147,19 @@ def test_random_data_is_drawn_in_datagen():
     assert not calls, f"random data drawn outside datagen: {calls}"
 
 
-def test_threads_are_started_in_solver_only():
-    # solver._sup_m42 is the one place that runs work on a second thread, so
-    # that every other result is computed where its caller's context holds
+def test_threads_are_started_in_grid_only():
+    # grid.two_thread_map is the one place that runs work on a second thread,
+    # so that every other result is computed where its caller's context holds
     names = [
         f"{path.stem} line {node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "solver.py"
+        if path.name != "grid.py"
         for node in ast.walk(ast.parse(path.read_text()))
         # an imported alias has a name, a from-import a module, a use an id
         if {getattr(node, key, None) for key in ("name", "module", "id")}
         & {"threading", "contextvars"}
     ]
-    assert not names, f"threads outside solver: {names}"
+    assert not names, f"threads outside grid: {names}"
 
 
 def test_splitstep_oracle_shares_no_flow_with_picard():

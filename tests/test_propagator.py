@@ -587,7 +587,8 @@ class TestExtension:
         r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij")).ravel()
         full = axis**2 + r_sq[:, None] <= R**2
         kept, area, walked = 0, 0, []
-        for idx, lo, hi, mask in propagator._ball_blocks(axis, r_sq, R):
+        for idx in propagator._ball_blocks(r_sq, R):
+            lo, hi, mask = propagator._ball_window(axis, r_sq[idx], R)
             assert 1 <= idx.size <= rows
             assert not full[idx, :lo].any() and not full[idx, hi:].any()
             assert mask.dtype == float and np.array_equal(mask, full[idx, lo:hi])
@@ -598,6 +599,28 @@ class TestExtension:
         assert kept == np.count_nonzero(full)
         assert sorted(walked) == np.flatnonzero(r_sq <= R**2).tolist()
         assert area < np.count_nonzero(r_sq <= R**2) * m
+
+    @pytest.mark.parametrize("d, mesh, R, spu", [(1, 48, 41.0, 2.0), (2, 12, 12.0, 1.5)])
+    def test_ball_norms_do_not_depend_on_scheduling(self, monkeypatch, d, mesh, R, spu):
+        # the blocks run on two threads; with the map made sequential every
+        # norm keeps its bits, on cells of five blocks or more, the last short
+        from modlab import propagator
+
+        pts, w = unit_ball_mesh(d, mesh)
+        profile = np.cos(2.0 * pts[:, 0] + 0.4) + 0.5j * pts[:, -1] ** 3 + 0.3
+        m = int(np.ceil(2 * R * spu))
+        axis = -R + 2 * R / m * (np.arange(m) + 0.5)
+        r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij")).ravel()
+        blocks = propagator._ball_blocks(r_sq, R)
+        assert len(blocks) >= 5 and 0 < blocks[-1].size < propagator._CHUNK_ROWS
+        n = len(pts)
+        cuts = [0, n // 5, n // 2, n]
+        threaded = propagator.extension_ball_norms(profile, pts, w, R, 6.0, spu, cuts)
+        monkeypatch.setattr(
+            propagator, "two_thread_map", lambda work, count: [work(i) for i in range(count)]
+        )
+        sequential = propagator.extension_ball_norms(profile, pts, w, R, 6.0, spu, cuts)
+        assert [v.hex() for v in threaded] == [v.hex() for v in sequential]
 
     def test_masked_power_sum_keeps_its_bits_at_any_blas_thread_count(self):
         # BLAS ddot splits a long sum over its threads; the masked power sum
@@ -632,10 +655,12 @@ class TestExtension:
     def test_ball_norms_peak_memory(self):
         # the R = 256 cell of decoupling_d1_p6.cfg: 666 mesh points in 32
         # caps, m = 1024 times.  Beside the mesh x m coefficient matrix the
-        # cell holds one block's waves (rows x mesh) and four complex rows x m
-        # arrays: Ef, a cap's product, its |.|^p, and the float ball mask with
-        # the sum t^2 + |x|^2 it is cut from; a table of the whole shadow's
-        # waves would add a second m x mesh array
+        # cell holds two blocks in flight, one per thread, each with its
+        # waves (rows x mesh) and four complex rows x m arrays: Ef, a cap's
+        # product, its |.|^p, and the float ball mask with the sum
+        # t^2 + |x|^2 it is cut from; a table of the whole shadow's waves
+        # would add a second m x mesh array, and a table of every block's
+        # mask about 5 MB
         import tracemalloc
 
         from modlab import propagator
@@ -655,7 +680,7 @@ class TestExtension:
         finally:
             tracemalloc.stop()
         coeff = len(pts) * m * item
-        assert peak <= coeff + propagator._CHUNK_ROWS * item * (len(pts) + 4 * m)
+        assert peak <= coeff + 2 * propagator._CHUNK_ROWS * item * (len(pts) + 4 * m)
 
 
 class TestEnergyMass:

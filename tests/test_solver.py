@@ -446,14 +446,14 @@ class TestSmallnessProbes:
         w = make_window(g)
         x = g.axis_coords()
         u0 = Field(g, 0.2 * np.exp(-(x**2) / 2).astype(complex))
-        out = sum_space_smallness(u0, w)
+        out = sum_space_smallness(u0, w, s=0.5)
         assert out["p"] == 6.0
         assert 0 < out["bound"] <= lp_norm(u0, 2) + 1e-10
 
     def test_sum_space_smallness_dimension_guard(self):
         g = make_grid(3, 16, 8 * np.pi)
         with pytest.raises(ValueError, match="d in"):
-            sum_space_smallness(Field(g, np.zeros(g.shape, complex)), make_window(g))
+            sum_space_smallness(Field(g, np.zeros(g.shape, complex)), make_window(g), s=0.5)
 
 
 class TestLargeData:
@@ -567,7 +567,8 @@ class TestLargeData:
 
 class TestThreadedSup:
     """``_sup_m42`` takes the odd nodes on a helper thread; it must give the
-    sequential ``max`` bit for bit and hand back what the helper raised."""
+    sequential ``max`` bit for bit (``TestTwoThreadMap`` in test_grid checks
+    the map's failures and errstate)."""
 
     def setup_method(self):
         self.grid = make_grid(3, 16, 8 * np.pi)
@@ -606,42 +607,6 @@ class TestThreadedSup:
         sup = solver._sup_m42(self.path, self.spec, self.window)
         assert np.isnan(sup) == (node == 0) == np.isnan(expected)
         assert node == 0 or sup == expected
-
-    def test_a_helper_failure_is_raised_by_the_caller(self, monkeypatch):
-        import threading
-
-        import modlab.solver as solver
-
-        def fail_at_node_1(f, spec, window, **kw):
-            if np.array_equal(f.values, self.path.values[1]):
-                raise RuntimeError("node 1 failed")
-            return modulation_norm(f, spec, window, **kw)
-
-        unhandled = []
-        monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        monkeypatch.setattr(solver, "modulation_norm", fail_at_node_1)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="node 1 failed"):
-            solver._sup_m42(self.path, self.spec, self.window)
-        assert unhandled == [] and threading.active_count() == before
-
-    def test_the_callers_errstate_holds_in_the_helper(self):
-        # |1e100|^4 overflows at node 1 only; the caller's errstate (picard's,
-        # in a run) must silence it there, and without it the warning,
-        # raised as an error, reaches the caller
-        import warnings
-
-        import modlab.solver as solver
-
-        values = self.path.values.copy()
-        values[1] *= 1e100
-        path = Trajectory(self.grid, self.path.times, values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore"):
-                assert solver._sup_m42(path, self.spec, self.window) == np.inf
-            with pytest.raises(RuntimeWarning, match="overflow"):
-                solver._sup_m42(path, self.spec, self.window)
 
 
 def ball(total_norms, tail_norms):

@@ -41,7 +41,7 @@ def main():
         contracting = rep.converged and rep.contracting()
         if contracting:
             largest = amp
-        bound = sum_space_smallness(problem.u0, window, s=0.5)
+        bound = sum_space_smallness(problem.u0, window)
         state = "contracting" if contracting else "NOT contracting"
         print(
             f"amplitude {amp:6.2f}: {state:16s} "

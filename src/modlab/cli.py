@@ -341,7 +341,7 @@ def _run_solve(xcfg, values, out_dir):
     if problem.d <= 2:
         # the d <= 2 theory takes sum-space data; record the smallness bound
         # the contraction hypothesis is checked against
-        smallness = sum_space_smallness(problem.u0, xcfg.window(), s=0.5)
+        smallness = sum_space_smallness(problem.u0, xcfg.window())
     try:
         report = cross_validate(problem, tol=tol)
     except BlowUp as exc:

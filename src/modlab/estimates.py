@@ -71,6 +71,7 @@ __all__ = [
 
 # every sweep measures its free flows on the time interval [0, _HORIZON]
 _HORIZON = 1.0
+_M42 = ModNormSpec(0.0, 4.0, 2.0)  # the window norm of the bilinear right-hand sides
 
 
 @dataclass(frozen=True)
@@ -308,8 +309,7 @@ def bilinear_ratio(config: ExperimentConfig) -> tuple[FitResult, FitResult]:
         for key in dict.fromkeys(key for pair in pairs for key in zip(pair, seeds))
     }
     boxes = {f: band_box(grid, band) for (band, _), f in fields.items()}
-    spec = ModNormSpec(0.0, 4.0, 2.0)
-    norms = {f: modulation_norm(f, spec, window) for f in fields.values()}
+    norms = {f: modulation_norm(f, _M42, window) for f in fields.values()}
     products = [(fields[n1, config.seed], fields[n2, config.seed + 1]) for n1, n2 in pairs]
     lhs = free_flow_lp_norms(products, _HORIZON, config.time_nodes, 2.0, boxes)
     rhs = [norms[f1] * norms[f2] for f1, f2 in products]
@@ -362,7 +362,6 @@ def bilinear_chain_log(
     """
     grid = window.grid
     n_high, n_low = bands
-    spec = ModNormSpec(0.0, 4.0, 2.0)
     m = max(33, config.time_nodes // 4 + 1)
 
     F1 = forward(grid, f1.values)
@@ -426,7 +425,7 @@ def bilinear_chain_log(
     for piece, prod, l4_piece in zip(pieces, prods, l4_pieces):
         holder_ok = holder_ok and prod <= l4_piece * l4_low * (1.0 + 1e-9)
         sum_products_sq += prod**2
-        m42_sq += modulation_norm(piece, spec, window) ** 2
+        m42_sq += modulation_norm(piece, _M42, window) ** 2
     m42_total = f1_norm**2
     return {
         "lhs_sq": lhs**2,
@@ -474,7 +473,7 @@ def v2_bilinear_ratio(config: ExperimentConfig) -> FitResult:
     grid = _bilinear_grid(config, [(n_high, n_low) for n_low in config.scales])
     window = config.window()
     s_input = 2.0 * sdec(4.0, config.d) + 0.01
-    norm = partial(modulation_norm, spec=ModNormSpec(0.0, 4.0, 2.0), window=window)
+    norm = partial(modulation_norm, spec=_M42, window=window)
     v2 = partial(vp_norm, p=2.0, norm=norm, terminal_zero=True)
 
     hi = _atomic_path(config, grid, n_high, config.seed)
@@ -513,8 +512,8 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
 
     Caps have width R^{-1/2}; the weight is the sharp ball indicator.  The
     frequency mesh has ceil(2.6 R) points per axis, so the Poisson images of
-    the quadrature sit several radii away from the sampled ball, and the
-    ball is sampled 2 times per unit length.
+    the quadrature sit several radii away from the ball, which
+    ``extension_ball_norms`` samples 2 times per unit length.
     """
     if config.d not in (1, 2):
         raise ValueError("decoupling harness supports d in {1, 2}")
@@ -525,7 +524,7 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     smallest = min(config.scales)
     if (2.0 / smallest**-0.5) ** config.d < 4:
         raise ValueError(f"R={smallest} yields fewer than 4 caps")
-    lhs, cap_sq, caps = zip(*(_decoupling_cell(config, R, R**-0.5) for R in config.scales))
+    lhs, cap_sq, caps = zip(*(_decoupling_cell(config, R) for R in config.scales))
     rhs = [math.sqrt(v) for v in cap_sq]
     meta = {"caps": list(caps), "profile": config.profile}
     return _make_fit(
@@ -533,18 +532,19 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     )
 
 
-def _decoupling_cell(config: ExperimentConfig, R: float, width: float):
+def _decoupling_cell(config: ExperimentConfig, R: float):
     """(||Ef||_{L^p(B_R)}, sum over caps of ||Ef_cap||_{L^p(B_R)}^2, caps).
 
-    Caps are the disjoint cubes of the given width partitioning [-1, 1]^d;
+    Caps are the disjoint cubes of width R^{-1/2} partitioning [-1, 1]^d;
     sorting the mesh by cap makes each cap a contiguous run of it, cut at
     ``bounds``.  Only caps that hold mesh points are measured and counted.
     """
     points, weight = unit_ball_mesh(config.d, int(math.ceil(2.6 * R)))
+    width = R**-0.5
     caps = np.floor((points + 1.0) / width).astype(int)
     order = np.lexsort(caps.T[::-1])
     points = points[order]
     bounds = [*np.unique(caps[order], axis=0, return_index=True)[1], len(points)]
     profile = _decoupling_profile(config.profile, points, width)
-    norms = extension_ball_norms(profile, points, weight, R, config.p, 2.0, bounds)
+    norms = extension_ball_norms(profile, points, weight, R, config.p, bounds)
     return float(norms[0]), sum(float(v) ** 2 for v in norms[1:]), len(bounds) - 1

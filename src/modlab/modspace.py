@@ -200,7 +200,7 @@ def make_window(grid: Grid, cube: float = 1.0) -> Window:
 
 
 def _piece_lp_norms(
-    F: np.ndarray, ks: list, window: Window, p: float, in_flight: int = 1
+    F: np.ndarray, ks: list, window: Window, p: float, in_flight: int
 ) -> np.ndarray:
     """L^p norms of the pieces ``ks`` of a spectrum F (a non-empty product of
     per-axis shift ranges in ``itertools.product`` order), in that order,

@@ -60,6 +60,7 @@ __all__ = [
 # shadow points of similar |x| in one block of cap GEMMs; two blocks are in
 # flight, one per thread
 _CHUNK_ROWS = 32
+_SAMPLES_PER_UNIT = 2.0  # midpoint samples of the extension ball per unit length
 
 
 def _flow_phase(freq_sq: np.ndarray, t: float) -> np.ndarray:
@@ -276,28 +277,27 @@ def extension_ball_norms(
     weight: float,
     radius: float,
     p: float,
-    samples_per_unit: float,
     cuts: Sequence[int],
 ) -> np.ndarray:
     """L^p norms over B_{d+1}(0, radius) of Ef and of each cap's E(f 1_S).
 
     The mesh is sorted by cap and cap j keeps the points cuts[j]..cuts[j+1]-1,
     with 0 = cuts[0] < ... < cuts[-1] = len(points); the result holds the
-    whole mesh's norm first, then one per cap.  C[xi, t] = f(xi) exp(i t|xi|^2)
-    is built once.  The ball's shadow |x| <= radius is sorted by |x| and cut
-    into blocks of ``_CHUNK_ROWS`` points, which ``two_thread_map`` runs two
-    at a time.  Each block builds its ball mask and the plane waves
-    exp(i x.xi) of its own rows, so beside C (mesh x m) the cell holds two
-    blocks' waves at a time.  Each block multiplies only the contiguous run
-    of time columns that its rows' ball mask keeps: one GEMM per cap, and Ef
-    is the sum of the cap blocks, so no GEMM spans the whole mesh.  The
-    power sums weigh |.|^p by the block's float ball mask, so they cover
-    exactly the samples in the ball.  Each block returns its own sums, and
-    they are added in block order: the partition into blocks is fixed, so
-    the norms have the same bits whichever thread ran a block, and when.
+    whole mesh's norm first, then one per cap.  The ball is sampled at the
+    midpoints of ``_SAMPLES_PER_UNIT`` cells per unit length and axis, and
+    C[xi, t] = f(xi) exp(i t|xi|^2) is built once.  The shadow |x| <= radius
+    is sorted by |x| and cut into blocks of ``_CHUNK_ROWS`` points, run two at
+    a time by ``two_thread_map``.  Each block builds its ball mask and plane
+    waves exp(i x.xi), so beside C (mesh x m) the cell holds two blocks'
+    waves, and multiplies only the contiguous run of time columns its mask
+    keeps: one GEMM per cap, and Ef is the sum of the cap blocks, so no GEMM
+    spans the whole mesh.  The power sums weigh |.|^p by the block's float
+    ball mask, so they cover exactly the samples in the ball.  Each block's
+    sums are added in block order: the partition into blocks is fixed, so
+    the norms have the same bits whichever thread ran a block.
     """
     d = points.shape[1]
-    m = int(math.ceil(2.0 * radius * samples_per_unit))
+    m = int(math.ceil(2.0 * radius * _SAMPLES_PER_UNIT))
     step = 2.0 * radius / m
     axis = -radius + step * (np.arange(m) + 0.5)
     index = np.indices((m,) * d).reshape(d, -1)

@@ -56,7 +56,7 @@ class NLSProblem:
 
     u0: Field
     horizon: float
-    time_nodes: int = 33
+    time_nodes: int
     kappa: float | None = None
     sign: int = 1
 
@@ -438,17 +438,17 @@ def large_data_protocol(
     return path, report
 
 
-def sum_space_smallness(u0: Field, window: Window, s: float) -> dict:
+def sum_space_smallness(u0: Field, window: Window) -> dict:
     """Smallness data for sum-space initial values in the d <= 2 theory.
 
-    Bounds inf{ ||g||_{M^s_{p,2}} + ||h||_{L^2} : u0 = g + h } (p = 6 for d = 1,
-    4 for d = 2) by splitting u0 at a smooth low-pass, minimized over the
-    thresholds 0 (all in L^2), the dyadic N <= xi_max/2 and inf (all in M^s_{p,2}).
+    Bounds inf{ ||g||_{M^s_{p,2}} + ||h||_{L^2} : u0 = g + h } (s = 1/2, p = 6 in
+    d = 1 and 4 in d = 2) by splitting u0 at a smooth low-pass, minimized over
+    the thresholds 0 (all in L^2), the dyadic N <= xi_max/2 and inf (all in M^s).
     """
     g = u0.grid
     if g.d not in (1, 2):
         raise ValueError(f"sum-space smallness check applies to d in {{1,2}}, got {g.d}")
-    p = 6.0 if g.d == 1 else 4.0
+    s, p = 0.5, 6.0 if g.d == 1 else 4.0
     spec = ModNormSpec(s, p, 2.0)
     thresholds = [0.0]
     band = 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import modlab.estimates as est
-from modlab import datagen
+from modlab import datagen, propagator
 from modlab.estimates import (
     ExperimentConfig,
     bilinear_ratio,
@@ -554,7 +554,7 @@ class TestDecoupling:
     def test_single_cap_profile_ratio_is_one(self):
         for R in (16.0, 64.0):
             cfg = ExperimentConfig(d=1, scales=(R,), p=6.0, profile="single_cap")
-            value, cap_sq, _ = est._decoupling_cell(cfg, R, R**-0.5)
+            value, cap_sq, _ = est._decoupling_cell(cfg, R)
             assert value == pytest.approx(np.sqrt(cap_sq), rel=1e-12)
 
     @pytest.mark.parametrize("profile", ["constant", "bump"])
@@ -570,8 +570,8 @@ class TestDecoupling:
 
         monkeypatch.setattr(est, "extension_ball_norms", spy)
         cfg = ExperimentConfig(d=2, scales=(4.0,), p=4.0, profile=profile)
-        value, cap_sq, caps_measured = est._decoupling_cell(cfg, 4.0, 0.5)
-        ((profile_, pts, w, R, p, spu, cuts), norms) = calls[0]
+        value, cap_sq, caps_measured = est._decoupling_cell(cfg, 4.0)
+        ((profile_, pts, w, R, p, cuts), norms) = calls[0]
         # 16 caps of width 0.5 cut the cap-sorted mesh into contiguous runs
         assert len(cuts) == 1 + 16 and cuts[0] == 0 and cuts[-1] == len(pts)
         assert np.all(np.diff(cuts) > 0) and len(norms) == len(cuts)
@@ -579,6 +579,7 @@ class TestDecoupling:
         runs = list(zip(cuts[:-1], cuts[1:]))
         assert all((caps[a:b] == caps[a]).all() for a, b in runs)
         assert len({tuple(caps[a]) for a, _ in runs}) == 16 == caps_measured
+        spu = propagator._SAMPLES_PER_UNIT
         for (a, b), norm in zip([(0, len(pts)), *runs], norms):
             direct = direct_ball_norm(profile_[a:b], pts[a:b], w, R, p, spu)
             assert norm == pytest.approx(direct, rel=1e-12)
@@ -598,7 +599,7 @@ class TestDecoupling:
 
         monkeypatch.setattr(est, "extension_ball_norms", spy)
         cfg = ExperimentConfig(d=1, scales=(R,), p=6.0, profile="single_cap")
-        est._decoupling_cell(cfg, R, R**-0.5)
+        est._decoupling_cell(cfg, R)
         [norms] = calls
         assert norms[1] > 0 and np.all(norms[2:] == 0.0)
         assert norms[0] == norms[1]

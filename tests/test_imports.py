@@ -3,7 +3,9 @@
 module's private (underscore) name, and neither do the test oracles; every
 public name imported from a modlab module is in that module's ``__all__``;
 a run reaches every ``__all__`` name and every public method; every default
-of a public function is both set and left to itself by a run; only
+of a public or private function is both set and left to itself by a run,
+and no parameter of a module function takes the same literal in every run
+call; only
 ``grid`` touches the frozen ``SpectralField`` view, the package root
 included; ``np.power`` appears only in ``grid.abs_power``; no module calls the
 builtin ``id``; no module but ``datagen`` draws random data, and none but
@@ -11,6 +13,7 @@ builtin ``id``; no module but ``datagen`` draws random data, and none but
 split-step oracle reaches none of the Picard path's flows or transforms."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -266,18 +269,17 @@ def test_public_methods_are_reached_by_a_run(path):
     assert not unreached, f"{path.name} has methods no run reaches: {unreached}"
 
 
-def _defaulted(tree: ast.Module) -> dict:
-    """name -> (positional parameter names, defaulted parameter names) of
-    every public function of a module that has a default."""
-    out, exported = {}, _exported(tree)
+def _signatures(tree: ast.Module) -> dict:
+    """name -> (positional parameter names, every parameter name, defaulted
+    parameter names) of every module-level function of a module."""
+    out = {}
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in exported:
+        if isinstance(node, ast.FunctionDef):
             a = node.args
             positional = [x.arg for x in a.posonlyargs + a.args]
             keyword = [k.arg for k, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
             defaulted = positional[len(positional) - len(a.defaults):] + keyword
-            if defaulted:
-                out[node.name] = (positional, defaulted)
+            out[node.name] = (positional, positional + [k.arg for k in a.kwonlyargs], defaulted)
     return out
 
 
@@ -325,41 +327,72 @@ def _calls(path: Path):
             yield (*target, call, through_partial)
 
 
-def test_every_default_is_set_and_left_by_a_run():
-    # a default no run overrides is a constant in disguise, and one every run
-    # overrides is an argument in disguise: a public function's defaulted
-    # parameter must be set by one run call and left to its default by
-    # another.  *args or **kwargs set every parameter; partial(f, ...) sets
-    # what it binds and leaves nothing, since the partial's own callers may
-    # set the rest.  The CLI exports nothing: the defaults of its entry
-    # points (argv, --seed) are the shell's to set
-    defaults = {m.stem: _defaulted(ast.parse(m.read_text())) for m in SRC.glob("*.py")}
-    set_, left = set(), set()
+@cache
+def _arguments() -> dict:
+    """(module, function, parameter) -> what each run call of a module-level
+    function of ``src/`` does with the parameter, in one pass of ``_calls``
+    over ``RUNNERS``: the expression it passes, "left" to its default, or
+    "bound later" by the callers of a ``partial``.  A ``*args`` or
+    ``**kwargs`` call passes its starred expression to every parameter."""
+    signatures = {m.stem: _signatures(ast.parse(m.read_text())) for m in SRC.glob("*.py")}
+    seen = {}
     for path in RUNNERS:
         for module, name, call, through_partial in _calls(path):
-            if name not in defaults.get(module, {}):
+            if name not in signatures.get(module, {}):
                 continue
-            positional, defaulted = defaults[module][name]
-            if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                k.arg is None for k in call.keywords
-            ):
-                given = set(defaulted)
-            else:
-                given = set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+            positional, params, _ = signatures[module][name]
+            given = dict(zip(positional, call.args)) | {k.arg: k.value for k in call.keywords}
+            starred = [a for a in call.args if isinstance(a, ast.Starred)]
+            starred += [k.value for k in call.keywords if k.arg is None]
+            for param in params:
+                arg = starred[0] if starred else given.get(param)
+                if arg is None:
+                    arg = "bound later" if through_partial else "left"
+                seen.setdefault((module, name, param), []).append(arg)
+    return seen
+
+
+def test_every_default_is_set_and_left_by_a_run():
+    # a default no run overrides is a constant in disguise, and one every run
+    # overrides is an argument in disguise: a defaulted parameter of a public
+    # or private function must be set by one run call and left to its
+    # default by another.  *args or **kwargs set every parameter;
+    # partial(f, ...) sets what it binds and leaves nothing, since the
+    # partial's own callers may set the rest.  The CLI exports nothing: the
+    # defaults of its entry points (argv, --seed) are the shell's to set
+    bad = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        exported = _exported(tree)
+        for name, (_, _, defaulted) in sorted(_signatures(tree).items()):
+            if name not in exported and not name.startswith("_"):
+                continue
             for param in defaulted:
-                if param in given:
-                    set_.add((module, name, param))
-                elif not through_partial:
-                    left.add((module, name, param))
-    bad = [
-        f"{module}.{name}({param}): "
-        + ", ".join(
-            why for why, seen in (("no run sets it", set_), ("no run leaves it", left))
-            if (module, name, param) not in seen
-        )
-        for module, functions in sorted(defaults.items())
-        for name, (_, defaulted) in sorted(functions.items())
-        for param in defaulted
-        if (module, name, param) not in set_ & left
-    ]
+                seen = _arguments().get((module.stem, name, param), [])
+                why = [
+                    why for why, done in (
+                        ("no run sets it", any(not isinstance(a, str) for a in seen)),
+                        ("no run leaves it", "left" in seen),
+                    ) if not done
+                ]
+                if why:
+                    bad.append(f"{module.stem}.{name}({param}): " + ", ".join(why))
     assert not bad, f"defaults no run varies: {bad}"
+
+
+def test_no_argument_is_the_same_literal_in_every_run_call():
+    # a value every run passes alike is a constant in disguise too, whether
+    # or not the parameter has a default: it belongs in the function that
+    # owns the decision.  A named module constant (estimates._HORIZON) is
+    # that decision's one home and passes
+    bad = []
+    for (module, name, param), seen in sorted(_arguments().items()):
+        if any(isinstance(arg, str) for arg in seen):
+            continue  # left to its default, or bound by unseen callers
+        try:
+            values = [ast.literal_eval(arg) for arg in seen]
+        except (ValueError, TypeError):
+            continue  # a name, a call or a starred argument: no literal
+        if all(value == values[0] for value in values):
+            bad.append(f"{module}.{name}({param}) = {values[0]!r}")
+    assert not bad, f"arguments every run passes alike: {bad}"

@@ -255,7 +255,7 @@ class TestPieceKernel:
         F = ball_noise_spectrum(g, seed=d)
         ks = w.active_lattice(F.coefficients)
         assert 1 < len(ks) < len(lattice(w))
-        got = _piece_lp_norms(F.coefficients, ks, w, p)
+        got = _piece_lp_norms(F.coefficients, ks, w, p, in_flight=1)
         want = per_window_norms(F, ks, w, p)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
@@ -270,7 +270,7 @@ class TestPieceKernel:
         ks = lattice(w)
         below = (2 * w.kmax + 1) ** (d - 1) if levels == "leading" else 1
         monkeypatch.setattr(modspace, "_CHUNK_POINTS", 3 * below * g.size)
-        got = _piece_lp_norms(F.coefficients, ks, w, 4.0)
+        got = _piece_lp_norms(F.coefficients, ks, w, 4.0, in_flight=1)
         want = per_window_norms(F, ks, w, 4.0)
         assert np.all(np.abs(got - want) <= 1e-13 * want.max())
 
@@ -282,10 +282,10 @@ class TestPieceKernel:
         w = make_window(g)
         F = ball_noise_spectrum(g, seed=20 + d)
         ks = lattice(w)
-        want = _piece_lp_norms(F.coefficients, ks, w, p)
+        want = _piece_lp_norms(F.coefficients, ks, w, p, in_flight=1)
         for budget in (1, 3 * g.size, 2**30):
             monkeypatch.setattr(modspace, "_CHUNK_POINTS", budget)
-            assert np.array_equal(_piece_lp_norms(F.coefficients, ks, w, p), want)
+            assert np.array_equal(_piece_lp_norms(F.coefficients, ks, w, p, in_flight=1), want)
 
     def test_blocks_fit_the_budget(self, grid3d, monkeypatch):
         w = make_window(grid3d)
@@ -300,7 +300,7 @@ class TestPieceKernel:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifft", spy)
-        want = _piece_lp_norms(F.coefficients, ks, w, 4.0)
+        want = _piece_lp_norms(F.coefficients, ks, w, 4.0, in_flight=1)
         assert sizes and max(sizes) <= max(modspace._CHUNK_POINTS, grid3d.size)
         # two norms in flight split the budget, with the same bits
         whole = max(sizes)
@@ -324,7 +324,7 @@ class TestPieceKernel:
         # left the norm's bits.
         f, w = complex_noise(grid3d, 0), make_window(grid3d)
         assert modulation_norm(f, ModNormSpec(1.1, p, 2.0), w).hex() == bits
-        norms = _piece_lp_norms(forward(grid3d, f.values), lattice(w), w, p)
+        norms = _piece_lp_norms(forward(grid3d, f.values), lattice(w), w, p, in_flight=1)
         assert hashlib.sha256(norms.tobytes()).hexdigest()[:16] == pieces
 
     def test_non_product_windows_rejected(self, grid3d):
@@ -333,7 +333,7 @@ class TestPieceKernel:
         ks = w.active_lattice(F.coefficients)
         for bad in (ks[::-1], ks[1:], []):
             with pytest.raises(ValueError, match="product"):
-                _piece_lp_norms(F.coefficients, bad, w, 4.0)
+                _piece_lp_norms(F.coefficients, bad, w, 4.0, in_flight=1)
 
     def test_marginal_just_above_the_floor_stays_active(self):
         # tau = 1e-24 / (d n N): a lone mode at the top of the band whose
@@ -368,7 +368,7 @@ class TestPieceKernel:
         F = SpectralField(g, noisy)
         ks = lattice(w)
         brackets = np.array([np.sqrt(1.0 + sum(v * v for v in k)) for k in ks])
-        norms = _piece_lp_norms(F.coefficients, ks, w, 4.0)
+        norms = _piece_lp_norms(F.coefficients, ks, w, 4.0, in_flight=1)
         exhaustive = np.sqrt(np.sum((brackets**spec.s * norms) ** 2))
         norm = modulation_norm(Field(g, inverse(g, F.coefficients)), spec, w)
         assert abs(norm - exhaustive) <= 1e-14 * exhaustive

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modlab import propagator
 from modlab.grid import (
     Field,
     Trajectory,
@@ -523,10 +524,10 @@ class TestExtension:
             unit_ball_mesh(3, 16)
 
     def test_ball_norm_matches_direct_quadrature(self):
-        R, spu = 4.0, 2.0
+        R, spu = 4.0, propagator._SAMPLES_PER_UNIT
         pts, w = unit_ball_mesh(1, 48)
         profile = np.ones(len(pts))
-        norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, spu, [0, len(pts)])
+        norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, [0, len(pts)])
         m = int(np.ceil(2 * R * spu))
         step = 2 * R / m
         axis = -R + step * (np.arange(m) + 0.5)
@@ -540,7 +541,7 @@ class TestExtension:
         # pair every mesh point with its own coordinates on both axes
         pts, w = unit_ball_mesh(2, 12)
         profile = np.cos(2.0 * pts[:, 0]) + 0.5j * pts[:, 1] + 0.3
-        norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, spu, [0, len(pts)])
+        norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, [0, len(pts)])
         assert norm == pytest.approx(
             direct_ball_norm(profile, pts, w, R, 4.0, spu), rel=1e-12
         )
@@ -550,10 +551,9 @@ class TestExtension:
     def test_ball_norms_in_blocks_match_direct(self, monkeypatch, d, mesh, R, spu, budget):
         # the row budget splits the ball's shadow into single points, or into
         # blocks whose last one is partial; the whole mesh and each of three
-        # caps must match the per-row oracle on f 1_S.  The profile is
-        # complex and has no symmetry, so t -> -t changes every norm.
-        from modlab import propagator
-
+        # caps must match the per-row oracle on f 1_S, with the kernel's
+        # sampling density set to the case's.  The profile is complex and
+        # has no symmetry, so t -> -t changes every norm.
         pts, w = unit_ball_mesh(d, mesh)
         profile = np.cos(2.0 * pts[:, 0] + 0.4) + 0.5j * pts[:, -1] ** 3 + 0.3
         m = int(np.ceil(2 * R * spu))
@@ -563,9 +563,10 @@ class TestExtension:
         rows = 1 if budget == "one row" else shadow // 3 + 1
         assert shadow > 2 * rows  # three blocks or more, the last one short
         monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(propagator, "_SAMPLES_PER_UNIT", spu)
         n = len(pts)
         cuts = [0, n // 5, n // 2, n]
-        norms = propagator.extension_ball_norms(profile, pts, w, R, 3.0, spu, cuts)
+        norms = propagator.extension_ball_norms(profile, pts, w, R, 3.0, cuts)
         assert len(norms) == len(cuts)
         for (a, b), norm in zip([(0, n), *zip(cuts[:-1], cuts[1:])], norms):
             piece = np.where((np.arange(n) >= a) & (np.arange(n) < b), profile, 0.0)
@@ -579,8 +580,6 @@ class TestExtension:
         # t^2 + |x|^2 <= R^2 of its rows, so the blocks together keep the
         # full mask's count, while the windows cover less than the box; every
         # shadow point is walked once and keeps at least one time
-        from modlab import propagator
-
         monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
         m = int(np.ceil(2 * R * spu))
         axis = -R + 2 * R / m * (np.arange(m) + 0.5)
@@ -604,8 +603,7 @@ class TestExtension:
     def test_ball_norms_do_not_depend_on_scheduling(self, monkeypatch, d, mesh, R, spu):
         # the blocks run on two threads; with the map made sequential every
         # norm keeps its bits, on cells of five blocks or more, the last short
-        from modlab import propagator
-
+        monkeypatch.setattr(propagator, "_SAMPLES_PER_UNIT", spu)
         pts, w = unit_ball_mesh(d, mesh)
         profile = np.cos(2.0 * pts[:, 0] + 0.4) + 0.5j * pts[:, -1] ** 3 + 0.3
         m = int(np.ceil(2 * R * spu))
@@ -615,11 +613,11 @@ class TestExtension:
         assert len(blocks) >= 5 and 0 < blocks[-1].size < propagator._CHUNK_ROWS
         n = len(pts)
         cuts = [0, n // 5, n // 2, n]
-        threaded = propagator.extension_ball_norms(profile, pts, w, R, 6.0, spu, cuts)
+        threaded = propagator.extension_ball_norms(profile, pts, w, R, 6.0, cuts)
         monkeypatch.setattr(
             propagator, "two_thread_map", lambda work, count: [work(i) for i in range(count)]
         )
-        sequential = propagator.extension_ball_norms(profile, pts, w, R, 6.0, spu, cuts)
+        sequential = propagator.extension_ball_norms(profile, pts, w, R, 6.0, cuts)
         assert [v.hex() for v in threaded] == [v.hex() for v in sequential]
 
     def test_masked_power_sum_keeps_its_bits_at_any_blas_thread_count(self):
@@ -649,7 +647,7 @@ class TestExtension:
     def test_ball_norm_d2_runs(self):
         pts, w = unit_ball_mesh(2, 12)
         profile = np.ones(len(pts))
-        value, _ = extension_ball_norms(profile, pts, w, 4.0, 2.0, 1.0, [0, len(pts)])
+        value, _ = extension_ball_norms(profile, pts, w, 4.0, 2.0, [0, len(pts)])
         assert value > 0
 
     def test_ball_norms_peak_memory(self):
@@ -663,8 +661,6 @@ class TestExtension:
         # mask about 5 MB
         import tracemalloc
 
-        from modlab import propagator
-
         R, width = 256.0, 256.0**-0.5
         pts, w = unit_ball_mesh(1, 666)
         caps = np.floor((pts[:, 0] + 1.0) / width).astype(int)
@@ -672,10 +668,10 @@ class TestExtension:
         assert len(cuts) == 33
         profile = np.ones(len(pts))
         m, item = 1024, np.dtype(complex).itemsize
-        extension_ball_norms(profile, pts, w, 16.0, 6.0, 2.0, cuts)
+        extension_ball_norms(profile, pts, w, 16.0, 6.0, cuts)
         tracemalloc.start()
         try:
-            extension_ball_norms(profile, pts, w, R, 6.0, 2.0, cuts)
+            extension_ball_norms(profile, pts, w, R, 6.0, cuts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -144,7 +144,7 @@ class TestPicard:
     @pytest.mark.parametrize("horizon", [0.0, -0.1])
     def test_nonpositive_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
-            NLSProblem(u0=small_quintic().u0, horizon=horizon)
+            NLSProblem(u0=small_quintic().u0, horizon=horizon, time_nodes=17)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="16 time nodes"):
@@ -403,14 +403,14 @@ class TestSumSpace:
     def test_low_frequency_field_bounded_by_both(self, grid1d):
         w = make_window(grid1d)
         f = bandlimited(grid1d, 0.0, 0.9, seed=8)
-        out = sum_space_smallness(f, w, s=0.5)
+        out = sum_space_smallness(f, w)
         m = modulation_norm(f, ModNormSpec(0.5, 6.0, 2.0), w)
-        assert out["p"] == 6.0
+        assert (out["s"], out["p"]) == (0.5, 6.0)
         assert out["bound"] <= min(m, lp_norm(f, 2)) + 1e-10
 
     def test_zero_field(self, grid1d):
         zero = Field(grid1d, np.zeros(grid1d.shape, complex))
-        out = sum_space_smallness(zero, make_window(grid1d), s=0.0)
+        out = sum_space_smallness(zero, make_window(grid1d))
         assert out["bound"] == 0.0
 
     def test_split_beats_single_space_for_mixed_data(self, grid1d):
@@ -418,15 +418,14 @@ class TestSumSpace:
         low = bandlimited(grid1d, 0.0, 0.9, seed=2)
         high = bandlimited(grid1d, 6.0, 0.4, seed=3)
         f = low + 0.5 * high
-        out = sum_space_smallness(f, w, s=1.0)
-        assert out["bound"] <= modulation_norm(f, ModNormSpec(1.0, 6.0, 2.0), w) + 1e-10
+        out = sum_space_smallness(f, w)
+        assert out["bound"] <= modulation_norm(f, ModNormSpec(0.5, 6.0, 2.0), w) + 1e-10
         assert out["bound"] <= lp_norm(f, 2) + 1e-10
         assert dict(out["table"])  # sweep table is reported
 
-    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("data", ["noise", "gaussian", "zero"])
-    def test_equals_the_three_branch_sweep(self, d, data, s):
+    def test_equals_the_three_branch_sweep(self, d, data):
         g = make_grid(d, *{1: (256, 16 * np.pi), 2: (32, 8 * np.pi)}[d])
         w = make_window(g)
         f = {
@@ -434,8 +433,8 @@ class TestSumSpace:
             "gaussian": lambda: gaussian_field(g, amplitude=0.3),
             "zero": lambda: Field(g, np.zeros(g.shape, complex)),
         }[data]()
-        out = sum_space_smallness(f, w, s)
-        bound, threshold, table = three_branch_bound(f, ModNormSpec(s, out["p"], 2.0), w)
+        out = sum_space_smallness(f, w)
+        bound, threshold, table = three_branch_bound(f, ModNormSpec(out["s"], out["p"], 2.0), w)
         assert out["p"] == (6.0 if d == 1 else 4.0)
         assert (out["bound"], out["threshold"], out["table"]) == (bound, threshold, table)
 
@@ -446,14 +445,14 @@ class TestSmallnessProbes:
         w = make_window(g)
         x = g.axis_coords()
         u0 = Field(g, 0.2 * np.exp(-(x**2) / 2).astype(complex))
-        out = sum_space_smallness(u0, w, s=0.5)
+        out = sum_space_smallness(u0, w)
         assert out["p"] == 6.0
         assert 0 < out["bound"] <= lp_norm(u0, 2) + 1e-10
 
     def test_sum_space_smallness_dimension_guard(self):
         g = make_grid(3, 16, 8 * np.pi)
         with pytest.raises(ValueError, match="d in"):
-            sum_space_smallness(Field(g, np.zeros(g.shape, complex)), make_window(g), s=0.5)
+            sum_space_smallness(Field(g, np.zeros(g.shape, complex)), make_window(g))
 
 
 class TestLargeData:

@@ -510,7 +510,8 @@ def _decoupling_profile(kind: str, points: np.ndarray, width: float) -> np.ndarr
 def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     """Sweep of D(R) = ||Ef||_{L^p(B(0,R))} / (sum_caps ||Ef_cap||^2)^{1/2}.
 
-    Caps have width R^{-1/2}; the weight is the sharp ball indicator.  The
+    Caps have width R^{-1/2}, one spelling in ``_cap_width``, which the
+    cap-count guard shares; the weight is the sharp ball indicator.  The
     frequency mesh has ceil(2.6 R) points per axis, so the Poisson images of
     the quadrature sit several radii away from the ball, which
     ``extension_ball_norms`` samples 2 times per unit length.
@@ -522,7 +523,7 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     _require_fit_size(config.scales)
     # the cap count (2 R^{1/2})^d grows with R: the smallest scale has fewest
     smallest = min(config.scales)
-    if (2.0 / smallest**-0.5) ** config.d < 4:
+    if (2.0 / _cap_width(smallest)) ** config.d < 4:
         raise ValueError(f"R={smallest} yields fewer than 4 caps")
     lhs, cap_sq, caps = zip(*(_decoupling_cell(config, R) for R in config.scales))
     rhs = [math.sqrt(v) for v in cap_sq]
@@ -530,6 +531,11 @@ def decoupling_ratio(config: ExperimentConfig) -> FitResult:
     return _make_fit(
         config.scales, lhs, rhs, sdec(config.p, config.d), config.margin, "decoupling", meta
     )
+
+
+def _cap_width(R: float) -> float:
+    # the side R^{-1/2} of the decoupling caps at scale R
+    return R**-0.5
 
 
 def _decoupling_cell(config: ExperimentConfig, R: float):
@@ -540,7 +546,7 @@ def _decoupling_cell(config: ExperimentConfig, R: float):
     ``bounds``.  Only caps that hold mesh points are measured and counted.
     """
     points, weight = unit_ball_mesh(config.d, int(math.ceil(2.6 * R)))
-    width = R**-0.5
+    width = _cap_width(R)
     caps = np.floor((points + 1.0) / width).astype(int)
     order = np.lexsort(caps.T[::-1])
     points = points[order]

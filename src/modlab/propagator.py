@@ -23,11 +23,14 @@ kernel.
   of Ef and of each cap's piece: midpoint quadrature over a frequency mesh
   of the unit ball.  Blocks of shadow points of similar |x| take one GEMM
   per cap over the times their ball mask keeps, and Ef is the sum of the
-  cap blocks, so the work is about nmesh * |ball| multiply-adds; it is
-  restricted to d <= 2 since that cost grows like mesh^(2d+1).  The blocks
-  are independent and run two at a time on ``grid.two_thread_map``; each
-  block's power sums are kept apart and added in block order, so the norms
-  do not depend on how the threads are scheduled.
+  cap blocks, so the work is about nmesh * |ball| / 2 multiply-adds; it is
+  restricted to d <= 2 since that cost grows like mesh^(2d+1).  The
+  profile must be real: then Ef(-t, -x) = conj Ef(t, x) on the midpoint
+  mesh, for each cap's piece too, so only the times t >= 0 are sampled and
+  each t > 0 counts twice.  The blocks are independent and run two at a
+  time on ``grid.two_thread_map``; each block's power sums are kept apart
+  and added in block order, so the norms do not depend on how the threads
+  are scheduled.
 - Both kernels sum |.|^p through ``grid.abs_power``, which squares at even
   p, the p of every product and decoupling estimate.
 """
@@ -284,25 +287,33 @@ def extension_ball_norms(
     The mesh is sorted by cap and cap j keeps the points cuts[j]..cuts[j+1]-1,
     with 0 = cuts[0] < ... < cuts[-1] = len(points); the result holds the
     whole mesh's norm first, then one per cap.  The ball is sampled at the
-    midpoints of ``_SAMPLES_PER_UNIT`` cells per unit length and axis, and
-    C[xi, t] = f(xi) exp(i t|xi|^2) is built once.  The shadow |x| <= radius
-    is sorted by |x| and cut into blocks of ``_CHUNK_ROWS`` points, run two at
-    a time by ``two_thread_map``.  Each block builds its ball mask and plane
-    waves exp(i x.xi), so beside C (mesh x m) the cell holds two blocks'
-    waves, and multiplies only the contiguous run of time columns its mask
+    midpoints of ``_SAMPLES_PER_UNIT`` cells per unit length and axis.  The
+    profile must be real, else ``ValueError``: the midpoint axis is symmetric
+    about 0, so Ef(-t, -x) = conj Ef(t, x) at every sample, for each cap's
+    f 1_S too, and since the ball and its shadow are symmetric as well, the
+    times t >= 0 (the columns m//2..m-1 of the m on the axis) stand for the
+    whole ball.  So C[xi, t] = f(xi) exp(i t|xi|^2) is built once for those
+    times only.  The shadow |x| <= radius is sorted by |x| and cut into
+    blocks of ``_CHUNK_ROWS`` points, run two at a time by
+    ``two_thread_map``.  Each block builds its ball mask and plane waves
+    exp(i x.xi), so beside C (mesh x (m - m//2)) the cell holds two blocks'
+    waves, and multiplies only the run of times from t >= 0 up that its mask
     keeps: one GEMM per cap, and Ef is the sum of the cap blocks, so no GEMM
     spans the whole mesh.  The power sums weigh |.|^p by the block's float
-    ball mask, so they cover exactly the samples in the ball.  Each block's
-    sums are added in block order: the partition into blocks is fixed, so
-    the norms have the same bits whichever thread ran a block.
+    ball mask, which counts each t > 0 twice, for t and -t, and the t = 0 of
+    an odd m once, so they cover exactly the samples in the ball.  Each
+    block's sums are added in block order: the partition into blocks is
+    fixed, so the norms have the same bits whichever thread ran a block.
     """
+    if np.iscomplexobj(profile):
+        raise ValueError("extension_ball_norms needs a real profile")
     d = points.shape[1]
     m = int(math.ceil(2.0 * radius * _SAMPLES_PER_UNIT))
     step = 2.0 * radius / m
     axis = -radius + step * (np.arange(m) + 0.5)
     index = np.indices((m,) * d).reshape(d, -1)
     r_sq = reduce(np.add, [axis[i] ** 2 for i in index])
-    coeff = _expi(np.sum(points**2, axis=1)[:, None], axis[:, None])
+    coeff = _expi(np.sum(points**2, axis=1)[:, None], axis[m // 2 :, None])
     coeff *= profile[:, None]
     caps = list(zip(cuts[:-1], cuts[1:]))
     blocks = _ball_blocks(r_sq, radius)
@@ -310,12 +321,12 @@ def extension_ball_norms(
     def block_sums(j: int) -> np.ndarray:
         # the power sums of Ef, then of each cap, over block j's samples
         rows = blocks[j]
-        lo, hi, mask = _ball_window(axis, r_sq[rows], radius)
+        hi, mask = _ball_window(axis, r_sq[rows], radius)
         waves = _expi(axis[index[:, rows]].T, points)
         sums = np.empty(1 + len(caps))
-        ef = np.zeros((rows.size, hi - lo), complex)
+        ef = np.zeros((rows.size, hi), complex)
         for k, (a, b) in enumerate(caps, 1):
-            block = waves[:, a:b] @ coeff[a:b, lo:hi]
+            block = waves[:, a:b] @ coeff[a:b, :hi]
             ef += block
             sums[k] = _power_sum(block, p, mask)
         sums[0] = _power_sum(ef, p, mask)
@@ -344,20 +355,25 @@ def _ball_blocks(r_sq: np.ndarray, radius: float) -> list[np.ndarray]:
 
 
 def _ball_window(axis: np.ndarray, r_sq: np.ndarray, radius: float):
-    """(lo, hi, mask) of a block of shadow points with squared radii
-    ``r_sq``: the times lo..hi-1 are the columns the block's ball mask
+    """(hi, mask) of a block of shadow points with squared radii ``r_sq`` on
+    the times t >= 0 of the midpoint axis ``axis``, its columns m//2..m-1:
+    the first hi of them are the times the block's ball mask
     t^2 + |x|^2 <= radius^2 keeps, found by index, and ``mask`` is that mask
-    on them as floats.
+    on them as floats, 2 on each t > 0, which stands for -t as well, and 1
+    on the t = 0 of an odd m.
 
-    No window is empty: every shadow point keeps the times nearest 0.  With
-    m odd the midpoint axis holds t = 0; with m even |x|^2 and radius^2 are
+    No window is empty: every shadow point keeps the first time, the one
+    nearest 0, and t^2 grows along the half axis, so the kept times run from
+    it.  With m odd that time is t = 0; with m even |x|^2 and radius^2 are
     (step/2)^2 times sums of d <= 2 odd squares and m^2, which differ by 2
     or more, so |x|^2 <= radius^2 leaves room for t^2 = (step/2)^2.
     """
-    inside = axis**2 + r_sq[:, None] <= radius**2
-    kept = np.flatnonzero(inside.any(axis=0))
-    lo, hi = kept[0], kept[-1] + 1
-    return lo, hi, inside[:, lo:hi].astype(float)
+    m = axis.size
+    inside = axis[m // 2 :] ** 2 + r_sq[:, None] <= radius**2
+    hi = int(np.count_nonzero(inside.any(axis=0)))
+    count = np.full(hi, 2.0)
+    count[0] -= m % 2
+    return hi, inside[:, :hi] * count
 
 
 def _power_sum(z: np.ndarray, p: float, mask: np.ndarray) -> float:

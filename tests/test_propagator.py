@@ -28,7 +28,7 @@ from modlab.propagator import (
     mass,
     unit_ball_mesh,
 )
-from tests.conftest import complex_noise, direct_ball_norm, gaussian_field
+from tests.conftest import complex_noise, direct_ball_norm, gaussian_field, unreached
 from tests.oracles import duhamel, energy, extension_values, scanned_piece_norm
 
 
@@ -489,6 +489,11 @@ class TestDuhamel:
             assert np.array_equal(path.values[j], acc.values)
 
 
+def _asymmetric(pts):
+    # a real profile with no parity symmetry on any axis
+    return np.cos(2.0 * pts[:, 0] + 0.4) + 0.5 * pts[:, -1] ** 3 + 0.3
+
+
 class TestExtension:
     def test_constant_profile_at_origin(self):
         pts, w = unit_ball_mesh(1, 200)
@@ -524,9 +529,11 @@ class TestExtension:
             unit_ball_mesh(3, 16)
 
     def test_ball_norm_matches_direct_quadrature(self):
+        # real profiles with no parity symmetry, so only Ef(-t, -x) =
+        # conj Ef(t, x) lets the kernel's half ball stand for the whole
         R, spu = 4.0, propagator._SAMPLES_PER_UNIT
         pts, w = unit_ball_mesh(1, 48)
-        profile = np.ones(len(pts))
+        profile = _asymmetric(pts)
         norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, [0, len(pts)])
         m = int(np.ceil(2 * R * spu))
         step = 2 * R / m
@@ -537,25 +544,29 @@ class TestExtension:
         direct = (step**2 * np.sum(np.abs(vals[inside]) ** 4)) ** 0.25
         assert norm == pytest.approx(direct, rel=1e-12)
 
-        # d = 2: a non-symmetric profile, so each block's plane waves must
-        # pair every mesh point with its own coordinates on both axes
+        # d = 2: each block's plane waves must pair every mesh point with
+        # its own coordinates on both axes
         pts, w = unit_ball_mesh(2, 12)
-        profile = np.cos(2.0 * pts[:, 0]) + 0.5j * pts[:, 1] + 0.3
+        profile = _asymmetric(pts)
         norm, _ = extension_ball_norms(profile, pts, w, R, 4.0, [0, len(pts)])
         assert norm == pytest.approx(
             direct_ball_norm(profile, pts, w, R, 4.0, spu), rel=1e-12
         )
 
     @pytest.mark.parametrize("budget", ["one row", "mid-range"])
-    @pytest.mark.parametrize("d, mesh, R, spu", [(1, 48, 6.0, 2.0), (2, 12, 4.0, 1.5)])
+    @pytest.mark.parametrize(
+        "d, mesh, R, spu", [(1, 48, 6.0, 2.0), (1, 48, 4.0, 1.375), (2, 12, 4.0, 1.5)]
+    )
     def test_ball_norms_in_blocks_match_direct(self, monkeypatch, d, mesh, R, spu, budget):
         # the row budget splits the ball's shadow into single points, or into
         # blocks whose last one is partial; the whole mesh and each of three
         # caps must match the per-row oracle on f 1_S, with the kernel's
-        # sampling density set to the case's.  The profile is complex and
-        # has no symmetry, so t -> -t changes every norm.
+        # sampling density set to the case's.  The profile is real with no
+        # parity symmetry, so t -> -t alone changes every norm, and R = 4 at
+        # 1.375 samples per unit length gives m = 11 times, whose t = 0
+        # counts once.
         pts, w = unit_ball_mesh(d, mesh)
-        profile = np.cos(2.0 * pts[:, 0] + 0.4) + 0.5j * pts[:, -1] ** 3 + 0.3
+        profile = _asymmetric(pts)
         m = int(np.ceil(2 * R * spu))
         axis = -R + 2 * R / m * (np.arange(m) + 0.5)
         r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij"))
@@ -577,27 +588,44 @@ class TestExtension:
     @pytest.mark.parametrize("d, R, spu", [(1, 40.0, 2.0), (2, 12.0, 1.5)])
     def test_block_windows_keep_exactly_the_ball(self, monkeypatch, d, R, spu, rows):
         # each block's time window and float mask hold exactly the samples
-        # t^2 + |x|^2 <= R^2 of its rows, so the blocks together keep the
-        # full mask's count, while the windows cover less than the box; every
-        # shadow point is walked once and keeps at least one time
+        # t >= 0, t^2 + |x|^2 <= R^2 of its rows, starting at the first time
+        # of the half axis, while the windows cover less than the half box;
+        # every shadow point is walked once and keeps at least one time
         monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
         m = int(np.ceil(2 * R * spu))
         axis = -R + 2 * R / m * (np.arange(m) + 0.5)
         r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij")).ravel()
-        full = axis**2 + r_sq[:, None] <= R**2
-        kept, area, walked = 0, 0, []
+        half = axis[m // 2 :] ** 2 + r_sq[:, None] <= R**2
+        area, walked = 0, []
         for idx in propagator._ball_blocks(r_sq, R):
-            lo, hi, mask = propagator._ball_window(axis, r_sq[idx], R)
+            hi, mask = propagator._ball_window(axis, r_sq[idx], R)
             assert 1 <= idx.size <= rows
-            assert not full[idx, :lo].any() and not full[idx, hi:].any()
-            assert mask.dtype == float and np.array_equal(mask, full[idx, lo:hi])
+            assert not half[idx, hi:].any()
+            assert mask.dtype == float and np.array_equal(mask > 0, half[idx, :hi])
             assert mask.any(axis=1).all()
-            kept += int(mask.sum())
             area += mask.size
             walked.extend(idx.tolist())
-        assert kept == np.count_nonzero(full)
         assert sorted(walked) == np.flatnonzero(r_sq <= R**2).tolist()
-        assert area < np.count_nonzero(r_sq <= R**2) * m
+        assert area < np.count_nonzero(r_sq <= R**2) * (m - m // 2)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "d, R, spu", [(1, 40.0, 2.0), (1, 4.0, 1.375), (2, 12.0, 1.5), (2, 12.0, 1.375)]
+    )
+    def test_half_ball_masks_count_the_whole_ball(self, monkeypatch, d, R, spu, rows):
+        # m = 160, 11, 36 and 33: summed over every block of the half axis,
+        # the weighted masks count each sample of the whole ball
+        # t^2 + |x|^2 <= R^2 exactly once, t and -t by a 2 on t > 0 and the
+        # t = 0 of an odd m by a 1
+        monkeypatch.setattr(propagator, "_CHUNK_ROWS", rows)
+        m = int(np.ceil(2 * R * spu))
+        axis = -R + 2 * R / m * (np.arange(m) + 0.5)
+        r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij")).ravel()
+        weights = [
+            propagator._ball_window(axis, r_sq[idx], R)[1].sum()
+            for idx in propagator._ball_blocks(r_sq, R)
+        ]
+        assert sum(weights) == np.count_nonzero(axis**2 + r_sq[:, None] <= R**2)
 
     @pytest.mark.parametrize("d, mesh, R, spu", [(1, 48, 41.0, 2.0), (2, 12, 12.0, 1.5)])
     def test_ball_norms_do_not_depend_on_scheduling(self, monkeypatch, d, mesh, R, spu):
@@ -605,7 +633,7 @@ class TestExtension:
         # norm keeps its bits, on cells of five blocks or more, the last short
         monkeypatch.setattr(propagator, "_SAMPLES_PER_UNIT", spu)
         pts, w = unit_ball_mesh(d, mesh)
-        profile = np.cos(2.0 * pts[:, 0] + 0.4) + 0.5j * pts[:, -1] ** 3 + 0.3
+        profile = _asymmetric(pts)
         m = int(np.ceil(2 * R * spu))
         axis = -R + 2 * R / m * (np.arange(m) + 0.5)
         r_sq = np.add.reduce(np.meshgrid(*[axis**2] * d, indexing="ij")).ravel()
@@ -619,6 +647,17 @@ class TestExtension:
         )
         sequential = propagator.extension_ball_norms(profile, pts, w, R, 6.0, cuts)
         assert [v.hex() for v in threaded] == [v.hex() for v in sequential]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_complex_profile_rejected_before_any_product(self, monkeypatch, d):
+        # Ef(-t, -x) = conj Ef(t, x) needs a real f: a complex one raises
+        # before any exp, plane wave or GEMM
+        monkeypatch.setattr(propagator, "_expi", unreached("an exp was taken"))
+        monkeypatch.setattr(propagator, "two_thread_map", unreached("a block was run"))
+        pts, w = unit_ball_mesh(d, 12)
+        profile = _asymmetric(pts) + 0.5j * pts[:, 0]
+        with pytest.raises(ValueError, match="real profile"):
+            extension_ball_norms(profile, pts, w, 4.0, 4.0, [0, len(pts)])
 
     def test_masked_power_sum_keeps_its_bits_at_any_blas_thread_count(self):
         # BLAS ddot splits a long sum over its threads; the masked power sum
@@ -652,13 +691,15 @@ class TestExtension:
 
     def test_ball_norms_peak_memory(self):
         # the R = 256 cell of decoupling_d1_p6.cfg: 666 mesh points in 32
-        # caps, m = 1024 times.  Beside the mesh x m coefficient matrix the
-        # cell holds two blocks in flight, one per thread, each with its
-        # waves (rows x mesh) and four complex rows x m arrays: Ef, a cap's
-        # product, its |.|^p, and the float ball mask with the sum
+        # caps, m = 1024 times, 512 of them t > 0.  Beside the
+        # mesh x (m - m//2) coefficient matrix of those times (a whole-ball
+        # one would fail the bound) the cell holds two blocks in flight, one
+        # per thread, each with its waves (rows x mesh) and four complex
+        # arrays of rows x at most m - m//2, bounded here by rows x m: Ef, a
+        # cap's product, its |.|^p, and the float ball mask with the sum
         # t^2 + |x|^2 it is cut from; a table of the whole shadow's waves
-        # would add a second m x mesh array, and a table of every block's
-        # mask about 5 MB
+        # would add a second array the size of C, and a table of every
+        # block's mask about 2.5 MB
         import tracemalloc
 
         R, width = 256.0, 256.0**-0.5
@@ -675,7 +716,7 @@ class TestExtension:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        coeff = len(pts) * m * item
+        coeff = len(pts) * (m - m // 2) * item
         assert peak <= coeff + 2 * propagator._CHUNK_ROWS * item * (len(pts) + 4 * m)
 
 
